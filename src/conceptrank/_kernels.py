@@ -1,10 +1,9 @@
 """Hot numeric kernels with a numba fast path and a pure-numpy fallback.
 
-The active path is chosen at import time: numba is used when it imports
-successfully, unless the environment variable ``CONCEPTRANK_NUMBA`` is set
-to ``0``/``false``/``off``.  Both implementations are kept importable so
-tests can assert parity and ``benchmarks/bench_kernels.py`` can time them
-against each other.
+The active path is chosen at import time: numba, an optional dependency
+(the ``numba`` extra), is used when it imports successfully, unless the
+environment variable ``CONCEPTRANK_NUMBA`` is set to ``0``/``false``/``off``.
+Both implementations are kept importable so tests can assert parity.
 """
 
 from __future__ import annotations

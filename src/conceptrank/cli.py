@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``rank`` (full pipeline per event), ``select-concepts``,
-``eval``, and ``synth``.  Logs are line-delimited key=value records on
-standard error; with ``--stdout`` the primary result artifact is also
+``eval``, and ``synth``.  Logs are one JSON object per line on standard
+error; with ``--stdout`` the primary result artifact is also
 printed to standard output.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure in all
@@ -56,8 +56,6 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iters", type=int, default=100, help="outer iterations")
     p.add_argument("--solver", choices=["reference", "proximal"], default="reference")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None,
-                   help="event worker pool size (default: logical CPUs)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,7 +121,6 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         max_outer_iters=args.max_iters,
         solver=args.solver,
         seed=args.seed,
-        workers=args.workers,
         stdout=args.stdout,
     )
     code, metrics = run_rank(config)

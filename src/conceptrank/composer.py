@@ -147,6 +147,7 @@ class FitResult:
     converged: bool
     iterations: int
     warnings: list[str] = field(default_factory=list)
+    uncertified_steps: int = 0  # weight steps that ended above their tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -1102,8 +1103,11 @@ def _weight_step(W_init, neighbors, S, labels, lambda_push, cap, max_iters, tol)
     return W0, gap, bound
 
 
+_GAP_MESSAGE = "weight step stopped at certified gap"
+
+
 def _gap_message(gap: float, bound: float) -> str:
-    return f"weight step stopped at certified gap {gap:.3g}, above its tolerance {bound:.3g}"
+    return f"{_GAP_MESSAGE} {gap:.3g}, above its tolerance {bound:.3g}"
 
 
 def _components(neighbors: NeighborMatrix) -> np.ndarray:
@@ -1434,7 +1438,9 @@ def fit(
     iteration-0 scores reproduce the fixed-weight baseline ranking.  The
     objective is recorded after every block and is non-increasing; the loop
     stops when the relative decrease over one outer iteration falls below
-    ``config.tol``.
+    ``config.tol``.  The fit counts as converged only if it stopped so and
+    its last weight step met its certified tolerance; every step that did
+    not is counted in ``uncertified_steps`` and stated in ``warnings``.
     """
     _check_labels(labels, S.l)
     vals = S.values
@@ -1462,6 +1468,7 @@ def fit(
 
     trace: list[float] = []
     warnings: list[str] = []
+    uncertified_steps = 0
     neighbors = None
     prev_outer = None
     converged = False
@@ -1485,6 +1492,7 @@ def fit(
                 max_iters=config.proximal_max_iters,
             )
             warnings.extend(step_warnings)
+            uncertified = any(w.startswith(_GAP_MESSAGE) for w in step_warnings)
         else:
             W, gap, bound = _weight_step(
                 W,
@@ -1496,8 +1504,10 @@ def fit(
                 config.max_inner_iters,
                 config.tol_inner,
             )
-            if gap > bound:
+            uncertified = bool(gap > bound)
+            if uncertified:
                 warnings.append(_gap_message(gap, bound))
+        uncertified_steps += uncertified
         trace.append(objective(W, neighbors, S, labels, gammas, config.lambda_push))
 
         if prev_outer is not None:
@@ -1512,9 +1522,11 @@ def fit(
         objective_trace=trace,
         scores=row_scores(W, vals),
         initial_scores=initial_scores,
-        converged=converged,
+        # a stall of an uncertified step is no sign of an optimum
+        converged=converged and not uncertified,
         iterations=iterations,
         warnings=warnings,
+        uncertified_steps=uncertified_steps,
     )
 
 

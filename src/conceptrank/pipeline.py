@@ -1,20 +1,24 @@
 """End-to-end per-event ranking pipeline.
 
-Each event runs independently: concept relevance, top-K selection, weak
-labels, pseudo-label partition, score normalization, the alternating fit,
-and finally the ranked test list.  Events are dispatched to a bounded
-thread pool; one event's failure is recorded without aborting the others.
-All shared inputs are immutable, and per-event outputs go to distinct
-files, so identical configs and seeds produce byte-identical outputs.
+A run embeds the concept names and the weak videos' descriptions once
+(``QueryLayer``) and computes the weak labels, which do not depend on the
+event, once; every event's weak-label file gets the same rows.  Each
+event then needs only its query vector: concept relevance, top-K
+selection, the pseudo-label partition, score normalization, the
+alternating fit, and finally the ranked test list.  Events run one after
+another, and one event's failure is recorded without aborting the
+others.  Per-event outputs go to distinct files, so identical configs and
+seeds produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from io import StringIO
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .composer import (
     normalize_scores,
 )
 from .embeddings import EmbeddingTable, load_embeddings
-from .errors import CoverageError, ValidationError
+from .errors import ValidationError
 from .evaluation import (
     average_precision,
     borda_baseline,
@@ -38,20 +42,23 @@ from .evaluation import (
 from .query import (
     ConceptVocabulary,
     EventQuery,
-    PseudoLabels,
-    VideoRecord,
-    concept_relevance,
-    partition_pseudo,
+    QueryLayer,
+    query_vector,
     select_concepts,
-    weak_labels,
 )
+
+# the run-level matrix forms of the query layer's three steps keep the
+# names the steps are known by, so profiles and traces attribute them
+from .query import layer_partition as partition_pseudo
+from .query import layer_relevance as concept_relevance
+from .query import layer_weak_labels as weak_labels
 
 __all__ = ["RunConfig", "run_rank", "run_select_concepts", "run_eval", "rank_one_event"]
 
 
 def log_kv(**fields) -> None:
-    """Line-delimited key=value log records on standard error."""
-    print(" ".join(f"{k}={v}" for k, v in fields.items()), file=sys.stderr, flush=True)
+    """One JSON object per line on standard error."""
+    print(json.dumps(fields), file=sys.stderr, flush=True)
 
 
 @dataclass
@@ -77,7 +84,6 @@ class RunConfig:
     max_inner_iters: int = 500
     solver: str = "reference"
     seed: int = 0
-    workers: int | None = None
     stdout: bool = False
 
     def required_paths(self) -> list[str]:
@@ -134,46 +140,24 @@ def _select_score_columns(S: ScoreMatrix, selected: list[int]) -> ScoreMatrix:
 
 def rank_one_event(
     event: EventQuery,
-    vocab: ConceptVocabulary,
+    layer: QueryLayer,
     table: EmbeddingTable,
-    videos: list[VideoRecord],
     scores: ScoreMatrix,
     supervised: dict[str, float] | None,
     config: RunConfig,
 ):
     """Full pipeline for a single event.
 
-    Returns (ranking, fit_result, weak_label_rows, selected_indices).
+    Returns (ranking, fit_result, selected_indices, selected_scores).
     Weak videos whose cleaned description has no vocabulary coverage are
     excluded from the pseudo-label pool (they stay in the score matrix and
     are ranked via the graph like any unlabeled row).
     """
-    relevance = concept_relevance(event, vocab, table)
-    k = min(config.top_k, len(vocab))
-    selected = select_concepts(relevance, k, vocab)
-
-    weak_records = [r for r in videos if r.split == "weak"]
-    weak_rows = []
-    covered: list[int] = []
-    for idx, record in enumerate(weak_records):
-        try:
-            weak_rows.append((record.video_id, weak_labels(record, vocab, table)))
-            covered.append(idx)
-        except CoverageError:
-            log_kv(
-                stage="weak_labels",
-                event=event.event_id,
-                video=record.video_id,
-                skipped="no_vocabulary_coverage",
-            )
-    covered_records = [weak_records[i] for i in covered]
-    labels_covered = partition_pseudo(
-        event, covered_records, table, config.n_pos, config.n_neg
-    )
-    labels = PseudoLabels(
-        positives=tuple(covered[i] for i in labels_covered.positives),
-        negatives=tuple(covered[i] for i in labels_covered.negatives),
-    )
+    qvec = query_vector(event, table)
+    relevance = concept_relevance(layer, qvec)
+    k = min(config.top_k, len(layer.vocab))
+    selected = select_concepts(relevance, k, layer.vocab)
+    labels = partition_pseudo(layer, qvec, config.n_pos, config.n_neg)
 
     S_sel = normalize_scores(_select_score_columns(scores, selected))
     w_init = relevance.values[selected]
@@ -189,15 +173,21 @@ def rank_one_event(
 
     result = fit(S_fit, labels, w_init, config.composition_config())
     ranking = ranked_list(S_fit.test_ids(), result.scores[S_fit.l :])
-    return ranking, result, weak_rows, selected, S_sel
+    return ranking, result, selected, S_sel
 
 
-def _write_weak_labels(path: str, vocab: ConceptVocabulary, rows) -> None:
+def _weak_labels_csv(vocab: ConceptVocabulary, video_ids: list[str], values) -> str:
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["video_id"] + vocab.ids)
+    for vid, row in zip(video_ids, values):
+        writer.writerow([vid] + [repr(float(x)) for x in row])
+    return buf.getvalue()
+
+
+def _write_weak_labels(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["video_id"] + vocab.ids)
-        for vid, rel in rows:
-            writer.writerow([vid] + [repr(float(x)) for x in rel.values])
+        fh.write(text)
 
 
 def run_rank(config: RunConfig) -> tuple[int, dict]:
@@ -214,20 +204,25 @@ def run_rank(config: RunConfig) -> tuple[int, dict]:
     if config.top_k > len(vocab):
         log_kv(stage="rank", note="top_k_clipped", top_k=config.top_k, m=len(vocab))
 
-    def worker(event: EventQuery):
-        return rank_one_event(event, vocab, table, videos, scores, supervised, config)
+    layer = QueryLayer.build(vocab, [r for r in videos if r.split == "weak"], table)
+    for video_id in layer.uncovered_ids():
+        log_kv(stage="weak_labels", video=video_id, skipped="no_vocabulary_coverage")
+    weak_csv = _weak_labels_csv(
+        vocab,
+        [r.video_id for r, ok in zip(layer.weak_records, layer.covered) if ok],
+        weak_labels(layer),
+    )
 
     results: dict[str, tuple] = {}
     failures: dict[str, str] = {}
-    max_workers = config.workers or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = {e.event_id: pool.submit(worker, e) for e in events}
-        for event in events:
-            try:
-                results[event.event_id] = futures[event.event_id].result()
-            except Exception as exc:  # noqa: BLE001 - isolate per-event failures
-                failures[event.event_id] = f"{type(exc).__name__}: {exc}"
-                log_kv(stage="rank", event=event.event_id, error=failures[event.event_id])
+    for event in events:
+        try:
+            results[event.event_id] = rank_one_event(
+                event, layer, table, scores, supervised, config
+            )
+        except Exception as exc:  # noqa: BLE001 - isolate per-event failures
+            failures[event.event_id] = f"{type(exc).__name__}: {exc}"
+            log_kv(stage="rank", event=event.event_id, error=failures[event.event_id])
 
     metrics: dict = {"failures": failures}
     per_event_ap: dict[str, float] = {}
@@ -235,19 +230,20 @@ def run_rank(config: RunConfig) -> tuple[int, dict]:
     for event in events:
         if event.event_id not in results:
             continue
-        ranking, result, weak_rows, selected, S_sel = results[event.event_id]
+        ranking, result, selected, S_sel = results[event.event_id]
         io.write_ranking(io.ranking_path(config.out_dir, event.event_id), ranking)
         _write_weak_labels(
-            os.path.join(config.out_dir, f"{event.event_id}_weak_labels.csv"),
-            vocab,
-            weak_rows,
+            os.path.join(config.out_dir, f"{event.event_id}_weak_labels.csv"), weak_csv
         )
+        for message in result.warnings:
+            log_kv(stage="fit", event=event.event_id, warning=message)
         log_kv(
             stage="rank",
             event=event.event_id,
             iterations=result.iterations,
             converged=result.converged,
             objective=result.objective_trace[-1],
+            uncertified_steps=result.uncertified_steps,
         )
         if truth is not None and event.event_id in truth:
             positives = {v for v, lab in truth[event.event_id].items() if lab == 1}
@@ -281,12 +277,13 @@ def run_select_concepts(config: RunConfig) -> tuple[int, str]:
     table = load_embeddings(config.embeddings)
     vocab = io.read_vocabulary(config.vocabulary)
     events = io.read_events(config.events)
+    layer = QueryLayer.build(vocab, [], table)
     path = os.path.join(config.out_dir, "selected_concepts.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["event_id", "rank", "concept_id", "relevance"])
         for event in events:
-            relevance = concept_relevance(event, vocab, table)
+            relevance = concept_relevance(layer, query_vector(event, table))
             k = min(config.top_k, len(vocab))
             for rank, idx in enumerate(select_concepts(relevance, k, vocab), start=1):
                 writer.writerow(

@@ -5,6 +5,18 @@ selects top concepts, computes per-video weak labels from free-form
 descriptions, and partitions weakly-described videos into pseudo
 positives/negatives.  All operations are pure functions over immutable
 inputs.
+
+Two forms compute the same values.  ``concept_relevance``, ``weak_labels``
+and ``partition_pseudo`` embed every phrase they touch.  A run over many
+events embeds the event-independent phrases once, in a ``QueryLayer``
+(concept names C and weak descriptions D), and then needs only each
+event's query vector q (``layer_relevance``, ``layer_partition``): m
+cosines for the relevance and l for the partition.  Those take ``cosine``
+row by row rather than one matrix product, whose last bit differs on
+about a third of the rows; the fit downstream turns differences that
+small into different rankings.  The weak labels ``max(0, D C^T)`` do not
+depend on the event and feed no computation, so ``layer_weak_labels``
+takes them as one matrix product per run.
 """
 
 from __future__ import annotations
@@ -28,6 +40,11 @@ __all__ = [
     "select_concepts",
     "weak_labels",
     "partition_pseudo",
+    "QueryLayer",
+    "query_vector",
+    "layer_relevance",
+    "layer_weak_labels",
+    "layer_partition",
 ]
 
 
@@ -198,4 +215,110 @@ def partition_pseudo(
     return PseudoLabels(
         positives=tuple(ranked[:n_pos]),
         negatives=tuple(ranked[len(ranked) - n_neg :]),
+    )
+
+
+@dataclass(frozen=True)
+class QueryLayer:
+    """Unit phrase vectors of a run's event-independent inputs.
+
+    ``concepts`` holds the concept-name vectors (m x D) in vocabulary
+    order and ``descriptions`` the cleaned-description vectors of
+    ``weak_records`` (l x D), each computed by ``phrase_vector``.  A
+    phrase with no in-vocabulary token is a zero row, flagged in
+    ``concept_oov`` or left out of ``covered``.
+    """
+
+    vocab: ConceptVocabulary
+    weak_records: tuple[VideoRecord, ...]
+    concepts: np.ndarray
+    concept_oov: np.ndarray
+    descriptions: np.ndarray
+    covered: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        vocab: ConceptVocabulary,
+        weak_records: list[VideoRecord],
+        table: EmbeddingTable,
+    ) -> QueryLayer:
+        if any(r.split != "weak" for r in weak_records):
+            raise ValueError("all records must be weak-split")
+        concepts, named = _phrase_rows([tokenize(c.name) for c in vocab.concepts], table)
+        descriptions, covered = _phrase_rows(
+            [clean_text(r.description) for r in weak_records], table
+        )
+        return cls(
+            vocab=vocab,
+            weak_records=tuple(weak_records),
+            concepts=concepts,
+            concept_oov=~named,
+            descriptions=descriptions,
+            covered=covered,
+        )
+
+    def uncovered_ids(self) -> list[str]:
+        """Weak videos whose description has no vocabulary coverage."""
+        return [r.video_id for r, ok in zip(self.weak_records, self.covered) if not ok]
+
+
+def _phrase_rows(phrases: list[list[str]], table: EmbeddingTable):
+    """Stacked ``phrase_vector`` rows and the mask of phrases it covers."""
+    rows = np.zeros((len(phrases), table.dimension))
+    ok = np.zeros(len(phrases), dtype=bool)
+    for i, tokens in enumerate(phrases):
+        try:
+            rows[i] = phrase_vector(tokens, table).vector
+        except CoverageError:
+            continue
+        ok[i] = True
+    return rows, ok
+
+
+def query_vector(query: EventQuery, table: EmbeddingTable) -> np.ndarray:
+    """Unit phrase vector of the event's name and description; raises
+    CoverageError when no token of it is in the table."""
+    return phrase_vector(query.text_tokens(), table).vector
+
+
+def layer_relevance(layer: QueryLayer, qvec: np.ndarray) -> RelevanceVector:
+    """``concept_relevance`` of the event with query vector ``qvec``."""
+    values = np.zeros(len(layer.vocab))
+    for k in np.flatnonzero(~layer.concept_oov):
+        values[k] = max(0.0, cosine(qvec, layer.concepts[k]))
+    oov = frozenset(int(k) for k in np.flatnonzero(layer.concept_oov))
+    return RelevanceVector(values=values, oov_concepts=oov)
+
+
+def layer_weak_labels(layer: QueryLayer) -> np.ndarray:
+    """``weak_labels`` of every covered weak video, one row each, in order."""
+    values = np.clip(layer.descriptions[layer.covered] @ layer.concepts.T, 0.0, 1.0)
+    values[:, layer.concept_oov] = 0.0
+    return values
+
+
+def layer_partition(
+    layer: QueryLayer, qvec: np.ndarray, n_pos: int, n_neg: int
+) -> PseudoLabels:
+    """``partition_pseudo`` over the covered weak videos of ``layer``.
+
+    Indices refer to ``layer.weak_records``; uncovered videos are in
+    neither set.
+    """
+    pool = np.flatnonzero(layer.covered)
+    if n_pos < 1 or n_neg < 1:
+        raise ValueError("n_pos and n_neg must be >= 1")
+    if n_pos + n_neg > len(pool):
+        raise ValueError(
+            f"n_pos + n_neg = {n_pos + n_neg} exceeds the {len(pool)} weak videos"
+        )
+    sims = [cosine(qvec, layer.descriptions[i]) for i in pool]
+    ranked = sorted(
+        range(len(pool)),
+        key=lambda i: (-sims[i], layer.weak_records[pool[i]].video_id),
+    )
+    return PseudoLabels(
+        positives=tuple(int(pool[i]) for i in ranked[:n_pos]),
+        negatives=tuple(int(pool[i]) for i in ranked[len(ranked) - n_neg :]),
     )

@@ -3,8 +3,9 @@ import os
 
 import pytest
 
-from conceptrank import io
+from conceptrank import embeddings, io, query
 from conceptrank.cli import main
+from conceptrank.pipeline import RunConfig, run_rank
 
 
 def _synth(tmp_path, seed=0, weak=8, test=8, concepts=4, informative=1, sigma=0.0):
@@ -112,6 +113,78 @@ def test_rank_partial_failure_exit_three(tmp_path):
     metrics = json.loads(open(os.path.join(out, "metrics.json")).read())
     assert "E999" in metrics["failures"]
     assert metrics["E001"] >= 0.0
+
+
+def test_rank_log_lines_are_json(tmp_path, capsys):
+    data = _synth(tmp_path)
+    events = os.path.join(data, "events.jsonl")
+    with open(events, "a", encoding="utf-8") as fh:
+        fh.write('{"event_id": "E999", "name": "zzzz qqqq", "description": ""}\n')
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main(_rank_args(data, out)) == 3
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    metrics = json.loads(open(os.path.join(out, "metrics.json")).read())
+    errors = [r["error"] for r in records if r.get("event") == "E999"]
+    assert errors == [metrics["failures"]["E999"]] and " " in errors[0]
+    (done,) = [r for r in records if r.get("event") == "E001"]
+    assert isinstance(done["converged"], bool) and done["uncertified_steps"] == 0
+
+
+def _add_events(data, count):
+    """Append copies of E001 under new ids; returns every event id."""
+    path = os.path.join(data, "events.jsonl")
+    first = json.loads(open(path, encoding="utf-8").readline())
+    with open(path, "a", encoding="utf-8") as fh:
+        for j in range(2, count + 1):
+            fh.write(json.dumps({**first, "event_id": f"E{j:03d}"}) + "\n")
+    return [f"E{j:03d}" for j in range(1, count + 1)]
+
+
+def test_rank_embeds_one_phrase_per_event(tmp_path, monkeypatch):
+    # concept names and weak descriptions are embedded once per run; each
+    # event adds only its query vector
+    calls = []
+
+    def counted(tokens, table):
+        calls.append(tokens)
+        return embeddings.phrase_vector(tokens, table)
+
+    monkeypatch.setattr(query, "phrase_vector", counted)
+    counts = {}
+    for n_events in (1, 3):
+        data = _synth(tmp_path / str(n_events), weak=10, concepts=5)
+        ids = _add_events(data, n_events)
+        calls.clear()
+        assert main(_rank_args(data, str(tmp_path / f"out{n_events}"))) == 0
+        counts[n_events] = len(calls)
+        assert counts[n_events] <= 10 + 5 + n_events
+        weak = [open(os.path.join(tmp_path / f"out{n_events}", f"{e}_weak_labels.csv"),
+                     "rb").read() for e in ids]
+        assert all(b == weak[0] for b in weak)
+    assert counts[3] - counts[1] == 2
+
+
+def test_rank_logs_uncertified_weight_steps(tmp_path, capsys):
+    data = _synth(tmp_path, sigma=0.2)
+    args = dict(
+        embeddings=os.path.join(data, "embeddings.txt"),
+        vocabulary=os.path.join(data, "vocabulary.csv"),
+        videos=os.path.join(data, "videos.tsv"),
+        scores=os.path.join(data, "scores.csv"),
+        events=os.path.join(data, "events.jsonl"),
+        out_dir=str(tmp_path / "out"),
+        top_k=2, n_pos=4, n_neg=4, k_candidates=8, k_neighbors=3, max_outer_iters=4,
+    )
+    capsys.readouterr()
+    code, _ = run_rank(RunConfig(**args, max_inner_iters=1))
+    assert code == 0
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    warned = [r["warning"] for r in records if r.get("stage") == "fit"]
+    (done,) = [r for r in records if r.get("stage") == "rank"]
+    assert done["uncertified_steps"] == len(warned) >= 1
+    assert all("certified gap" in w for w in warned)
+    assert done["converged"] is False
 
 
 def test_rank_total_failure_exit_two(tmp_path):

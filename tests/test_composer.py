@@ -587,6 +587,20 @@ class TestFit:
         res = fit(S, labels, np.ones(S.n_concepts), cfg)
         assert np.all(res.weights >= 0.0)
 
+    def test_uncertified_last_step_is_not_converged(self):
+        # one interior-point iteration certifies no step, and the fit stalls
+        # well before its iteration cap
+        rng = np.random.default_rng(53)
+        S, labels = self._normalized_instance(rng)
+        cfg = CompositionConfig(k_candidates=5, max_inner_iters=1)
+        res = fit(S, labels, np.ones(S.n_concepts), cfg)
+        assert res.iterations < cfg.max_outer_iters
+        assert res.converged is False
+        gaps = [w for w in res.warnings if "certified gap" in w]
+        assert res.uncertified_steps == len(gaps) == res.iterations
+        certified = fit(S, labels, np.ones(S.n_concepts), CompositionConfig(k_candidates=5))
+        assert certified.converged and certified.uncertified_steps == 0
+
     def test_unnormalized_scores_rejected(self):
         S = _matrix([[0.0], [5.0], [10.0]], l=3)
         labels = PseudoLabels(positives=(0,), negatives=(1,))

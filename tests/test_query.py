@@ -3,16 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from conceptrank.embeddings import EmbeddingTable
 from conceptrank.errors import CoverageError
 from conceptrank.query import (
     Concept,
     ConceptVocabulary,
     EventQuery,
     PseudoLabels,
+    QueryLayer,
     RelevanceVector,
     VideoRecord,
     concept_relevance,
+    layer_partition,
+    layer_relevance,
+    layer_weak_labels,
     partition_pseudo,
+    query_vector,
     select_concepts,
     weak_labels,
 )
@@ -172,3 +178,106 @@ def test_pseudo_labels_validation():
         PseudoLabels(positives=(0,), negatives=(0,))
     with pytest.raises(ValueError):
         PseudoLabels(positives=(), negatives=(1,))
+
+
+class TestQueryLayer:
+    """The run-level forms against the per-phrase functions.
+
+    Each instance has an out-of-vocabulary concept name, a weak video
+    whose description no table token covers, and two concepts with the
+    same name (their relevances tie and order by concept_id).
+    """
+
+    TOL = 1e-12
+
+    def _instance(self, seed):
+        rng = np.random.default_rng(seed)
+        tokens = [f"tok{chr(97 + i)}" for i in range(12)]
+        table = EmbeddingTable(
+            dimension=6, vectors={t: rng.normal(size=6) for t in tokens}
+        )
+
+        def phrase(size):
+            return " ".join(rng.choice(tokens, size=size))
+
+        names = [phrase(int(rng.integers(1, 4))) for _ in range(7)]
+        names.append(names[int(rng.integers(0, 7))])
+        names.insert(int(rng.integers(0, 8)), "zzz qqq")  # out of vocabulary
+        order = rng.permutation(len(names))  # concept ids unrelated to positions
+        vocab = ConceptVocabulary(
+            concepts=[
+                Concept(concept_id=f"c{order[i]:02d}", name=n) for i, n in enumerate(names)
+            ]
+        )
+        descs = [phrase(int(rng.integers(1, 5))) for _ in range(9)]
+        descs[int(rng.integers(1, 9))] = "the of and"  # no covered token
+        descs.append(descs[0])  # equal similarities, ordered by video_id
+        ids = rng.permutation(len(descs))
+        records = [
+            VideoRecord(video_id=f"v{ids[i]:02d}", split="weak", description=d)
+            for i, d in enumerate(descs)
+        ]
+        queries = [EventQuery(event_id=f"E{j}", name=phrase(2)) for j in range(4)]
+        return table, vocab, records, queries
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_relevance_matches_per_phrase(self, seed):
+        table, vocab, records, queries = self._instance(seed)
+        layer = QueryLayer.build(vocab, records, table)
+        names = [c.name for c in vocab.concepts]
+        for query in queries:
+            got = layer_relevance(layer, query_vector(query, table))
+            want = concept_relevance(query, vocab, table)
+            # the same cosines bit for bit: the fit and the tie order see the last bit
+            np.testing.assert_array_equal(got.values, want.values)
+            assert got.oov_concepts == want.oov_concepts and len(got.oov_concepts) == 1
+            for name in set(names):
+                assert len({got.values[i] for i, n in enumerate(names) if n == name}) == 1
+            for k in (1, 3, len(vocab)):
+                assert select_concepts(got, k, vocab) == select_concepts(want, k, vocab)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_weak_labels_match_per_phrase(self, seed):
+        table, vocab, records, _ = self._instance(seed)
+        layer = QueryLayer.build(vocab, records, table)
+        got = layer_weak_labels(layer)
+        covered = []
+        for record in records:
+            try:
+                covered.append(weak_labels(record, vocab, table).values)
+            except CoverageError:
+                assert record.description == "the of and"
+        assert layer.uncovered_ids() == [
+            r.video_id for r in records if r.description == "the of and"
+        ]
+        np.testing.assert_allclose(got, np.array(covered), rtol=0.0, atol=self.TOL)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_partition_matches_per_phrase(self, seed):
+        table, vocab, records, queries = self._instance(seed)
+        layer = QueryLayer.build(vocab, records, table)
+        pool = [i for i, r in enumerate(records) if r.description != "the of and"]
+        for query in queries:
+            for n_pos, n_neg in ((1, 1), (3, 4), (2, len(pool) - 2)):
+                got = layer_partition(layer, query_vector(query, table), n_pos, n_neg)
+                want = partition_pseudo(
+                    query, [records[i] for i in pool], table, n_pos, n_neg
+                )
+                assert got.positives == tuple(pool[i] for i in want.positives)
+                assert got.negatives == tuple(pool[i] for i in want.negatives)
+
+    def test_partition_counts_only_covered_videos(self, tiny_table):
+        records = [
+            VideoRecord(video_id=f"v{i}", split="weak", description=d)
+            for i, d in enumerate(("dog", "the of and", "parade"))
+        ]
+        layer = QueryLayer.build(_vocab("dog"), records, tiny_table)
+        qvec = query_vector(EventQuery(event_id="e", name="dog"), tiny_table)
+        labels = layer_partition(layer, qvec, 1, 1)
+        assert (labels.positives, labels.negatives) == ((0,), (2,))
+        with pytest.raises(ValueError, match="exceeds the 2 weak videos"):
+            layer_partition(layer, qvec, 2, 1)
+
+    def test_test_split_rejected(self, tiny_table):
+        with pytest.raises(ValueError):
+            QueryLayer.build(_vocab("dog"), [VideoRecord(video_id="v", split="test")], tiny_table)

@@ -15,7 +15,10 @@ Two weight-step solvers are provided.  The reference solver is exact: the
 step depends on the weights only through the scores, so it solves the
 score-space quadratic program with an interior-point method and stops
 when a certified duality gap meets its tolerance; a step that stops
-above it is reported in ``FitResult.warnings``.  The second is an
+above it is reported in ``FitResult.warnings``.  Its Newton systems are
+factored by Cholesky, and the certificate reads the curvature of the
+graph term from one Cholesky factor per free set, built from the strong
+edges of the neighbor graph, with no eigendecomposition.  The second is an
 operator-splitting primal-dual path whose dual projection generalizes the
 l1-ball projection behind the l-infinity proximal map; it is validated
 against the reference solver and falls back to it when it fails to
@@ -25,6 +28,7 @@ converge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from warnings import warn
 
 import numpy as np
@@ -311,6 +315,19 @@ class _WeightSubproblem:
         self.M = 0.5 * (A + A.T)
         self.deg = self.M.sum(axis=1)
         self.row_norm_sq = np.sum(self.S * self.S, axis=1)
+        self._curvature: dict[bytes, _Curvature] = {}
+
+    @cached_property
+    def components(self) -> np.ndarray:
+        """Component labels of the neighbor graph (an edge wherever a_ij > 0)."""
+        return _components(self.neighbors, self.neighbors.probs > 0.0)
+
+    def curvature(self, free: np.ndarray) -> _Curvature:
+        """The QP's curvature on the scores ``free``, built once per free set."""
+        key = free.tobytes()
+        if key not in self._curvature:
+            self._curvature[key] = _Curvature(self, free)
+        return self._curvature[key]
 
     def scores(self, W: np.ndarray) -> np.ndarray:
         return row_scores(W, self.S)
@@ -708,6 +725,132 @@ def _polish_scores(prob, f, val, hi, rounds: int = 60):
     return f, val, quiesced
 
 
+# rows per leaf of ``_tril_inverse``; the substitution inside the leaves
+# takes this many batched steps, whatever the size of the matrix
+_TRIL_LEAF = 16
+
+
+def _tril_inverse(L: np.ndarray) -> np.ndarray:
+    """Invert a nonsingular lower-triangular matrix (zeros above the
+    diagonal) in place, and return it.
+
+    The diagonal is cut into leaves of ``_TRIL_LEAF`` rows, the last one
+    padded with an identity block.  All leaves are inverted together, by a
+    forward substitution batched across leaves, and ``_tril_merge`` fills
+    in the rest with matrix products, which carry nearly all of the
+    ~2n^3/3 flops.
+    """
+    n, b = L.shape[0], _TRIL_LEAF
+    leaf = np.arange(0, n, b)[:, None] + np.arange(b)
+    shape = (leaf.shape[0], b, b)
+    inside = (leaf[:, :, None] < n) & (leaf[:, None, :] < n)
+    rows = np.broadcast_to(leaf[:, :, None], shape)[inside]
+    cols = np.broadcast_to(leaf[:, None, :], shape)[inside]
+    D = np.broadcast_to(np.eye(b), shape).copy()
+    D[inside] = L[rows, cols]
+    for i in range(b):
+        pivot = D[:, i, i]
+        D[:, i, :i] = -(D[:, i : i + 1, :i] @ D[:, :i, :i])[:, 0] / pivot[:, None]
+        D[:, i, i] = 1.0 / pivot
+    L[rows, cols] = D[inside]
+    _tril_merge(L)
+    return L
+
+
+def _tril_merge(X: np.ndarray) -> None:
+    """Complete, in place, the inverse of a lower-triangular matrix whose
+    diagonal leaves already hold their inverses, by the 2x2 block form
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]  split on a
+    leaf boundary; B is still in place when A and C are done."""
+    leaves = -(-X.shape[0] // _TRIL_LEAF)
+    if leaves <= 1:
+        return
+    h = leaves // 2 * _TRIL_LEAF
+    _tril_merge(X[:h, :h])
+    _tril_merge(X[h:, h:])
+    np.matmul(X[h:, h:], X[h:, :h] @ X[:h, :h], out=X[h:, :h])
+    X[h:, :h] *= -1.0
+
+
+def _cholesky_inverse(A: np.ndarray) -> np.ndarray:
+    """The inverse Li of the Cholesky factor of a symmetric positive
+    definite A, so that  A^-1 v = Li' (Li v).  Raises ``LinAlgError`` when A
+    is not numerically positive definite."""
+    return _tril_inverse(np.linalg.cholesky(A))
+
+
+# neighbor probabilities at most this fraction of the largest one are left
+# out of the certificate's curvature: the projection that ``gamma_for_k``
+# puts on each row's boundary leaves rounding-level probabilities (~1e-17),
+# and those join components that are numerically separate
+_STRONG_EDGE = 1e-10
+
+
+class _Curvature:
+    """The quadratic term of a weight step's QP on its free scores, and
+    what the certificate (``_ScoreQP.gap``) needs of it.
+
+    P = 4 L[free, free], with L the Laplacian of the symmetrized neighbor
+    graph.  The certificate bounds how far a convex quadratic with Hessian
+    P falls over the score box, and uses P_c in place of P: 4 times the
+    Laplacian of the edges above ``_STRONG_EDGE``, restricted the same way.
+    The dropped edges form a Laplacian too, so  d'Pd >= d'P_c d  and the
+    bound stays sound.  The null space of P_c is spanned by the indicators
+    of the strong-edge components that hold no pinned video (box [0, 0],
+    not free).  With Pi the projector onto it, P_c + Pi is positive
+    definite and its inverse is P_c^+ on the range of P_c, so one Cholesky
+    factor of P_c + Pi gives  r_c' P_c^+ r_c  for any r_c orthogonal to the
+    null space.  P_c is built from the edge list, never from n x n masks.
+    """
+
+    def __init__(self, prob: _WeightSubproblem, free: np.ndarray):
+        nb = prob.neighbors
+        n, k = nb.candidates.shape
+        nf = free.shape[0]
+        self.P = -4.0 * prob.M[np.ix_(free, free)]
+        self.P[np.diag_indices(nf)] += 4.0 * prob.deg[free]
+        strong = nb.probs > _STRONG_EDGE * nb.probs.max(initial=0.0)
+        col = np.full(n, -1)
+        col[free] = np.arange(nf)
+        i = col[np.repeat(np.arange(n), k)[strong.ravel()]]
+        j = col[nb.candidates[strong]]
+        w = 2.0 * nb.probs[strong]  # 4 (a_ij / 2) on each side of the edge
+        Pc = np.zeros((nf, nf))
+        for a, b in ((i, j), (j, i)):
+            keep = a >= 0
+            np.add.at(Pc, (a[keep], a[keep]), w[keep])
+            keep &= b >= 0
+            np.add.at(Pc, (a[keep], b[keep]), -w[keep])
+        group = _components(nb, strong)
+        pinned = np.zeros(n, dtype=bool)
+        pinned[group[col < 0]] = True
+        flat = ~pinned[group[free]]
+        self.flat = np.flatnonzero(flat)
+        _, self.member = np.unique(group[free][flat], return_inverse=True)
+        self.size = np.bincount(self.member)
+        for c, size in enumerate(self.size):
+            idx = self.flat[self.member == c]
+            Pc[np.ix_(idx, idx)] += 1.0 / size
+        try:
+            self.Li = _cholesky_inverse(Pc)
+        except np.linalg.LinAlgError:
+            # a strong edge can still be weak enough to make P_c + Pi
+            # numerically singular; the certificate then uses only the
+            # linear bound, which needs no factor
+            self.Li = None
+
+    def split(self, r: np.ndarray) -> tuple[np.ndarray, float]:
+        """(flat, curved): the projection of r onto the null space of P_c
+        (its mean on each component there) and  r_c' P_c^+ r_c / 2  for the
+        rest r_c = r - flat (inf when P_c + Pi could not be factored)."""
+        flat = np.zeros_like(r)
+        means = np.bincount(self.member, weights=r[self.flat], minlength=self.size.shape[0])
+        flat[self.flat] = (means / self.size)[self.member]
+        if self.Li is None:
+            return flat, np.inf
+        return flat, 0.5 * float(np.sum(np.square(self.Li @ (r - flat))))
+
+
 class _ScoreQP:
     """The weight step as a QP over x = (f_free, t, xi).
 
@@ -728,7 +871,9 @@ class _ScoreQP:
 
     The rows are never formed as a matrix.  Each slack xi_ij sits in one
     hinge row and one epigraph row, so ``newton`` eliminates the slacks and
-    factors only an (nf + 1) x (nf + 1) system.
+    factors only an (nf + 1) x (nf + 1) system.  P and the certificate's
+    factor depend only on the free set and come from ``prob.curvature``,
+    so QPs of one weight step over the same free set share them.
     """
 
     def __init__(self, prob: _WeightSubproblem, hi: np.ndarray):
@@ -750,10 +895,8 @@ class _ScoreQP:
         self.t = nf
         nx = nf + 1 + n_clip * n_epi
 
-        self.P = 4.0 * (np.diag(prob.deg) - prob.M)[np.ix_(self.free, self.free)]
-        # the spectrum of P serves the certificate (see ``gap``)
-        self.eig, self.eigvec = np.linalg.eigh(self.P)
-        self.curved = self.eig > 1e-10 * max(1.0, float(self.eig.max(initial=0.0)))
+        self.curvature = prob.curvature(self.free)
+        self.P = self.curvature.P
         self.lin = np.zeros(nx)
         linear = unclipped[col[unclipped] >= 0]
         self.lin[col[linear]] = -prob.lam / p
@@ -807,12 +950,14 @@ class _ScoreQP:
         The slack block of H is diagonal apart from one rank-one term per
         epigraph row, so block elimination (a Schur complement on the
         slacks, then on the epigraph rows) leaves a system in (f, t) only.
-        H is positive semidefinite and nearly singular along directions in
-        which the optimum is degenerate (shifting every score and t
-        together changes no term when no bound is active); Jacobi scaling
-        with a tiny ridge keeps the factorization stable, and two
-        refinement passes against H itself restore accuracy in every
-        direction that changes the objective.
+        Each eliminated epigraph row has nonzeros only at t, at its own
+        negative and at the clipped positives, so its outer products are
+        added entry by entry.  H is positive semidefinite and nearly
+        singular along directions in which the optimum is degenerate
+        (shifting every score and t together changes no term when no bound
+        is active); Jacobi scaling with a tiny ridge keeps its Cholesky
+        factorization stable, and two refinement passes against H itself
+        restore accuracy in every direction that changes the objective.
         """
         nf, p, n_epi = self.nf, self.p, self.n_epi
         ny = nf + 1
@@ -831,19 +976,43 @@ class _ScoreQP:
         S[hn, hn] += w.sum(axis=0)[m]
         S[np.ix_(hp, hn)] -= w[:, m]
         S[np.ix_(hn, hp)] -= w[:, m].T
-        # an epigraph row with its slacks eliminated: row K_j, weight 1/N_j
-        K = np.zeros((n_epi, ny))
-        K[:, nf] = -1.0
-        K[np.flatnonzero(m), hn] += self.a + rho.sum(axis=0)[m] / p
-        K[:, hp] -= rho.T / p
+        # an epigraph row with its slacks eliminated: row K_j, weight 1/N_j;
+        # K_j is -1 at t, k_j at its negative (if free) and -R_ij at each
+        # clipped positive
         with np.errstate(divide="ignore"):
             N = 1.0 / d_e + (1.0 / e).sum(axis=0) / (p * p)
-        S += K.T @ (K / N[:, None])
+        k = (self.a + rho.sum(axis=0) / p)[m]
+        R = rho / p
+        wt = 1.0 / N
+        wk = wt[m] * k
+        wR = R * wt
+        S[nf, nf] += wt.sum()
+        S[hn, hn] += wk * k
+        S[hn, nf] -= wk
+        S[nf, hn] -= wk
+        S[np.ix_(hp, hp)] += wR @ R.T
+        S[hp, nf] += wR.sum(axis=1)
+        S[nf, hp] += wR.sum(axis=1)
+        S[np.ix_(hp, hn)] -= wR[:, m] * k
+        S[np.ix_(hn, hp)] -= (wR[:, m] * k).T
+
+        def k_mul(y: np.ndarray) -> np.ndarray:
+            out = -y[nf] - R.T @ y[hp]
+            out[m] += k * y[hn]
+            return out
+
+        def k_t(u: np.ndarray) -> np.ndarray:
+            out = np.zeros(ny)
+            out[nf] = -u.sum()
+            out[hn] = k * u[m]
+            out[hp] -= R @ u
+            return out
 
         d = np.sqrt(np.maximum(np.diag(S), 1e-300))
-        scaled = S / np.outer(d, d)
-        scaled[np.diag_indices_from(scaled)] += 1e-12
-        inv = np.linalg.inv(scaled)
+        S /= d[:, None]
+        S /= d[None, :]
+        S[np.diag_indices(ny)] += 1e-12
+        Li = _cholesky_inverse(S)
 
         def eliminate(r: np.ndarray) -> np.ndarray:
             r_y = r[:ny].copy()
@@ -852,9 +1021,9 @@ class _ScoreQP:
             r_y[hp] -= u.sum(axis=1)
             r_y[hn] += u.sum(axis=0)[m]
             s = (r_x / e).sum(axis=0) / p
-            r_y -= K.T @ (s / N)
-            dy = (inv @ (r_y / d)) / d
-            v = (K @ dy + s) / N
+            r_y -= k_t(s / N)
+            dy = (Li.T @ (Li @ (r_y / d))) / d
+            v = (k_mul(dy) + s) / N
             dfn = self._neg_scores(dy)
             dx = (r_x - d_h * (dy[hp][:, None] - dfn[None, :]) - v[None, :] / p) / e
             return np.concatenate([dy, dx.ravel()])
@@ -907,9 +1076,10 @@ class _ScoreQP:
         adds the row complementarity to a bound on how far the Lagrangian
         falls below its value at x over the score box.  That fall is at
         most the box term  f'(r)_+ + (up - f)'(-r)_+  of the linear model,
-        and at most  r_c'P^+r_c / 2  plus the box term of r_0, where r_0 is
-        the part of r in the (numerical) null space of P and r_c the rest;
-        the smaller of the two is used.  The second does not grow with the
+        and at most  r_c'P_c^+r_c / 2  plus the box term of r_0, where P_c
+        <= P is the strong-edge part of P (see ``_Curvature``), r_0 is the
+        projection of r onto the null space of P_c and r_c the rest; the
+        smaller of the two is used.  The second does not grow with the
         level of the scores along directions that P does not see.
         """
         nf, n_epi = self.nf, self.n_epi
@@ -927,9 +1097,7 @@ class _ScoreQP:
         def box_term(g):
             return float(f @ np.maximum(g, 0.0) + s_up @ np.maximum(-g, 0.0))
 
-        c = self.eigvec.T @ r
-        flat = self.eigvec[:, ~self.curved] @ c[~self.curved]
-        curved = 0.5 * float(np.sum(c[self.curved] ** 2 / self.eig[self.curved]))
+        flat, curved = self.curvature.split(r)
         fall = min(box_term(r), curved + box_term(flat))
         return float(s_a @ z + xi @ (share - z[n_epi:])) + fall
 
@@ -943,8 +1111,9 @@ def _interior_point(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarra
     """Mehrotra predictor-corrector from the QP's strictly feasible start.
 
     Stops when the certified gap (``_ScoreQP.gap``) is at most
-    tol * max(1, |objective|), when it has stopped shrinking, or after
-    max_iters iterations.  Returns the iterate with the smallest gap and
+    tol * max(1, |objective|), when it has stopped shrinking (three
+    iterations in a row that leave it above 0.9 times its best value), or
+    after max_iters iterations.  Returns the iterate with the smallest gap and
     that gap; the caller decides what a gap above tolerance means.
     """
     b = qp.b
@@ -1023,7 +1192,8 @@ def _interior_point(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarra
         else:
             break
         x, z_lo, z_up, z_a = x_new, z_lo + alpha * dz_lo, z_up + alpha * dz_up, z_a_new
-        stalled = stalled + 1 if gap > 0.5 * best_gap else 0
+        # a gap that shrinks steadily, if slowly, is still converging
+        stalled = stalled + 1 if gap > 0.9 * best_gap else 0
         if gap < best_gap:
             best_x, best_gap = x, gap
     return best_x, best_gap
@@ -1092,11 +1262,11 @@ def _weight_step(W_init, neighbors, S, labels, lambda_push, cap, max_iters, tol)
     bound = tol * max(1.0, abs(qp.objective(x)))
     if np.any(np.isinf(hi)) and gap <= bound:
         # only a certified optimum shows how far the open box must reach
-        top = _compressed_range(neighbors, qp.scores(x))
+        top = _compressed_range(prob.components, qp.scores(x))
         qp = _ScoreQP(prob, np.minimum(hi, top))
         x, gap = _interior_point(qp, tol, max_iters)
         bound = tol * max(1.0, abs(qp.objective(x)))
-    f = _nearest_shift(neighbors, prob, qp.scores(x), prob.scores(W0), hi)
+    f = _nearest_shift(prob, qp.scores(x), prob.scores(W0), hi)
     W = _weights_for_scores(W0, prob.S, f, cap)
     if prob.value(W) <= val_in:
         return W, gap, bound
@@ -1110,11 +1280,11 @@ def _gap_message(gap: float, bound: float) -> str:
     return f"{_GAP_MESSAGE} {gap:.3g}, above its tolerance {bound:.3g}"
 
 
-def _components(neighbors: NeighborMatrix) -> np.ndarray:
-    """Component label of every row of the neighbor graph (an edge wherever
-    a_ij > 0): the smallest row index in its component."""
+def _components(neighbors: NeighborMatrix, edge: np.ndarray) -> np.ndarray:
+    """Component label of every row of the graph with the neighbor edges
+    where ``edge`` (a mask shaped like ``neighbors.probs``) holds: the
+    smallest row index in its component."""
     n, k = neighbors.candidates.shape
-    edge = neighbors.probs > 0.0
     i = np.repeat(np.arange(n), k)[edge.ravel()]
     j = neighbors.candidates[edge]
     label = np.arange(n)
@@ -1128,7 +1298,7 @@ def _components(neighbors: NeighborMatrix) -> np.ndarray:
         label = new
 
 
-def _compressed_range(neighbors: NeighborMatrix, f: np.ndarray) -> float:
+def _compressed_range(group: np.ndarray, f: np.ndarray) -> float:
     """Score range that holds an optimum of an uncapped step, given one
     optimum f: the spans of its graph components plus their number.
 
@@ -1140,9 +1310,9 @@ def _compressed_range(neighbors: NeighborMatrix, f: np.ndarray) -> float:
     component; its lowest score is 0, since a video with box [0, 0] sits
     there and without one every score may move down together.  The spans
     are the same at every optimum: optima share the smoothness gradient,
-    so they differ only by shifting whole components.
+    so they differ only by shifting whole components.  ``group`` holds the
+    component labels of the neighbor graph.
     """
-    group = _components(neighbors)
     lo = np.full(f.shape[0], np.inf)
     up = np.full(f.shape[0], -np.inf)
     np.minimum.at(lo, group, f)
@@ -1152,7 +1322,6 @@ def _compressed_range(neighbors: NeighborMatrix, f: np.ndarray) -> float:
 
 
 def _nearest_shift(
-    neighbors: NeighborMatrix,
     prob: _WeightSubproblem,
     f: np.ndarray,
     f0: np.ndarray,
@@ -1173,7 +1342,7 @@ def _nearest_shift(
     searched.
     """
     n = f.shape[0]
-    group = _components(neighbors)
+    group = prob.components
     labelled = np.zeros(n, dtype=bool)
     labelled[prob.pos] = labelled[prob.neg] = True
     group = np.where(np.isin(group, group[labelled]), n, group)

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from conceptrank import _kernels
 from conceptrank.embeddings import EmbeddingTable
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT compilation must not leak into timed assertions
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")

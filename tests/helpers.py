@@ -106,3 +106,17 @@ def slsqp_weight_step_value(prob, hi):
         )
         best = min(best, prob.score_value(np.clip(res.x[:n], 0.0, top)))
     return best
+
+
+def eigen_curvature_split(P, r):
+    """Reference for the certificate's curvature term, from the spectrum of P.
+
+    Splits r into its projection r_0 onto the numerical null space of P
+    (eigenvalues at most 1e-10 of the largest, or of 1) and the rest r_c,
+    and returns (r_0, r_c' P^+ r_c / 2).
+    """
+    eig, vec = np.linalg.eigh(P)
+    curved = eig > 1e-10 * max(1.0, float(eig.max(initial=0.0)))
+    c = vec.T @ r
+    flat = vec[:, ~curved] @ c[~curved]
+    return flat, 0.5 * float(np.sum(c[curved] ** 2 / eig[curved]))

@@ -187,6 +187,30 @@ def test_rank_logs_uncertified_weight_steps(tmp_path, capsys):
     assert done["converged"] is False
 
 
+def test_rank_certifies_slowly_shrinking_gaps(tmp_path, capsys):
+    # weight steps 2 and 3 of this fit shrink their certified gap by a
+    # factor 0.53-0.58 per iteration (4.29, 1.26, 0.634, 0.335, 0.195):
+    # slow, but not stalled, so each step must run on to its tolerance
+    data = _synth(tmp_path, seed=1, weak=200, test=200, concepts=8, informative=2, sigma=0.1)
+    config = RunConfig(
+        embeddings=os.path.join(data, "embeddings.txt"),
+        vocabulary=os.path.join(data, "vocabulary.csv"),
+        videos=os.path.join(data, "videos.tsv"),
+        scores=os.path.join(data, "scores.csv"),
+        events=os.path.join(data, "events.jsonl"),
+        out_dir=str(tmp_path / "out"),
+        top_k=5,
+        max_outer_iters=3,
+    )
+    capsys.readouterr()
+    code, _ = run_rank(config)
+    assert code == 0
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert not [r for r in records if r.get("stage") == "fit"]
+    (done,) = [r for r in records if r.get("stage") == "rank"]
+    assert done["uncertified_steps"] == 0
+
+
 def test_rank_total_failure_exit_two(tmp_path):
     data = _synth(tmp_path)
     events = os.path.join(data, "events.jsonl")

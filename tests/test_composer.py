@@ -35,7 +35,12 @@ from conceptrank.graph import (
 from conceptrank.query import PseudoLabels
 from conceptrank.synth import brute_force_push, brute_force_simplex, finite_diff_gradient
 
-from helpers import random_instance, random_scores_and_labels, slsqp_weight_step_value
+from helpers import (
+    eigen_curvature_split,
+    random_instance,
+    random_scores_and_labels,
+    slsqp_weight_step_value,
+)
 
 
 def _matrix(values, l=None):
@@ -312,6 +317,7 @@ class TestReferenceSolver:
         # dense matrices they stand for
         # (box 0.8: no slacks; 1.5 and open: hinge slacks; one pinned video)
         rng = np.random.default_rng(68)
+        wide = np.random.default_rng(69)
         for top in (0.8, 1.5, np.inf):
             for _ in range(5):
                 S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
@@ -331,6 +337,70 @@ class TestReferenceSolver:
                 np.testing.assert_allclose(
                     qp.newton(d_rows, d_diag)(r), np.linalg.solve(H, r), rtol=1e-8, atol=1e-10
                 )
+                # late iterations weight bounds and rows from 1e-8 to 1e8;
+                # there the solve must stay backward stable
+                d_rows = 10.0 ** wide.uniform(-8.0, 8.0, nr)
+                d_diag = 10.0 ** wide.uniform(-8.0, 8.0, nx)
+                d_diag[qp.t] = 0.0
+                H = A.T @ (d_rows[:, None] * A) + np.diag(d_diag)
+                H[: qp.nf, : qp.nf] += qp.P
+                x = qp.newton(d_rows, d_diag)(r)
+                scale = np.linalg.norm(H, 2) * np.linalg.norm(x) + np.linalg.norm(r)
+                assert np.linalg.norm(H @ x - r) <= 1e-15 * scale
+
+    def test_curvature_matches_spectrum(self):
+        # the certificate's split of r into a flat part and the curvature
+        # term r_c'P^+r_c / 2, against the eigendecomposition of P; blocks
+        # of videos form components, a rounding-level edge joins two of
+        # them, and one pinned video makes its component curved
+        rng = np.random.default_rng(70)
+        for _ in range(10):
+            sizes = rng.integers(3, 7, size=int(rng.integers(2, 5)))
+            n = int(sizes.sum())
+            block = np.repeat(np.arange(sizes.shape[0]), sizes)
+            cands = np.zeros((n, 3), dtype=int)
+            probs = np.zeros((n, 3))
+            for i in range(n):
+                mates = np.flatnonzero((block == block[i]) & (np.arange(n) != i))
+                cands[i, :2] = rng.choice(mates, 2, replace=False)
+                cands[i, 2] = rng.choice(np.flatnonzero(block != block[i]))
+                probs[i, :2] = rng.dirichlet(np.ones(2))
+            probs[0, 2] = 5.6e-17  # an edge out of block 0
+            nb = NeighborMatrix(candidates=cands, probs=probs, gamma=np.ones(n))
+            S = _matrix(rng.uniform(0.0, 1.0, (n, 2)), l=4)
+            prob = _WeightSubproblem(S, nb, PseudoLabels((0, 1), (2, 3)), 1.0, 1.0)
+            free = np.delete(np.arange(n), rng.integers(n))
+            curv = prob.curvature(free)
+            assert curv.size.shape[0] >= 1 and curv.flat.shape[0] < free.shape[0]
+            assert prob.curvature(free.copy()) is curv
+            for _ in range(5):
+                r = rng.normal(size=free.shape[0])
+                flat, curved = curv.split(r)
+                flat_ref, curved_ref = eigen_curvature_split(curv.P, r)
+                np.testing.assert_allclose(flat, flat_ref, atol=1e-10)
+                np.testing.assert_allclose(curved, curved_ref, rtol=1e-8)
+
+    def test_certificate_without_curvature_factor(self, monkeypatch):
+        # when P_c + Pi cannot be factored, the certificate keeps only the
+        # linear bound, which is still a bound
+        rng = np.random.default_rng(71)
+        S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
+        prob = _WeightSubproblem(S, nb, labels, lam, 1.0)
+        hi = prob.score_box_top(1.0)
+
+        def singular(A):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(composer, "_cholesky_inverse", singular)
+            qp = _ScoreQP(prob, hi)
+        assert qp.curvature.Li is None
+        x, gap = _interior_point(qp, 1e-10, 100)
+        value = prob.score_value(qp.scores(x))
+        assert np.isfinite(gap)
+        for _ in range(50):
+            f = rng.uniform(0.0, 1.0, hi.shape[0]) * hi
+            assert prob.score_value(f) >= value - gap - 1e-12
 
     def test_uncertified_step_warns(self):
         rng = np.random.default_rng(65)
@@ -442,6 +512,22 @@ class TestReferenceSolver:
         W = update_weights_reference(W0, nb, S, labels, lam, 1.0, max_iters=120)
         assert np.all(W >= 0.0)
         assert np.all(W.sum(axis=1) <= 1.0)
+
+
+class TestTriangularInverse:
+    def test_matches_dense_inverse(self):
+        # below, at and above the recursion's leaf size
+        rng = np.random.default_rng(72)
+        leaf = composer._TRIL_LEAF
+        for n in (0, 1, 2, leaf - 1, leaf, leaf + 1, 2 * leaf + 3, 5 * leaf):
+            B = rng.normal(size=(n, n))
+            A = B @ B.T / n + np.eye(n)
+            L = np.linalg.cholesky(A)
+            X = composer._tril_inverse(L.copy())
+            assert np.all(np.triu(X, 1) == 0.0)
+            np.testing.assert_allclose(X, np.linalg.inv(L), rtol=1e-10, atol=1e-13)
+            Li = composer._cholesky_inverse(A)
+            np.testing.assert_allclose(Li.T @ Li, np.linalg.inv(A), rtol=1e-10, atol=1e-13)
 
 
 class TestWeightsForScores:

@@ -1,71 +1,12 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from conceptrank import _kernels
-
-
-needs_numba = pytest.mark.skipif(
-    not _kernels.NUMBA_ENABLED, reason="numba path not active"
-)
-
-
-@needs_numba
-class TestPathParity:
-    def test_simplex_rows(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            V = rng.normal(0, 2, (int(rng.integers(1, 9)), int(rng.integers(2, 9))))
-            total = float(rng.uniform(0.2, 2.0))
-            a = _kernels.simplex_project_rows_np(V, total)
-            b = _kernels.simplex_project_rows_nb(V, total)
-            np.testing.assert_array_equal(a, b)
-
-    def test_nonneg_l1_rows(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            V = rng.normal(0, 2, (int(rng.integers(1, 9)), int(rng.integers(1, 9))))
-            cap = float(rng.uniform(0.2, 2.0))
-            a = _kernels.project_rows_nonneg_l1_np(V, cap)
-            b = _kernels.project_rows_nonneg_l1_nb(V, cap)
-            np.testing.assert_allclose(a, b, atol=1e-15)
-
-    def test_push_means(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            fp = rng.normal(0, 2, int(rng.integers(1, 12)))
-            fn = rng.normal(0, 2, int(rng.integers(1, 12)))
-            a = _kernels.push_hinge_means_np(fp, fn)
-            b = _kernels.push_hinge_means_nb(fp, fn)
-            np.testing.assert_allclose(a, b, atol=1e-14)
-
-    def test_colmax_ball(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            V = rng.normal(0, 1.5, (int(rng.integers(1, 8)), int(rng.integers(1, 8))))
-            budget = float(rng.uniform(0.2, 2.0))
-            a = _kernels.colmax_ball_project_np(V, budget)
-            b = _kernels.colmax_ball_project_nb(V, budget)
-            np.testing.assert_allclose(a, b, atol=1e-10)
-
-
-def test_env_flag_selects_numpy_path():
-    code = (
-        "from conceptrank import _kernels;"
-        "assert not _kernels.NUMBA_ENABLED;"
-        "assert _kernels.simplex_project_rows is _kernels.simplex_project_rows_np"
-    )
-    env = dict(os.environ, CONCEPTRANK_NUMBA="0")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_numpy_fallback_results_reasonable():
     v = np.array([[0.9, 0.6, 0.1]])
     np.testing.assert_allclose(
-        _kernels.simplex_project_rows_np(v, 1.0), [[0.65, 0.35, 0.0]], atol=1e-15
+        _kernels.simplex_project_rows(v, 1.0), [[0.65, 0.35, 0.0]], atol=1e-15
     )
 
 
@@ -99,6 +40,6 @@ def test_colmax_ball_matches_bisection_reference():
         if rng.uniform() < 0.3:
             V = np.round(V, 1)  # tied entries give repeated kinks
         budget = float(rng.uniform(0.05, 3.0))
-        got = _kernels.colmax_ball_project_np(V, budget)
+        got = _kernels.colmax_ball_project(V, budget)
         np.testing.assert_allclose(got, _colmax_bisection_reference(V, budget), atol=1e-12)
         assert got.max(axis=0).sum() <= budget + 1e-12

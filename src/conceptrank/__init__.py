@@ -17,8 +17,6 @@ from .composer import (
     infinite_push_loss,
     normalize_scores,
     objective,
-    prox_linf,
-    update_weights_proximal,
     update_weights_reference,
 )
 from .embeddings import EmbeddingTable, PhraseVector, cosine, load_embeddings, phrase_vector
@@ -97,7 +95,6 @@ __all__ = [
     "partition_pseudo",
     "phrase_vector",
     "porter_stem",
-    "prox_linf",
     "ranked_list",
     "run_eval",
     "run_rank",
@@ -108,7 +105,6 @@ __all__ = [
     "toy_embedding_table",
     "tokenize",
     "update_neighbors",
-    "update_weights_proximal",
     "update_weights_reference",
     "weak_labels",
 ]

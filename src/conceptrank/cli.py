@@ -54,8 +54,6 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-6,
                    help="relative objective decrease for convergence")
     p.add_argument("--max-iters", type=int, default=100, help="outer iterations")
-    p.add_argument("--solver", choices=["reference", "proximal"], default="reference")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,8 +117,6 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         weight_cap=None if args.no_weight_cap else args.weight_cap,
         tol=args.tol,
         max_outer_iters=args.max_iters,
-        solver=args.solver,
-        seed=args.seed,
         stdout=args.stdout,
     )
     code, metrics = run_rank(config)

@@ -11,18 +11,14 @@ subject to row-stochastic a_i and w_i >= 0 with an optional per-row l1 cap.
 Optimization alternates an exact closed-form neighbor step with a convex
 weight step, so the objective trace never increases.
 
-Two weight-step solvers are provided.  The reference solver is exact: the
-step depends on the weights only through the scores, so it solves the
-score-space quadratic program with an interior-point method and stops
-when a certified duality gap meets its tolerance; a step that stops
-above it is reported in ``FitResult.warnings``.  Its Newton systems are
-factored by Cholesky, and the certificate reads the curvature of the
-graph term from one Cholesky factor per free set, built from the strong
-edges of the neighbor graph, with no eigendecomposition.  The second is an
-operator-splitting primal-dual path whose dual projection generalizes the
-l1-ball projection behind the l-infinity proximal map; it is validated
-against the reference solver and falls back to it when it fails to
-converge.
+The weight step is solved exactly: it depends on the weights only
+through the scores, so it solves the score-space quadratic program with
+an interior-point method and stops when a certified duality gap meets
+its tolerance; a step that stops above it is reported in
+``FitResult.warnings``.  Its Newton systems are factored by Cholesky,
+and the certificate reads the curvature of the graph term from one
+Cholesky factor per free set, built from the strong edges of the
+neighbor graph, with no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from .graph import (
     NeighborMatrix,
     candidate_neighbors,
     gamma_for_k,
-    simplex_project,
     update_neighbor_rows,
 )
 from .query import PseudoLabels, RelevanceVector
@@ -56,11 +51,7 @@ __all__ = [
     "smoothness_grad_scores",
     "objective",
     "project_weights",
-    "project_l1_ball",
-    "prox_linf",
-    "project_colmax_ball",
     "update_weights_reference",
-    "update_weights_proximal",
     "fit",
     "fuse_supervised",
     "SUPERVISED_COLUMN_ID",
@@ -121,12 +112,9 @@ class CompositionConfig:
     k_candidates: int = 50
     max_outer_iters: int = 100
     tol: float = 1e-6
-    solver: str = "reference"
     weight_cap: float | None = 1.0  # None reproduces the bare w >= 0 constraint
     max_inner_iters: int = 500
     tol_inner: float = 1e-9
-    proximal_max_iters: int = 2000
-    seed: int = 0
 
     def __post_init__(self):
         if self.lambda_push <= 0:
@@ -135,8 +123,10 @@ class CompositionConfig:
             raise ValueError("gamma must be positive")
         if self.tol <= 0 or self.max_outer_iters < 1:
             raise ValueError("tol must be positive and max_outer_iters >= 1")
-        if self.solver not in ("reference", "proximal"):
-            raise ValueError(f"unknown solver {self.solver!r}")
+        if self.k_neighbors < 1:
+            raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
+        if self.k_candidates < 1:
+            raise ValueError(f"k_candidates must be >= 1, got {self.k_candidates}")
         if self.weight_cap is not None and self.weight_cap <= 0:
             raise ValueError("weight_cap must be positive (or None to disable)")
 
@@ -249,7 +239,7 @@ def objective(
 
 
 # ---------------------------------------------------------------------------
-# projections and proximal utilities
+# weight projection
 # ---------------------------------------------------------------------------
 
 
@@ -258,35 +248,6 @@ def project_weights(W: np.ndarray, cap: float | None) -> np.ndarray:
     if cap is None:
         return np.maximum(np.asarray(W, dtype=np.float64), 0.0)
     return _kernels.project_rows_nonneg_l1(W, cap)
-
-
-def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the l1 ball of the given radius."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    v = np.asarray(v, dtype=np.float64)
-    a = np.abs(v)
-    if a.sum() <= radius:
-        return v.copy()
-    return np.sign(v) * simplex_project(a, radius)
-
-
-def prox_linf(v: np.ndarray, scale: float) -> np.ndarray:
-    """Proximal map of scale * ||.||_inf via Moreau decomposition."""
-    return np.asarray(v, dtype=np.float64) - project_l1_ball(v, scale)
-
-
-def project_colmax_ball(V: np.ndarray, budget: float) -> np.ndarray:
-    """Project onto {Z >= 0 : sum over columns of max_i Z_ij <= budget}.
-
-    This is the dual ball of the positive-part l1-over-column /
-    max-over-columns norm used by the push term; for a single row it
-    reduces to the nonnegative l1-ball projection behind prox_linf.
-    Column water levels are found by bisection on the shared marginal.
-    """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    return _kernels.colmax_ball_project(np.atleast_2d(V), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +275,6 @@ class _WeightSubproblem:
         A = neighbors.to_dense()
         self.M = 0.5 * (A + A.T)
         self.deg = self.M.sum(axis=1)
-        self.row_norm_sq = np.sum(self.S * self.S, axis=1)
         self._curvature: dict[bytes, _Curvature] = {}
 
     @cached_property
@@ -354,375 +314,6 @@ class _WeightSubproblem:
             # a row without a positive score can only reach f_i = 0
             return np.where(top > 0.0, np.inf, 0.0)
         return cap * top
-
-    def steepest_score_subgrad(
-        self, f: np.ndarray, eps_tie: float, eps_hinge: float
-    ) -> tuple[np.ndarray, float]:
-        """Minimum-norm element of the eps-active subdifferential at f.
-
-        The subdifferential of the push max is the convex hull over
-        near-maximal negatives j of  gs + (lam/p) sum_i u_ij (e_j - e_i),
-        with u_ij = 1 on violated hinges and u_ij in [0, 1] on hinge
-        boundaries.  The minimum-norm (steepest descent) selection is
-        found by Frank-Wolfe; its vanishing certifies eps-stationarity.
-        """
-        gs = smoothness_grad_scores(f, self.M, self.deg)
-        if self.lam == 0.0:
-            return gs, float(np.linalg.norm(gs))
-        fp = f[self.pos]
-        fn = f[self.neg]
-        phi = _kernels.push_hinge_means(fp, fn)
-        active = np.flatnonzero(phi >= phi.max() - eps_tie)
-        coef = self.lam / self.pos.shape[0]
-        Ha = 1.0 - (fp[:, None] - fn[active][None, :])
-        strict = Ha > eps_hinge
-        boundary = np.abs(Ha) <= eps_hinge
-
-        def generator(col: int, take_boundary: np.ndarray | None) -> np.ndarray:
-            g = gs.copy()
-            hit = strict[:, col]
-            if take_boundary is not None:
-                hit = hit | take_boundary
-            g[self.pos[hit]] -= coef
-            g[self.neg[active[col]]] += coef * float(hit.sum())
-            return g
-
-        x = generator(int(np.argmax(phi[active])), None)
-        if active.shape[0] > 1 or np.any(boundary):
-            for _ in range(15):
-                # vectorized linear minimization oracle over active pieces:
-                # per piece, strict hinges contribute their gain and
-                # boundary hinges only when their gain is negative
-                gain = x[self.neg[active]][None, :] - x[self.pos][:, None]
-                base = float(x @ gs)
-                take = boundary & (gain < 0.0)
-                vals = base + coef * np.sum(gain * (strict | take), axis=0)
-                col = int(np.argmin(vals))
-                s = generator(col, take[:, col])
-                diff = x - s
-                den = float(diff @ diff)
-                gap = float(x @ diff)
-                if den < 1e-20 or gap <= 1e-14 * (1.0 + float(x @ x)):
-                    break
-                x = x + min(max(gap / den, 0.0), 1.0) * (s - x)
-        return x, float(np.linalg.norm(x))
-
-
-def _box_qp(L4: np.ndarray, c: np.ndarray, hi: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Active-set Newton for  min 2 x' L x + c' x  s.t. 0 <= x <= hi.
-
-    L4 is the prescaled Hessian 4L.  Solving the free-variable system
-    exactly traverses ill-conditioned valleys that first-order steps crawl
-    through.  A tiny ridge keeps singular graph Laplacians solvable.
-    """
-    n = L4.shape[0]
-    ridge = 1e-10 * (1.0 + float(np.trace(L4)) / n)
-    x = np.clip(x0, 0.0, hi)
-    finite_hi = np.where(np.isfinite(hi), hi, np.inf)
-    for _ in range(16):
-        g = L4 @ x + c
-        at_lo = (x <= 1e-12) & (g > 0.0)
-        at_hi = (x >= finite_hi - 1e-12) & (g < 0.0)
-        free = ~(at_lo | at_hi)
-        x_new = np.where(at_hi, finite_hi, 0.0)
-        if np.any(free):
-            A = L4[np.ix_(free, free)] + ridge * np.eye(int(free.sum()))
-            b = -c[free] - L4[np.ix_(free, ~free)] @ x_new[~free]
-            try:
-                x_new[free] = np.linalg.solve(A, b)
-            except np.linalg.LinAlgError:
-                return x
-        x_new = np.clip(x_new, 0.0, hi)
-        if float(np.abs(x_new - x).max()) < 1e-12 * (1.0 + float(np.abs(x).max())):
-            x = x_new
-            break
-        x = x_new
-    return x
-
-
-def _piece_qp_step(prob, f, val, hi):
-    """Candidate from the active-piece quadratic restriction.
-
-    Freezes the maximizing negative and its violated hinges, which makes
-    the push contribution linear, solves the resulting box QP exactly, and
-    line-searches from f toward that solution under the exact objective.
-    Returns (f_new, val_new) or (None, val).
-    """
-    c = np.zeros(f.shape[0])
-    if prob.lam > 0.0:
-        fp = f[prob.pos]
-        fn = f[prob.neg]
-        phi = _kernels.push_hinge_means(fp, fn)
-        j = int(np.argmax(phi))
-        hit = (1.0 - (fp - fn[j])) > 0.0
-        coef = prob.lam / prob.pos.shape[0]
-        c[prob.pos[hit]] -= coef
-        c[prob.neg[j]] += coef * float(hit.sum())
-    L4 = 4.0 * (np.diag(prob.deg) - prob.M)
-    x = _box_qp(L4, c, hi, f)
-    best_val = val
-    best = None
-    theta = 1.0
-    for _ in range(18):
-        cand = f + theta * (x - f)
-        cval = prob.score_value(cand)
-        if cval < best_val:
-            best_val = cval
-            best = cand
-        theta *= 0.5
-    return best, best_val
-
-
-def _tied_kkt_step(prob, f, val, hi):
-    """Exact solve on a guessed tied-max manifold.
-
-    At optima the push max is typically tied across several negatives; a
-    single-piece step cannot represent that.  For guessed tie sets and
-    hinge activities, stationarity + tie + multiplier-sum conditions form
-    a linear system in (free scores, piece weights); candidates are
-    line-searched and accepted only on strict exact decrease.
-    """
-    if prob.lam == 0.0:
-        return None, val
-    p = prob.pos.shape[0]
-    fp = f[prob.pos]
-    fn = f[prob.neg]
-    H = 1.0 - (fp[:, None] - fn[None, :])
-    phi = _kernels.push_hinge_means(fp, fn)
-    mx = float(phi.max())
-    n = f.shape[0]
-    L4 = 4.0 * (np.diag(prob.deg) - prob.M)
-    finite_hi = np.where(np.isfinite(hi), hi, 1e30)
-    best = None
-    best_val = val
-    tried: set = set()
-    order = np.argsort(-phi, kind="stable")
-    tie_sets = []
-    for eps_tie in (1e-9, 1e-6, 1e-3):
-        J = order[: int(np.sum(phi >= mx - eps_tie))]
-        # the optimal tie set may be any prefix of the near-tied negatives
-        for k in range(1, len(J) + 1):
-            tie_sets.append(tuple(J[:k]))
-    for J in dict.fromkeys(tie_sets):
-        J = np.asarray(J)
-        for eps_h in (1e-9, -1e-9, 1e-6, -1e-6):
-            actives = tuple(tuple(np.flatnonzero(H[:, j] > eps_h)) for j in J)
-            key = (tuple(J), actives)
-            if key in tried or any(len(a) == 0 for a in actives):
-                continue
-            tried.add(key)
-            x = _solve_tied_system(prob, f, val, hi, finite_hi, L4, J, actives)
-            # refine the combinatorial guess at the solution itself
-            for _ in range(3):
-                fp2 = x[prob.pos]
-                fn2 = x[prob.neg]
-                H2 = 1.0 - (fp2[:, None] - fn2[None, :])
-                phi2 = _kernels.push_hinge_means(fp2, fn2)
-                J2 = np.flatnonzero(phi2 >= phi2.max() - 1e-9)
-                act2 = tuple(tuple(np.flatnonzero(H2[:, j] > 1e-9)) for j in J2)
-                key2 = (tuple(J2), act2)
-                if key2 in tried or any(len(a) == 0 for a in act2):
-                    break
-                tried.add(key2)
-                x = _solve_tied_system(prob, f, val, hi, finite_hi, L4, J2, act2)
-            theta = 1.0
-            for _ in range(14):
-                cand = f + theta * (x - f)
-                cval = prob.score_value(cand)
-                if cval < best_val:
-                    best_val = cval
-                    best = cand
-                theta *= 0.5
-    return best, best_val
-
-
-def _solve_tied_system(prob, f, val, hi, finite_hi, L4, J, actives) -> np.ndarray:
-    """Solve stationarity + tie + multiplier-sum for fixed piece guesses."""
-    n = f.shape[0]
-    p = prob.pos.shape[0]
-    q = len(J)
-    drift = np.zeros((q, n))
-    const = np.zeros(q)
-    for r, j in enumerate(J):
-        hit = np.asarray(actives[r])
-        drift[r, prob.pos[hit]] -= 1.0 / p
-        drift[r, prob.neg[j]] += len(hit) / p
-        const[r] = len(hit) / p
-    x = f.copy()
-    for _ in range(4):
-        at_lo = x <= 1e-12
-        at_hi = x >= finite_hi - 1e-12
-        free = ~(at_lo | at_hi)
-        nf = int(free.sum())
-        if nf == 0:
-            break
-        size = nf + q
-        A = np.zeros((size, size))
-        b = np.zeros(size)
-        x_fixed = np.where(at_hi, finite_hi, 0.0)
-        A[:nf, :nf] = L4[np.ix_(free, free)]
-        A[:nf, nf:] = prob.lam * drift[:, free].T
-        b[:nf] = -L4[np.ix_(free, ~free)] @ x_fixed[~free]
-        for r in range(1, q):
-            row = drift[r] - drift[0]
-            A[nf + r - 1, :nf] = row[free]
-            b[nf + r - 1] = const[0] - const[r] - row[~free] @ x_fixed[~free]
-        A[nf + q - 1, nf:] = 1.0
-        b[nf + q - 1] = 1.0
-        A[np.diag_indices(nf)] += 1e-11
-        try:
-            sol = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-        x_new = x_fixed
-        x_new[free] = sol[:nf]
-        x_new = np.clip(x_new, 0.0, hi)
-        if float(np.abs(x_new - x).max()) < 1e-13 * (1.0 + abs(val)):
-            x = x_new
-            break
-        x = x_new
-    return x
-
-
-def _tie_manifold_step(prob, f, val, hi):
-    """Steepest descent restricted to the current tie manifold.
-
-    At a tied maximum, unrestricted directions split the tie and ascend;
-    projecting the minimum-norm subgradient onto the null space of the
-    tie constraints descends while keeping the tied pieces level.
-    """
-    if prob.lam == 0.0:
-        return None, val
-    p = prob.pos.shape[0]
-    fp = f[prob.pos]
-    fn = f[prob.neg]
-    phi = _kernels.push_hinge_means(fp, fn)
-    J = np.flatnonzero(phi >= phi.max() - 1e-9 * (1.0 + abs(val)))
-    if J.shape[0] < 2:
-        return None, val
-    H = 1.0 - (fp[:, None] - fn[None, :])
-    n = f.shape[0]
-    drift = np.zeros((J.shape[0], n))
-    for r, j in enumerate(J):
-        hit = H[:, j] > 1e-9
-        drift[r, prob.pos[hit]] -= 1.0 / p
-        drift[r, prob.neg[j]] += float(hit.sum()) / p
-    rows = drift[1:] - drift[0]
-    x, xn = prob.steepest_score_subgrad(f, eps_tie=1e-9, eps_hinge=1e-9)
-    if xn < 1e-15:
-        return None, val
-    gram = rows @ rows.T
-    try:
-        coef = np.linalg.solve(gram + 1e-12 * np.eye(gram.shape[0]), rows @ x)
-    except np.linalg.LinAlgError:
-        return None, val
-    d = x - rows.T @ coef
-    dn = float(np.linalg.norm(d))
-    if dn < 1e-13 * (1.0 + xn):
-        return None, val
-    t0 = 1.0 / max(8.0 * float(prob.deg.max(initial=0.0)), 1e-9)
-    best = None
-    best_val = val
-    tt = 1e4 * t0
-    for _ in range(45):
-        cand = np.clip(f - tt * d, 0.0, hi)
-        cval = prob.score_value(cand)
-        if cval < best_val:
-            best_val = cval
-            best = cand
-        tt *= 0.5
-    return best, best_val
-
-
-def _polish_scores(prob, f, val, hi, rounds: int = 60):
-    """Endgame refinement in score space, monotone by construction.
-
-    Cycles exact single-piece QP jumps, tied-manifold KKT solves,
-    tie-preserving projected steps, and a steepest-subgradient step-grid
-    sweep until none of them improves; every candidate is accepted only on
-    strict decrease of the exact objective.
-    """
-    t0 = 1.0 / max(8.0 * float(prob.deg.max(initial=0.0)), 1e-9)
-    ladder = [0.3 * (1.0 + abs(val)) * 0.1**e for e in range(12)]
-    slack = lambda: 1e-14 * max(1.0, abs(val))  # noqa: E731
-
-    def sweep(cur_f, cur_val):
-        # coarse pass picks the most promising ladder level, a fine grid
-        # along that level's direction does the actual descent; ladder
-        # levels that select identical active sets are evaluated once
-        best_f = None
-        best_val = cur_val
-        best_g = None
-        if prob.lam > 0.0:
-            phi = _kernels.push_hinge_means(cur_f[prob.pos], cur_f[prob.neg])
-            gaps = np.abs(
-                1.0 - (cur_f[prob.pos][:, None] - cur_f[prob.neg][None, :])
-            )
-            mx = phi.max()
-        seen = set()
-        for eps in ladder:
-            if prob.lam > 0.0:
-                key = (
-                    int(np.sum(phi >= mx - eps)),
-                    int(np.sum(gaps <= eps)),
-                )
-            else:
-                key = 0
-            if key in seen:
-                continue
-            seen.add(key)
-            g, gn = prob.steepest_score_subgrad(cur_f, eps_tie=eps, eps_hinge=eps)
-            if gn < 1e-15:
-                continue
-            tt = 1e4 * t0
-            for _ in range(12):
-                cand = np.clip(cur_f - tt * g, 0.0, hi)
-                cval = prob.score_value(cand)
-                if cval < best_val:
-                    best_val = cval
-                    best_f = cand
-                    best_g = g
-                tt *= 0.05
-        if best_g is not None:
-            tt = 1e5 * t0
-            for _ in range(34):
-                cand = np.clip(cur_f - tt * best_g, 0.0, hi)
-                cval = prob.score_value(cand)
-                if cval < best_val:
-                    best_val = cval
-                    best_f = cand
-                tt *= 0.38
-        return best_f, best_val
-
-    quiesced = False
-    spent = 0
-    while spent < rounds:
-        round_start = val
-        # descend by grid-searched subgradient steps until they stall
-        while spent < rounds:
-            spent += 1
-            f_sw, v_sw = sweep(f, val)
-            if f_sw is None or v_sw >= val - 1e-13 * max(1.0, abs(val)):
-                if f_sw is not None and v_sw < val:
-                    f, val = f_sw, v_sw
-                break
-            f, val = f_sw, v_sw
-        spent += 1
-        f_qp, v_qp = _piece_qp_step(prob, f, val, hi)
-        if f_qp is not None and v_qp < val - slack():
-            f, val = f_qp, v_qp
-            continue
-        f_tk, v_tk = _tied_kkt_step(prob, f, val, hi)
-        if f_tk is not None and v_tk < val - slack():
-            f, val = f_tk, v_tk
-            continue
-        f_tm, v_tm = _tie_manifold_step(prob, f, val, hi)
-        if f_tm is not None and v_tm < val - slack():
-            f, val = f_tm, v_tm
-            continue
-        quiesced = round_start - val < 1e-12 * max(1.0, abs(val))
-        break
-    return f, val, quiesced
 
 
 # rows per leaf of ``_tril_inverse``; the substitution inside the leaves
@@ -945,7 +536,7 @@ class _ScoreQP:
         return 0.5 * float(f @ (self.P @ f)) + float(self.lin @ x) + self.const
 
     def newton(self, d_rows: np.ndarray, d_diag: np.ndarray):
-        """Solver for the Newton matrix  H = P + A' diag(d_rows) A + diag(d_diag).
+        """A function that solves with the Newton matrix  H = P + A' diag(d_rows) A + diag(d_diag).
 
         The slack block of H is diagonal apart from one rank-one term per
         epigraph row, so block elimination (a Schur complement on the
@@ -958,6 +549,8 @@ class _ScoreQP:
         is active); Jacobi scaling with a tiny ridge keeps its Cholesky
         factorization stable, and two refinement passes against H itself
         restore accuracy in every direction that changes the objective.
+        The returned function keeps the single unrefined pass as its
+        ``eliminate`` attribute, so the elimination can be checked alone.
         """
         nf, p, n_epi = self.nf, self.p, self.n_epi
         ny = nf + 1
@@ -1039,6 +632,7 @@ class _ScoreQP:
                 x += eliminate(r - hmul(x))
             return x
 
+        solve.eliminate = eliminate
         return solve
 
     def start(self):
@@ -1208,7 +802,6 @@ def update_weights_reference(
     cap: float | None,
     max_iters: int = 500,
     tol: float = 1e-9,
-    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Exact weight step, solved as a quadratic program in score space.
 
@@ -1238,8 +831,7 @@ def update_weights_reference(
 
     The optimized scores are mapped back to the feasible weight rows
     closest to the input, preserving the objective value, and the output
-    objective never exceeds the input one.  ``rng`` is unused and kept
-    for call compatibility.
+    objective never exceeds the input one.
     """
     W, gap, bound = _weight_step(
         W_init, neighbors, S, labels, lambda_push, cap, max_iters, tol
@@ -1273,11 +865,8 @@ def _weight_step(W_init, neighbors, S, labels, lambda_push, cap, max_iters, tol)
     return W0, gap, bound
 
 
-_GAP_MESSAGE = "weight step stopped at certified gap"
-
-
 def _gap_message(gap: float, bound: float) -> str:
-    return f"{_GAP_MESSAGE} {gap:.3g}, above its tolerance {bound:.3g}"
+    return f"weight step stopped at certified gap {gap:.3g}, above its tolerance {bound:.3g}"
 
 
 def _components(neighbors: NeighborMatrix, edge: np.ndarray) -> np.ndarray:
@@ -1440,136 +1029,6 @@ def _solve_score_alpha_beta(W0, Svals, phi, cap: float) -> np.ndarray:
     return _solve_score_alpha(W0, Svals, phi, b_hi[:, None])
 
 
-def update_weights_proximal(
-    W_init: np.ndarray,
-    neighbors: NeighborMatrix,
-    S: ScoreMatrix,
-    labels: PseudoLabels,
-    lambda_push: float,
-    cap: float | None,
-    max_iters: int = 2000,
-    tol: float = 1e-8,
-) -> tuple[np.ndarray, list[str]]:
-    """Primal-dual operator splitting on the weight subproblem.
-
-    The smooth quadratic enters through its gradient, the constraint set
-    through its projection, and the push term through the projection onto
-    its dual ball (``project_colmax_ball``, the matrix generalization of
-    the l1-ball projection behind ``prox_linf``).  The best iterate by
-    exact objective is returned, so the result never degrades the input;
-    if the run fails to stabilize it falls back to the reference solver.
-    """
-    prob = _WeightSubproblem(S, neighbors, labels, lambda_push, cap)
-    W = project_weights(np.asarray(W_init, dtype=np.float64), cap)
-    warnings: list[str] = []
-
-    lip = _sym_opnorm(prob.M, prob.deg) * 4.0 * float(prob.row_norm_sq.max())
-    norm_t = _pair_opnorm(prob.S, prob.pos, prob.neg)
-    sigma = 1.0 / max(norm_t, 1e-12)
-    tau = 0.95 / (lip / 2.0 + norm_t + 1e-12)
-    budget = lambda_push / prob.pos.shape[0]
-
-    Z = np.zeros((prob.pos.shape[0], prob.neg.shape[0]))
-    W_bar = W.copy()
-    best_val = prob.value(W)
-    best_W = W.copy()
-    check_every = 60
-    checkpoint = np.inf
-    stale_windows = 0
-    converged = False
-    for k in range(max_iters):
-        f_bar = row_scores(W_bar, prob.S)
-        E = 1.0 - (f_bar[prob.pos][:, None] - f_bar[prob.neg][None, :])
-        Z = project_colmax_ball(Z + sigma * E, budget)
-        f = row_scores(W, prob.S)
-        grad = smoothness_grad_scores(f, prob.M, prob.deg)[:, None] * prob.S
-        coeff = np.zeros(prob.S.shape[0])
-        coeff[prob.pos] = Z.sum(axis=1)
-        coeff[prob.neg] = -Z.sum(axis=0)
-        grad -= coeff[:, None] * prob.S
-        W_new = project_weights(W - tau * grad, cap)
-        W_bar = 2.0 * W_new - W
-        W = W_new
-        val = prob.value(W)
-        if val < best_val:
-            best_val = val
-            best_W = W.copy()
-        if (k + 1) % check_every == 0:
-            # converged once the best value stops improving across several
-            # consecutive windows (slow O(1/k) tails improve in bursts)
-            if checkpoint - best_val < tol * max(1.0, abs(best_val)):
-                stale_windows += 1
-                if stale_windows >= 2:
-                    converged = True
-                    break
-            else:
-                stale_windows = 0
-            checkpoint = best_val
-
-    # endgame: splitting iterations approach the optimum at O(1/k); the
-    # monotone score-space polish closes the final gap cheaply
-    hi = prob.score_box_top(cap)
-    f_best = np.clip(row_scores(best_W, prob.S), 0.0, hi)
-    f_ref, v_ref, quiesced = _polish_scores(
-        prob, f_best, prob.score_value(f_best), hi,
-        rounds=max(6, min(60, max_iters // 20)),
-    )
-    W_ref = _weights_for_scores(best_W, prob.S, f_ref, cap)
-    if prob.value(W_ref) < best_val:
-        best_W = W_ref
-        best_val = prob.value(W_ref)
-
-    if not converged and not quiesced:
-        warnings.append("proximal weight step did not stabilize; using reference solver")
-        ref, gap, bound = _weight_step(
-            W_init, neighbors, S, labels, lambda_push, cap, max_iters // 4, 1e-9
-        )
-        if gap > bound:
-            warnings.append(_gap_message(gap, bound))
-        if prob.value(ref) < best_val:
-            return ref, warnings
-    return best_W, warnings
-
-
-def _sym_opnorm(M: np.ndarray, deg: np.ndarray, iters: int = 40) -> float:
-    """Spectral norm of the PSD matrix diag(deg) - M by power iteration."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(M.shape[0])
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
-        w = deg * v - M @ v
-        nw = float(np.linalg.norm(w))
-        if nw < 1e-30:
-            return 0.0
-        est = nw
-        v = w / nw
-    return est * 1.02
-
-
-def _pair_opnorm(
-    Svals: np.ndarray, pos: np.ndarray, neg: np.ndarray, iters: int = 40
-) -> float:
-    """Operator norm of W -> (f_pos_i - f_neg_j) pairs, by power iteration."""
-    rng = np.random.default_rng(0)
-    X = rng.standard_normal(Svals.shape)
-    X /= np.linalg.norm(X)
-    est = 0.0
-    for _ in range(iters):
-        f = row_scores(X, Svals)
-        Z = f[pos][:, None] - f[neg][None, :]
-        coeff = np.zeros(Svals.shape[0])
-        coeff[pos] = Z.sum(axis=1)
-        coeff[neg] = -Z.sum(axis=0)
-        X2 = coeff[:, None] * Svals
-        nx = float(np.linalg.norm(X2))
-        if nx < 1e-30:
-            return 0.0
-        est = np.sqrt(nx)
-        X = X2 / nx
-    return est * 1.02
-
-
 # ---------------------------------------------------------------------------
 # alternating fit and supervised fusion
 # ---------------------------------------------------------------------------
@@ -1624,15 +1083,18 @@ def fit(
 
     k_cand = min(config.k_candidates, n - 1)
     candidates = candidate_neighbors(vals, k_cand)
-    k_nb = min(config.k_neighbors, k_cand - 1) if k_cand > 1 else 1
 
     f = initial_scores
     D = np.square(f[:, None] - f[candidates])
     if config.gamma is not None:
         gammas = np.full(n, float(config.gamma))
+    elif k_cand == 1:
+        # a single candidate takes probability 1 whatever gamma is
+        gammas = np.ones(n)
     else:
         # per-row gamma frozen at the initial distances so the objective is
         # fixed across iterations and the trace stays monotone
+        k_nb = min(config.k_neighbors, k_cand - 1)
         gammas = np.array([gamma_for_k(D[i], k_nb) for i in range(n)])
 
     trace: list[float] = []
@@ -1650,32 +1112,19 @@ def fit(
         neighbors = NeighborMatrix(candidates=candidates, probs=probs, gamma=gammas)
         trace.append(objective(W, neighbors, S, labels, gammas, config.lambda_push))
 
-        if config.solver == "proximal":
-            W, step_warnings = update_weights_proximal(
-                W,
-                neighbors,
-                S,
-                labels,
-                config.lambda_push,
-                cap,
-                max_iters=config.proximal_max_iters,
-            )
-            warnings.extend(step_warnings)
-            uncertified = any(w.startswith(_GAP_MESSAGE) for w in step_warnings)
-        else:
-            W, gap, bound = _weight_step(
-                W,
-                neighbors,
-                S,
-                labels,
-                config.lambda_push,
-                cap,
-                config.max_inner_iters,
-                config.tol_inner,
-            )
-            uncertified = bool(gap > bound)
-            if uncertified:
-                warnings.append(_gap_message(gap, bound))
+        W, gap, bound = _weight_step(
+            W,
+            neighbors,
+            S,
+            labels,
+            config.lambda_push,
+            cap,
+            config.max_inner_iters,
+            config.tol_inner,
+        )
+        uncertified = bool(gap > bound)
+        if uncertified:
+            warnings.append(_gap_message(gap, bound))
         uncertified_steps += uncertified
         trace.append(objective(W, neighbors, S, labels, gammas, config.lambda_push))
 

@@ -7,8 +7,8 @@ event then needs only its query vector: concept relevance, top-K
 selection, the pseudo-label partition, score normalization, the
 alternating fit, and finally the ranked test list.  Events run one after
 another, and one event's failure is recorded without aborting the
-others.  Per-event outputs go to distinct files, so identical configs and
-seeds produce byte-identical outputs.
+others.  Per-event outputs go to distinct files, and nothing in a run is
+random, so identical configs and inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -82,8 +82,6 @@ class RunConfig:
     tol: float = 1e-6
     max_outer_iters: int = 100
     max_inner_iters: int = 500
-    solver: str = "reference"
-    seed: int = 0
     stdout: bool = False
 
     def required_paths(self) -> list[str]:
@@ -104,14 +102,7 @@ class RunConfig:
             raise ValidationError("n-pos and n-neg must be >= 1")
         if self.k_neighbors < 1 or self.k_candidates < 2:
             raise ValidationError("k-neighbors >= 1 and k-candidates >= 2 required")
-        CompositionConfig(
-            lambda_push=self.lambda_push,
-            gamma=self.gamma,
-            tol=self.tol,
-            max_outer_iters=self.max_outer_iters,
-            solver=self.solver,
-            weight_cap=self.weight_cap,
-        )
+        self.composition_config()
 
     def composition_config(self) -> CompositionConfig:
         return CompositionConfig(
@@ -121,10 +112,8 @@ class RunConfig:
             k_candidates=self.k_candidates,
             max_outer_iters=self.max_outer_iters,
             tol=self.tol,
-            solver=self.solver,
             weight_cap=self.weight_cap,
             max_inner_iters=self.max_inner_iters,
-            seed=self.seed,
         )
 
 

@@ -15,6 +15,7 @@ from conceptrank.cli import main
 from conceptrank.composer import (
     CompositionConfig,
     ScoreMatrix,
+    _weight_step,
     _WeightSubproblem,
     fit,
     fuse_supervised,
@@ -24,8 +25,6 @@ from conceptrank.composer import (
     row_scores,
     smoothness_grad_scores,
     smoothness_value,
-    update_weights_proximal,
-    update_weights_reference,
 )
 from conceptrank.evaluation import average_precision, borda_baseline, ranked_list
 from conceptrank.graph import (
@@ -43,7 +42,7 @@ from conceptrank.synth import (
     toy_embedding_table,
 )
 
-from helpers import random_instance, random_scores_and_labels
+from helpers import random_instance, random_scores_and_labels, slsqp_weight_step_value
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -126,15 +125,13 @@ def test_infinite_push_enumeration_equivalence():
 def test_monotone_descent_trace():
     rng = np.random.default_rng(66)
     worst = -np.inf
-    for trial in range(50):
+    for _ in range(50):
         S, labels, _, _, lam = random_instance(rng, n_max=60, m_max=10)
         S = normalize_scores(S)
         cfg = CompositionConfig(
             lambda_push=lam,
-            solver="reference" if trial % 2 == 0 else "proximal",
             max_outer_iters=4,
             max_inner_iters=40,
-            proximal_max_iters=200,
             k_candidates=8,
         )
         res = fit(S, labels, np.ones(S.n_concepts), cfg)
@@ -148,24 +145,24 @@ def test_monotone_descent_trace():
 
 
 def test_solver_cross_validation():
+    pytest.importorskip("scipy")
     rng = np.random.default_rng(7)
     start = time.perf_counter()
     worst = 0.0
+    uncertified = 0
     for _ in range(100):
         S, labels, neighbors, W0, lam = random_instance(rng, n_max=30, m_max=5)
         prob = _WeightSubproblem(S, neighbors, labels, lam, 1.0)
-        Wr = update_weights_reference(
-            W0, neighbors, S, labels, lam, 1.0, max_iters=60, tol=1e-10
-        )
-        Wp, _ = update_weights_proximal(
-            W0, neighbors, S, labels, lam, 1.0, max_iters=300, tol=1e-9
-        )
-        worst = max(worst, abs(prob.value(Wr) - prob.value(Wp)))
+        W, gap, bound = _weight_step(W0, neighbors, S, labels, lam, 1.0, 60, 1e-10)
+        want = slsqp_weight_step_value(prob, prob.score_box_top(1.0))
+        worst = max(worst, abs(prob.value(W) - want))
+        uncertified += gap > bound
     elapsed = time.perf_counter() - start
     _report(
-        "reference and proximal weight steps agree within 1e-4 (100 instances)",
-        worst <= 1e-4 and elapsed < 60.0,
-        f"worst |diff| {worst:.2e}, {elapsed:.1f}s",
+        "weight step agrees with an independent SLSQP solve within 1e-4, "
+        "every step certified (100 instances)",
+        worst <= 1e-4 and uncertified == 0 and elapsed < 60.0,
+        f"worst |diff| {worst:.2e}, {uncertified} uncertified, {elapsed:.1f}s",
     )
 
 
@@ -313,7 +310,7 @@ def test_full_rank_determinism(tmp_path):
         "--out-dir", out,
         "--top-k", "3", "--n-pos", "5", "--n-neg", "5",
         "--k-candidates", "8", "--k-neighbors", "3",
-        "--max-iters", "5", "--seed", "11",
+        "--max-iters", "5",
     ]
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
     assert main(args(out1)) == 0

@@ -42,7 +42,6 @@ def _rank_args(data, out, extra=()):
         "--k-candidates", "8",
         "--k-neighbors", "3",
         "--max-iters", "4",
-        "--seed", "7",
         *extra,
     ]
 
@@ -218,6 +217,14 @@ def test_rank_total_failure_exit_two(tmp_path):
         fh.write('{"event_id": "E999", "name": "zzzz qqqq", "description": ""}\n')
     out = str(tmp_path / "out")
     assert main(_rank_args(data, out)) == 2
+
+
+@pytest.mark.parametrize("flag", [("--solver", "reference"), ("--seed", "7")])
+def test_rank_rejects_removed_flags(tmp_path, flag):
+    # the weight step has one solver and no randomness to select or seed
+    with pytest.raises(SystemExit) as exc:
+        main(_rank_args(str(tmp_path), str(tmp_path / "out"), extra=flag))
+    assert exc.value.code == 2
 
 
 def test_rank_stdout_flag(tmp_path, capsys):

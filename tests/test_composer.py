@@ -15,15 +15,11 @@ from conceptrank.composer import (
     infinite_push_loss,
     normalize_scores,
     objective,
-    project_colmax_ball,
-    project_l1_ball,
     project_weights,
-    prox_linf,
     push_loss_from_scores,
     row_scores,
     smoothness_grad_scores,
     smoothness_value,
-    update_weights_proximal,
     update_weights_reference,
 )
 from conceptrank.graph import (
@@ -33,7 +29,7 @@ from conceptrank.graph import (
     update_neighbor_rows,
 )
 from conceptrank.query import PseudoLabels
-from conceptrank.synth import brute_force_push, brute_force_simplex, finite_diff_gradient
+from conceptrank.synth import brute_force_push, finite_diff_gradient
 
 from helpers import (
     eigen_curvature_split,
@@ -165,26 +161,6 @@ class TestObjective:
 
 
 class TestProjections:
-    def test_prox_absorbed_by_ball(self):
-        v = np.array([0.3, -0.4, 0.2])
-        np.testing.assert_allclose(prox_linf(v, 1.0), np.zeros(3), atol=1e-15)
-
-    def test_prox_worked_example(self):
-        np.testing.assert_allclose(prox_linf(np.array([3.0, 0.0]), 1.0), [2.0, 0.0])
-
-    def test_l1_projection_matches_simplex_oracle(self):
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            dim = int(rng.integers(1, 7))
-            v = rng.normal(0, 2, dim)
-            radius = float(rng.uniform(0.1, 3.0))
-            got = project_l1_ball(v, radius)
-            if np.abs(v).sum() <= radius:
-                np.testing.assert_array_equal(got, v)
-            else:
-                want = np.sign(v) * brute_force_simplex(np.abs(v) / radius) * radius
-                np.testing.assert_allclose(got, want, atol=1e-8)
-
     def test_weight_projection_feasible_exactly(self):
         rng = np.random.default_rng(32)
         for _ in range(200):
@@ -201,39 +177,6 @@ class TestProjections:
         np.testing.assert_array_equal(
             project_weights(W, None), [[0.0, 2.0], [3.0, 0.0]]
         )
-
-    def test_colmax_ball_feasibility_and_optimality(self):
-        rng = np.random.default_rng(33)
-        for _ in range(100):
-            p, q = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-            V = rng.normal(0, 1.5, (p, q))
-            budget = float(rng.uniform(0.2, 2.0))
-            Z = project_colmax_ball(V, budget)
-            assert np.all(Z >= -1e-15)
-            assert Z.max(axis=0).sum() <= budget + 1e-9
-            # projection of a feasible point is itself
-            np.testing.assert_allclose(project_colmax_ball(Z, budget), Z, atol=1e-9)
-            # no feasible perturbation may be closer to V
-            base = np.sum((Z - V) ** 2)
-            for _ in range(20):
-                D = rng.normal(0, 0.05, (p, q))
-                cand = np.maximum(Z + D, 0.0)
-                tj = cand.max(axis=0)
-                total = tj.sum()
-                if total > budget:
-                    cand = np.minimum(cand, (tj * budget / total)[None, :])
-                assert np.sum((cand - V) ** 2) >= base - 1e-7
-
-    def test_colmax_single_row_is_l1_ball(self):
-        rng = np.random.default_rng(34)
-        for _ in range(50):
-            v = np.abs(rng.normal(0, 2, 5))
-            budget = 1.0
-            got = project_colmax_ball(v[None, :], budget)[0]
-            want = (
-                v if v.sum() <= budget else project_l1_ball(v, budget)
-            )
-            np.testing.assert_allclose(got, want, atol=1e-9)
 
 
 class TestReferenceSolver:
@@ -334,9 +277,13 @@ class TestReferenceSolver:
                 H = A.T @ (d_rows[:, None] * A) + np.diag(d_diag)
                 H[: qp.nf, : qp.nf] += qp.P
                 r = rng.normal(size=nx)
-                np.testing.assert_allclose(
-                    qp.newton(d_rows, d_diag)(r), np.linalg.solve(H, r), rtol=1e-8, atol=1e-10
-                )
+                solve = qp.newton(d_rows, d_diag)
+                want = np.linalg.solve(H, r)
+                np.testing.assert_allclose(solve(r), want, rtol=1e-8, atol=1e-10)
+                # the refinement passes would hide a wrong elimination, so
+                # one unrefined pass must already be exact on these draws
+                err = np.linalg.norm(solve.eliminate(r) - want)
+                assert err <= 1e-9 * np.linalg.norm(want)
                 # late iterations weight bounds and rows from 1e-8 to 1e8;
                 # there the solve must stay backward stable
                 d_rows = 10.0 ** wide.uniform(-8.0, 8.0, nr)
@@ -552,32 +499,6 @@ class TestWeightsForScores:
             np.testing.assert_allclose(np.einsum("ij,ij->i", got, S), phi, atol=1e-12)
 
 
-class TestProximalSolver:
-    def test_cross_solver_agreement(self):
-        rng = np.random.default_rng(44)
-        for _ in range(15):
-            S, labels, nb, W0, lam = random_instance(rng)
-            prob = _WeightSubproblem(S, nb, labels, lam, 1.0)
-            Wr = update_weights_reference(
-                W0, nb, S, labels, lam, 1.0, max_iters=500, tol=1e-11
-            )
-            Wp, _ = update_weights_proximal(
-                W0, nb, S, labels, lam, 1.0, max_iters=600
-            )
-            assert abs(prob.value(Wr) - prob.value(Wp)) <= 1e-4
-
-    def test_nonconvergence_falls_back(self):
-        rng = np.random.default_rng(45)
-        S, labels, nb, W0, lam = random_instance(rng, n_max=12, m_max=3)
-        prob = _WeightSubproblem(S, nb, labels, lam, 1.0)
-        before = prob.value(project_weights(W0, 1.0))
-        Wp, warnings = update_weights_proximal(
-            W0, nb, S, labels, lam, 1.0, max_iters=8, tol=1e-16
-        )
-        assert prob.value(Wp) <= before + 1e-12
-        assert warnings  # iteration cap too small to stabilize
-
-
 class TestGradient:
     def test_smoothness_grad_matches_finite_differences(self):
         rng = np.random.default_rng(46)
@@ -641,18 +562,11 @@ class TestFit:
             v for v, _ in ranked_list(ids, S.values @ w_prior)
         ]
 
-    @pytest.mark.parametrize("solver", ["reference", "proximal"])
-    def test_trace_monotone(self, solver):
+    def test_trace_monotone(self):
         rng = np.random.default_rng(49)
         for _ in range(5):
             S, labels = self._normalized_instance(rng)
-            cfg = CompositionConfig(
-                solver=solver,
-                max_outer_iters=6,
-                k_candidates=5,
-                max_inner_iters=60,
-                proximal_max_iters=300,
-            )
+            cfg = CompositionConfig(max_outer_iters=6, k_candidates=5, max_inner_iters=60)
             res = fit(S, labels, np.ones(S.n_concepts), cfg)
             trace = np.array(res.objective_trace)
             assert np.all(np.diff(trace) <= 1e-10)
@@ -686,6 +600,26 @@ class TestFit:
         assert res.uncertified_steps == len(gaps) == res.iterations
         certified = fit(S, labels, np.ones(S.n_concepts), CompositionConfig(k_candidates=5))
         assert certified.converged and certified.uncertified_steps == 0
+
+    def test_two_videos_fit(self):
+        # each video's one candidate takes probability 1, whatever gamma is
+        S = _matrix([[1.0, 0.2], [0.0, 0.6]], l=2)
+        labels = PseudoLabels(positives=(0,), negatives=(1,))
+        res = fit(S, labels, np.ones(2), CompositionConfig())
+        np.testing.assert_allclose(res.neighbors.probs, np.ones((2, 1)), atol=1e-15)
+        assert res.converged and res.uncertified_steps == 0
+
+    def test_one_candidate_fit(self):
+        rng = np.random.default_rng(54)
+        S, labels = self._normalized_instance(rng)
+        res = fit(S, labels, np.ones(S.n_concepts), CompositionConfig(k_candidates=1))
+        np.testing.assert_allclose(res.neighbors.probs, np.ones((S.n_videos, 1)), atol=1e-15)
+        assert np.all(np.diff(res.objective_trace) <= 1e-10)
+
+    @pytest.mark.parametrize("name", ["k_neighbors", "k_candidates"])
+    def test_neighbor_counts_validated(self, name):
+        with pytest.raises(ValueError, match=name):
+            CompositionConfig(**{name: 0})
 
     def test_unnormalized_scores_rejected(self):
         S = _matrix([[0.0], [5.0], [10.0]], l=3)

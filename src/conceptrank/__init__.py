@@ -14,10 +14,9 @@ from .composer import (
     aggregate,
     fit,
     fuse_supervised,
-    infinite_push_loss,
     normalize_scores,
     objective,
-    update_weights_reference,
+    update_scores,
 )
 from .embeddings import EmbeddingTable, PhraseVector, cosine, load_embeddings, phrase_vector
 from .errors import CoverageError, FormatError, ValidationError
@@ -88,7 +87,6 @@ __all__ = [
     "fuse_supervised",
     "gamma_for_k",
     "gen_instance",
-    "infinite_push_loss",
     "load_embeddings",
     "normalize_scores",
     "objective",
@@ -105,6 +103,6 @@ __all__ = [
     "toy_embedding_table",
     "tokenize",
     "update_neighbors",
-    "update_weights_reference",
+    "update_scores",
     "weak_labels",
 ]

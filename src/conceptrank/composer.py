@@ -11,13 +11,16 @@ subject to row-stochastic a_i and w_i >= 0 with an optional per-row l1 cap.
 Optimization alternates an exact closed-form neighbor step with a convex
 weight step, so the objective trace never increases.
 
-The weight step is solved exactly: it depends on the weights only
-through the scores, so it solves the score-space quadratic program with
-an interior-point method and stops when a certified duality gap meets
-its tolerance; a step that stops above it is reported in
-``FitResult.warnings``.  Its Newton systems are factored by Cholesky,
-and the certificate reads the curvature of the graph term from one
-Cholesky factor per free set, built from the strong edges of the
+The objective sees the weights only through the scores, and the weight
+constraints only through each score's box 0 <= f_i <= cap * max_k s_ik.
+So the fit carries the n scores, not the n x m weights, and derives one
+weight matrix that gives the final scores once, after the loop
+(``final_weights``).  The weight step solves the score-space quadratic
+program exactly, with an interior-point method that stops when a
+certified duality gap meets its tolerance; a step that stops above it is
+reported in ``FitResult.warnings``.  Its Newton systems are factored by
+Cholesky, and the certificate reads the curvature of the graph term from
+one Cholesky factor per free set, built from the strong edges of the
 neighbor graph, with no eigendecomposition.
 """
 
@@ -45,13 +48,13 @@ __all__ = [
     "normalize_scores",
     "aggregate",
     "row_scores",
-    "infinite_push_loss",
+    "score_box_top",
     "push_loss_from_scores",
     "smoothness_value",
     "smoothness_grad_scores",
     "objective",
-    "project_weights",
-    "update_weights_reference",
+    "update_scores",
+    "final_weights",
     "fit",
     "fuse_supervised",
     "SUPERVISED_COLUMN_ID",
@@ -133,6 +136,14 @@ class CompositionConfig:
 
 @dataclass
 class FitResult:
+    """Outcome of ``fit``.
+
+    ``weights`` is one of the many weight matrices that give ``scores``:
+    the relevance prior scaled down, or moved toward the cap vertex of
+    each row's top concept (see ``final_weights``).  ``scores`` is
+    recomputed from it.
+    """
+
     weights: np.ndarray
     neighbors: NeighborMatrix
     objective_trace: list[float]
@@ -191,12 +202,6 @@ def push_loss_from_scores(f: np.ndarray, labels: PseudoLabels) -> float:
     return float(phi.max())
 
 
-def infinite_push_loss(W: np.ndarray, S: ScoreMatrix, labels: PseudoLabels) -> float:
-    """Top-push loss of the aggregation defined by W over S."""
-    _check_labels(labels, S.l)
-    return push_loss_from_scores(row_scores(W, S.values), labels)
-
-
 def smoothness_value(f: np.ndarray, neighbors: NeighborMatrix) -> float:
     """sum_i sum_{j in candidates(i)} a_ij (f_i - f_j)^2."""
     diff = f[:, None] - f[neighbors.candidates]
@@ -214,40 +219,34 @@ def smoothness_grad_scores(
     return 4.0 * (deg * f - M @ f)
 
 
+def score_box_top(values: np.ndarray, cap: float | None) -> np.ndarray:
+    """Per-video upper bound on achievable scores f_i = w_i . s_i."""
+    top = values.max(axis=1)
+    if cap is None:
+        # a row without a positive score can only reach f_i = 0
+        return np.where(top > 0.0, np.inf, 0.0)
+    return cap * top
+
+
 def objective(
-    W: np.ndarray,
+    f: np.ndarray,
     neighbors: NeighborMatrix,
-    S: ScoreMatrix,
     labels: PseudoLabels,
     gamma: float | np.ndarray,
     lambda_push: float,
 ) -> float:
-    """Full objective: smoothness + neighbor prior + weighted push loss."""
+    """Full objective at the scores f: smoothness + neighbor prior +
+    weighted push loss."""
     probs = neighbors.probs
     if np.any(probs < -1e-12) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
         raise ValueError("neighbor rows must be stochastic")
-    if np.any(W < -1e-12):
-        raise ValueError("weights must be nonnegative")
     gamma = np.broadcast_to(np.asarray(gamma, dtype=np.float64), (probs.shape[0],))
-    f = row_scores(W, S.values)
     reg = float(np.sum(gamma * np.sum(probs * probs, axis=1)))
     return (
         smoothness_value(f, neighbors)
         + reg
         + lambda_push * push_loss_from_scores(f, labels)
     )
-
-
-# ---------------------------------------------------------------------------
-# weight projection
-# ---------------------------------------------------------------------------
-
-
-def project_weights(W: np.ndarray, cap: float | None) -> np.ndarray:
-    """Project each row onto {w >= 0} and, when capped, {||w||_1 <= cap}."""
-    if cap is None:
-        return np.maximum(np.asarray(W, dtype=np.float64), 0.0)
-    return _kernels.project_rows_nonneg_l1(W, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -258,20 +257,11 @@ def project_weights(W: np.ndarray, cap: float | None) -> np.ndarray:
 class _WeightSubproblem:
     """Smoothness + push objective for fixed neighbor probabilities."""
 
-    def __init__(
-        self,
-        S: ScoreMatrix,
-        neighbors: NeighborMatrix,
-        labels: PseudoLabels,
-        lambda_push: float,
-        cap: float | None,
-    ):
-        self.S = S.values
+    def __init__(self, neighbors: NeighborMatrix, labels: PseudoLabels, lambda_push: float):
         self.neighbors = neighbors
         self.pos = np.asarray(labels.positives)
         self.neg = np.asarray(labels.negatives)
         self.lam = float(lambda_push)
-        self.cap = cap
         A = neighbors.to_dense()
         self.M = 0.5 * (A + A.T)
         self.deg = self.M.sum(axis=1)
@@ -289,31 +279,13 @@ class _WeightSubproblem:
             self._curvature[key] = _Curvature(self, free)
         return self._curvature[key]
 
-    def scores(self, W: np.ndarray) -> np.ndarray:
-        return row_scores(W, self.S)
-
-    def value(self, W: np.ndarray) -> float:
-        f = self.scores(W)
+    def value(self, f: np.ndarray) -> float:
+        """Smoothness + push at the scores f, in the objective's arithmetic."""
         val = smoothness_value(f, self.neighbors)
         if self.lam > 0.0:
             phi = _kernels.push_hinge_means(f[self.pos], f[self.neg])
             val += self.lam * float(phi.max())
         return float(val)
-
-    def score_value(self, f: np.ndarray) -> float:
-        val = 2.0 * float(f @ (self.deg * f - self.M @ f))
-        if self.lam > 0.0:
-            phi = _kernels.push_hinge_means(f[self.pos], f[self.neg])
-            val += self.lam * float(phi.max())
-        return val
-
-    def score_box_top(self, cap: float | None) -> np.ndarray:
-        """Per-video upper bound on achievable scores f_i = w_i . s_i."""
-        top = self.S.max(axis=1)
-        if cap is None:
-            # a row without a positive score can only reach f_i = 0
-            return np.where(top > 0.0, np.inf, 0.0)
-        return cap * top
 
 
 # rows per leaf of ``_tril_inverse``; the substitution inside the leaves
@@ -453,7 +425,7 @@ class _ScoreQP:
       xi_ij >= 1 - f_{p_i} + f_{n_j},  xi_ij >= 0              (i in C)
 
     Videos whose score box is [0, 0] are left out of x, and a box without
-    a top (no cap) is closed at n (see ``update_weights_reference``).
+    a top (no cap) is closed at n (see ``update_scores``).
     Positives whose score cannot exceed 1 never clip their hinges against
     nonnegative negative scores, so those hinges enter the epigraph rows
     linearly: U is the set of those positives, C the others, and the
@@ -793,13 +765,12 @@ def _interior_point(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarra
     return best_x, best_gap
 
 
-def update_weights_reference(
-    W_init: np.ndarray,
+def update_scores(
+    f_in: np.ndarray,
     neighbors: NeighborMatrix,
-    S: ScoreMatrix,
     labels: PseudoLabels,
     lambda_push: float,
-    cap: float | None,
+    hi: np.ndarray,
     max_iters: int = 500,
     tol: float = 1e-9,
 ) -> np.ndarray:
@@ -807,14 +778,14 @@ def update_weights_reference(
 
     The subproblem objective depends on the weights only through the
     per-video scores f_i = w_i . s_i, and the weight constraint set maps
-    to the box 0 <= f_i <= cap * max_k s_ik.  Writing the push max as an
-    epigraph level t (with hinge slacks only where a hinge can clip, see
-    ``_ScoreQP``) makes the step a convex QP, which an interior-point
-    method solves until its duality gap, a certified bound on the
-    distance to the optimum, is at most ``tol * max(1, |objective|)``.  A
-    step that spends ``max_iters`` iterations, or whose gap stops
-    shrinking, before it gets there raises a ``RuntimeWarning`` that
-    states the gap.
+    to the box 0 <= f_i <= hi_i = cap * max_k s_ik (``score_box_top``).
+    Writing the push max as an epigraph level t (with hinge slacks only
+    where a hinge can clip, see ``_ScoreQP``) makes the step a convex QP,
+    which an interior-point method solves until its duality gap, a
+    certified bound on the distance to the optimum, is at most
+    ``tol * max(1, |objective|)``.  A step that spends ``max_iters``
+    iterations, or whose gap stops shrinking, before it gets there raises
+    a ``RuntimeWarning`` that states the gap.
 
     Without a cap the box has no top.  The step first closes it at n,
     then solves again with it closed at the range that the first optimum
@@ -829,26 +800,20 @@ def update_weights_reference(
     pseudo labels keeps its input mean, and the labelled components move
     together.
 
-    The optimized scores are mapped back to the feasible weight rows
-    closest to the input, preserving the objective value, and the output
-    objective never exceeds the input one.
+    Returns the optimized scores, or the input scores f_in if those have
+    the lower subproblem value, so the objective never increases.
     """
-    W, gap, bound = _weight_step(
-        W_init, neighbors, S, labels, lambda_push, cap, max_iters, tol
-    )
+    f, gap, bound = _weight_step(f_in, neighbors, labels, lambda_push, hi, max_iters, tol)
     if gap > bound:
         warn(_gap_message(gap, bound), RuntimeWarning, stacklevel=2)
-    return W
+    return f
 
 
-def _weight_step(W_init, neighbors, S, labels, lambda_push, cap, max_iters, tol):
-    """``update_weights_reference`` with its certificate: returns (W, gap,
-    bound), where gap bounds the distance of the solved scores to the
-    optimum and bound is the tolerance it was asked to meet."""
-    prob = _WeightSubproblem(S, neighbors, labels, lambda_push, cap)
-    W0 = project_weights(np.asarray(W_init, dtype=np.float64), cap)
-    val_in = prob.value(W0)
-    hi = prob.score_box_top(cap)
+def _weight_step(f_in, neighbors, labels, lambda_push, hi, max_iters, tol):
+    """``update_scores`` with its certificate: returns (f, gap, bound),
+    where gap bounds the distance of the solved scores to the optimum and
+    bound is the tolerance it was asked to meet."""
+    prob = _WeightSubproblem(neighbors, labels, lambda_push)
     qp = _ScoreQP(prob, hi)
     x, gap = _interior_point(qp, tol, max_iters)
     bound = tol * max(1.0, abs(qp.objective(x)))
@@ -858,11 +823,10 @@ def _weight_step(W_init, neighbors, S, labels, lambda_push, cap, max_iters, tol)
         qp = _ScoreQP(prob, np.minimum(hi, top))
         x, gap = _interior_point(qp, tol, max_iters)
         bound = tol * max(1.0, abs(qp.objective(x)))
-    f = _nearest_shift(prob, qp.scores(x), prob.scores(W0), hi)
-    W = _weights_for_scores(W0, prob.S, f, cap)
-    if prob.value(W) <= val_in:
-        return W, gap, bound
-    return W0, gap, bound
+    f = _nearest_shift(prob, qp.scores(x), f_in, hi)
+    if prob.value(f) <= prob.value(f_in):
+        return f, gap, bound
+    return f_in, gap, bound
 
 
 def _gap_message(gap: float, bound: float) -> str:
@@ -944,89 +908,36 @@ def _nearest_shift(
     return np.clip(f + np.clip(move, lo, up)[group], 0.0, hi)
 
 
-def _weights_for_scores(
-    W0: np.ndarray, Svals: np.ndarray, f_target: np.ndarray, cap: float | None
+def final_weights(
+    w0: np.ndarray, values: np.ndarray, f: np.ndarray, cap: float | None
 ) -> np.ndarray:
-    """Per-row weights near W0 achieving the target scores.
+    """Feasible weight rows that give the scores f, from the prior row w0.
 
-    Solves, row by row but vectorized,  w = max(w0 + alpha s - beta, 0)
-    with alpha fixing w . s = f and beta >= 0 enforcing the cap (the KKT
-    form of the closest-point problem).  Targets at the achievable maximum
-    are mapped to the cap vertex directly, since only that vertex attains
-    them and alternating schemes converge arbitrarily slowly there.
+    Per row, with g = w0 . s and j the first index of max_k s_k, a score
+    f <= g scales the prior, w = (f / g) w0 (w0 itself when g = 0).  A
+    higher one moves the prior toward concept j: with a cap, along the
+    segment to the vertex cap e_j, w = (1 - theta) w0 + theta cap e_j with
+    theta = (f - g) / (cap s_j - g); without one, by (f - g) / s_j along
+    e_j.  No bisection is needed.  f must lie in its box
+    [0, ``score_box_top``].
     """
-    W = np.asarray(W0, dtype=np.float64).copy()
-    n = W.shape[0]
-    ssq = np.sum(Svals * Svals, axis=1)
-    smax = Svals.max(axis=1)
-    phi = np.clip(np.asarray(f_target, dtype=np.float64), 0.0, None)
-    at_top = np.zeros(n, dtype=bool)
-    if cap is not None:
-        top = cap * smax
-        phi = np.minimum(phi, top)
-        at_top = (phi >= top * (1.0 - 1e-9)) & (ssq > 0.0)
-        if np.any(at_top):
-            ties = Svals[at_top] >= smax[at_top][:, None] * (1.0 - 1e-12)
-            W[at_top] = cap * ties / ties.sum(axis=1, keepdims=True)
-
-    current = np.einsum("ij,ij->i", W, Svals)
-    todo = (~at_top) & (ssq > 0.0) & (np.abs(current - phi) > 1e-15)
-    if np.any(todo):
-        sol = _solve_score_alpha(W0[todo], Svals[todo], phi[todo], 0.0)
-        if cap is not None:
-            over = sol.sum(axis=1) > cap * (1.0 + 1e-12)
-            if np.any(over):
-                rows = np.flatnonzero(todo)[over]
-                sol[over] = _solve_score_alpha_beta(W0[rows], Svals[rows], phi[rows], cap)
-        W[todo] = sol
+    n = values.shape[0]
+    W = np.tile(w0, (n, 1))
+    g = row_scores(W, values)
+    j = np.argmax(values, axis=1)
+    s_j = values[np.arange(n), j]
+    # a row without a positive score can only scale the prior
+    down = (f <= g) | (s_j <= 0.0)
+    scale = np.divide(f, g, out=np.ones(n), where=g != 0.0)
+    W[down] *= scale[down, None]
+    up = np.flatnonzero(~down)
+    if cap is None:
+        W[up, j[up]] += (f[up] - g[up]) / s_j[up]
+    else:
+        theta = (f[up] - g[up]) / (cap * s_j[up] - g[up])
+        W[up] *= 1.0 - theta[:, None]
+        W[up, j[up]] += theta * cap
     return W
-
-
-def _solve_score_alpha(W0, Svals, phi, beta) -> np.ndarray:
-    """Per row, exactly solve  max(w0 + alpha s - beta, 0) . s = phi  for alpha.
-
-    For nonnegative s the left side is piecewise linear and nondecreasing
-    in alpha, with a kink where each entry enters the support; sorting the
-    kinks locates the linear piece that reaches phi.
-    """
-    C = W0 - beta
-    grows = Svals > 0.0
-    kinks = np.where(grows, -C / np.where(grows, Svals, 1.0), np.inf)
-    order = np.argsort(kinks, axis=1, kind="stable")
-    a = np.take_along_axis(kinks, order, axis=1)
-    s = np.take_along_axis(Svals, order, axis=1)
-    c = np.take_along_axis(C, order, axis=1)
-    # on [a_i, a_{i+1}] the sorted entries 0..i are active
-    lin = np.cumsum(s * c, axis=1)
-    quad = np.cumsum(s * s, axis=1)
-    nxt = np.concatenate([a[:, 1:], np.full((a.shape[0], 1), np.inf)], axis=1)
-    with np.errstate(invalid="ignore"):
-        reach = np.where(np.isfinite(nxt), lin + nxt * quad, np.inf)
-    piece = np.argmax(reach >= phi[:, None], axis=1)
-    rows = np.arange(a.shape[0])
-    alpha = (phi - lin[rows, piece]) / quad[rows, piece]
-    alpha = np.where(phi > 0.0, np.maximum(alpha, a[:, 0]), a[:, 0])
-    return np.maximum(W0 + alpha[:, None] * Svals - beta, 0.0)
-
-
-def _solve_score_alpha_beta(W0, Svals, phi, cap: float) -> np.ndarray:
-    """Outer bisection on the cap multiplier beta, inner alpha solve."""
-    r = W0.shape[0]
-    b_lo = np.zeros(r)
-    b_hi = np.full(r, float(W0.max()) + 1.0)
-    for _ in range(60):
-        grow = (
-            _solve_score_alpha(W0, Svals, phi, b_hi[:, None]).sum(axis=1) > cap
-        )
-        if not np.any(grow):
-            break
-        b_hi[grow] *= 2.0
-    for _ in range(70):
-        mid = 0.5 * (b_lo + b_hi)
-        over = _solve_score_alpha(W0, Svals, phi, mid[:, None]).sum(axis=1) > cap
-        b_lo[over] = mid[over]
-        b_hi[~over] = mid[~over]
-    return _solve_score_alpha(W0, Svals, phi, b_hi[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -1064,8 +975,10 @@ def fit(
 
     Every weight row starts at the renormalized relevance prior, so the
     iteration-0 scores reproduce the fixed-weight baseline ranking.  The
-    objective is recorded after every block and is non-increasing; the loop
-    stops when the relative decrease over one outer iteration falls below
+    loop carries the scores only; the weights that give its last scores
+    are derived once, after it (``final_weights``).  The objective is
+    recorded after every block and is non-increasing; the loop stops when
+    the relative decrease over one outer iteration falls below
     ``config.tol``.  The fit counts as converged only if it stopped so and
     its last weight step met its certified tolerance; every step that did
     not is counted in ``uncertified_steps`` and stated in ``warnings``.
@@ -1078,8 +991,9 @@ def fit(
     if isinstance(w_init_row, RelevanceVector):
         w_init_row = w_init_row.values
     cap = config.weight_cap
-    W = np.tile(_initial_row(w_init_row, m, cap), (n, 1))
-    initial_scores = row_scores(W, vals)
+    w0 = _initial_row(w_init_row, m, cap)
+    initial_scores = row_scores(np.tile(w0, (n, 1)), vals)
+    hi = score_box_top(vals, cap)
 
     k_cand = min(config.k_candidates, n - 1)
     candidates = candidate_neighbors(vals, k_cand)
@@ -1106,19 +1020,17 @@ def fit(
     iterations = 0
     for _ in range(config.max_outer_iters):
         iterations += 1
-        f = row_scores(W, vals)
         D = np.square(f[:, None] - f[candidates])
         probs = update_neighbor_rows(D, gammas)
         neighbors = NeighborMatrix(candidates=candidates, probs=probs, gamma=gammas)
-        trace.append(objective(W, neighbors, S, labels, gammas, config.lambda_push))
+        trace.append(objective(f, neighbors, labels, gammas, config.lambda_push))
 
-        W, gap, bound = _weight_step(
-            W,
+        f, gap, bound = _weight_step(
+            f,
             neighbors,
-            S,
             labels,
             config.lambda_push,
-            cap,
+            hi,
             config.max_inner_iters,
             config.tol_inner,
         )
@@ -1126,7 +1038,7 @@ def fit(
         if uncertified:
             warnings.append(_gap_message(gap, bound))
         uncertified_steps += uncertified
-        trace.append(objective(W, neighbors, S, labels, gammas, config.lambda_push))
+        trace.append(objective(f, neighbors, labels, gammas, config.lambda_push))
 
         if prev_outer is not None:
             if prev_outer - trace[-1] < config.tol * max(1.0, abs(prev_outer)):
@@ -1134,6 +1046,7 @@ def fit(
                 break
         prev_outer = trace[-1]
 
+    W = final_weights(w0, vals, f, cap)
     return FitResult(
         weights=W,
         neighbors=neighbors,

@@ -100,8 +100,6 @@ class RunConfig:
             raise ValidationError("top-k must be >= 1")
         if self.n_pos < 1 or self.n_neg < 1:
             raise ValidationError("n-pos and n-neg must be >= 1")
-        if self.k_neighbors < 1 or self.k_candidates < 2:
-            raise ValidationError("k-neighbors >= 1 and k-candidates >= 2 required")
         self.composition_config()
 
     def composition_config(self) -> CompositionConfig:

@@ -104,7 +104,7 @@ def slsqp_weight_step_value(prob, hi):
             constraints=[{"type": "ineq", "fun": cons}],
             method="SLSQP", options={"ftol": 1e-15, "maxiter": 3000},
         )
-        best = min(best, prob.score_value(np.clip(res.x[:n], 0.0, top)))
+        best = min(best, prob.value(np.clip(res.x[:n], 0.0, top)))
     return best
 
 

@@ -20,9 +20,9 @@ from conceptrank.composer import (
     fit,
     fuse_supervised,
     normalize_scores,
-    project_weights,
     push_loss_from_scores,
     row_scores,
+    score_box_top,
     smoothness_grad_scores,
     smoothness_value,
 )
@@ -152,10 +152,12 @@ def test_solver_cross_validation():
     uncertified = 0
     for _ in range(100):
         S, labels, neighbors, W0, lam = random_instance(rng, n_max=30, m_max=5)
-        prob = _WeightSubproblem(S, neighbors, labels, lam, 1.0)
-        W, gap, bound = _weight_step(W0, neighbors, S, labels, lam, 1.0, 60, 1e-10)
-        want = slsqp_weight_step_value(prob, prob.score_box_top(1.0))
-        worst = max(worst, abs(prob.value(W) - want))
+        prob = _WeightSubproblem(neighbors, labels, lam)
+        hi = score_box_top(S.values, 1.0)
+        f0 = np.minimum(row_scores(W0, S.values), hi)
+        f, gap, bound = _weight_step(f0, neighbors, labels, lam, hi, 60, 1e-10)
+        want = slsqp_weight_step_value(prob, hi)
+        worst = max(worst, abs(prob.value(f) - want))
         uncertified += gap > bound
     elapsed = time.perf_counter() - start
     _report(
@@ -171,8 +173,8 @@ def test_smoothness_gradient_check():
     worst = 0.0
     for _ in range(100):
         S, labels, nb, W0, lam = random_instance(rng, n_max=14, m_max=4)
-        prob = _WeightSubproblem(S, nb, labels, lam, 1.0)
-        W = project_weights(W0 * rng.uniform(0.3, 1.2), None)
+        prob = _WeightSubproblem(nb, labels, lam)
+        W = np.maximum(W0 * rng.uniform(0.3, 1.2), 0.0)
 
         def smooth_of_w(Wx):
             return smoothness_value(row_scores(Wx, S.values), nb)

@@ -227,6 +227,23 @@ def test_rank_rejects_removed_flags(tmp_path, flag):
     assert exc.value.code == 2
 
 
+def test_rank_accepts_one_candidate(tmp_path):
+    data = _synth(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(_rank_args(data, out, extra=("--k-candidates", "1"))) == 0
+    assert json.loads(open(os.path.join(out, "metrics.json")).read())["failures"] == {}
+
+
+@pytest.mark.parametrize("flag", ["--k-candidates", "--k-neighbors"])
+def test_rank_rejects_zero_neighbor_counts(tmp_path, capsys, flag):
+    data = _synth(tmp_path)
+    capsys.readouterr()
+    assert main(_rank_args(data, str(tmp_path / "out"), extra=(flag, "0"))) == 1
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    field = flag[2:].replace("-", "_")
+    assert any(field in r.get("validation_error", "") for r in records)
+
+
 def test_rank_stdout_flag(tmp_path, capsys):
     data = _synth(tmp_path)
     out = str(tmp_path / "out")

@@ -5,22 +5,22 @@ from conceptrank import composer
 from conceptrank.composer import (
     CompositionConfig,
     ScoreMatrix,
+    _initial_row,
     _interior_point,
     _ScoreQP,
-    _solve_score_alpha,
     _WeightSubproblem,
     aggregate,
+    final_weights,
     fit,
     fuse_supervised,
-    infinite_push_loss,
     normalize_scores,
     objective,
-    project_weights,
     push_loss_from_scores,
     row_scores,
+    score_box_top,
     smoothness_grad_scores,
     smoothness_value,
-    update_weights_reference,
+    update_scores,
 )
 from conceptrank.graph import (
     NeighborMatrix,
@@ -37,6 +37,12 @@ from helpers import (
     random_scores_and_labels,
     slsqp_weight_step_value,
 )
+
+
+def _step_inputs(S, W0, cap):
+    """Input scores of a weight step from a weight matrix, and the box top."""
+    hi = score_box_top(S.values, cap)
+    return np.minimum(row_scores(W0, S.values), hi), hi
 
 
 def _matrix(values, l=None):
@@ -93,9 +99,9 @@ class TestPushLoss:
         assert push_loss_from_scores(f, labels) == 0.0
 
     def test_zero_weights_unit_loss(self):
-        S = _matrix(np.random.default_rng(0).uniform(0, 1, (6, 3)))
+        # zero weights give zero scores: every hinge sits at the margin
         labels = PseudoLabels(positives=(0, 1), negatives=(2, 3))
-        assert infinite_push_loss(np.zeros((6, 3)), S, labels) == 1.0
+        assert push_loss_from_scores(np.zeros(6), labels) == 1.0
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(9)
@@ -109,16 +115,16 @@ class TestPushLoss:
 class TestObjective:
     def _setup(self, rng):
         S, labels, neighbors, W0, lam = random_instance(rng)
-        return S, labels, neighbors, project_weights(W0, 1.0), lam
+        f, _ = _step_inputs(S, W0, 1.0)
+        return labels, neighbors, f, lam
 
     def test_direct_evaluation_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(25):
-            S, labels, nb, W, lam = self._setup(rng)
+            labels, nb, f, lam = self._setup(rng)
             gamma = nb.gamma
-            got = objective(W, nb, S, labels, gamma, lam)
+            got = objective(f, nb, labels, gamma, lam)
             # term-by-term direct evaluation
-            f = row_scores(W, S.values)
             smooth = 0.0
             reg = 0.0
             for i in range(nb.n_rows):
@@ -130,53 +136,31 @@ class TestObjective:
 
     def test_lambda_linearity(self):
         rng = np.random.default_rng(22)
-        S, labels, nb, W, _ = self._setup(rng)
+        labels, nb, f, _ = self._setup(rng)
         gamma = nb.gamma
-        base = objective(W, nb, S, labels, gamma, 0.0 + 1e-300)
-        one = objective(W, nb, S, labels, gamma, 1.0)
-        two = objective(W, nb, S, labels, gamma, 2.0)
+        base = objective(f, nb, labels, gamma, 0.0 + 1e-300)
+        one = objective(f, nb, labels, gamma, 1.0)
+        two = objective(f, nb, labels, gamma, 2.0)
         assert two - base == pytest.approx(2.0 * (one - base), rel=1e-9)
 
     def test_equal_scores_only_regularizer(self):
-        S = _matrix(np.full((4, 2), 0.5), l=4)
         labels = PseudoLabels(positives=(0,), negatives=(1,))
         cands = np.array([[1, 2], [0, 2], [0, 1], [0, 1]])
         probs = np.full((4, 2), 0.5)
         nb = NeighborMatrix(candidates=cands, probs=probs, gamma=np.ones(4))
-        W = np.full((4, 2), 0.3)
+        f = np.full(4, 0.3)
         lam = 1e-300
-        got = objective(W, nb, S, labels, 1.0, lam)
+        got = objective(f, nb, labels, 1.0, lam)
         assert got == pytest.approx(4 * 2 * 0.25, rel=1e-12)
 
     def test_invalid_rows_rejected(self):
         rng = np.random.default_rng(23)
-        S, labels, nb, W, lam = self._setup(rng)
+        labels, nb, f, lam = self._setup(rng)
         bad = nb.probs.copy()
         bad[0] *= 2.0
         nb_bad = NeighborMatrix(candidates=nb.candidates, probs=bad, gamma=nb.gamma)
         with pytest.raises(ValueError):
-            objective(W, nb_bad, S, labels, nb.gamma, lam)
-        with pytest.raises(ValueError):
-            objective(W - 1.0, nb, S, labels, nb.gamma, lam)
-
-
-class TestProjections:
-    def test_weight_projection_feasible_exactly(self):
-        rng = np.random.default_rng(32)
-        for _ in range(200):
-            W = rng.normal(0, 2, (int(rng.integers(1, 8)), int(rng.integers(1, 6))))
-            cap = float(rng.uniform(0.2, 2.0))
-            P = project_weights(W, cap)
-            assert np.all(P >= 0.0)
-            assert np.all(P.sum(axis=1) <= cap)
-            # idempotent
-            np.testing.assert_allclose(project_weights(P, cap), P, atol=1e-15)
-
-    def test_weight_projection_uncapped(self):
-        W = np.array([[-1.0, 2.0], [3.0, -4.0]])
-        np.testing.assert_array_equal(
-            project_weights(W, None), [[0.0, 2.0], [3.0, 0.0]]
-        )
+            objective(f, nb_bad, labels, nb.gamma, lam)
 
 
 class TestReferenceSolver:
@@ -184,10 +168,8 @@ class TestReferenceSolver:
         # vanishing push weight: the solver should flatten all scores
         rng = np.random.default_rng(41)
         S, labels, nb, W0, _ = random_instance(rng, n_max=14, m_max=3)
-        W = update_weights_reference(
-            W0, nb, S, labels, 1e-12, 1.0, max_iters=400, tol=1e-14
-        )
-        f = row_scores(W, S.values)
+        f0, hi = _step_inputs(S, W0, 1.0)
+        f = update_scores(f0, nb, labels, 1e-12, hi, max_iters=400, tol=1e-14)
         assert smoothness_value(f, nb) <= 1e-6
 
     def test_tiny_grid_search_instance(self):
@@ -201,27 +183,27 @@ class TestReferenceSolver:
             gamma=np.ones(2),
         )
         lam, cap = 20.0, 2.0
-        W = update_weights_reference(
-            np.full((2, 1), 0.5), nb, S, labels, lam, cap, max_iters=400
-        )
-        prob = _WeightSubproblem(S, nb, labels, lam, cap)
-        # grid-search oracle over both weights
-        grid = np.linspace(0.0, 2.0, 201)
+        f0, hi = _step_inputs(S, np.full((2, 1), 0.5), cap)
+        f = update_scores(f0, nb, labels, lam, hi, max_iters=400)
+        prob = _WeightSubproblem(nb, labels, lam)
+        # grid-search oracle over both scores, each across its box
         best = min(
-            prob.value(np.array([[wp], [wn]])) for wp in grid for wn in grid
+            prob.value(np.array([fp, fn]))
+            for fp in np.linspace(0.0, hi[0], 201)
+            for fn in np.linspace(0.0, hi[1], 201)
         )
-        assert prob.value(W) <= best + 1e-6
-        f = row_scores(W, S.values)
+        assert prob.value(f) <= best + 1e-6
         assert push_loss_from_scores(f, labels) <= 1e-9
 
     def test_monotone_contract(self):
         rng = np.random.default_rng(42)
         for _ in range(15):
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=4)
-            prob = _WeightSubproblem(S, nb, labels, lam, 1.0)
-            before = prob.value(project_weights(W0, 1.0))
-            W = update_weights_reference(W0, nb, S, labels, lam, 1.0, max_iters=120)
-            assert prob.value(W) <= before + 1e-12
+            prob = _WeightSubproblem(nb, labels, lam)
+            f0, hi = _step_inputs(S, W0, 1.0)
+            before = prob.value(f0)
+            f = update_scores(f0, nb, labels, lam, hi, max_iters=120)
+            assert prob.value(f) <= before + 1e-12
 
     @pytest.mark.parametrize("cap", [1.0, 2.0, None])
     def test_matches_independent_qp_solve(self, cap):
@@ -229,10 +211,11 @@ class TestReferenceSolver:
         rng = np.random.default_rng(60)
         for _ in range(8):
             S, labels, nb, W0, lam = random_instance(rng, n_max=14, m_max=3)
-            prob = _WeightSubproblem(S, nb, labels, lam, cap)
-            W = update_weights_reference(W0, nb, S, labels, lam, cap, tol=1e-10)
-            want = slsqp_weight_step_value(prob, prob.score_box_top(cap))
-            assert prob.value(W) <= want + 1e-8
+            prob = _WeightSubproblem(nb, labels, lam)
+            f0, hi = _step_inputs(S, W0, cap)
+            f = update_scores(f0, nb, labels, lam, hi, tol=1e-10)
+            want = slsqp_weight_step_value(prob, hi)
+            assert prob.value(f) <= want + 1e-8
 
     @pytest.mark.parametrize("cap", [1.0, 2.0, None])
     def test_certified_gap(self, cap):
@@ -242,18 +225,18 @@ class TestReferenceSolver:
         rng = np.random.default_rng(61)
         for _ in range(10):
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=4)
-            prob = _WeightSubproblem(S, nb, labels, lam, cap)
-            hi = prob.score_box_top(cap)
+            prob = _WeightSubproblem(nb, labels, lam)
+            hi = score_box_top(S.values, cap)
             qp = _ScoreQP(prob, hi)
             x, gap = _interior_point(qp, 1e-10, 100)
-            value = prob.score_value(qp.scores(x))
+            value = prob.value(qp.scores(x))
             assert gap <= 1e-10 * max(1.0, value)
             # the epigraph level bounds the push term from above
             assert value <= qp.objective(x) + 1e-12
             top = np.where(np.isinf(hi), 2.0 * S.n_videos, hi)
             for _ in range(50):
                 f = rng.uniform(0.0, 1.0, hi.shape[0]) * top
-                assert prob.score_value(f) >= value - gap - 1e-12
+                assert prob.value(f) >= value - gap - 1e-12
 
     def test_newton_matches_dense_system(self):
         # the structured rows and the eliminated Newton solve against the
@@ -266,7 +249,7 @@ class TestReferenceSolver:
                 S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
                 hi = np.full(S.n_videos, top)
                 hi[rng.integers(S.n_videos)] = 0.0
-                qp = _ScoreQP(_WeightSubproblem(S, nb, labels, lam, None), hi)
+                qp = _ScoreQP(_WeightSubproblem(nb, labels, lam), hi)
                 nx, nr = qp.lin.shape[0], qp.b.shape[0]
                 A = np.stack([qp.rows(e) for e in np.eye(nx)], axis=1)
                 z = rng.uniform(0.0, 1.0, nr)
@@ -314,8 +297,8 @@ class TestReferenceSolver:
                 probs[i, :2] = rng.dirichlet(np.ones(2))
             probs[0, 2] = 5.6e-17  # an edge out of block 0
             nb = NeighborMatrix(candidates=cands, probs=probs, gamma=np.ones(n))
-            S = _matrix(rng.uniform(0.0, 1.0, (n, 2)), l=4)
-            prob = _WeightSubproblem(S, nb, PseudoLabels((0, 1), (2, 3)), 1.0, 1.0)
+            rng.uniform(0.0, 1.0, (n, 2))  # the unused score rows, kept in the draws
+            prob = _WeightSubproblem(nb, PseudoLabels((0, 1), (2, 3)), 1.0)
             free = np.delete(np.arange(n), rng.integers(n))
             curv = prob.curvature(free)
             assert curv.size.shape[0] >= 1 and curv.flat.shape[0] < free.shape[0]
@@ -332,8 +315,8 @@ class TestReferenceSolver:
         # linear bound, which is still a bound
         rng = np.random.default_rng(71)
         S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
-        prob = _WeightSubproblem(S, nb, labels, lam, 1.0)
-        hi = prob.score_box_top(1.0)
+        prob = _WeightSubproblem(nb, labels, lam)
+        hi = score_box_top(S.values, 1.0)
 
         def singular(A):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
@@ -343,17 +326,18 @@ class TestReferenceSolver:
             qp = _ScoreQP(prob, hi)
         assert qp.curvature.Li is None
         x, gap = _interior_point(qp, 1e-10, 100)
-        value = prob.score_value(qp.scores(x))
+        value = prob.value(qp.scores(x))
         assert np.isfinite(gap)
         for _ in range(50):
             f = rng.uniform(0.0, 1.0, hi.shape[0]) * hi
-            assert prob.score_value(f) >= value - gap - 1e-12
+            assert prob.value(f) >= value - gap - 1e-12
 
     def test_uncertified_step_warns(self):
         rng = np.random.default_rng(65)
         S, labels, nb, W0, lam = random_instance(rng, n_max=14, m_max=3)
+        f0, hi = _step_inputs(S, W0, 1.0)
         with pytest.warns(RuntimeWarning, match="certified gap"):
-            update_weights_reference(W0, nb, S, labels, lam, 1.0, max_iters=2)
+            update_scores(f0, nb, labels, lam, hi, max_iters=2)
 
     @pytest.mark.parametrize("cap", [None, 2.0])
     def test_clip_regime_at_cli_label_counts(self, cap):
@@ -380,8 +364,8 @@ class TestReferenceSolver:
         D = np.square(f0[:, None] - f0[cands])
         gammas = np.array([gamma_for_k(D[i], 5) for i in range(n)])
         nb = NeighborMatrix(candidates=cands, probs=update_neighbor_rows(D, gammas), gamma=gammas)
-        prob = _WeightSubproblem(S, nb, labels, 1.0, cap)
-        qp = _ScoreQP(prob, prob.score_box_top(cap))
+        prob = _WeightSubproblem(nb, labels, 1.0)
+        qp = _ScoreQP(prob, score_box_top(vals, cap))
         assert qp.n_clip * qp.n_epi == 2000
         x, gap = _interior_point(qp, 1e-9, 500)
         assert gap <= 1e-9 * max(1.0, qp.objective(x))
@@ -407,11 +391,9 @@ class TestReferenceSolver:
         rng = np.random.default_rng(64)
         for _ in range(10):
             S, labels, nb, W0, lam = self._split_instance(rng)
-            W = update_weights_reference(W0, nb, S, labels, lam, cap, tol=1e-12)
-            f = row_scores(W, S.values)
-            f0 = row_scores(project_weights(W0, cap), S.values)
-            top = _WeightSubproblem(S, nb, labels, lam, cap).score_box_top(cap)
-            want = min(float(f0[8:].mean()), float(top[8:].min()))
+            f0, hi = _step_inputs(S, W0, cap)
+            f = update_scores(f0, nb, labels, lam, hi, tol=1e-12)
+            want = min(float(f0[8:].mean()), float(hi[8:].min()))
             np.testing.assert_allclose(f[8:], want, atol=1e-9)
 
     def test_uncapped_step_does_not_depend_on_box_closure(self, monkeypatch):
@@ -420,19 +402,20 @@ class TestReferenceSolver:
         # It must not follow where the open box is closed for the solver.
         rng = np.random.default_rng(67)
         cases = [self._split_instance(rng) for _ in range(10)]
-        base = [
-            row_scores(update_weights_reference(W0, nb, S, labels, lam, None, tol=1e-12), S.values)
-            for S, labels, nb, W0, lam in cases
-        ]
+
+        def step(S, labels, nb, W0, lam):
+            f0, hi = _step_inputs(S, W0, None)
+            return update_scores(f0, nb, labels, lam, hi, tol=1e-12)
+
+        base = [step(*case) for case in cases]
 
         class WideBox(composer._ScoreQP):
             def __init__(self, prob, hi):
                 super().__init__(prob, np.where(np.isinf(hi), 3.0 * hi.shape[0], hi))
 
         monkeypatch.setattr(composer, "_ScoreQP", WideBox)
-        for (S, labels, nb, W0, lam), f in zip(cases, base):
-            W = update_weights_reference(W0, nb, S, labels, lam, None, tol=1e-12)
-            np.testing.assert_allclose(row_scores(W, S.values), f, atol=1e-3)
+        for case, f in zip(cases, base):
+            np.testing.assert_allclose(step(*case), f, atol=1e-3)
             # the level stays within one unit per component of the data
             assert f.max() <= f[8:].max() + 3.0
 
@@ -443,22 +426,23 @@ class TestReferenceSolver:
         S, labels, nb, W0, lam = random_instance(rng, n_max=12, m_max=1)
         S = normalize_scores(S)
         zero = int(np.argmin(S.values[:, 0]))
-        prob = _WeightSubproblem(S, nb, labels, lam, None)
-        hi = prob.score_box_top(None)
+        prob = _WeightSubproblem(nb, labels, lam)
+        f0, hi = _step_inputs(S, W0, None)
         assert hi[zero] == 0.0
         assert np.all(np.isinf(np.delete(hi, zero)))
-        W = update_weights_reference(W0, nb, S, labels, lam, None, tol=1e-10)
-        assert np.all(W >= 0.0)
+        f = update_scores(f0, nb, labels, lam, hi, tol=1e-10)
+        assert np.all(f >= 0.0) and f[zero] == 0.0
         qp = _ScoreQP(prob, np.where(np.isinf(hi), float(S.n_videos), hi))
         x, _ = _interior_point(qp, 1e-10, 100)
-        assert prob.value(W) <= qp.objective(x) + 1e-9
+        assert prob.value(f) <= qp.objective(x) + 1e-9
 
     def test_output_feasible(self):
         rng = np.random.default_rng(43)
         S, labels, nb, W0, lam = random_instance(rng)
-        W = update_weights_reference(W0, nb, S, labels, lam, 1.0, max_iters=120)
-        assert np.all(W >= 0.0)
-        assert np.all(W.sum(axis=1) <= 1.0)
+        f0, hi = _step_inputs(S, W0, 1.0)
+        f = update_scores(f0, nb, labels, lam, hi, max_iters=120)
+        assert np.all(f >= 0.0)
+        assert np.all(f <= hi)
 
 
 class TestTriangularInverse:
@@ -477,26 +461,40 @@ class TestTriangularInverse:
             np.testing.assert_allclose(Li.T @ Li, np.linalg.inv(A), rtol=1e-10, atol=1e-13)
 
 
-class TestWeightsForScores:
-    def test_alpha_solve_matches_bisection_reference(self):
-        # max(w0 + alpha s - beta, 0) . s is nondecreasing in alpha
-        rng = np.random.default_rng(63)
-        for _ in range(200):
-            r, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
-            S = rng.uniform(0, 1, (r, m)) * (rng.uniform(size=(r, m)) > 0.3)
-            S[:, 0] += 0.05
-            W0 = rng.uniform(0, 1, (r, m)) * (rng.uniform(size=(r, m)) > 0.3)
-            phi = rng.uniform(0, 2, r)
-            beta = rng.uniform(0, 0.5, (r, 1))
-            lo, hi = np.full(r, -1e3), np.full(r, 1e3)
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                hit = np.einsum("ij,ij->i", np.maximum(W0 + mid[:, None] * S - beta, 0.0), S)
-                lo, hi = np.where(hit < phi, mid, lo), np.where(hit < phi, hi, mid)
-            want = np.maximum(W0 + hi[:, None] * S - beta, 0.0)
-            got = _solve_score_alpha(W0, S, phi, beta)
-            np.testing.assert_allclose(got, want, atol=1e-10)
-            np.testing.assert_allclose(np.einsum("ij,ij->i", got, S), phi, atol=1e-12)
+class TestFinalWeights:
+    @pytest.mark.parametrize("cap", [1.0, 2.0, None])
+    def test_feasible_weights_give_the_scores(self, cap):
+        # rows at the box top, below and above the prior's score, an
+        # all-zero row, and a row whose positive entries the prior leaves
+        # at zero weight
+        rng = np.random.default_rng(73)
+        for _ in range(100):
+            n, m = int(rng.integers(4, 10)), int(rng.integers(2, 6))
+            prior = rng.uniform(0.0, 1.0, m) * (rng.uniform(size=m) > 0.3)
+            prior[0] = 0.0
+            w0 = _initial_row(prior, m, cap)
+            vals = rng.uniform(0.0, 1.0, (n, m)) * (rng.uniform(size=(n, m)) > 0.2)
+            vals[0] = 0.0
+            vals[1] = np.where(w0 == 0.0, rng.uniform(0.1, 1.0, m), 0.0)
+            g = vals @ w0
+            hi = score_box_top(vals, cap)
+            top = np.where(np.isinf(hi), g + 3.0 * vals.max(axis=1), hi)
+            kind = rng.integers(3, size=n)
+            f = np.select(
+                [kind == 0, kind == 1], [top, g * rng.uniform(size=n)],
+                g + (top - g) * rng.uniform(size=n),
+            )
+            W = final_weights(w0, vals, f, cap)
+            assert np.all(W >= 0.0)
+            if cap is not None:
+                assert np.all(W.sum(axis=1) <= cap * (1.0 + 1e-12))
+            err = np.abs(row_scores(W, vals) - f)
+            assert np.all(err <= 1e-12 * np.maximum(1.0, f))
+            below = f <= g
+            # a row at or below the prior's score is the prior scaled down
+            np.testing.assert_allclose(
+                W[below] * w0.sum(), np.outer(W[below].sum(axis=1), w0), atol=1e-15
+            )
 
 
 class TestGradient:
@@ -504,8 +502,8 @@ class TestGradient:
         rng = np.random.default_rng(46)
         for _ in range(20):
             S, labels, nb, W0, lam = random_instance(rng, n_max=12, m_max=3)
-            prob = _WeightSubproblem(S, nb, labels, lam, 1.0)
-            W = project_weights(W0 + rng.normal(0, 0.05, W0.shape), None)
+            prob = _WeightSubproblem(nb, labels, lam)
+            W = np.maximum(W0 + rng.normal(0, 0.05, W0.shape), 0.0)
 
             def smooth_of_w(Wx):
                 return smoothness_value(row_scores(Wx, S.values), nb)
@@ -571,21 +569,45 @@ class TestFit:
             trace = np.array(res.objective_trace)
             assert np.all(np.diff(trace) <= 1e-10)
 
-    def test_scores_recomputed_from_weights(self):
+    @pytest.mark.parametrize("cap", [1.0, 2.0, None])
+    def test_scores_recomputed_from_weights(self, cap):
         rng = np.random.default_rng(50)
         S, labels = self._normalized_instance(rng)
-        cfg = CompositionConfig(max_outer_iters=3, k_candidates=5, max_inner_iters=40)
+        cfg = CompositionConfig(
+            weight_cap=cap, max_outer_iters=3, k_candidates=5, max_inner_iters=40
+        )
         res = fit(S, labels, np.ones(S.n_concepts), cfg)
         np.testing.assert_array_equal(res.scores, row_scores(res.weights, S.values))
 
-    def test_cap_disabled(self):
+    @pytest.mark.parametrize("cap", [1.0, 2.0, None])
+    def test_cap_disabled(self, cap):
+        # the derived weights are feasible, with or without the cap
         rng = np.random.default_rng(51)
         S, labels = self._normalized_instance(rng, n_max=12)
         cfg = CompositionConfig(
-            weight_cap=None, max_outer_iters=3, k_candidates=5, max_inner_iters=40
+            weight_cap=cap, max_outer_iters=3, k_candidates=5, max_inner_iters=40
         )
         res = fit(S, labels, np.ones(S.n_concepts), cfg)
         assert np.all(res.weights >= 0.0)
+        if cap is not None:
+            assert np.all(res.weights.sum(axis=1) <= cap * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("iters", [1, 6])
+    def test_weights_derived_once(self, iters, monkeypatch):
+        # the fit carries scores; the weights come from one map at the end
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return final_weights(*args)
+
+        monkeypatch.setattr(composer, "final_weights", counted)
+        rng = np.random.default_rng(55)
+        S, labels = self._normalized_instance(rng)
+        cfg = CompositionConfig(max_outer_iters=iters, tol=1e-300, k_candidates=5)
+        res = fit(S, labels, np.ones(S.n_concepts), cfg)
+        assert res.iterations == iters
+        assert len(calls) == 1
 
     def test_uncertified_last_step_is_not_converged(self):
         # one interior-point iteration certifies no step, and the fit stalls

@@ -17,7 +17,6 @@ import os
 import sys
 
 from . import io
-from .errors import FormatError, ValidationError
 from .pipeline import RunConfig, log_kv, run_eval, run_rank, run_select_concepts
 from .synth import gen_instance, toy_embedding_rows
 
@@ -39,12 +38,6 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-neg", type=int, default=100, help="pseudo negatives")
     p.add_argument("--k-neighbors", type=int, default=7, help="target neighbor support")
     p.add_argument("--k-candidates", type=int, default=50, help="candidate neighbors")
-    p.add_argument(
-        "--gamma",
-        type=float,
-        default=None,
-        help="global neighbor regularizer (default: per-row from --k-neighbors)",
-    )
     p.add_argument("--lambda", dest="lambda_push", type=float, default=1.0,
                    help="push-loss weight")
     p.add_argument("--weight-cap", type=float, default=1.0,
@@ -112,12 +105,10 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         n_neg=args.n_neg,
         k_neighbors=args.k_neighbors,
         k_candidates=args.k_candidates,
-        gamma=args.gamma,
         lambda_push=args.lambda_push,
         weight_cap=None if args.no_weight_cap else args.weight_cap,
         tol=args.tol,
         max_outer_iters=args.max_iters,
-        stdout=args.stdout,
     )
     code, metrics = run_rank(config)
     if args.stdout:
@@ -204,10 +195,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValidationError, FormatError, FileNotFoundError) as exc:
-        log_kv(stage=args.command, validation_error=f"{exc}")
-        return 1
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # FormatError and ValidationError are ValueErrors
         log_kv(stage=args.command, validation_error=f"{exc}")
         return 1
 

@@ -18,10 +18,12 @@ weight matrix that gives the final scores once, after the loop
 (``final_weights``).  The weight step solves the score-space quadratic
 program exactly, with an interior-point method that stops when a
 certified duality gap meets its tolerance; a step that stops above it is
-reported in ``FitResult.warnings``.  Its Newton systems are factored by
-Cholesky, and the certificate reads the curvature of the graph term from
-one Cholesky factor per free set, built from the strong edges of the
-neighbor graph, with no eigendecomposition.
+reported in ``FitResult.warnings``.  The graph term's Hessian and the
+certificate's strong-edge part of it are built from the neighbor edge
+list on the free scores alone (``_laplacian``), so no n x n adjacency is
+formed.  The Newton systems are factored by Cholesky, and the certificate
+reads the curvature of the graph term from one Cholesky factor per weight
+step, with no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ __all__ = [
     "score_box_top",
     "push_loss_from_scores",
     "smoothness_value",
-    "smoothness_grad_scores",
     "objective",
     "update_scores",
     "final_weights",
@@ -110,7 +111,6 @@ class CompositionConfig:
     """Hyperparameters of the alternating optimizer."""
 
     lambda_push: float = 1.0
-    gamma: float | None = None  # None: per-row from k_neighbors
     k_neighbors: int = 7
     k_candidates: int = 50
     max_outer_iters: int = 100
@@ -122,8 +122,6 @@ class CompositionConfig:
     def __post_init__(self):
         if self.lambda_push <= 0:
             raise ValueError("lambda_push must be positive")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
         if self.tol <= 0 or self.max_outer_iters < 1:
             raise ValueError("tol must be positive and max_outer_iters >= 1")
         if self.k_neighbors < 1:
@@ -208,17 +206,6 @@ def smoothness_value(f: np.ndarray, neighbors: NeighborMatrix) -> float:
     return float(np.sum(neighbors.probs * diff * diff))
 
 
-def smoothness_grad_scores(
-    f: np.ndarray, M: np.ndarray, deg: np.ndarray
-) -> np.ndarray:
-    """Gradient of the smoothness term w.r.t. f, using the symmetrized graph.
-
-    The value is unchanged by symmetrizing a_ij since (f_i - f_j)^2 is
-    symmetric; the gradient of sum_ij m_ij (f_i - f_j)^2 is 4 (deg*f - M f).
-    """
-    return 4.0 * (deg * f - M @ f)
-
-
 def score_box_top(values: np.ndarray, cap: float | None) -> np.ndarray:
     """Per-video upper bound on achievable scores f_i = w_i . s_i."""
     top = values.max(axis=1)
@@ -252,40 +239,6 @@ def objective(
 # ---------------------------------------------------------------------------
 # weight subproblem
 # ---------------------------------------------------------------------------
-
-
-class _WeightSubproblem:
-    """Smoothness + push objective for fixed neighbor probabilities."""
-
-    def __init__(self, neighbors: NeighborMatrix, labels: PseudoLabels, lambda_push: float):
-        self.neighbors = neighbors
-        self.pos = np.asarray(labels.positives)
-        self.neg = np.asarray(labels.negatives)
-        self.lam = float(lambda_push)
-        A = neighbors.to_dense()
-        self.M = 0.5 * (A + A.T)
-        self.deg = self.M.sum(axis=1)
-        self._curvature: dict[bytes, _Curvature] = {}
-
-    @cached_property
-    def components(self) -> np.ndarray:
-        """Component labels of the neighbor graph (an edge wherever a_ij > 0)."""
-        return _components(self.neighbors, self.neighbors.probs > 0.0)
-
-    def curvature(self, free: np.ndarray) -> _Curvature:
-        """The QP's curvature on the scores ``free``, built once per free set."""
-        key = free.tobytes()
-        if key not in self._curvature:
-            self._curvature[key] = _Curvature(self, free)
-        return self._curvature[key]
-
-    def value(self, f: np.ndarray) -> float:
-        """Smoothness + push at the scores f, in the objective's arithmetic."""
-        val = smoothness_value(f, self.neighbors)
-        if self.lam > 0.0:
-            phi = _kernels.push_hinge_means(f[self.pos], f[self.neg])
-            val += self.lam * float(phi.max())
-        return float(val)
 
 
 # rows per leaf of ``_tril_inverse``; the substitution inside the leaves
@@ -349,44 +302,81 @@ def _cholesky_inverse(A: np.ndarray) -> np.ndarray:
 _STRONG_EDGE = 1e-10
 
 
-class _Curvature:
-    """The quadratic term of a weight step's QP on its free scores, and
-    what the certificate (``_ScoreQP.gap``) needs of it.
+def _laplacian(neighbors: NeighborMatrix, free: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """4 L[free, free], with L the Laplacian of the symmetrized neighbor
+    graph  M = (A + A') / 2  on the edges where ``edge`` (a mask shaped like
+    ``neighbors.probs``) holds.
 
-    P = 4 L[free, free], with L the Laplacian of the symmetrized neighbor
-    graph.  The certificate bounds how far a convex quadratic with Hessian
-    P falls over the score box, and uses P_c in place of P: 4 times the
-    Laplacian of the edges above ``_STRONG_EDGE``, restricted the same way.
-    The dropped edges form a Laplacian too, so  d'Pd >= d'P_c d  and the
-    bound stays sound.  The null space of P_c is spanned by the indicators
-    of the strong-edge components that hold no pinned video (box [0, 0],
-    not free).  With Pi the projector onto it, P_c + Pi is positive
-    definite and its inverse is P_c^+ on the range of P_c, so one Cholesky
-    factor of P_c + Pi gives  r_c' P_c^+ r_c  for any r_c orthogonal to the
-    null space.  P_c is built from the edge list, never from n x n masks.
+    The off-diagonal entries are scattered from the edge list.  Each
+    diagonal entry is minus the ``np.sum`` of its row's off-diagonal
+    entries, plus the weight of the row's edges to rows outside ``free``.
+    With every row free this is  4 M.sum(axis=1)  bit for bit: the
+    interior point's stopping test on an uncapped step needs  P 1  at the
+    accuracy of a pairwise sum, which adding the diagonal edge by edge
+    does not keep.
+    """
+    n, k = neighbors.candidates.shape
+    nf = free.shape[0]
+    col = np.full(n, -1)
+    col[free] = np.arange(nf)
+    i = col[np.repeat(np.arange(n), k)[edge.ravel()]]
+    j = col[neighbors.candidates[edge]]
+    w = 2.0 * neighbors.probs[edge]  # 4 (a_ij / 2) on each side of the edge
+    inner = (i >= 0) & (j >= 0)
+    a, b, w_in = i[inner], j[inner], -w[inner]
+    P = np.zeros((nf, nf))
+    np.add.at(P, (a, b), w_in)
+    np.add.at(P, (b, a), w_in)
+    # an edge with one end pinned adds its weight to the free end only
+    out_i, out_j = (i >= 0) & (j < 0), (j >= 0) & (i < 0)
+    pinned = np.bincount(
+        np.concatenate([i[out_i], j[out_j]]),
+        weights=np.concatenate([w[out_i], w[out_j]]),
+        minlength=nf,
+    )
+    P[np.diag_indices(nf)] = -P.sum(axis=1) + pinned
+    return P
+
+
+class _WeightSubproblem:
+    """Smoothness + push objective for fixed neighbor probabilities, with
+    the quadratic term of its QP on the free scores and what the
+    certificate (``_ScoreQP.gap``) needs of it.
+
+    ``free`` holds the videos whose score box is not [0, 0]; both QPs of
+    an uncapped step share it.  P = 4 L[free, free] (``_laplacian`` on
+    every edge with a_ij > 0).  The certificate bounds how far a convex
+    quadratic with Hessian P falls over the score box, and uses P_c in
+    place of P: the same builder on the edges above ``_STRONG_EDGE``.  The
+    dropped edges form a Laplacian too, so  d'Pd >= d'P_c d  and the bound
+    stays sound.  The null space of P_c is spanned by the indicators of the
+    strong-edge components that hold no pinned video (not free).  With Pi
+    the projector onto it, P_c + Pi is positive definite and its inverse is
+    P_c^+ on the range of P_c, so one Cholesky factor of P_c + Pi gives
+    r_c' P_c^+ r_c  for any r_c orthogonal to the null space.
     """
 
-    def __init__(self, prob: _WeightSubproblem, free: np.ndarray):
-        nb = prob.neighbors
-        n, k = nb.candidates.shape
-        nf = free.shape[0]
-        self.P = -4.0 * prob.M[np.ix_(free, free)]
-        self.P[np.diag_indices(nf)] += 4.0 * prob.deg[free]
-        strong = nb.probs > _STRONG_EDGE * nb.probs.max(initial=0.0)
-        col = np.full(n, -1)
-        col[free] = np.arange(nf)
-        i = col[np.repeat(np.arange(n), k)[strong.ravel()]]
-        j = col[nb.candidates[strong]]
-        w = 2.0 * nb.probs[strong]  # 4 (a_ij / 2) on each side of the edge
-        Pc = np.zeros((nf, nf))
-        for a, b in ((i, j), (j, i)):
-            keep = a >= 0
-            np.add.at(Pc, (a[keep], a[keep]), w[keep])
-            keep &= b >= 0
-            np.add.at(Pc, (a[keep], b[keep]), -w[keep])
-        group = _components(nb, strong)
-        pinned = np.zeros(n, dtype=bool)
-        pinned[group[col < 0]] = True
+    def __init__(
+        self,
+        neighbors: NeighborMatrix,
+        labels: PseudoLabels,
+        lambda_push: float,
+        free: np.ndarray,
+    ):
+        self.neighbors = neighbors
+        self.pos = np.asarray(labels.positives)
+        self.neg = np.asarray(labels.negatives)
+        self.lam = float(lambda_push)
+        self.free = free
+        probs = neighbors.probs
+        self.P = _laplacian(neighbors, free, probs > 0.0)
+        strong = probs > _STRONG_EDGE * probs.max(initial=0.0)
+        Pc = _laplacian(neighbors, free, strong)
+        group = _components(neighbors, strong)
+        fixed = np.ones(probs.shape[0], dtype=bool)
+        fixed[free] = False
+        pinned = np.zeros_like(fixed)  # components that hold a pinned video
+        pinned[group[fixed]] = True
         flat = ~pinned[group[free]]
         self.flat = np.flatnonzero(flat)
         _, self.member = np.unique(group[free][flat], return_inverse=True)
@@ -401,6 +391,19 @@ class _Curvature:
             # numerically singular; the certificate then uses only the
             # linear bound, which needs no factor
             self.Li = None
+
+    @cached_property
+    def components(self) -> np.ndarray:
+        """Component labels of the neighbor graph (an edge wherever a_ij > 0)."""
+        return _components(self.neighbors, self.neighbors.probs > 0.0)
+
+    def value(self, f: np.ndarray) -> float:
+        """Smoothness + push at the scores f, in the objective's arithmetic."""
+        val = smoothness_value(f, self.neighbors)
+        if self.lam > 0.0:
+            phi = _kernels.push_hinge_means(f[self.pos], f[self.neg])
+            val += self.lam * float(phi.max())
+        return float(val)
 
     def split(self, r: np.ndarray) -> tuple[np.ndarray, float]:
         """(flat, curved): the projection of r onto the null space of P_c
@@ -435,14 +438,15 @@ class _ScoreQP:
     The rows are never formed as a matrix.  Each slack xi_ij sits in one
     hinge row and one epigraph row, so ``newton`` eliminates the slacks and
     factors only an (nf + 1) x (nf + 1) system.  P and the certificate's
-    factor depend only on the free set and come from ``prob.curvature``,
-    so QPs of one weight step over the same free set share them.
+    factor depend only on the free set, ``prob.free``, where ``hi`` must be
+    positive; they come from ``prob``, so the QPs of one weight step share
+    them.
     """
 
     def __init__(self, prob: _WeightSubproblem, hi: np.ndarray):
         self.n = hi.shape[0]
         hi = np.where(np.isinf(hi), float(self.n), hi)
-        self.free = np.flatnonzero(hi > 0.0)
+        self.free = prob.free
         nf = self.nf = self.free.shape[0]
         col = np.full(self.n, -1)
         col[self.free] = np.arange(nf)
@@ -458,8 +462,8 @@ class _ScoreQP:
         self.t = nf
         nx = nf + 1 + n_clip * n_epi
 
-        self.curvature = prob.curvature(self.free)
-        self.P = self.curvature.P
+        self.prob = prob
+        self.P = prob.P
         self.lin = np.zeros(nx)
         linear = unclipped[col[unclipped] >= 0]
         self.lin[col[linear]] = -prob.lam / p
@@ -642,9 +646,10 @@ class _ScoreQP:
         adds the row complementarity to a bound on how far the Lagrangian
         falls below its value at x over the score box.  That fall is at
         most the box term  f'(r)_+ + (up - f)'(-r)_+  of the linear model,
-        and at most  r_c'P_c^+r_c / 2  plus the box term of r_0, where P_c
-        <= P is the strong-edge part of P (see ``_Curvature``), r_0 is the
-        projection of r onto the null space of P_c and r_c the rest; the
+        and at most  r_c'P_c^+r_c / 2  plus the box term of r_0, where
+        P_c <= P is the strong-edge part of P (see ``_WeightSubproblem``),
+        r_0 is the projection of r onto the null space of P_c and r_c the
+        rest; the
         smaller of the two is used.  The second does not grow with the
         level of the scores along directions that P does not see.
         """
@@ -663,7 +668,7 @@ class _ScoreQP:
         def box_term(g):
             return float(f @ np.maximum(g, 0.0) + s_up @ np.maximum(-g, 0.0))
 
-        flat, curved = self.curvature.split(r)
+        flat, curved = self.prob.split(r)
         fall = min(box_term(r), curved + box_term(flat))
         return float(s_a @ z + xi @ (share - z[n_epi:])) + fall
 
@@ -813,7 +818,7 @@ def _weight_step(f_in, neighbors, labels, lambda_push, hi, max_iters, tol):
     """``update_scores`` with its certificate: returns (f, gap, bound),
     where gap bounds the distance of the solved scores to the optimum and
     bound is the tolerance it was asked to meet."""
-    prob = _WeightSubproblem(neighbors, labels, lambda_push)
+    prob = _WeightSubproblem(neighbors, labels, lambda_push, np.flatnonzero(hi > 0.0))
     qp = _ScoreQP(prob, hi)
     x, gap = _interior_point(qp, tol, max_iters)
     bound = tol * max(1.0, abs(qp.objective(x)))
@@ -1000,9 +1005,7 @@ def fit(
 
     f = initial_scores
     D = np.square(f[:, None] - f[candidates])
-    if config.gamma is not None:
-        gammas = np.full(n, float(config.gamma))
-    elif k_cand == 1:
+    if k_cand == 1:
         # a single candidate takes probability 1 whatever gamma is
         gammas = np.ones(n)
     else:

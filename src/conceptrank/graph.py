@@ -48,12 +48,6 @@ class NeighborMatrix:
     def n_rows(self) -> int:
         return self.candidates.shape[0]
 
-    def to_dense(self) -> np.ndarray:
-        n = self.n_rows
-        A = np.zeros((n, n))
-        np.put_along_axis(A, self.candidates, self.probs, axis=1)
-        return A
-
 
 def score_distances(f: np.ndarray, candidates: np.ndarray, i: int) -> np.ndarray:
     """Squared aggregated-score gaps d_ij = (f_i - f_j)^2 for row i."""

@@ -285,7 +285,10 @@ def read_ranking(path: str) -> list[tuple[str, float]]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise FormatError(f"{path}:{lineno}: expected video_id TAB score")
-            out.append((parts[0], float(parts[1])))
+            try:
+                out.append((parts[0], float(parts[1])))
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: bad float {parts[1]!r}") from None
     return out
 
 

@@ -76,13 +76,11 @@ class RunConfig:
     n_neg: int = 100
     k_neighbors: int = 7
     k_candidates: int = 50
-    gamma: float | None = None
     lambda_push: float = 1.0
     weight_cap: float | None = 1.0
     tol: float = 1e-6
     max_outer_iters: int = 100
     max_inner_iters: int = 500
-    stdout: bool = False
 
     def required_paths(self) -> list[str]:
         paths = [self.embeddings, self.vocabulary, self.videos, self.scores, self.events]
@@ -105,7 +103,6 @@ class RunConfig:
     def composition_config(self) -> CompositionConfig:
         return CompositionConfig(
             lambda_push=self.lambda_push,
-            gamma=self.gamma,
             k_neighbors=self.k_neighbors,
             k_candidates=self.k_candidates,
             max_outer_iters=self.max_outer_iters,

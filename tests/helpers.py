@@ -69,14 +69,15 @@ def slsqp_weight_step_value(prob, hi):
     Solves the general hinge form over (f, t, xi): minimize
     2 f'Lf + lam t  subject to  t >= mean_i xi_ij,  xi_ij >= 1 - f_pi + f_nj,
     xi >= 0  and  0 <= f <= hi, from two starts, and returns the smaller
-    subproblem value of the clipped scores.
+    subproblem value of the clipped scores.  The graph Laplacian L is
+    built here, densely, from the neighbor lists.
     """
     from scipy.optimize import minimize
 
     n = hi.shape[0]
     pos, neg = prob.pos, prob.neg
     p, q = pos.shape[0], neg.shape[0]
-    L = np.diag(prob.deg) - prob.M
+    L = dense_laplacian(prob.neighbors)
     top = np.where(np.isfinite(hi), hi, float(n))
 
     def obj(z):
@@ -106,6 +107,15 @@ def slsqp_weight_step_value(prob, hi):
         )
         best = min(best, prob.value(np.clip(res.x[:n], 0.0, top)))
     return best
+
+
+def dense_laplacian(neighbors):
+    """Laplacian of the symmetrized graph M = (A + A') / 2, from a dense A."""
+    n = neighbors.candidates.shape[0]
+    A = np.zeros((n, n))
+    A[np.arange(n)[:, None], neighbors.candidates] = neighbors.probs
+    M = 0.5 * (A + A.T)
+    return np.diag(M.sum(axis=1)) - M
 
 
 def eigen_curvature_split(P, r):

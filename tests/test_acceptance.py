@@ -23,7 +23,6 @@ from conceptrank.composer import (
     push_loss_from_scores,
     row_scores,
     score_box_top,
-    smoothness_grad_scores,
     smoothness_value,
 )
 from conceptrank.evaluation import average_precision, borda_baseline, ranked_list
@@ -152,8 +151,8 @@ def test_solver_cross_validation():
     uncertified = 0
     for _ in range(100):
         S, labels, neighbors, W0, lam = random_instance(rng, n_max=30, m_max=5)
-        prob = _WeightSubproblem(neighbors, labels, lam)
         hi = score_box_top(S.values, 1.0)
+        prob = _WeightSubproblem(neighbors, labels, lam, np.flatnonzero(hi > 0.0))
         f0 = np.minimum(row_scores(W0, S.values), hi)
         f, gap, bound = _weight_step(f0, neighbors, labels, lam, hi, 60, 1e-10)
         want = slsqp_weight_step_value(prob, hi)
@@ -173,16 +172,14 @@ def test_smoothness_gradient_check():
     worst = 0.0
     for _ in range(100):
         S, labels, nb, W0, lam = random_instance(rng, n_max=14, m_max=4)
-        prob = _WeightSubproblem(nb, labels, lam)
+        prob = _WeightSubproblem(nb, labels, lam, np.arange(S.n_videos))
         W = np.maximum(W0 * rng.uniform(0.3, 1.2), 0.0)
 
         def smooth_of_w(Wx):
             return smoothness_value(row_scores(Wx, S.values), nb)
 
-        analytic = (
-            smoothness_grad_scores(row_scores(W, S.values), prob.M, prob.deg)[:, None]
-            * S.values
-        )
+        # P is the Hessian of the smoothness term, so P f its gradient
+        analytic = (prob.P @ row_scores(W, S.values))[:, None] * S.values
         numeric = finite_diff_gradient(smooth_of_w, W, h=1e-6)
         rel = np.linalg.norm(numeric - analytic) / max(1.0, np.linalg.norm(analytic))
         worst = max(worst, float(rel))

@@ -219,9 +219,12 @@ def test_rank_total_failure_exit_two(tmp_path):
     assert main(_rank_args(data, out)) == 2
 
 
-@pytest.mark.parametrize("flag", [("--solver", "reference"), ("--seed", "7")])
+@pytest.mark.parametrize(
+    "flag", [("--solver", "reference"), ("--seed", "7"), ("--gamma", "0.5")]
+)
 def test_rank_rejects_removed_flags(tmp_path, flag):
-    # the weight step has one solver and no randomness to select or seed
+    # the weight step has one solver and no randomness to select or seed,
+    # and the neighbor regularizer is set per row from --k-neighbors
     with pytest.raises(SystemExit) as exc:
         main(_rank_args(str(tmp_path), str(tmp_path / "out"), extra=flag))
     assert exc.value.code == 2

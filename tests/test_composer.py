@@ -18,7 +18,6 @@ from conceptrank.composer import (
     push_loss_from_scores,
     row_scores,
     score_box_top,
-    smoothness_grad_scores,
     smoothness_value,
     update_scores,
 )
@@ -32,6 +31,7 @@ from conceptrank.query import PseudoLabels
 from conceptrank.synth import brute_force_push, finite_diff_gradient
 
 from helpers import (
+    dense_laplacian,
     eigen_curvature_split,
     random_instance,
     random_scores_and_labels,
@@ -43,6 +43,11 @@ def _step_inputs(S, W0, cap):
     """Input scores of a weight step from a weight matrix, and the box top."""
     hi = score_box_top(S.values, cap)
     return np.minimum(row_scores(W0, S.values), hi), hi
+
+
+def _subproblem(nb, labels, lam, hi):
+    """The weight step's subproblem on the videos whose box is not [0, 0]."""
+    return _WeightSubproblem(nb, labels, lam, np.flatnonzero(hi > 0.0))
 
 
 def _matrix(values, l=None):
@@ -185,7 +190,7 @@ class TestReferenceSolver:
         lam, cap = 20.0, 2.0
         f0, hi = _step_inputs(S, np.full((2, 1), 0.5), cap)
         f = update_scores(f0, nb, labels, lam, hi, max_iters=400)
-        prob = _WeightSubproblem(nb, labels, lam)
+        prob = _subproblem(nb, labels, lam, hi)
         # grid-search oracle over both scores, each across its box
         best = min(
             prob.value(np.array([fp, fn]))
@@ -199,8 +204,8 @@ class TestReferenceSolver:
         rng = np.random.default_rng(42)
         for _ in range(15):
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=4)
-            prob = _WeightSubproblem(nb, labels, lam)
             f0, hi = _step_inputs(S, W0, 1.0)
+            prob = _subproblem(nb, labels, lam, hi)
             before = prob.value(f0)
             f = update_scores(f0, nb, labels, lam, hi, max_iters=120)
             assert prob.value(f) <= before + 1e-12
@@ -211,8 +216,8 @@ class TestReferenceSolver:
         rng = np.random.default_rng(60)
         for _ in range(8):
             S, labels, nb, W0, lam = random_instance(rng, n_max=14, m_max=3)
-            prob = _WeightSubproblem(nb, labels, lam)
             f0, hi = _step_inputs(S, W0, cap)
+            prob = _subproblem(nb, labels, lam, hi)
             f = update_scores(f0, nb, labels, lam, hi, tol=1e-10)
             want = slsqp_weight_step_value(prob, hi)
             assert prob.value(f) <= want + 1e-8
@@ -225,8 +230,8 @@ class TestReferenceSolver:
         rng = np.random.default_rng(61)
         for _ in range(10):
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=4)
-            prob = _WeightSubproblem(nb, labels, lam)
             hi = score_box_top(S.values, cap)
+            prob = _subproblem(nb, labels, lam, hi)
             qp = _ScoreQP(prob, hi)
             x, gap = _interior_point(qp, 1e-10, 100)
             value = prob.value(qp.scores(x))
@@ -249,7 +254,7 @@ class TestReferenceSolver:
                 S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
                 hi = np.full(S.n_videos, top)
                 hi[rng.integers(S.n_videos)] = 0.0
-                qp = _ScoreQP(_WeightSubproblem(nb, labels, lam), hi)
+                qp = _ScoreQP(_subproblem(nb, labels, lam, hi), hi)
                 nx, nr = qp.lin.shape[0], qp.b.shape[0]
                 A = np.stack([qp.rows(e) for e in np.eye(nx)], axis=1)
                 z = rng.uniform(0.0, 1.0, nr)
@@ -298,15 +303,13 @@ class TestReferenceSolver:
             probs[0, 2] = 5.6e-17  # an edge out of block 0
             nb = NeighborMatrix(candidates=cands, probs=probs, gamma=np.ones(n))
             rng.uniform(0.0, 1.0, (n, 2))  # the unused score rows, kept in the draws
-            prob = _WeightSubproblem(nb, PseudoLabels((0, 1), (2, 3)), 1.0)
             free = np.delete(np.arange(n), rng.integers(n))
-            curv = prob.curvature(free)
-            assert curv.size.shape[0] >= 1 and curv.flat.shape[0] < free.shape[0]
-            assert prob.curvature(free.copy()) is curv
+            prob = _WeightSubproblem(nb, PseudoLabels((0, 1), (2, 3)), 1.0, free)
+            assert prob.size.shape[0] >= 1 and prob.flat.shape[0] < free.shape[0]
             for _ in range(5):
                 r = rng.normal(size=free.shape[0])
-                flat, curved = curv.split(r)
-                flat_ref, curved_ref = eigen_curvature_split(curv.P, r)
+                flat, curved = prob.split(r)
+                flat_ref, curved_ref = eigen_curvature_split(prob.P, r)
                 np.testing.assert_allclose(flat, flat_ref, atol=1e-10)
                 np.testing.assert_allclose(curved, curved_ref, rtol=1e-8)
 
@@ -315,7 +318,6 @@ class TestReferenceSolver:
         # linear bound, which is still a bound
         rng = np.random.default_rng(71)
         S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
-        prob = _WeightSubproblem(nb, labels, lam)
         hi = score_box_top(S.values, 1.0)
 
         def singular(A):
@@ -323,14 +325,41 @@ class TestReferenceSolver:
 
         with monkeypatch.context() as patch:
             patch.setattr(composer, "_cholesky_inverse", singular)
-            qp = _ScoreQP(prob, hi)
-        assert qp.curvature.Li is None
+            prob = _subproblem(nb, labels, lam, hi)
+        assert prob.Li is None
+        qp = _ScoreQP(prob, hi)
         x, gap = _interior_point(qp, 1e-10, 100)
         value = prob.value(qp.scores(x))
         assert np.isfinite(gap)
         for _ in range(50):
             f = rng.uniform(0.0, 1.0, hi.shape[0]) * hi
             assert prob.value(f) >= value - gap - 1e-12
+
+    @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
+    def test_graph_matrices_built_once_per_step(self, cap, monkeypatch):
+        # one weight step builds P and P_c once each, also when an uncapped
+        # step solves a second QP
+        rng = np.random.default_rng(74)
+        calls = {"_laplacian": 0, "_interior_point": 0}
+
+        def counted(name):
+            inner = getattr(composer, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(composer, name, counted(name))
+        for _ in range(5):
+            S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
+            f0, hi = _step_inputs(S, W0, cap)
+            for name in calls:
+                calls[name] = 0
+            composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
+            assert calls == {"_laplacian": 2, "_interior_point": 1 if cap else 2}
 
     def test_uncertified_step_warns(self):
         rng = np.random.default_rng(65)
@@ -364,8 +393,8 @@ class TestReferenceSolver:
         D = np.square(f0[:, None] - f0[cands])
         gammas = np.array([gamma_for_k(D[i], 5) for i in range(n)])
         nb = NeighborMatrix(candidates=cands, probs=update_neighbor_rows(D, gammas), gamma=gammas)
-        prob = _WeightSubproblem(nb, labels, 1.0)
-        qp = _ScoreQP(prob, score_box_top(vals, cap))
+        hi = score_box_top(vals, cap)
+        qp = _ScoreQP(_subproblem(nb, labels, 1.0, hi), hi)
         assert qp.n_clip * qp.n_epi == 2000
         x, gap = _interior_point(qp, 1e-9, 500)
         assert gap <= 1e-9 * max(1.0, qp.objective(x))
@@ -426,8 +455,8 @@ class TestReferenceSolver:
         S, labels, nb, W0, lam = random_instance(rng, n_max=12, m_max=1)
         S = normalize_scores(S)
         zero = int(np.argmin(S.values[:, 0]))
-        prob = _WeightSubproblem(nb, labels, lam)
         f0, hi = _step_inputs(S, W0, None)
+        prob = _subproblem(nb, labels, lam, hi)
         assert hi[zero] == 0.0
         assert np.all(np.isinf(np.delete(hi, zero)))
         f = update_scores(f0, nb, labels, lam, hi, tol=1e-10)
@@ -443,6 +472,49 @@ class TestReferenceSolver:
         f = update_scores(f0, nb, labels, lam, hi, max_iters=120)
         assert np.all(f >= 0.0)
         assert np.all(f <= hi)
+
+
+class TestLaplacian:
+    @staticmethod
+    def _graphs(rng):
+        # edge lists with mutual, zero-probability and 1e-17 edges, each
+        # with three edge sets: every edge, a_ij > 0 and a random subset
+        for _ in range(200):
+            n = int(rng.integers(2, 30))
+            k = int(rng.integers(1, min(6, n - 1) + 1))
+            cands = np.array(
+                [rng.choice(np.delete(np.arange(n), i), k, replace=False) for i in range(n)]
+            )
+            probs = rng.dirichlet(np.ones(k), size=n)
+            probs[rng.uniform(size=(n, k)) < 0.2] = 0.0
+            probs[rng.uniform(size=(n, k)) < 0.1] = 1e-17
+            nb = NeighborMatrix(candidates=cands, probs=probs, gamma=np.ones(n))
+            for edge in (np.ones((n, k), dtype=bool), probs > 0.0, rng.uniform(size=(n, k)) < 0.7):
+                kept = NeighborMatrix(
+                    candidates=cands, probs=np.where(edge, probs, 0.0), gamma=nb.gamma
+                )
+                yield nb, edge, 4.0 * dense_laplacian(kept)
+
+    def test_every_row_free_is_exact(self):
+        rng = np.random.default_rng(75)
+        mutual = 0
+        for nb, edge, want in self._graphs(rng):
+            n = nb.n_rows
+            np.testing.assert_array_equal(composer._laplacian(nb, np.arange(n), edge), want)
+            A = np.zeros((n, n), dtype=bool)
+            A[np.arange(n)[:, None], nb.candidates] = edge
+            mutual += int(np.sum(A & A.T))
+        assert mutual > 0
+
+    def test_pinned_rows(self):
+        # the edges to pinned rows move into the diagonal, which then sums
+        # its terms in another order
+        rng = np.random.default_rng(76)
+        for nb, edge, want in self._graphs(rng):
+            n = nb.n_rows
+            free = np.flatnonzero(rng.uniform(size=n) < 0.7)
+            got = composer._laplacian(nb, free, edge)
+            np.testing.assert_allclose(got, want[np.ix_(free, free)], rtol=1e-15, atol=0.0)
 
 
 class TestTriangularInverse:
@@ -502,15 +574,14 @@ class TestGradient:
         rng = np.random.default_rng(46)
         for _ in range(20):
             S, labels, nb, W0, lam = random_instance(rng, n_max=12, m_max=3)
-            prob = _WeightSubproblem(nb, labels, lam)
+            prob = _WeightSubproblem(nb, labels, lam, np.arange(S.n_videos))
             W = np.maximum(W0 + rng.normal(0, 0.05, W0.shape), 0.0)
 
             def smooth_of_w(Wx):
                 return smoothness_value(row_scores(Wx, S.values), nb)
 
-            grad_f = smoothness_grad_scores(
-                row_scores(W, S.values), prob.M, prob.deg
-            )
+            # P is the Hessian of the smoothness term, so P f its gradient
+            grad_f = prob.P @ row_scores(W, S.values)
             analytic = grad_f[:, None] * S.values
             numeric = finite_diff_gradient(smooth_of_w, W, h=1e-6)
             denom = max(1.0, float(np.linalg.norm(analytic)))

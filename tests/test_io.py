@@ -141,6 +141,12 @@ class TestRankingAndEmbeddings:
         io.write_ranking(path, ranking)
         assert io.read_ranking(path) == ranking
 
+    def test_ranking_bad_score(self, tmp_path):
+        path = tmp_path / "rank.tsv"
+        path.write_text("v2\t0.75\nv1\tabc\n")
+        with pytest.raises(FormatError, match=r"rank\.tsv:2: bad float 'abc'"):
+            io.read_ranking(str(path))
+
     def test_embeddings_round_trip(self, tmp_path):
         path = str(tmp_path / "emb.txt")
         io.write_embeddings(path, toy_embedding_rows())

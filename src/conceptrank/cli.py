@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Subcommands: ``rank`` (full pipeline per event), ``select-concepts``,
-``eval``, and ``synth``.  Logs are one JSON object per line on standard
-error; with ``--stdout`` the primary result artifact is also
-printed to standard output.
+``eval``, and ``synth``.  Every ``rank`` and ``select-concepts`` setting
+takes its default from the class attribute of the same setting in
+``RunConfig`` (concept selection, pseudo labels) or ``CompositionConfig``
+(the fit), so each default is written once.  Logs are one JSON object
+per line on standard error; with ``--stdout`` the primary result
+artifact is also printed to standard output.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure in all
 events, 3 partial failure.
@@ -17,6 +20,7 @@ import os
 import sys
 
 from . import io
+from .composer import CompositionConfig
 from .pipeline import RunConfig, log_kv, run_eval, run_rank, run_select_concepts
 from .synth import gen_instance, toy_embedding_rows
 
@@ -33,20 +37,24 @@ def _add_input_flags(p: argparse.ArgumentParser, with_scores: bool) -> None:
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--top-k", type=int, default=30, help="selected concepts per event")
-    p.add_argument("--n-pos", type=int, default=20, help="pseudo positives")
-    p.add_argument("--n-neg", type=int, default=100, help="pseudo negatives")
-    p.add_argument("--k-neighbors", type=int, default=7, help="target neighbor support")
-    p.add_argument("--k-candidates", type=int, default=50, help="candidate neighbors")
-    p.add_argument("--lambda", dest="lambda_push", type=float, default=1.0,
-                   help="push-loss weight")
-    p.add_argument("--weight-cap", type=float, default=1.0,
+    p.add_argument("--top-k", type=int, default=RunConfig.top_k,
+                   help="selected concepts per event")
+    p.add_argument("--n-pos", type=int, default=RunConfig.n_pos, help="pseudo positives")
+    p.add_argument("--n-neg", type=int, default=RunConfig.n_neg, help="pseudo negatives")
+    p.add_argument("--k-neighbors", type=int, default=CompositionConfig.k_neighbors,
+                   help="target neighbor support")
+    p.add_argument("--k-candidates", type=int, default=CompositionConfig.k_candidates,
+                   help="candidate neighbors")
+    p.add_argument("--lambda", dest="lambda_push", type=float,
+                   default=CompositionConfig.lambda_push, help="push-loss weight")
+    p.add_argument("--weight-cap", type=float, default=CompositionConfig.weight_cap,
                    help="per-row l1 cap on aggregation weights")
     p.add_argument("--no-weight-cap", action="store_true",
                    help="drop the l1 cap, keeping only w >= 0")
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=float, default=CompositionConfig.tol,
                    help="relative objective decrease for convergence")
-    p.add_argument("--max-iters", type=int, default=100, help="outer iterations")
+    p.add_argument("--max-iters", type=int, default=CompositionConfig.max_outer_iters,
+                   help="outer iterations")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sel = sub.add_parser("select-concepts", help="emit per-event top-K concepts")
     _add_input_flags(p_sel, with_scores=False)
-    p_sel.add_argument("--top-k", type=int, default=30)
+    p_sel.add_argument("--top-k", type=int, default=RunConfig.top_k)
     p_sel.add_argument("--out-dir", required=True)
     p_sel.add_argument("--stdout", action="store_true",
                        help="also print the selection CSV to standard output")
@@ -103,12 +111,14 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         top_k=args.top_k,
         n_pos=args.n_pos,
         n_neg=args.n_neg,
-        k_neighbors=args.k_neighbors,
-        k_candidates=args.k_candidates,
-        lambda_push=args.lambda_push,
-        weight_cap=None if args.no_weight_cap else args.weight_cap,
-        tol=args.tol,
-        max_outer_iters=args.max_iters,
+        fit=CompositionConfig(
+            k_neighbors=args.k_neighbors,
+            k_candidates=args.k_candidates,
+            lambda_push=args.lambda_push,
+            weight_cap=None if args.no_weight_cap else args.weight_cap,
+            tol=args.tol,
+            max_outer_iters=args.max_iters,
+        ),
     )
     code, metrics = run_rank(config)
     if args.stdout:
@@ -117,16 +127,9 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        embeddings=args.embeddings,
-        vocabulary=args.vocabulary,
-        videos="",
-        scores="",
-        events=args.events,
-        out_dir=args.out_dir,
-        top_k=args.top_k,
+    code, path = run_select_concepts(
+        args.embeddings, args.vocabulary, args.events, args.out_dir, args.top_k
     )
-    code, path = run_select_concepts(config)
     if args.stdout:
         with open(path, encoding="utf-8") as fh:
             sys.stdout.write(fh.read())

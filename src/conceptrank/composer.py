@@ -63,6 +63,9 @@ __all__ = [
 
 SUPERVISED_COLUMN_ID = "__supervised__"
 
+# relative duality gap that every weight step of ``fit`` is certified to
+WEIGHT_STEP_TOL = 1e-9
+
 
 @dataclass
 class ScoreMatrix:
@@ -117,7 +120,6 @@ class CompositionConfig:
     tol: float = 1e-6
     weight_cap: float | None = 1.0  # None reproduces the bare w >= 0 constraint
     max_inner_iters: int = 500
-    tol_inner: float = 1e-9
 
     def __post_init__(self):
         if self.lambda_push <= 0:
@@ -776,8 +778,8 @@ def update_scores(
     labels: PseudoLabels,
     lambda_push: float,
     hi: np.ndarray,
-    max_iters: int = 500,
-    tol: float = 1e-9,
+    max_iters: int = CompositionConfig.max_inner_iters,
+    tol: float = WEIGHT_STEP_TOL,
 ) -> np.ndarray:
     """Exact weight step, solved as a quadratic program in score space.
 
@@ -1035,7 +1037,7 @@ def fit(
             config.lambda_push,
             hi,
             config.max_inner_iters,
-            config.tol_inner,
+            WEIGHT_STEP_TOL,
         )
         uncertified = bool(gap > bound)
         if uncertified:

@@ -120,8 +120,8 @@ def candidate_neighbors(S: np.ndarray, k_cand: int) -> np.ndarray:
     sq = np.sum(S * S, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (S @ S.T)
     np.fill_diagonal(d2, np.inf)
-    idx = np.arange(n)
-    order = np.lexsort((np.broadcast_to(idx, (n, n)), d2), axis=1)
+    # a stable sort keeps equal distances in ascending column order
+    order = np.argsort(d2, axis=1, kind="stable")
     return np.ascontiguousarray(order[:, :k_cand])
 
 

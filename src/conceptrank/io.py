@@ -179,6 +179,8 @@ def read_scores(
                 raise FormatError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                 )
+            if row[0] in by_id:
+                raise FormatError(f"{path}:{lineno}: duplicate video_id {row[0]!r}")
             try:
                 by_id[row[0]] = np.array([float(x) for x in row[1:]], dtype=np.float64)
             except ValueError as exc:
@@ -221,6 +223,8 @@ def read_supervised(path: str) -> dict[str, float]:
                 continue
             if len(row) != 2:
                 raise FormatError(f"{path}:{lineno}: expected 2 fields")
+            if row[0] in out:
+                raise FormatError(f"{path}:{lineno}: duplicate video_id {row[0]!r}")
             try:
                 out[row[0]] = float(row[1])
             except ValueError:
@@ -250,7 +254,12 @@ def read_ground_truth(path: str) -> dict[str, dict[str, int]]:
                 continue
             if len(row) != 3 or row[2] not in ("0", "1"):
                 raise FormatError(f"{path}:{lineno}: expected event_id,video_id,0|1")
-            out.setdefault(row[0], {})[row[1]] = int(row[2])
+            labels = out.setdefault(row[0], {})
+            if row[1] in labels:
+                raise FormatError(
+                    f"{path}:{lineno}: duplicate event_id,video_id {row[0]!r},{row[1]!r}"
+                )
+            labels[row[1]] = int(row[2])
     if not out:
         raise FormatError(f"{path}: no ground-truth rows")
     return out

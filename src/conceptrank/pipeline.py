@@ -6,9 +6,12 @@ event, once; every event's weak-label file gets the same rows.  Each
 event then needs only its query vector: concept relevance, top-K
 selection, the pseudo-label partition, score normalization, the
 alternating fit, and finally the ranked test list.  Events run one after
-another, and one event's failure is recorded without aborting the
-others.  Per-event outputs go to distinct files, and nothing in a run is
-random, so identical configs and inputs produce byte-identical outputs.
+another in one pass: each event is ranked, its files are written, its
+records are logged and its AP is scored before the next event starts.
+One event's failure is logged and recorded in its place in that order,
+without aborting the others.  Per-event outputs go to distinct files, and
+nothing in a run is random, so identical configs and inputs produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from io import StringIO
 
 import numpy as np
@@ -61,6 +64,14 @@ def log_kv(**fields) -> None:
     print(json.dumps(fields), file=sys.stderr, flush=True)
 
 
+def _require_files(*paths: str | None) -> None:
+    """Raise ``ValidationError`` naming every given path that is not a file;
+    unset paths (``None`` or empty) are skipped."""
+    missing = [p for p in paths if p and not os.path.isfile(p)]
+    if missing:
+        raise ValidationError(f"missing input files: {missing}")
+
+
 @dataclass
 class RunConfig:
     embeddings: str
@@ -74,42 +85,17 @@ class RunConfig:
     top_k: int = 30
     n_pos: int = 20
     n_neg: int = 100
-    k_neighbors: int = 7
-    k_candidates: int = 50
-    lambda_push: float = 1.0
-    weight_cap: float | None = 1.0
-    tol: float = 1e-6
-    max_outer_iters: int = 100
-    max_inner_iters: int = 500
-
-    def required_paths(self) -> list[str]:
-        paths = [self.embeddings, self.vocabulary, self.videos, self.scores, self.events]
-        if self.supervised:
-            paths.append(self.supervised)
-        if self.ground_truth:
-            paths.append(self.ground_truth)
-        return paths
+    fit: CompositionConfig = field(default_factory=CompositionConfig)
 
     def validate(self) -> None:
-        missing = [p for p in self.required_paths() if not os.path.isfile(p)]
-        if missing:
-            raise ValidationError(f"missing input files: {missing}")
+        _require_files(
+            self.embeddings, self.vocabulary, self.videos, self.scores, self.events,
+            self.supervised, self.ground_truth,
+        )
         if self.top_k < 1:
             raise ValidationError("top-k must be >= 1")
         if self.n_pos < 1 or self.n_neg < 1:
             raise ValidationError("n-pos and n-neg must be >= 1")
-        self.composition_config()
-
-    def composition_config(self) -> CompositionConfig:
-        return CompositionConfig(
-            lambda_push=self.lambda_push,
-            k_neighbors=self.k_neighbors,
-            k_candidates=self.k_candidates,
-            max_outer_iters=self.max_outer_iters,
-            tol=self.tol,
-            weight_cap=self.weight_cap,
-            max_inner_iters=self.max_inner_iters,
-        )
 
 
 def _select_score_columns(S: ScoreMatrix, selected: list[int]) -> ScoreMatrix:
@@ -132,7 +118,7 @@ def rank_one_event(
 ):
     """Full pipeline for a single event.
 
-    Returns (ranking, fit_result, selected_indices, selected_scores).
+    Returns (ranking, fit_result, selected_scores).
     Weak videos whose cleaned description has no vocabulary coverage are
     excluded from the pseudo-label pool (they stay in the score matrix and
     are ranked via the graph like any unlabeled row).
@@ -155,9 +141,9 @@ def rank_one_event(
     else:
         S_fit = S_sel
 
-    result = fit(S_fit, labels, w_init, config.composition_config())
+    result = fit(S_fit, labels, w_init, config.fit)
     ranking = ranked_list(S_fit.test_ids(), result.scores[S_fit.l :])
-    return ranking, result, selected, S_sel
+    return ranking, result, S_sel
 
 
 def _weak_labels_csv(vocab: ConceptVocabulary, video_ids: list[str], values) -> str:
@@ -197,44 +183,36 @@ def run_rank(config: RunConfig) -> tuple[int, dict]:
         weak_labels(layer),
     )
 
-    results: dict[str, tuple] = {}
     failures: dict[str, str] = {}
-    for event in events:
-        try:
-            results[event.event_id] = rank_one_event(
-                event, layer, table, scores, supervised, config
-            )
-        except Exception as exc:  # noqa: BLE001 - isolate per-event failures
-            failures[event.event_id] = f"{type(exc).__name__}: {exc}"
-            log_kv(stage="rank", event=event.event_id, error=failures[event.event_id])
-
-    metrics: dict = {"failures": failures}
     per_event_ap: dict[str, float] = {}
     per_event_borda: dict[str, float] = {}
     for event in events:
-        if event.event_id not in results:
+        eid = event.event_id
+        try:
+            ranking, result, S_sel = rank_one_event(
+                event, layer, table, scores, supervised, config
+            )
+        except Exception as exc:  # noqa: BLE001 - isolate per-event failures
+            failures[eid] = f"{type(exc).__name__}: {exc}"
+            log_kv(stage="rank", event=eid, error=failures[eid])
             continue
-        ranking, result, selected, S_sel = results[event.event_id]
-        io.write_ranking(io.ranking_path(config.out_dir, event.event_id), ranking)
-        _write_weak_labels(
-            os.path.join(config.out_dir, f"{event.event_id}_weak_labels.csv"), weak_csv
-        )
+        io.write_ranking(io.ranking_path(config.out_dir, eid), ranking)
+        _write_weak_labels(os.path.join(config.out_dir, f"{eid}_weak_labels.csv"), weak_csv)
         for message in result.warnings:
-            log_kv(stage="fit", event=event.event_id, warning=message)
+            log_kv(stage="fit", event=eid, warning=message)
         log_kv(
             stage="rank",
-            event=event.event_id,
+            event=eid,
             iterations=result.iterations,
             converged=result.converged,
             objective=result.objective_trace[-1],
             uncertified_steps=result.uncertified_steps,
         )
-        if truth is not None and event.event_id in truth:
-            positives = {v for v, lab in truth[event.event_id].items() if lab == 1}
-            per_event_ap[event.event_id] = average_precision(ranking, positives)
-            per_event_borda[event.event_id] = average_precision(
-                borda_baseline(S_sel), positives
-            )
+        if truth is not None and eid in truth:
+            positives = {v for v, lab in truth[eid].items() if lab == 1}
+            per_event_ap[eid] = average_precision(ranking, positives)
+            per_event_borda[eid] = average_precision(borda_baseline(S_sel), positives)
+    metrics: dict = {"failures": failures}
     if per_event_ap:
         report = mean_average_precision(per_event_ap)
         metrics.update(report.as_dict())
@@ -242,33 +220,30 @@ def run_rank(config: RunConfig) -> tuple[int, dict]:
         metrics["borda"] = borda_report.as_dict()
     io.write_metrics(os.path.join(config.out_dir, "metrics.json"), metrics)
 
-    if failures and not results:
-        return 2, metrics
-    if failures:
-        return 3, metrics
-    return 0, metrics
+    if not failures:
+        return 0, metrics
+    return (2 if len(failures) == len(events) else 3), metrics
 
 
-def run_select_concepts(config: RunConfig) -> tuple[int, str]:
+def run_select_concepts(
+    embeddings: str, vocabulary: str, events: str, out_dir: str, top_k: int
+) -> tuple[int, str]:
     """Emit the per-event top-K concepts with relevance values as CSV."""
-    missing = [
-        p for p in (config.embeddings, config.vocabulary, config.events)
-        if not os.path.isfile(p)
-    ]
-    if missing:
-        raise ValidationError(f"missing input files: {missing}")
-    os.makedirs(config.out_dir, exist_ok=True)
-    table = load_embeddings(config.embeddings)
-    vocab = io.read_vocabulary(config.vocabulary)
-    events = io.read_events(config.events)
+    _require_files(embeddings, vocabulary, events)
+    if top_k < 1:
+        raise ValidationError("top-k must be >= 1")
+    os.makedirs(out_dir, exist_ok=True)
+    table = load_embeddings(embeddings)
+    vocab = io.read_vocabulary(vocabulary)
+    queries = io.read_events(events)
     layer = QueryLayer.build(vocab, [], table)
-    path = os.path.join(config.out_dir, "selected_concepts.csv")
+    k = min(top_k, len(vocab))
+    path = os.path.join(out_dir, "selected_concepts.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["event_id", "rank", "concept_id", "relevance"])
-        for event in events:
+        for event in queries:
             relevance = concept_relevance(layer, query_vector(event, table))
-            k = min(config.top_k, len(vocab))
             for rank, idx in enumerate(select_concepts(relevance, k, vocab), start=1):
                 writer.writerow(
                     [
@@ -285,8 +260,7 @@ def run_eval(
     rankings_dir: str, ground_truth_path: str, out_path: str | None = None
 ) -> tuple[int, dict]:
     """Score existing ranking files against a ground-truth file."""
-    if not os.path.isfile(ground_truth_path):
-        raise ValidationError(f"missing input files: ['{ground_truth_path}']")
+    _require_files(ground_truth_path)
     truth = io.read_ground_truth(ground_truth_path)
     per_event: dict[str, float] = {}
     for event_id in sorted(truth):

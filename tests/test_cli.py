@@ -5,6 +5,7 @@ import pytest
 
 from conceptrank import embeddings, io, query
 from conceptrank.cli import main
+from conceptrank.composer import CompositionConfig
 from conceptrank.pipeline import RunConfig, run_rank
 
 
@@ -114,6 +115,26 @@ def test_rank_partial_failure_exit_three(tmp_path):
     assert metrics["E001"] >= 0.0
 
 
+def test_rank_partial_failure_first_event(tmp_path, capsys):
+    # the failing event comes first; the good one after it is still ranked
+    data = _synth(tmp_path)
+    events = os.path.join(data, "events.jsonl")
+    good = open(events, encoding="utf-8").read()
+    with open(events, "w", encoding="utf-8") as fh:
+        fh.write('{"event_id": "E999", "name": "zzzz qqqq", "description": ""}\n' + good)
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main(_rank_args(data, out)) == 3
+    assert sorted(os.listdir(out)) == [
+        "E001_ranking.tsv", "E001_weak_labels.csv", "metrics.json"
+    ]
+    assert len(io.read_ranking(io.ranking_path(out, "E001"))) == 8
+    metrics = json.loads(open(os.path.join(out, "metrics.json")).read())
+    assert list(metrics["failures"]) == ["E999"] and metrics["E001"] >= 0.0
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [r["event"] for r in records if r.get("stage") == "rank"] == ["E999", "E001"]
+
+
 def test_rank_log_lines_are_json(tmp_path, capsys):
     data = _synth(tmp_path)
     events = os.path.join(data, "events.jsonl")
@@ -173,10 +194,13 @@ def test_rank_logs_uncertified_weight_steps(tmp_path, capsys):
         scores=os.path.join(data, "scores.csv"),
         events=os.path.join(data, "events.jsonl"),
         out_dir=str(tmp_path / "out"),
-        top_k=2, n_pos=4, n_neg=4, k_candidates=8, k_neighbors=3, max_outer_iters=4,
+        top_k=2, n_pos=4, n_neg=4,
+    )
+    fit = CompositionConfig(
+        k_candidates=8, k_neighbors=3, max_outer_iters=4, max_inner_iters=1
     )
     capsys.readouterr()
-    code, _ = run_rank(RunConfig(**args, max_inner_iters=1))
+    code, _ = run_rank(RunConfig(**args, fit=fit))
     assert code == 0
     records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     warned = [r["warning"] for r in records if r.get("stage") == "fit"]
@@ -199,7 +223,7 @@ def test_rank_certifies_slowly_shrinking_gaps(tmp_path, capsys):
         events=os.path.join(data, "events.jsonl"),
         out_dir=str(tmp_path / "out"),
         top_k=5,
-        max_outer_iters=3,
+        fit=CompositionConfig(max_outer_iters=3),
     )
     capsys.readouterr()
     code, _ = run_rank(config)
@@ -273,6 +297,26 @@ def test_select_concepts(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "event_id,rank,concept_id,relevance"
     assert len(lines) == 1 + 3  # one event, K rows
+
+
+def test_select_concepts_rejects_zero_top_k(tmp_path, capsys):
+    data = _synth(tmp_path, concepts=5)
+    out = tmp_path / "sel"
+    capsys.readouterr()
+    code = main(
+        [
+            "select-concepts",
+            "--embeddings", os.path.join(data, "embeddings.txt"),
+            "--vocabulary", os.path.join(data, "vocabulary.csv"),
+            "--events", os.path.join(data, "events.jsonl"),
+            "--out-dir", str(out),
+            "--top-k", "0",
+        ]
+    )
+    assert code == 1
+    assert not out.exists()
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert any("top-k" in r.get("validation_error", "") for r in records)
 
 
 def test_eval_subcommand(tmp_path):

@@ -190,6 +190,14 @@ class TestCandidateNeighbors:
         c2 = candidate_neighbors(S, 3)
         np.testing.assert_array_equal(c1, c2)
         assert c1[0].tolist() == [1, 2, 3]
+        # small integer coordinates: exact distances, most of them tied
+        S = np.random.default_rng(5).integers(0, 3, (40, 2)).astype(np.float64)
+        cands = candidate_neighbors(S, 12)
+        d2 = np.square(S[:, None, :] - S[None, :, :]).sum(axis=2)
+        for i in range(len(S)):
+            others = [j for j in range(len(S)) if j != i]
+            order = sorted(others, key=lambda j: (d2[i, j], j))
+            assert cands[i].tolist() == order[:12]
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):

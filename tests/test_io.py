@@ -113,6 +113,16 @@ class TestScores:
         with pytest.raises(ValidationError, match="missing score rows"):
             io.read_scores(path, instance.vocabulary, instance.videos)
 
+    def test_duplicate_video_rejected(self, tmp_path, instance):
+        path = str(tmp_path / "scores.csv")
+        ids = instance.video_ids + instance.video_ids[2:3]
+        values = np.vstack([instance.scores, instance.scores[3:4]])
+        io.write_scores(path, instance.vocabulary, ids, values)
+        lineno = len(ids) + 1
+        match = rf"scores\.csv:{lineno}: duplicate video_id '{ids[2]}'"
+        with pytest.raises(FormatError, match=match):
+            io.read_scores(path, instance.vocabulary, instance.videos)
+
 
 class TestSupervisedAndTruth:
     def test_supervised_round_trip(self, tmp_path, instance):
@@ -131,6 +141,19 @@ class TestSupervisedAndTruth:
         path = tmp_path / "gt.csv"
         path.write_text("event_id,video_id,label\ne1,v1,2\n")
         with pytest.raises(FormatError):
+            io.read_ground_truth(str(path))
+
+    def test_supervised_duplicate_video_rejected(self, tmp_path):
+        path = tmp_path / "sup.csv"
+        path.write_text("video_id,score\nv1,0.5\nv2,0.25\nv1,0.75\n")
+        with pytest.raises(FormatError, match=r"sup\.csv:4: duplicate video_id 'v1'"):
+            io.read_supervised(str(path))
+
+    def test_truth_duplicate_pair_rejected(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        # the same video under two events is fine; twice under one is not
+        path.write_text("event_id,video_id,label\ne1,v1,1\ne2,v1,0\ne1,v1,0\n")
+        with pytest.raises(FormatError, match=r"gt\.csv:4: duplicate event_id,video_id"):
             io.read_ground_truth(str(path))
 
 

@@ -87,7 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="write a synthetic planted instance")
     p_synth.add_argument("--out-dir", required=True)
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--weak", type=int, default=40, help="weak videos (l)")
+    # enough weak videos for rank's default pseudo-label counts
+    p_synth.add_argument("--weak", type=int, default=RunConfig.n_pos + RunConfig.n_neg,
+                         help="weak videos (l)")
     p_synth.add_argument("--test", type=int, default=40, help="test videos (u)")
     p_synth.add_argument("--concepts", type=int, default=8, help="vocabulary size (m)")
     p_synth.add_argument("--informative", type=int, default=1)

@@ -21,9 +21,11 @@ certified duality gap meets its tolerance; a step that stops above it is
 reported in ``FitResult.warnings``.  The graph term's Hessian and the
 certificate's strong-edge part of it are built from the neighbor edge
 list on the free scores alone (``_laplacian``), so no n x n adjacency is
-formed.  The Newton systems are factored by Cholesky, and the certificate
-reads the curvature of the graph term from one Cholesky factor per weight
-step, with no eigendecomposition.
+formed.  Each dense matrix the step factors (every Newton system, and the
+certificate's curvature matrix once per weight step) goes through
+``_cholesky_inverse``, a recursive block Cholesky that does its work in
+matrix products and returns the inverse factor; there is no
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -243,58 +245,42 @@ def objective(
 # ---------------------------------------------------------------------------
 
 
-# rows per leaf of ``_tril_inverse``; the substitution inside the leaves
-# takes this many batched steps, whatever the size of the matrix
-_TRIL_LEAF = 16
-
-
-def _tril_inverse(L: np.ndarray) -> np.ndarray:
-    """Invert a nonsingular lower-triangular matrix (zeros above the
-    diagonal) in place, and return it.
-
-    The diagonal is cut into leaves of ``_TRIL_LEAF`` rows, the last one
-    padded with an identity block.  All leaves are inverted together, by a
-    forward substitution batched across leaves, and ``_tril_merge`` fills
-    in the rest with matrix products, which carry nearly all of the
-    ~2n^3/3 flops.
-    """
-    n, b = L.shape[0], _TRIL_LEAF
-    leaf = np.arange(0, n, b)[:, None] + np.arange(b)
-    shape = (leaf.shape[0], b, b)
-    inside = (leaf[:, :, None] < n) & (leaf[:, None, :] < n)
-    rows = np.broadcast_to(leaf[:, :, None], shape)[inside]
-    cols = np.broadcast_to(leaf[:, None, :], shape)[inside]
-    D = np.broadcast_to(np.eye(b), shape).copy()
-    D[inside] = L[rows, cols]
-    for i in range(b):
-        pivot = D[:, i, i]
-        D[:, i, :i] = -(D[:, i : i + 1, :i] @ D[:, :i, :i])[:, 0] / pivot[:, None]
-        D[:, i, i] = 1.0 / pivot
-    L[rows, cols] = D[inside]
-    _tril_merge(L)
-    return L
-
-
-def _tril_merge(X: np.ndarray) -> None:
-    """Complete, in place, the inverse of a lower-triangular matrix whose
-    diagonal leaves already hold their inverses, by the 2x2 block form
-    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]  split on a
-    leaf boundary; B is still in place when A and C are done."""
-    leaves = -(-X.shape[0] // _TRIL_LEAF)
-    if leaves <= 1:
-        return
-    h = leaves // 2 * _TRIL_LEAF
-    _tril_merge(X[:h, :h])
-    _tril_merge(X[h:, h:])
-    np.matmul(X[h:, h:], X[h:, :h] @ X[:h, :h], out=X[h:, :h])
-    X[h:, :h] *= -1.0
+# rows at most in a leaf of ``_cholesky_inverse``, which LAPACK factors and
+# inverts directly; above it the work is done in matrix products
+_CHOLESKY_LEAF = 48
 
 
 def _cholesky_inverse(A: np.ndarray) -> np.ndarray:
     """The inverse Li of the Cholesky factor of a symmetric positive
-    definite A, so that  A^-1 v = Li' (Li v).  Raises ``LinAlgError`` when A
-    is not numerically positive definite."""
-    return _tril_inverse(np.linalg.cholesky(A))
+    definite A, so that  A^-1 v = Li' (Li v).  Li is lower triangular with
+    exact zeros above the diagonal.  Raises ``LinAlgError`` when A, or any
+    trailing Schur complement, is not numerically positive definite.
+
+    With A split in 2x2 blocks and L21 = A21 Li11',
+      Li = [[Li11, 0], [-Li22 L21 Li11, Li22]],  Li22 = inv-chol(A22 - L21 L21'),
+    so nearly all of the flops are matrix products, which run several times
+    faster than ``np.linalg.cholesky`` at the weight step's sizes.
+    """
+    Li = np.zeros(A.shape)
+    _cholesky_inverse_into(A, Li)
+    return Li
+
+
+def _cholesky_inverse_into(A: np.ndarray, Li: np.ndarray) -> None:
+    """Write the lower triangle of ``_cholesky_inverse(A)`` into Li; the
+    blocks above the diagonal are left as they are."""
+    n = A.shape[0]
+    if n <= _CHOLESKY_LEAF:
+        # inv pivots, so it can leave rounding-level entries above the diagonal
+        Li[...] = np.tril(np.linalg.inv(np.linalg.cholesky(A)))
+        return
+    h = n // 2
+    Li11, Li21, Li22 = Li[:h, :h], Li[h:, :h], Li[h:, h:]
+    _cholesky_inverse_into(A[:h, :h], Li11)
+    L21 = A[h:, :h] @ Li11.T
+    _cholesky_inverse_into(A[h:, h:] - L21 @ L21.T, Li22)
+    np.matmul(Li22, L21 @ Li11, out=Li21)
+    Li21 *= -1.0
 
 
 # neighbor probabilities at most this fraction of the largest one are left
@@ -354,8 +340,9 @@ class _WeightSubproblem:
     stays sound.  The null space of P_c is spanned by the indicators of the
     strong-edge components that hold no pinned video (not free).  With Pi
     the projector onto it, P_c + Pi is positive definite and its inverse is
-    P_c^+ on the range of P_c, so one Cholesky factor of P_c + Pi gives
-    r_c' P_c^+ r_c  for any r_c orthogonal to the null space.
+    P_c^+ on the range of P_c, so its inverse Cholesky factor Li
+    (``_cholesky_inverse``, once per step) gives  r_c' P_c^+ r_c = |Li r_c|^2
+    for any r_c orthogonal to the null space.
     """
 
     def __init__(
@@ -524,9 +511,10 @@ class _ScoreQP:
         added entry by entry.  H is positive semidefinite and nearly
         singular along directions in which the optimum is degenerate
         (shifting every score and t together changes no term when no bound
-        is active); Jacobi scaling with a tiny ridge keeps its Cholesky
-        factorization stable, and two refinement passes against H itself
-        restore accuracy in every direction that changes the objective.
+        is active); Jacobi scaling with a tiny ridge keeps the inverse
+        Cholesky factor of the (f, t) system (``_cholesky_inverse``) stable,
+        and two refinement passes against H itself restore accuracy in every
+        direction that changes the objective.
         The returned function keeps the single unrefined pass as its
         ``eliminate`` attribute, so the elimination can be checked alone.
         """

@@ -12,9 +12,9 @@ from conceptrank.graph import (
 from conceptrank.query import PseudoLabels
 
 
-def random_instance(rng, n_max=30, m_max=5):
+def random_instance(rng, n_max=30, m_max=5, n_min=6):
     """Random normalized score matrix, pseudo labels, and neighbor graph."""
-    n = int(rng.integers(6, n_max + 1))
+    n = int(rng.integers(n_min, n_max + 1))
     m = int(rng.integers(1, m_max + 1))
     l = max(2, n // 2)
     u = n - l

@@ -62,6 +62,27 @@ def test_synth_writes_all_pipeline_inputs(tmp_path):
         assert os.path.isfile(os.path.join(data, name)), name
 
 
+def test_synth_then_rank_with_default_label_counts(tmp_path):
+    # synth's default weak split holds rank's default pseudo labels
+    data = str(tmp_path / "data")
+    assert main(["synth", "--out-dir", data]) == 0
+    out = str(tmp_path / "out")
+    args = [
+        "rank",
+        "--embeddings", os.path.join(data, "embeddings.txt"),
+        "--vocabulary", os.path.join(data, "vocabulary.csv"),
+        "--videos", os.path.join(data, "videos.tsv"),
+        "--scores", os.path.join(data, "scores.csv"),
+        "--events", os.path.join(data, "events.jsonl"),
+        "--ground-truth", os.path.join(data, "ground_truth.csv"),
+        "--out-dir", out,
+        "--max-iters", "2",
+    ]
+    assert main(args) == 0
+    assert json.loads(open(os.path.join(out, "metrics.json")).read())["failures"] == {}
+    assert os.path.getsize(io.ranking_path(out, "E001")) > 0
+
+
 def test_rank_end_to_end_and_metrics(tmp_path):
     data = _synth(tmp_path)
     out = str(tmp_path / "out")

@@ -243,9 +243,39 @@ class TestReferenceSolver:
                 f = rng.uniform(0.0, 1.0, hi.shape[0]) * top
                 assert prob.value(f) >= value - gap - 1e-12
 
+    @staticmethod
+    def _check_newton(qp, rng, wide):
+        """The structured rows and the eliminated Newton solve against the
+        dense matrices they stand for."""
+        nx, nr = qp.lin.shape[0], qp.b.shape[0]
+        A = np.stack([qp.rows(e) for e in np.eye(nx)], axis=1)
+        z = rng.uniform(0.0, 1.0, nr)
+        np.testing.assert_allclose(qp.rows_t(z), A.T @ z, atol=1e-12)
+        d_rows = rng.uniform(0.1, 10.0, nr)
+        d_diag = rng.uniform(0.1, 10.0, nx)
+        d_diag[qp.t] = 0.0
+        H = A.T @ (d_rows[:, None] * A) + np.diag(d_diag)
+        H[: qp.nf, : qp.nf] += qp.P
+        r = rng.normal(size=nx)
+        solve = qp.newton(d_rows, d_diag)
+        want = np.linalg.solve(H, r)
+        np.testing.assert_allclose(solve(r), want, rtol=1e-8, atol=1e-10)
+        # the refinement passes would hide a wrong elimination, so
+        # one unrefined pass must already be exact on these draws
+        err = np.linalg.norm(solve.eliminate(r) - want)
+        assert err <= 1e-9 * np.linalg.norm(want)
+        # late iterations weight bounds and rows from 1e-8 to 1e8;
+        # there the solve must stay backward stable
+        d_rows = 10.0 ** wide.uniform(-8.0, 8.0, nr)
+        d_diag = 10.0 ** wide.uniform(-8.0, 8.0, nx)
+        d_diag[qp.t] = 0.0
+        H = A.T @ (d_rows[:, None] * A) + np.diag(d_diag)
+        H[: qp.nf, : qp.nf] += qp.P
+        x = qp.newton(d_rows, d_diag)(r)
+        scale = np.linalg.norm(H, 2) * np.linalg.norm(x) + np.linalg.norm(r)
+        assert np.linalg.norm(H @ x - r) <= 1e-15 * scale
+
     def test_newton_matches_dense_system(self):
-        # the structured rows and the eliminated Newton solve against the
-        # dense matrices they stand for
         # (box 0.8: no slacks; 1.5 and open: hinge slacks; one pinned video)
         rng = np.random.default_rng(68)
         wide = np.random.default_rng(69)
@@ -255,33 +285,20 @@ class TestReferenceSolver:
                 hi = np.full(S.n_videos, top)
                 hi[rng.integers(S.n_videos)] = 0.0
                 qp = _ScoreQP(_subproblem(nb, labels, lam, hi), hi)
-                nx, nr = qp.lin.shape[0], qp.b.shape[0]
-                A = np.stack([qp.rows(e) for e in np.eye(nx)], axis=1)
-                z = rng.uniform(0.0, 1.0, nr)
-                np.testing.assert_allclose(qp.rows_t(z), A.T @ z, atol=1e-12)
-                d_rows = rng.uniform(0.1, 10.0, nr)
-                d_diag = rng.uniform(0.1, 10.0, nx)
-                d_diag[qp.t] = 0.0
-                H = A.T @ (d_rows[:, None] * A) + np.diag(d_diag)
-                H[: qp.nf, : qp.nf] += qp.P
-                r = rng.normal(size=nx)
-                solve = qp.newton(d_rows, d_diag)
-                want = np.linalg.solve(H, r)
-                np.testing.assert_allclose(solve(r), want, rtol=1e-8, atol=1e-10)
-                # the refinement passes would hide a wrong elimination, so
-                # one unrefined pass must already be exact on these draws
-                err = np.linalg.norm(solve.eliminate(r) - want)
-                assert err <= 1e-9 * np.linalg.norm(want)
-                # late iterations weight bounds and rows from 1e-8 to 1e8;
-                # there the solve must stay backward stable
-                d_rows = 10.0 ** wide.uniform(-8.0, 8.0, nr)
-                d_diag = 10.0 ** wide.uniform(-8.0, 8.0, nx)
-                d_diag[qp.t] = 0.0
-                H = A.T @ (d_rows[:, None] * A) + np.diag(d_diag)
-                H[: qp.nf, : qp.nf] += qp.P
-                x = qp.newton(d_rows, d_diag)(r)
-                scale = np.linalg.norm(H, 2) * np.linalg.norm(x) + np.linalg.norm(r)
-                assert np.linalg.norm(H @ x - r) <= 1e-15 * scale
+                self._check_newton(qp, rng, wide)
+
+    def test_newton_matches_dense_system_above_split(self):
+        # the same checks with the (f, t) system large enough that
+        # ``_cholesky_inverse`` recurses
+        rng = np.random.default_rng(77)
+        wide = np.random.default_rng(78)
+        for top in (0.8, 1.5, np.inf):
+            S, labels, nb, W0, lam = random_instance(rng, n_min=100, n_max=160, m_max=3)
+            hi = np.full(S.n_videos, top)
+            hi[rng.integers(S.n_videos)] = 0.0
+            qp = _ScoreQP(_subproblem(nb, labels, lam, hi), hi)
+            assert qp.nf + 1 > 2 * composer._CHOLESKY_LEAF
+            self._check_newton(qp, rng, wide)
 
     def test_curvature_matches_spectrum(self):
         # the certificate's split of r into a flat part and the curvature
@@ -517,20 +534,43 @@ class TestLaplacian:
             np.testing.assert_allclose(got, want[np.ix_(free, free)], rtol=1e-15, atol=0.0)
 
 
-class TestTriangularInverse:
+class TestCholeskyInverse:
     def test_matches_dense_inverse(self):
         # below, at and above the recursion's leaf size
         rng = np.random.default_rng(72)
-        leaf = composer._TRIL_LEAF
-        for n in (0, 1, 2, leaf - 1, leaf, leaf + 1, 2 * leaf + 3, 5 * leaf):
+        leaf = composer._CHOLESKY_LEAF
+        for n in (0, 1, 2, leaf - 1, leaf, leaf + 1, 2 * leaf + 3, 5 * leaf, 641):
             B = rng.normal(size=(n, n))
             A = B @ B.T / n + np.eye(n)
-            L = np.linalg.cholesky(A)
-            X = composer._tril_inverse(L.copy())
-            assert np.all(np.triu(X, 1) == 0.0)
-            np.testing.assert_allclose(X, np.linalg.inv(L), rtol=1e-10, atol=1e-13)
             Li = composer._cholesky_inverse(A)
+            assert np.all(np.triu(Li, 1) == 0.0)
             np.testing.assert_allclose(Li.T @ Li, np.linalg.inv(A), rtol=1e-10, atol=1e-13)
+
+    def test_indefinite_schur_complement_raises(self, monkeypatch):
+        # the leading block is the identity, so the first half factors; the
+        # trailing Schur complement has a negative eigenvalue, so the error
+        # comes out of the second recursive call
+        rng = np.random.default_rng(79)
+        n = 2 * composer._CHOLESKY_LEAF + 3
+        h = n // 2
+        B = rng.normal(size=(n - h, h))
+        C = np.diag(np.r_[np.ones(n - h - 1), -0.5])
+        A = np.block([[np.eye(h), B.T], [B, B @ B.T + C]])
+        calls = []
+        inner = composer._cholesky_inverse_into
+
+        def spy(M, Li):
+            calls.append(M.shape[0])
+            inner(M, Li)
+            calls.append(-M.shape[0])
+
+        monkeypatch.setattr(composer, "_cholesky_inverse_into", spy)
+        with pytest.raises(np.linalg.LinAlgError):
+            composer._cholesky_inverse(A)
+        assert calls[:2] == [n, h]
+        # the first half returned before the second half began, which raised
+        assert calls.index(-h) < calls.index(n - h)
+        assert -(n - h) not in calls and -n not in calls
 
 
 class TestFinalWeights:

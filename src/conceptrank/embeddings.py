@@ -1,12 +1,32 @@
 """Pretrained word-embedding store and phrase/cosine primitives.
 
-The embedding file format is plain text: one ``token SP float ... float``
-record per line, UTF-8, LF line endings, constant arity.  Tables are
-immutable after load and safe for concurrent reads.
+The embedding file format is plain text, UTF-8, one record per line:
+a token, then the vector's values, each field preceded by one space
+(``token SP float SP ... SP float``), constant arity.  Fields are split
+on single spaces only, so a double space, or a tab between two values, is
+a bad float.  Tables are immutable after load and safe for concurrent
+reads.
+
+The loader reads records in blocks of ``_BLOCK_LINES`` non-blank lines.
+Python handles only each record's structure: it splits the token off at
+the first space and finds the records with no token or no value field.
+numpy's C reader (``np.loadtxt``) parses the values of a whole block into
+one array, and the arity, finite and nonzero checks run once on that
+array; every row of the table is a read-only view into its block's
+array.  A block that has a malformed record, that the C reader rejects,
+that fails a check, or that holds a character the two parsers read
+differently, is parsed again record by record with ``float()``.  That
+parse raises the first bad record's ``FormatError`` with its line
+number, or accepts the block, since ``float()`` also reads values the C
+reader does not (``1_0``, non-ASCII digits).  So the table holds the same
+bits, and a bad file fails with the same message, as a parse of every
+record with ``float()``.
 """
 
 from __future__ import annotations
 
+import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +34,14 @@ import numpy as np
 from .errors import CoverageError, FormatError
 
 __all__ = ["EmbeddingTable", "PhraseVector", "load_embeddings", "phrase_vector", "cosine"]
+
+# non-blank lines per np.loadtxt call.  A block's value strings are all
+# alive at once; at 128 lines the loader's peak RSS on a 20k x 48 table is
+# that of a one-line-at-a-time parse, at 512 it is 1.3 MB above it
+_BLOCK_LINES = 128
+# np.loadtxt strips these ASCII information separators around a value
+# like whitespace; float() rejects them
+_LOADTXT_ONLY = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass(frozen=True)
@@ -39,47 +67,117 @@ class EmbeddingTable:
 
 
 def load_embeddings(path: str) -> EmbeddingTable:
-    """Load an embedding table from a whitespace-delimited text file.
+    """Load an embedding table from a text file of space-separated records.
 
-    Duplicate tokens keep the last occurrence and increment the table's
-    ``duplicate_count``.  Raises FormatError on inconsistent arity, a zero
-    vector, an unparsable float, or an empty file.
+    Each record is a token and its values, separated by single spaces; a
+    double space, or a tab between two values, is a bad float.  Blank lines
+    are skipped and tokens are lowercased.  Duplicate tokens keep the last
+    occurrence, at the position of the first, and increment the table's
+    ``duplicate_count``.  Raises FormatError, naming the line,
+    on a record without a token or values, inconsistent arity, an
+    unparsable or non-finite value, or a zero vector, and on an empty file.
     """
     vectors: dict[str, np.ndarray] = {}
     dimension = None
     duplicates = 0
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split(" ")
-            if len(parts) < 2:
-                raise FormatError(f"{path}:{lineno}: expected 'token value...' record")
-            token = parts[0].lower()
-            if not token:
-                raise FormatError(f"{path}:{lineno}: empty token")
-            try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad float: {exc}") from None
+        for block in _record_blocks(fh):
+            tokens, rows = _parse_block(path, block, dimension)
             if dimension is None:
-                dimension = vec.shape[0]
-            elif vec.shape[0] != dimension:
-                raise FormatError(
-                    f"{path}:{lineno}: expected {dimension} values, got {vec.shape[0]}"
-                )
-            if not np.all(np.isfinite(vec)):
-                raise FormatError(f"{path}:{lineno}: non-finite value")
-            if not np.any(vec):
-                raise FormatError(f"{path}:{lineno}: zero vector")
-            if token in vectors:
-                duplicates += 1
-            vec.setflags(write=False)
-            vectors[token] = vec
+                dimension = rows[0].shape[0]
+            before = len(vectors) + len(tokens)
+            vectors.update(zip(tokens, rows))
+            duplicates += before - len(vectors)
     if dimension is None:
         raise FormatError(f"{path}: no entries")
     return EmbeddingTable(dimension=dimension, vectors=vectors, duplicate_count=duplicates)
+
+
+# (line number, token, separator, value fields): a line split at its first
+# space, so the separator is empty when the line has no value field
+_Record = tuple[int, str, str, str]
+
+
+def _record_blocks(fh) -> Iterator[list[_Record]]:
+    """Yield the non-blank lines of ``fh``, without their line ending and
+    split at their first space, in lists of at most ``_BLOCK_LINES``."""
+    block: list[_Record] = []
+    for lineno, line in enumerate(fh, start=1):
+        line = line.rstrip("\n")
+        if line.strip():
+            block.append((lineno, *line.partition(" ")))
+            if len(block) == _BLOCK_LINES:
+                yield block
+                block = []
+    if block:
+        yield block
+
+
+def _parse_block(
+    path: str, block: list[_Record], dimension: int | None
+) -> tuple[list[str], list[np.ndarray]]:
+    """Tokens and read-only rows of one block, parsed by np.loadtxt when
+    that gives exactly what ``_parse_records`` gives, else by it."""
+    if not all(token and sep for _, token, sep, _ in block) or any(
+        c in values for *_, values in block for c in _LOADTXT_ONLY
+    ):
+        return _parse_records(path, block, dimension)
+    try:
+        with warnings.catch_warnings():
+            # a block whose value fields are all empty parses to no rows,
+            # with a warning; the row count below sends it to the fallback
+            warnings.simplefilter("ignore")
+            array = np.loadtxt(
+                [values for *_, values in block],
+                delimiter=" ", comments=None, quotechar=None, ndmin=2,
+            )
+    except ValueError:
+        return _parse_records(path, block, dimension)
+    # np.loadtxt skips an empty value field (the record "token "), so each
+    # later row would pair with the wrong token without the row count
+    rows, cols = array.shape
+    if (
+        rows != len(block)
+        or cols != (dimension or cols)
+        or not np.isfinite(array).all()
+        or not array.any(axis=1).all()
+    ):
+        return _parse_records(path, block, dimension)
+    array.setflags(write=False)
+    return [token.lower() for _, token, _, _ in block], list(array)
+
+
+def _parse_records(
+    path: str, block: list[_Record], dimension: int | None
+) -> tuple[list[str], list[np.ndarray]]:
+    """Parse a block record by record with ``float()``; raises FormatError
+    at its first bad record."""
+    tokens = []
+    rows = []
+    for lineno, token, sep, values in block:
+        if not sep:
+            raise FormatError(f"{path}:{lineno}: expected 'token value...' record")
+        token = token.lower()
+        if not token:
+            raise FormatError(f"{path}:{lineno}: empty token")
+        try:
+            vec = np.array([float(x) for x in values.split(" ")], dtype=np.float64)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad float: {exc}") from None
+        if dimension is None:
+            dimension = vec.shape[0]
+        elif vec.shape[0] != dimension:
+            raise FormatError(
+                f"{path}:{lineno}: expected {dimension} values, got {vec.shape[0]}"
+            )
+        if not np.all(np.isfinite(vec)):
+            raise FormatError(f"{path}:{lineno}: non-finite value")
+        if not np.any(vec):
+            raise FormatError(f"{path}:{lineno}: zero vector")
+        vec.setflags(write=False)
+        tokens.append(token)
+        rows.append(vec)
+    return tokens, rows
 
 
 @dataclass(frozen=True)

@@ -165,6 +165,8 @@ def run_rank(config: RunConfig) -> tuple[int, dict]:
     config.validate()
     os.makedirs(config.out_dir, exist_ok=True)
     table = load_embeddings(config.embeddings)
+    if table.duplicate_count:
+        log_kv(stage="embeddings", duplicate_tokens=table.duplicate_count)
     vocab = io.read_vocabulary(config.vocabulary)
     videos = io.read_videos(config.videos)
     events = io.read_events(config.events)

@@ -172,6 +172,25 @@ def test_rank_log_lines_are_json(tmp_path, capsys):
     assert isinstance(done["converged"], bool) and done["uncertified_steps"] == 0
 
 
+def test_rank_logs_duplicate_table_tokens(tmp_path, capsys):
+    data = _synth(tmp_path)
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main(_rank_args(data, out)) == 0
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert not [r for r in records if r.get("stage") == "embeddings"]
+    table = os.path.join(data, "embeddings.txt")
+    first = open(table, encoding="utf-8").readline()
+    token = first.split(" ")[0]
+    with open(table, "a", encoding="utf-8") as fh:
+        fh.write(first + token.upper() + first[len(token):])
+    assert main(_rank_args(data, out)) == 0
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [r for r in records if r.get("stage") == "embeddings"] == [
+        {"stage": "embeddings", "duplicate_tokens": 2}
+    ]
+
+
 def _add_events(data, count):
     """Append copies of E001 under new ids; returns every event id."""
     path = os.path.join(data, "events.jsonl")

@@ -1,10 +1,13 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conceptrank import embeddings
 from conceptrank.embeddings import cosine, load_embeddings, phrase_vector
 from conceptrank.errors import CoverageError, FormatError
 
@@ -52,6 +55,196 @@ class TestLoad:
     def test_scientific_notation(self, tmp_path):
         table = load_embeddings(_write(tmp_path, "dog 1e-2 2.5E3\n"))
         np.testing.assert_allclose(table.get("dog"), [0.01, 2500.0])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_rejected(self, tmp_path, value):
+        # float("1e400") overflows to inf
+        with pytest.raises(FormatError, match=r":2: non-finite value$"):
+            load_embeddings(_write(tmp_path, f"dog 1 0\ncat 0 {value}\n"))
+
+    def test_vectors_read_only(self, tmp_path):
+        lines = "".join(f"t{i} {i + 1} -0.5\n" for i in range(2 * embeddings._BLOCK_LINES + 3))
+        table = load_embeddings(_write(tmp_path, lines + "t0 7 7\n"))
+        assert len(table) == 2 * embeddings._BLOCK_LINES + 3
+        for vec in table.vectors.values():
+            assert not vec.flags.writeable
+            with pytest.raises(ValueError):
+                vec[0] = 1.0
+
+
+def _reference_load(path):
+    """The per-record loader that block parsing replaced, kept verbatim as
+    the specification of which files load and what they load to."""
+    vectors = {}
+    dimension = None
+    duplicates = 0
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            parts = line.split(" ")
+            if len(parts) < 2:
+                raise FormatError(f"{path}:{lineno}: expected 'token value...' record")
+            token = parts[0].lower()
+            if not token:
+                raise FormatError(f"{path}:{lineno}: empty token")
+            try:
+                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: bad float: {exc}") from None
+            if dimension is None:
+                dimension = vec.shape[0]
+            elif vec.shape[0] != dimension:
+                raise FormatError(
+                    f"{path}:{lineno}: expected {dimension} values, got {vec.shape[0]}"
+                )
+            if not np.all(np.isfinite(vec)):
+                raise FormatError(f"{path}:{lineno}: non-finite value")
+            if not np.any(vec):
+                raise FormatError(f"{path}:{lineno}: zero vector")
+            if token in vectors:
+                duplicates += 1
+            vec.setflags(write=False)
+            vectors[token] = vec
+    if dimension is None:
+        raise FormatError(f"{path}: no entries")
+    return embeddings.EmbeddingTable(
+        dimension=dimension, vectors=vectors, duplicate_count=duplicates
+    )
+
+
+def _outcome(loader, path):
+    """Everything a caller can observe of one load: the table's dimension,
+    duplicate count, token order, vector bytes and write flags, or the
+    error text."""
+    try:
+        table = loader(path)
+    except FormatError as exc:
+        return ("error", str(exc))
+    return (
+        "table",
+        table.dimension,
+        table.duplicate_count,
+        list(table.vectors),
+        [(v.dtype.str, v.shape, v.tobytes(), v.flags.writeable) for v in table.vectors.values()],
+    )
+
+
+def _check_against_reference(path, block_lines):
+    with mock.patch.object(embeddings, "_BLOCK_LINES", block_lines):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(load_embeddings, path)
+    assert got == _outcome(_reference_load, path)
+    return got
+
+
+# each case runs at a block size of 2, so its later lines sit in later blocks
+_FIXED_CASES = {
+    # np.loadtxt skips the empty value field and returns one row too few
+    "trailing_space_record": (
+        "dog 1 2\ncat \ncow 3 4\n", ":2: bad float: could not convert string to float: ''"
+    ),
+    "only_empty_value_fields": ("dog \ncat \n", ":1: bad float"),
+    "blank_lines_and_crlf": ("dog 1 2\r\n  \r\n\t\r\nCAT 3 4\r\n\r\n\x0b\ncow 5 6", None),
+    "duplicate_across_blocks": ("dog 1 0\ncat 0 1\nDOG 2 2\ncow 1 1\ndog 3 3\n", None),
+    "arity_change_first_line_of_later_block": (
+        "a 1 2\nb 3 4\nc 5\nd 6 7\n", ":3: expected 2 values, got 1"
+    ),
+    "bad_float_later_block": ("a 1 2\nb 3 4\nc 5 6\nd 7 x\n", ":4: bad float"),
+    "nan_later_block": ("a 1 2\nb 3 4\nc nan 6\n", ":3: non-finite value"),
+    "zero_vector_later_block": ("a 1 2\nb 3 4\n\nc 0 -0.0\n", ":4: zero vector"),
+    "underscore_and_arabic_digits": ("a 1_0 \u0661\u0662\nb 3 4\nc 5 6\n", None),
+    "tab_between_values": ("a 1 2\nb 3 4\nc 5\t6\n", ":3: bad float"),
+    "tab_around_values": ("a 1 2\t\nb \t3 4\n", None),
+    "double_space": ("a 1 2\nb 3  4\n", ":2: bad float"),
+    "information_separator": ("a 1 2\nb 3 4\x1c\n", ":2: bad float"),
+    "negative_zero": ("a -0.0 1\nb 2 -0.0\n", None),
+    "bad_float_before_bad_record": ("a 1 x\nb\n", ":1: bad float"),
+    "no_value_field": ("a 1 2\nb 3 4\nc\n", ":3: expected 'token value...' record"),
+    "empty_token": ("a 1\n 2\n", ":2: empty token"),
+    "empty_file": ("\n \n", "no entries"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIXED_CASES))
+def test_load_matches_reference_on_fixed_cases(tmp_path, name):
+    text, error = _FIXED_CASES[name]
+    path = tmp_path / "emb.txt"
+    path.write_bytes(text.encode("utf-8"))
+    got = _check_against_reference(str(path), block_lines=2)
+    if error is None:
+        assert got[0] == "table"
+    else:
+        assert got[0] == "error" and error in got[1]
+
+
+def test_load_fixed_case_values(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_bytes(_FIXED_CASES["duplicate_across_blocks"][0].encode("utf-8"))
+    with mock.patch.object(embeddings, "_BLOCK_LINES", 2):
+        table = load_embeddings(str(path))
+    assert list(table.vectors) == ["dog", "cat", "cow"] and table.duplicate_count == 2
+    np.testing.assert_array_equal(table.get("dog"), [3.0, 3.0])
+    path.write_bytes(_FIXED_CASES["underscore_and_arabic_digits"][0].encode("utf-8"))
+    np.testing.assert_array_equal(load_embeddings(str(path)).get("a"), [10.0, 12.0])
+    path.write_bytes(_FIXED_CASES["negative_zero"][0].encode("utf-8"))
+    assert load_embeddings(str(path)).get("a").tobytes() == np.array([-0.0, 1.0]).tobytes()
+
+
+def test_load_matches_reference_across_default_blocks(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 2 * embeddings._BLOCK_LINES + 17
+    distinct = embeddings._BLOCK_LINES + 5  # the later blocks repeat tokens of the first
+    values = rng.standard_normal((n, 7))
+    lines = [
+        f"T{i % distinct} " + " ".join(repr(float(x)) for x in row)
+        for i, row in enumerate(values)
+    ]
+    path = tmp_path / "emb.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    got = _check_against_reference(str(path), block_lines=embeddings._BLOCK_LINES)
+    assert got[0] == "table" and got[2] == n - distinct
+
+
+_ODD_VALUES = [
+    "0", "-0.0", "nan", "inf", "1e400", "1_0", "\u0661", "", "x", "1\t2", "\t3", "1\x1c"
+]
+_ODD_LINES = ["", "  ", "\t", "cat ", "cat", " 1", "cat 1  2", "cat\t1 2"]
+
+
+@st.composite
+def _embedding_files(draw):
+    """A table's text: mostly well-formed records over a few tokens, so
+    duplicates are common; with ``odd``, also malformed values and lines."""
+    dim = draw(st.integers(1, 3))
+    odd = draw(st.booleans())
+    value = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-3, 3).map(str),
+    )
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if odd and draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(_ODD_LINES)))
+            continue
+        arity = dim if not odd or draw(st.integers(0, 7)) else draw(st.integers(1, 4))
+        fields = [draw(st.sampled_from(["dog", "DOG", "cat", "show", "Z"]))]
+        for _ in range(arity):
+            odd_value = odd and draw(st.integers(0, 9)) == 0
+            fields.append(draw(st.sampled_from(_ODD_VALUES) if odd_value else value))
+        lines.append(" ".join(fields))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@given(_embedding_files(), st.integers(1, 5))
+@settings(max_examples=300, deadline=None)
+def test_load_matches_reference_on_generated_files(tmp_path_factory, text, block_lines):
+    path = tmp_path_factory.mktemp("differential") / "emb.txt"
+    path.write_bytes(text.encode("utf-8"))
+    _check_against_reference(str(path), block_lines)
 
 
 class TestPhrase:

@@ -15,14 +15,15 @@ __all__ = [
 ]
 
 
-def simplex_project_rows(V: np.ndarray, total: float = 1.0) -> np.ndarray:
-    """Project each row of V onto {a : a >= 0, sum(a) = total}.
+def simplex_project_rows(V: np.ndarray) -> np.ndarray:
+    """Project each row of V onto the probability simplex
+    {a : a >= 0, sum(a) = 1}.
 
     Sort-and-threshold Euclidean projection, vectorized across rows.
     """
     V = np.asarray(V, dtype=np.float64)
     U = -np.sort(-V, axis=1)
-    css = np.cumsum(U, axis=1) - total
+    css = np.cumsum(U, axis=1) - 1.0
     ind = np.arange(1, V.shape[1] + 1)
     cond = U > css / ind
     rho = np.count_nonzero(cond, axis=1)

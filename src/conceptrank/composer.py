@@ -50,7 +50,6 @@ __all__ = [
     "CompositionConfig",
     "FitResult",
     "normalize_scores",
-    "aggregate",
     "row_scores",
     "score_box_top",
     "push_loss_from_scores",
@@ -180,15 +179,6 @@ def normalize_scores(raw: ScoreMatrix) -> ScoreMatrix:
         u=raw.u,
         concept_ids=list(raw.concept_ids),
     )
-
-
-def aggregate(w_row: np.ndarray, s_row: np.ndarray) -> float:
-    """Inner product of one weight row with one score row."""
-    w_row = np.asarray(w_row, dtype=np.float64)
-    s_row = np.asarray(s_row, dtype=np.float64)
-    if w_row.shape != s_row.shape:
-        raise ValueError(f"length mismatch: {w_row.shape} vs {s_row.shape}")
-    return float(np.dot(w_row, s_row))
 
 
 def row_scores(W: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -353,6 +343,7 @@ class _WeightSubproblem:
         free: np.ndarray,
     ):
         self.neighbors = neighbors
+        self.labels = labels
         self.pos = np.asarray(labels.positives)
         self.neg = np.asarray(labels.negatives)
         self.lam = float(lambda_push)
@@ -388,11 +379,8 @@ class _WeightSubproblem:
 
     def value(self, f: np.ndarray) -> float:
         """Smoothness + push at the scores f, in the objective's arithmetic."""
-        val = smoothness_value(f, self.neighbors)
-        if self.lam > 0.0:
-            phi = _kernels.push_hinge_means(f[self.pos], f[self.neg])
-            val += self.lam * float(phi.max())
-        return float(val)
+        push = push_loss_from_scores(f, self.labels)
+        return smoothness_value(f, self.neighbors) + self.lam * push
 
     def split(self, r: np.ndarray) -> tuple[np.ndarray, float]:
         """(flat, curved): the projection of r onto the null space of P_c

@@ -71,19 +71,16 @@ def mean_average_precision(per_event_ap: dict[str, float]) -> EvalReport:
     )
 
 
-def borda_baseline(S: ScoreMatrix, test_only: bool = True) -> RankedList:
-    """Equal-weight rank aggregation over the matrix columns.
+def borda_baseline(S: ScoreMatrix) -> RankedList:
+    """Equal-weight rank aggregation over the matrix columns, on the test
+    videos.
 
-    Within each column, videos are ranked by descending score (ties by
+    Within each column, test videos are ranked by descending score (ties by
     ascending video_id) and awarded n - rank points; a video's Borda score
     is the sum of its points over all columns.
     """
-    if test_only:
-        values = S.values[S.l :]
-        ids = S.test_ids()
-    else:
-        values = S.values
-        ids = list(S.video_ids)
+    values = S.values[S.l :]
+    ids = S.test_ids()
     n = len(ids)
     points = np.zeros(n)
     for col in range(values.shape[1]):

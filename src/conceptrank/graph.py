@@ -17,18 +17,10 @@ from . import _kernels
 
 __all__ = [
     "NeighborMatrix",
-    "score_distances",
-    "simplex_project",
-    "update_neighbors",
     "update_neighbor_rows",
     "gamma_for_k",
     "candidate_neighbors",
-    "support_size",
 ]
-
-# entries at or below this are treated as zero when counting a row's support;
-# matches the nudge scale used by gamma_for_k
-SUPPORT_TOL = 1e-12
 
 
 @dataclass
@@ -49,42 +41,20 @@ class NeighborMatrix:
         return self.candidates.shape[0]
 
 
-def score_distances(f: np.ndarray, candidates: np.ndarray, i: int) -> np.ndarray:
-    """Squared aggregated-score gaps d_ij = (f_i - f_j)^2 for row i."""
-    candidates = np.asarray(candidates)
-    if np.any(candidates == i):
-        raise ValueError(f"row {i} may not be its own candidate")
-    diff = f[i] - f[candidates]
-    return diff * diff
-
-
-def simplex_project(v: np.ndarray, total: float = 1.0) -> np.ndarray:
-    """Euclidean projection of v onto {a : a >= 0, sum(a) = total}."""
-    v = np.asarray(v, dtype=np.float64)
-    return _kernels.simplex_project_rows(v[None, :], total)[0]
-
-
-def update_neighbors(d: np.ndarray, gamma: float) -> np.ndarray:
-    """Closed-form row minimizer: simplex projection of -d / (2 gamma).
+def update_neighbor_rows(D: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Closed-form row minimizers for a (n, k_cand) distance matrix: row i
+    is the simplex projection of -D[i] / (2 gamma[i]).
 
     All-zero distances give the uniform vector (the analytic limit), and
-    gamma -> infinity approaches uniform for any bounded d.
+    gamma -> infinity approaches uniform for any bounded distances.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    d = np.asarray(d, dtype=np.float64)
-    return simplex_project(-d / (2.0 * gamma))
-
-
-def update_neighbor_rows(D: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Batched update_neighbors for a (n, k_cand) distance matrix."""
     if np.any(gamma <= 0):
         raise ValueError("all gamma values must be positive")
-    return _kernels.simplex_project_rows(-D / (2.0 * gamma[:, None]), 1.0)
+    return _kernels.simplex_project_rows(-D / (2.0 * gamma[:, None]))
 
 
 def gamma_for_k(d: np.ndarray, k: int) -> float:
-    """Row regularizer giving update_neighbors a support of exactly k.
+    """Row regularizer giving update_neighbor_rows a support of exactly k.
 
     Uses the boundary value (k d_(k+1) - sum_{j<=k} d_(j)) / 2 on the
     ascending-sorted distances.  When ties make support exactly k
@@ -123,8 +93,3 @@ def candidate_neighbors(S: np.ndarray, k_cand: int) -> np.ndarray:
     # a stable sort keeps equal distances in ascending column order
     order = np.argsort(d2, axis=1, kind="stable")
     return np.ascontiguousarray(order[:, :k_cand])
-
-
-def support_size(a: np.ndarray, tol: float = SUPPORT_TOL) -> int:
-    """Number of entries meaningfully above zero."""
-    return int(np.count_nonzero(np.asarray(a) > tol))

@@ -46,15 +46,12 @@ from .query import (
     ConceptVocabulary,
     EventQuery,
     QueryLayer,
+    concept_relevance,
+    partition_pseudo,
     query_vector,
     select_concepts,
+    weak_labels,
 )
-
-# the run-level matrix forms of the query layer's three steps keep the
-# names the steps are known by, so profiles and traces attribute them
-from .query import layer_partition as partition_pseudo
-from .query import layer_relevance as concept_relevance
-from .query import layer_weak_labels as weak_labels
 
 __all__ = ["RunConfig", "run_rank", "run_select_concepts", "run_eval", "rank_one_event"]
 
@@ -70,6 +67,15 @@ def _require_files(*paths: str | None) -> None:
     missing = [p for p in paths if p and not os.path.isfile(p)]
     if missing:
         raise ValidationError(f"missing input files: {missing}")
+
+
+def _load_table(path: str) -> EmbeddingTable:
+    """The embedding table at ``path``; logs how many of its records repeat
+    an earlier token, which ``load_embeddings`` counts but does not report."""
+    table = load_embeddings(path)
+    if table.duplicate_count:
+        log_kv(stage="embeddings", duplicate_tokens=table.duplicate_count)
+    return table
 
 
 @dataclass
@@ -164,9 +170,7 @@ def run_rank(config: RunConfig) -> tuple[int, dict]:
     """Rank every event; returns (exit_code, metrics dict)."""
     config.validate()
     os.makedirs(config.out_dir, exist_ok=True)
-    table = load_embeddings(config.embeddings)
-    if table.duplicate_count:
-        log_kv(stage="embeddings", duplicate_tokens=table.duplicate_count)
+    table = _load_table(config.embeddings)
     vocab = io.read_vocabulary(config.vocabulary)
     videos = io.read_videos(config.videos)
     events = io.read_events(config.events)
@@ -235,7 +239,7 @@ def run_select_concepts(
     if top_k < 1:
         raise ValidationError("top-k must be >= 1")
     os.makedirs(out_dir, exist_ok=True)
-    table = load_embeddings(embeddings)
+    table = _load_table(embeddings)
     vocab = io.read_vocabulary(vocabulary)
     queries = io.read_events(events)
     layer = QueryLayer.build(vocab, [], table)

@@ -6,17 +6,15 @@ descriptions, and partitions weakly-described videos into pseudo
 positives/negatives.  All operations are pure functions over immutable
 inputs.
 
-Two forms compute the same values.  ``concept_relevance``, ``weak_labels``
-and ``partition_pseudo`` embed every phrase they touch.  A run over many
-events embeds the event-independent phrases once, in a ``QueryLayer``
-(concept names C and weak descriptions D), and then needs only each
-event's query vector q (``layer_relevance``, ``layer_partition``): m
-cosines for the relevance and l for the partition.  Those take ``cosine``
-row by row rather than one matrix product, whose last bit differs on
-about a third of the rows; the fit downstream turns differences that
-small into different rankings.  The weak labels ``max(0, D C^T)`` do not
-depend on the event and feed no computation, so ``layer_weak_labels``
-takes them as one matrix product per run.
+A run over many events embeds the event-independent phrases once, in a
+``QueryLayer`` (concept names C and weak descriptions D), and then needs
+only each event's query vector q (``query_vector``): m cosines for
+``concept_relevance`` and l for ``partition_pseudo``.  Those take
+``cosine`` row by row rather than one matrix product, whose last bit
+differs on about a third of the rows; the fit downstream turns
+differences that small into different rankings.  The weak labels
+``max(0, D C^T)`` do not depend on the event and feed no computation, so
+``weak_labels`` takes them as one matrix product per run.
 """
 
 from __future__ import annotations
@@ -36,15 +34,12 @@ __all__ = [
     "RelevanceVector",
     "VideoRecord",
     "PseudoLabels",
+    "QueryLayer",
+    "query_vector",
     "concept_relevance",
     "select_concepts",
     "weak_labels",
     "partition_pseudo",
-    "QueryLayer",
-    "query_vector",
-    "layer_relevance",
-    "layer_weak_labels",
-    "layer_partition",
 ]
 
 
@@ -134,44 +129,6 @@ class PseudoLabels:
             raise ValueError("pseudo positives and negatives overlap")
 
 
-def concept_relevance(
-    query: EventQuery, vocab: ConceptVocabulary, table: EmbeddingTable
-) -> RelevanceVector:
-    """Clamped cosine between the query phrase and each concept-name phrase.
-
-    Negative cosines are clamped to 0 so values live in [0, 1].  Concept
-    names with no in-vocabulary token get 0 and are flagged; a fully
-    out-of-vocabulary query raises CoverageError.
-    """
-    qvec = phrase_vector(query.text_tokens(), table).vector
-    return _relevance_of_phrase(qvec, vocab, table)
-
-
-def weak_labels(
-    record: VideoRecord, vocab: ConceptVocabulary, table: EmbeddingTable
-) -> RelevanceVector:
-    """Concept relevance of a weak video's cleaned description."""
-    if record.split != "weak":
-        raise ValueError(f"weak labels need a weak-split record, got {record.split!r}")
-    dvec = phrase_vector(clean_text(record.description), table).vector
-    return _relevance_of_phrase(dvec, vocab, table)
-
-
-def _relevance_of_phrase(
-    vec: np.ndarray, vocab: ConceptVocabulary, table: EmbeddingTable
-) -> RelevanceVector:
-    values = np.zeros(len(vocab))
-    oov = set()
-    for k, concept in enumerate(vocab.concepts):
-        try:
-            cvec = phrase_vector(tokenize(concept.name), table).vector
-        except CoverageError:
-            oov.add(k)
-            continue
-        values[k] = max(0.0, cosine(vec, cvec))
-    return RelevanceVector(values=values, oov_concepts=frozenset(oov))
-
-
 def select_concepts(w: RelevanceVector, k: int, vocab: ConceptVocabulary) -> list[int]:
     """Indices of the K largest relevances, descending, ties by concept_id."""
     m = len(vocab)
@@ -179,43 +136,6 @@ def select_concepts(w: RelevanceVector, k: int, vocab: ConceptVocabulary) -> lis
         raise ValueError(f"need 1 <= K <= {m}, got {k}")
     order = sorted(range(m), key=lambda i: (-w.values[i], vocab.concepts[i].concept_id))
     return order[:k]
-
-
-def partition_pseudo(
-    query: EventQuery,
-    weak_records: list[VideoRecord],
-    table: EmbeddingTable,
-    n_pos: int,
-    n_neg: int,
-) -> PseudoLabels:
-    """Split weak videos into pseudo positives/negatives by query similarity.
-
-    Videos are ranked by cosine between the cleaned-description phrase and
-    the query phrase; the top ``n_pos`` become positives and the bottom
-    ``n_neg`` negatives.  Ties break by ascending video_id, which makes the
-    split deterministic.
-    """
-    if n_pos < 1 or n_neg < 1:
-        raise ValueError("n_pos and n_neg must be >= 1")
-    if n_pos + n_neg > len(weak_records):
-        raise ValueError(
-            f"n_pos + n_neg = {n_pos + n_neg} exceeds the {len(weak_records)} weak videos"
-        )
-    if any(r.split != "weak" for r in weak_records):
-        raise ValueError("all records must be weak-split")
-    qvec = phrase_vector(query.text_tokens(), table).vector
-    sims = [
-        cosine(qvec, phrase_vector(clean_text(r.description), table).vector)
-        for r in weak_records
-    ]
-    ranked = sorted(
-        range(len(weak_records)),
-        key=lambda i: (-sims[i], weak_records[i].video_id),
-    )
-    return PseudoLabels(
-        positives=tuple(ranked[:n_pos]),
-        negatives=tuple(ranked[len(ranked) - n_neg :]),
-    )
 
 
 @dataclass(frozen=True)
@@ -282,8 +202,13 @@ def query_vector(query: EventQuery, table: EmbeddingTable) -> np.ndarray:
     return phrase_vector(query.text_tokens(), table).vector
 
 
-def layer_relevance(layer: QueryLayer, qvec: np.ndarray) -> RelevanceVector:
-    """``concept_relevance`` of the event with query vector ``qvec``."""
+def concept_relevance(layer: QueryLayer, qvec: np.ndarray) -> RelevanceVector:
+    """Clamped cosine between the query vector ``qvec`` and each
+    concept-name vector of ``layer``.
+
+    Negative cosines are clamped to 0 so values live in [0, 1].  Concept
+    names with no in-vocabulary token get 0 and are flagged.
+    """
     values = np.zeros(len(layer.vocab))
     for k in np.flatnonzero(~layer.concept_oov):
         values[k] = max(0.0, cosine(qvec, layer.concepts[k]))
@@ -291,20 +216,25 @@ def layer_relevance(layer: QueryLayer, qvec: np.ndarray) -> RelevanceVector:
     return RelevanceVector(values=values, oov_concepts=oov)
 
 
-def layer_weak_labels(layer: QueryLayer) -> np.ndarray:
-    """``weak_labels`` of every covered weak video, one row each, in order."""
+def weak_labels(layer: QueryLayer) -> np.ndarray:
+    """Concept relevance of every covered weak video's cleaned description,
+    one row each, in ``layer.weak_records`` order."""
     values = np.clip(layer.descriptions[layer.covered] @ layer.concepts.T, 0.0, 1.0)
     values[:, layer.concept_oov] = 0.0
     return values
 
 
-def layer_partition(
+def partition_pseudo(
     layer: QueryLayer, qvec: np.ndarray, n_pos: int, n_neg: int
 ) -> PseudoLabels:
-    """``partition_pseudo`` over the covered weak videos of ``layer``.
+    """Split the covered weak videos of ``layer`` into pseudo
+    positives/negatives by similarity to the query vector ``qvec``.
 
-    Indices refer to ``layer.weak_records``; uncovered videos are in
-    neither set.
+    Videos are ranked by cosine between the cleaned-description vector and
+    ``qvec``; the top ``n_pos`` become positives and the bottom ``n_neg``
+    negatives.  Ties break by ascending video_id, which makes the split
+    deterministic.  Indices refer to ``layer.weak_records``; uncovered
+    videos are in neither set.
     """
     pool = np.flatnonzero(layer.covered)
     if n_pos < 1 or n_neg < 1:

@@ -1,4 +1,4 @@
-"""Synthetic instances with planted ground truth, plus brute-force oracles.
+"""Synthetic instances with planted ground truth.
 
 Instances are desk-scale stand-ins for a real video corpus: a compact
 embedding table over themed word groups, a concept vocabulary whose
@@ -14,18 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingTable
 from .query import Concept, ConceptVocabulary, EventQuery, PseudoLabels, VideoRecord
 from .text import porter_stem
 
 __all__ = [
     "SynthInstance",
     "gen_instance",
-    "toy_embedding_table",
     "toy_embedding_rows",
-    "brute_force_simplex",
-    "brute_force_push",
-    "finite_diff_gradient",
 ]
 
 # themed word groups; every group maps to one basis direction so that
@@ -61,13 +56,6 @@ def toy_embedding_rows() -> list[tuple[str, np.ndarray]]:
                     seen.add(token)
                     rows.append((token, vec.copy()))
     return rows
-
-
-def toy_embedding_table() -> EmbeddingTable:
-    rows = toy_embedding_rows()
-    return EmbeddingTable(
-        dimension=len(_ALL_GROUPS), vectors={t: v for t, v in rows}
-    )
 
 
 @dataclass
@@ -206,62 +194,3 @@ def gen_instance(
         supervised=truth.astype(np.float64),
     )
 
-
-# ---------------------------------------------------------------------------
-# brute-force oracles
-# ---------------------------------------------------------------------------
-
-
-def brute_force_simplex(v: np.ndarray) -> np.ndarray:
-    """Exact simplex projection by enumerating all support subsets.
-
-    For every nonempty support the equality-constrained quadratic has the
-    closed form a_T = v_T + (1 - sum v_T)/|T|; the feasible candidate with
-    the smallest distance to v is the projection.  Guarded to dimension 6.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    d = v.shape[0]
-    if d > 6:
-        raise ValueError("oracle is exponential; dimension must be <= 6")
-    best = None
-    best_dist = np.inf
-    for mask in range(1, 2**d):
-        support = [i for i in range(d) if mask >> i & 1]
-        a_t = v[support] + (1.0 - v[support].sum()) / len(support)
-        if np.any(a_t < -1e-12):
-            continue
-        a = np.zeros(d)
-        a[support] = np.maximum(a_t, 0.0)
-        dist = float(np.sum((a - v) ** 2))
-        if dist < best_dist:
-            best_dist = dist
-            best = a
-    return best
-
-
-def brute_force_push(scores, labels: PseudoLabels) -> float:
-    """Top-push loss by direct double-loop enumeration over P x N."""
-    worst = 0.0
-    p = len(labels.positives)
-    for j in labels.negatives:
-        total = 0.0
-        for i in labels.positives:
-            h = 1.0 - (scores[i] - scores[j])
-            if h > 0.0:
-                total += h
-        worst = max(worst, total / p)
-    return worst
-
-
-def finite_diff_gradient(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient estimate of a scalar function."""
-    x = np.asarray(x, dtype=np.float64)
-    flat = x.ravel()
-    grad = np.empty_like(flat)
-    for i in range(flat.shape[0]):
-        step = np.zeros_like(flat)
-        step[i] = h
-        grad[i] = (
-            fn((flat + step).reshape(x.shape)) - fn((flat - step).reshape(x.shape))
-        ) / (2.0 * h)
-    return grad.reshape(x.shape)

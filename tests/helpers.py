@@ -1,15 +1,36 @@
-"""Shared generators for solver-level tests."""
+"""References the tests compare the program against, and shared generators.
+
+The references are independent or slower forms of what ``conceptrank``
+computes: the per-phrase query steps, which embed every phrase they
+touch; brute-force enumerations of the simplex projection and the push
+loss; a central-difference gradient; a dense Laplacian, an
+eigendecomposition split and an SLSQP solve of the weight step.  No
+program path calls them.  The generators draw random solver inputs, and
+``project_row`` and ``neighbor_row`` run the batched graph kernels on one
+row.
+"""
 
 import numpy as np
 
+from conceptrank._kernels import simplex_project_rows
 from conceptrank.composer import ScoreMatrix
+from conceptrank.embeddings import EmbeddingTable, cosine, phrase_vector
+from conceptrank.errors import CoverageError
 from conceptrank.graph import (
     NeighborMatrix,
     candidate_neighbors,
     gamma_for_k,
     update_neighbor_rows,
 )
-from conceptrank.query import PseudoLabels
+from conceptrank.query import (
+    ConceptVocabulary,
+    EventQuery,
+    PseudoLabels,
+    RelevanceVector,
+    VideoRecord,
+)
+from conceptrank.synth import toy_embedding_rows
+from conceptrank.text import clean_text, tokenize
 
 
 def random_instance(rng, n_max=30, m_max=5, n_min=6):
@@ -61,6 +82,17 @@ def random_scores_and_labels(rng, n_max=40):
         negatives=tuple(int(i) for i in perm[n_pos : n_pos + n_neg]),
     )
     return scores, labels
+
+
+def project_row(v):
+    """``simplex_project_rows`` on the one-row matrix [v]."""
+    return simplex_project_rows(np.asarray(v, dtype=np.float64)[None, :])[0]
+
+
+def neighbor_row(d, gamma):
+    """``update_neighbor_rows`` on one row of distances d with regularizer gamma."""
+    d = np.asarray(d, dtype=np.float64)
+    return update_neighbor_rows(d[None, :], np.array([gamma], dtype=np.float64))[0]
 
 
 def slsqp_weight_step_value(prob, hi):
@@ -130,3 +162,154 @@ def eigen_curvature_split(P, r):
     c = vec.T @ r
     flat = vec[:, ~curved] @ c[~curved]
     return flat, 0.5 * float(np.sum(c[curved] ** 2 / eig[curved]))
+
+
+# ---------------------------------------------------------------------------
+# per-phrase query steps
+# ---------------------------------------------------------------------------
+
+
+def phrase_relevance(
+    query: EventQuery, vocab: ConceptVocabulary, table: EmbeddingTable
+) -> RelevanceVector:
+    """Clamped cosine between the query phrase and each concept-name phrase.
+
+    Negative cosines are clamped to 0 so values live in [0, 1].  Concept
+    names with no in-vocabulary token get 0 and are flagged; a fully
+    out-of-vocabulary query raises CoverageError.
+    """
+    qvec = phrase_vector(query.text_tokens(), table).vector
+    return _relevance_of_phrase(qvec, vocab, table)
+
+
+def phrase_weak_labels(
+    record: VideoRecord, vocab: ConceptVocabulary, table: EmbeddingTable
+) -> RelevanceVector:
+    """Concept relevance of a weak video's cleaned description."""
+    if record.split != "weak":
+        raise ValueError(f"weak labels need a weak-split record, got {record.split!r}")
+    dvec = phrase_vector(clean_text(record.description), table).vector
+    return _relevance_of_phrase(dvec, vocab, table)
+
+
+def _relevance_of_phrase(
+    vec: np.ndarray, vocab: ConceptVocabulary, table: EmbeddingTable
+) -> RelevanceVector:
+    values = np.zeros(len(vocab))
+    oov = set()
+    for k, concept in enumerate(vocab.concepts):
+        try:
+            cvec = phrase_vector(tokenize(concept.name), table).vector
+        except CoverageError:
+            oov.add(k)
+            continue
+        values[k] = max(0.0, cosine(vec, cvec))
+    return RelevanceVector(values=values, oov_concepts=frozenset(oov))
+
+
+def phrase_partition(
+    query: EventQuery,
+    weak_records: list[VideoRecord],
+    table: EmbeddingTable,
+    n_pos: int,
+    n_neg: int,
+) -> PseudoLabels:
+    """Split weak videos into pseudo positives/negatives by query similarity.
+
+    Videos are ranked by cosine between the cleaned-description phrase and
+    the query phrase; the top ``n_pos`` become positives and the bottom
+    ``n_neg`` negatives.  Ties break by ascending video_id, which makes the
+    split deterministic.
+    """
+    if n_pos < 1 or n_neg < 1:
+        raise ValueError("n_pos and n_neg must be >= 1")
+    if n_pos + n_neg > len(weak_records):
+        raise ValueError(
+            f"n_pos + n_neg = {n_pos + n_neg} exceeds the {len(weak_records)} weak videos"
+        )
+    if any(r.split != "weak" for r in weak_records):
+        raise ValueError("all records must be weak-split")
+    qvec = phrase_vector(query.text_tokens(), table).vector
+    sims = [
+        cosine(qvec, phrase_vector(clean_text(r.description), table).vector)
+        for r in weak_records
+    ]
+    ranked = sorted(
+        range(len(weak_records)),
+        key=lambda i: (-sims[i], weak_records[i].video_id),
+    )
+    return PseudoLabels(
+        positives=tuple(ranked[:n_pos]),
+        negatives=tuple(ranked[len(ranked) - n_neg :]),
+    )
+
+
+def toy_embedding_table() -> EmbeddingTable:
+    """``conceptrank.synth.toy_embedding_rows`` as a table."""
+    rows = toy_embedding_rows()
+    return EmbeddingTable(dimension=rows[0][1].shape[0], vectors={t: v for t, v in rows})
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles
+# ---------------------------------------------------------------------------
+
+
+def support_size(a: np.ndarray, tol: float = 1e-12) -> int:
+    """Number of entries above ``tol``, the nudge scale of ``gamma_for_k``."""
+    return int(np.count_nonzero(np.asarray(a) > tol))
+
+
+def brute_force_simplex(v: np.ndarray) -> np.ndarray:
+    """Exact simplex projection by enumerating all support subsets.
+
+    For every nonempty support the equality-constrained quadratic has the
+    closed form a_T = v_T + (1 - sum v_T)/|T|; the feasible candidate with
+    the smallest distance to v is the projection.  Guarded to dimension 6.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    d = v.shape[0]
+    if d > 6:
+        raise ValueError("oracle is exponential; dimension must be <= 6")
+    best = None
+    best_dist = np.inf
+    for mask in range(1, 2**d):
+        support = [i for i in range(d) if mask >> i & 1]
+        a_t = v[support] + (1.0 - v[support].sum()) / len(support)
+        if np.any(a_t < -1e-12):
+            continue
+        a = np.zeros(d)
+        a[support] = np.maximum(a_t, 0.0)
+        dist = float(np.sum((a - v) ** 2))
+        if dist < best_dist:
+            best_dist = dist
+            best = a
+    return best
+
+
+def brute_force_push(scores, labels: PseudoLabels) -> float:
+    """Top-push loss by direct double-loop enumeration over P x N."""
+    worst = 0.0
+    p = len(labels.positives)
+    for j in labels.negatives:
+        total = 0.0
+        for i in labels.positives:
+            h = 1.0 - (scores[i] - scores[j])
+            if h > 0.0:
+                total += h
+        worst = max(worst, total / p)
+    return worst
+
+
+def finite_diff_gradient(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient estimate of a scalar function."""
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.ravel()
+    grad = np.empty_like(flat)
+    for i in range(flat.shape[0]):
+        step = np.zeros_like(flat)
+        step[i] = h
+        grad[i] = (
+            fn((flat + step).reshape(x.shape)) - fn((flat - step).reshape(x.shape))
+        ) / (2.0 * h)
+    return grad.reshape(x.shape)

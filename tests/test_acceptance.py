@@ -26,22 +26,24 @@ from conceptrank.composer import (
     smoothness_value,
 )
 from conceptrank.evaluation import average_precision, borda_baseline, ranked_list
-from conceptrank.graph import (
-    gamma_for_k,
-    simplex_project,
-    support_size,
-    update_neighbors,
-)
-from conceptrank.query import concept_relevance, partition_pseudo, select_concepts
-from conceptrank.synth import (
+from conceptrank.graph import gamma_for_k
+from conceptrank.query import select_concepts
+from conceptrank.synth import gen_instance
+
+from helpers import (
     brute_force_push,
     brute_force_simplex,
     finite_diff_gradient,
-    gen_instance,
+    neighbor_row,
+    phrase_partition,
+    phrase_relevance,
+    project_row,
+    random_instance,
+    random_scores_and_labels,
+    slsqp_weight_step_value,
+    support_size,
     toy_embedding_table,
 )
-
-from helpers import random_instance, random_scores_and_labels, slsqp_weight_step_value
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -59,7 +61,7 @@ def test_simplex_projection_oracle_equivalence():
     for _ in range(1000):
         dim = int(rng.integers(2, 7))
         v = rng.uniform(-10, 10, dim)
-        gap = float(np.linalg.norm(simplex_project(v) - brute_force_simplex(v)))
+        gap = float(np.linalg.norm(project_row(v) - brute_force_simplex(v)))
         worst = max(worst, gap)
     elapsed = time.perf_counter() - start
     _report(
@@ -72,7 +74,7 @@ def test_simplex_projection_oracle_equivalence():
 def test_uniform_prior_limit_exact():
     ok = True
     for n in range(2, 40):
-        out = update_neighbors(np.zeros(n), gamma=1.0)
+        out = neighbor_row(np.zeros(n), gamma=1.0)
         ok = ok and np.array_equal(out, np.full(n, 1.0 / n))
     _report("zero distances give exactly the uniform neighbor vector", ok)
 
@@ -88,7 +90,7 @@ def test_gamma_for_k_support():
         if rng.uniform() < 0.1:
             d = np.round(d, 1)  # induce occasional ties
         k = int(rng.integers(1, dim))
-        support = support_size(update_neighbors(d, gamma_for_k(d, k)))
+        support = support_size(neighbor_row(d, gamma_for_k(d, k)))
         ds = np.sort(d)
         exact_possible = k == dim or ds[k] > ds[k - 1]
         if exact_possible:
@@ -191,10 +193,10 @@ def test_smoothness_gradient_check():
 
 
 def _pipeline_ap(inst, top_k, lam, with_supervised, table):
-    relevance = concept_relevance(inst.event, inst.vocabulary, table)
+    relevance = phrase_relevance(inst.event, inst.vocabulary, table)
     selected = select_concepts(relevance, top_k, inst.vocabulary)
     weak = [v for v in inst.videos if v.split == "weak"]
-    labels = partition_pseudo(inst.event, weak, table, 20, 20)
+    labels = phrase_partition(inst.event, weak, table, 20, 20)
     S = normalize_scores(
         ScoreMatrix(
             values=inst.scores[:, selected],
@@ -249,10 +251,10 @@ def test_planted_recovery_and_trend():
 def test_initialization_baseline_equality():
     table = toy_embedding_table()
     inst = gen_instance(seed=4, l=16, u=16, m=6, n_informative=1, sigma=0.2)
-    relevance = concept_relevance(inst.event, inst.vocabulary, table)
+    relevance = phrase_relevance(inst.event, inst.vocabulary, table)
     selected = select_concepts(relevance, 3, inst.vocabulary)
     weak = [v for v in inst.videos if v.split == "weak"]
-    labels = partition_pseudo(inst.event, weak, table, 8, 8)
+    labels = phrase_partition(inst.event, weak, table, 8, 8)
     S = normalize_scores(
         ScoreMatrix(
             values=inst.scores[:, selected],

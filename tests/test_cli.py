@@ -339,6 +339,27 @@ def test_select_concepts(tmp_path, capsys):
     assert len(lines) == 1 + 3  # one event, K rows
 
 
+def test_select_concepts_logs_duplicate_table_tokens(tmp_path, capsys):
+    data = _synth(tmp_path, concepts=5)
+    table = os.path.join(data, "embeddings.txt")
+    first = open(table, encoding="utf-8").readline()
+    with open(table, "a", encoding="utf-8") as fh:
+        fh.write(first)
+    capsys.readouterr()
+    code = main(
+        [
+            "select-concepts",
+            "--embeddings", table,
+            "--vocabulary", os.path.join(data, "vocabulary.csv"),
+            "--events", os.path.join(data, "events.jsonl"),
+            "--out-dir", str(tmp_path / "sel"),
+        ]
+    )
+    assert code == 0
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert records == [{"stage": "embeddings", "duplicate_tokens": 1}]
+
+
 def test_select_concepts_rejects_zero_top_k(tmp_path, capsys):
     data = _synth(tmp_path, concepts=5)
     out = tmp_path / "sel"

@@ -9,7 +9,6 @@ from conceptrank.composer import (
     _interior_point,
     _ScoreQP,
     _WeightSubproblem,
-    aggregate,
     final_weights,
     fit,
     fuse_supervised,
@@ -28,11 +27,13 @@ from conceptrank.graph import (
     update_neighbor_rows,
 )
 from conceptrank.query import PseudoLabels
-from conceptrank.synth import brute_force_push, finite_diff_gradient
 
 from helpers import (
+    brute_force_push,
     dense_laplacian,
     eigen_curvature_split,
+    finite_diff_gradient,
+    neighbor_row,
     random_instance,
     random_scores_and_labels,
     slsqp_weight_step_value,
@@ -78,18 +79,21 @@ class TestNormalizeScores:
 
 
 class TestAggregate:
+    """``row_scores``, the aggregation f_i = w_i . s_i, on one-row inputs."""
+
     def test_zero_weights(self):
-        assert aggregate(np.zeros(4), np.full(4, 0.3)) == 0.0
+        assert row_scores(np.zeros((1, 4)), np.full((1, 4), 0.3))[0] == 0.0
 
     def test_selector(self):
-        assert aggregate(np.array([1.0, 0.0]), np.array([0.7, 0.2])) == 0.7
+        assert row_scores(np.array([[1.0, 0.0]]), np.array([[0.7, 0.2]]))[0] == 0.7
 
     def test_arithmetic(self):
-        assert aggregate(np.array([0.5, 0.5]), np.array([0.4, 0.8])) == pytest.approx(0.6)
+        got = row_scores(np.array([[0.5, 0.5]]), np.array([[0.4, 0.8]]))[0]
+        assert got == pytest.approx(0.6)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            aggregate(np.ones(2), np.ones(3))
+            row_scores(np.ones((1, 2)), np.ones((1, 3)))
 
 
 class TestPushLoss:
@@ -639,13 +643,9 @@ class TestScaleCoupling:
         assert push_loss_from_scores(f1, labels) == pytest.approx(
             push_loss_from_scores(f2, labels), abs=1e-9
         )
-        from conceptrank.graph import update_neighbors
-
         d1 = np.square(f1[0] - f1[1:5])
         d2 = np.square(f2[0] - f2[1:5])
-        np.testing.assert_allclose(
-            update_neighbors(d1, 0.5), update_neighbors(d2, 0.5), atol=1e-9
-        )
+        np.testing.assert_allclose(neighbor_row(d1, 0.5), neighbor_row(d2, 0.5), atol=1e-9)
 
 
 class TestFit:

@@ -106,9 +106,3 @@ class TestBorda:
         one = borda_baseline(_matrix(col, l=2))
         two = borda_baseline(_matrix(np.hstack([col, col]), l=2))
         assert [v for v, _ in one] == [v for v, _ in two]
-
-    def test_all_rows_mode(self):
-        rng = np.random.default_rng(14)
-        S = _matrix(rng.uniform(0, 1, (6, 2)), l=3)
-        full = borda_baseline(S, test_only=False)
-        assert len(full) == 6

@@ -3,53 +3,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conceptrank.graph import (
-    candidate_neighbors,
-    gamma_for_k,
-    score_distances,
-    simplex_project,
-    support_size,
-    update_neighbors,
-)
-from conceptrank.synth import brute_force_simplex
+from conceptrank.graph import candidate_neighbors, gamma_for_k
 
-
-class TestScoreDistances:
-    def test_equal_scores(self):
-        f = np.array([1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(score_distances(f, [1, 2], 0), [0.0, 0.0])
-
-    def test_direct_arithmetic(self):
-        f = np.array([2.0, 0.5])
-        np.testing.assert_allclose(score_distances(f, [1], 0), [2.25])
-
-    def test_translation_invariant(self):
-        f = np.array([0.1, 0.9, 0.4, 0.7])
-        d1 = score_distances(f, [1, 2, 3], 0)
-        d2 = score_distances(f + 5.0, [1, 2, 3], 0)
-        np.testing.assert_allclose(d1, d2, atol=1e-12)
-
-    def test_self_candidate_rejected(self):
-        with pytest.raises(ValueError):
-            score_distances(np.ones(3), [0, 1], 0)
+from helpers import brute_force_simplex, neighbor_row, project_row, support_size
 
 
 class TestSimplexProject:
     def test_already_on_simplex(self):
         np.testing.assert_array_equal(
-            simplex_project(np.array([0.5, 0.5])), [0.5, 0.5]
+            project_row(np.array([0.5, 0.5])), [0.5, 0.5]
         )
 
     def test_derived_example(self):
         np.testing.assert_allclose(
-            simplex_project(np.array([0.9, 0.6, 0.1])), [0.65, 0.35, 0.0], atol=1e-15
+            project_row(np.array([0.9, 0.6, 0.1])), [0.65, 0.35, 0.0], atol=1e-15
         )
 
     def test_constant_vector_gives_uniform(self):
         # the zero vector is exact; other constants round at the last ulp
-        np.testing.assert_array_equal(simplex_project(np.zeros(5)), np.full(5, 0.2))
+        np.testing.assert_array_equal(project_row(np.zeros(5)), np.full(5, 0.2))
         for c in (-3.0, 7.5):
-            out = simplex_project(np.full(5, c))
+            out = project_row(np.full(5, c))
             np.testing.assert_allclose(out, np.full(5, 0.2), atol=1e-15)
 
     def test_matches_enumeration_oracle(self):
@@ -57,7 +31,7 @@ class TestSimplexProject:
         for _ in range(300):
             dim = int(rng.integers(2, 7))
             v = rng.uniform(-5, 5, dim)
-            got = simplex_project(v)
+            got = project_row(v)
             want = brute_force_simplex(v)
             assert np.linalg.norm(got - want) <= 1e-8
 
@@ -71,7 +45,7 @@ class TestSimplexProject:
     @settings(max_examples=150, deadline=None)
     def test_oracle_equivalence_property(self, v):
         v = np.array(v)
-        got = simplex_project(v)
+        got = project_row(v)
         want = brute_force_simplex(v)
         assert np.linalg.norm(got - want) <= 1e-8
         assert abs(got.sum() - 1.0) < 1e-9
@@ -80,17 +54,17 @@ class TestSimplexProject:
 
 class TestUpdateNeighbors:
     def test_zero_distances_uniform(self):
-        out = update_neighbors(np.zeros(4), gamma=2.0)
+        out = neighbor_row(np.zeros(4), gamma=2.0)
         np.testing.assert_array_equal(out, np.full(4, 0.25))
 
     def test_two_point_example(self):
         np.testing.assert_array_equal(
-            update_neighbors(np.array([0.0, 8.0]), gamma=1.0), [1.0, 0.0]
+            neighbor_row(np.array([0.0, 8.0]), gamma=1.0), [1.0, 0.0]
         )
 
     def test_nonpositive_gamma_rejected(self):
         with pytest.raises(ValueError):
-            update_neighbors(np.array([0.1, 0.2]), gamma=0.0)
+            neighbor_row(np.array([0.1, 0.2]), gamma=0.0)
 
     def test_beats_uniform_objective(self):
         rng = np.random.default_rng(0)
@@ -98,7 +72,7 @@ class TestUpdateNeighbors:
             dim = int(rng.integers(2, 8))
             d = rng.uniform(0, 4, dim)
             gamma = float(rng.uniform(0.05, 5.0))
-            a = update_neighbors(d, gamma)
+            a = neighbor_row(d, gamma)
             uniform = np.full(dim, 1.0 / dim)
 
             def obj(x):
@@ -110,8 +84,8 @@ class TestUpdateNeighbors:
         rng = np.random.default_rng(1)
         for _ in range(100):
             d = rng.uniform(0, 3, 5)
-            a1 = update_neighbors(d, 0.7)
-            a2 = update_neighbors(d + 2.5, 0.7)
+            a1 = neighbor_row(d, 0.7)
+            a2 = neighbor_row(d + 2.5, 0.7)
             np.testing.assert_allclose(a1, a2, atol=1e-12)
 
     def test_monotone_in_distance(self):
@@ -119,15 +93,15 @@ class TestUpdateNeighbors:
         for _ in range(200):
             d = rng.uniform(0, 2, 5)
             j = int(rng.integers(5))
-            a_before = update_neighbors(d, 1.0)
+            a_before = neighbor_row(d, 1.0)
             d2 = d.copy()
             d2[j] += rng.uniform(0.1, 1.0)
-            a_after = update_neighbors(d2, 1.0)
+            a_after = neighbor_row(d2, 1.0)
             assert a_after[j] <= a_before[j] + 1e-12
 
     def test_large_gamma_approaches_uniform(self):
         d = np.array([0.3, 1.2, 0.8, 2.0])
-        a = update_neighbors(d, 1e9)
+        a = neighbor_row(d, 1e9)
         assert np.abs(a - 0.25).max() <= 1e-6
 
 
@@ -136,25 +110,25 @@ class TestGammaForK:
         d = np.array([0.0, 1.0, 2.0, 3.0])
         g = gamma_for_k(d, 2)
         assert g == 1.5
-        assert support_size(update_neighbors(d, g)) == 2
+        assert support_size(neighbor_row(d, g)) == 2
 
     def test_all_equal_distances(self):
         d = np.full(5, 2.0)
         g = gamma_for_k(d, 2)
         assert g > 0
-        assert support_size(update_neighbors(d, g)) == 5
+        assert support_size(neighbor_row(d, g)) == 5
 
     def test_nearest_neighbor_limit(self):
         d = np.array([0.5, 3.0, 4.0, 5.0])
         g = gamma_for_k(d, 1)
-        a = update_neighbors(d, g)
+        a = neighbor_row(d, g)
         assert support_size(a) == 1
         assert a.argmax() == 0
 
     def test_tie_fallback_support_at_least_k(self):
         d = np.array([0.0, 1.0, 1.0, 2.0])
         g = gamma_for_k(d, 2)
-        assert support_size(update_neighbors(d, g)) >= 2
+        assert support_size(neighbor_row(d, g)) >= 2
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -167,7 +141,7 @@ class TestGammaForK:
             d = rng.uniform(0, 5, dim)
             k = int(rng.integers(1, dim))
             g = gamma_for_k(d, k)
-            assert support_size(update_neighbors(d, g)) == k
+            assert support_size(neighbor_row(d, g)) == k
 
 
 class TestCandidateNeighbors:

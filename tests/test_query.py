@@ -14,14 +14,13 @@ from conceptrank.query import (
     RelevanceVector,
     VideoRecord,
     concept_relevance,
-    layer_partition,
-    layer_relevance,
-    layer_weak_labels,
     partition_pseudo,
     query_vector,
     select_concepts,
     weak_labels,
 )
+
+from helpers import phrase_partition, phrase_relevance, phrase_weak_labels
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -32,22 +31,27 @@ def _vocab(*names):
     )
 
 
+def _relevance(query, vocab, table):
+    """``concept_relevance`` of one event, through a layer without weak videos."""
+    return concept_relevance(QueryLayer.build(vocab, [], table), query_vector(query, table))
+
+
 class TestConceptRelevance:
     def test_identical_text_scores_one(self, tiny_table):
-        rel = concept_relevance(
+        rel = _relevance(
             EventQuery(event_id="e1", name="dog show"), _vocab("dog show"), tiny_table
         )
         assert rel.values[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_oov_concept_flagged_zero(self, tiny_table):
-        rel = concept_relevance(
+        rel = _relevance(
             EventQuery(event_id="e1", name="dog"), _vocab("dog", "zzz qqq"), tiny_table
         )
         assert rel.values[1] == 0.0
         assert rel.oov_concepts == frozenset({1})
 
     def test_fixture_values(self, tiny_table):
-        rel = concept_relevance(
+        rel = _relevance(
             EventQuery(event_id="e1", name="dog show"),
             _vocab("dog", "parade"),
             tiny_table,
@@ -57,7 +61,7 @@ class TestConceptRelevance:
 
     def test_fully_oov_query(self, tiny_table):
         with pytest.raises(CoverageError):
-            concept_relevance(
+            _relevance(
                 EventQuery(event_id="e1", name="zzz"), _vocab("dog"), tiny_table
             )
 
@@ -65,14 +69,12 @@ class TestConceptRelevance:
         # random tables exercise the negative-cosine clamp
         rng = np.random.default_rng(11)
         for _ in range(25):
-            from conceptrank.embeddings import EmbeddingTable
-
             tokens = [f"t{i}" for i in range(6)]
             table = EmbeddingTable(
                 dimension=4,
                 vectors={t: rng.normal(size=4) for t in tokens},
             )
-            rel = concept_relevance(
+            rel = _relevance(
                 EventQuery(event_id="e", name="t0 t1"),
                 _vocab("t2 t3", "t4", "t5"),
                 table,
@@ -116,18 +118,20 @@ class TestSelectConcepts:
 class TestWeakLabels:
     def test_description_matching_concept(self, tiny_table):
         rec = VideoRecord(video_id="v1", split="weak", description="a dog")
-        rel = weak_labels(rec, _vocab("dog"), tiny_table)
-        assert rel.values[0] == pytest.approx(1.0, abs=1e-12)
+        values = weak_labels(QueryLayer.build(_vocab("dog"), [rec], tiny_table))
+        assert values[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_all_stopword_description(self, tiny_table):
+        # no covered token: the video gets no weak-label row
         rec = VideoRecord(video_id="v1", split="weak", description="the of and")
-        with pytest.raises(CoverageError):
-            weak_labels(rec, _vocab("dog"), tiny_table)
+        layer = QueryLayer.build(_vocab("dog"), [rec], tiny_table)
+        assert weak_labels(layer).shape == (0, 1)
+        assert layer.uncovered_ids() == ["v1"]
 
     def test_test_split_rejected(self, tiny_table):
         rec = VideoRecord(video_id="v1", split="test")
         with pytest.raises(ValueError):
-            weak_labels(rec, _vocab("dog"), tiny_table)
+            QueryLayer.build(_vocab("dog"), [rec], tiny_table)
 
 
 class TestPartitionPseudo:
@@ -137,22 +141,26 @@ class TestPartitionPseudo:
             for i, d in enumerate(descs)
         ]
 
+    def _partition(self, query, records, table, n_pos, n_neg):
+        layer = QueryLayer.build(_vocab("dog"), records, table)
+        return partition_pseudo(layer, query_vector(query, table), n_pos, n_neg)
+
     def test_top_and_bottom(self, tiny_table):
         query = EventQuery(event_id="e", name="dog")
         records = self._records("dog", "parade", "dog parade")
-        labels = partition_pseudo(query, records, tiny_table, 1, 1)
+        labels = self._partition(query, records, tiny_table, 1, 1)
         assert labels.positives == (0,)
         assert labels.negatives == (1,)
 
     def test_insufficient_records(self, tiny_table):
         query = EventQuery(event_id="e", name="dog")
         with pytest.raises(ValueError):
-            partition_pseudo(query, self._records("dog", "parade"), tiny_table, 2, 1)
+            self._partition(query, self._records("dog", "parade"), tiny_table, 2, 1)
 
     def test_all_equal_similarities_split_by_id(self, tiny_table):
         query = EventQuery(event_id="e", name="dog")
         records = self._records("dog", "dog", "dog")
-        labels = partition_pseudo(query, records, tiny_table, 1, 1)
+        labels = self._partition(query, records, tiny_table, 1, 1)
         assert labels.positives == (0,)
         assert labels.negatives == (2,)
 
@@ -167,7 +175,7 @@ class TestPartitionPseudo:
             )
             n_pos = int(rng.integers(1, count - 1))
             n_neg = int(rng.integers(1, count - n_pos + 1))
-            labels = partition_pseudo(query, records, tiny_table, n_pos, n_neg)
+            labels = self._partition(query, records, tiny_table, n_pos, n_neg)
             pos, neg = set(labels.positives), set(labels.negatives)
             assert not pos & neg
             assert len(pos | neg) == n_pos + n_neg
@@ -181,7 +189,7 @@ def test_pseudo_labels_validation():
 
 
 class TestQueryLayer:
-    """The run-level forms against the per-phrase functions.
+    """The query steps against the per-phrase references of ``helpers``.
 
     Each instance has an out-of-vocabulary concept name, a weak video
     whose description no table token covers, and two concepts with the
@@ -226,8 +234,8 @@ class TestQueryLayer:
         layer = QueryLayer.build(vocab, records, table)
         names = [c.name for c in vocab.concepts]
         for query in queries:
-            got = layer_relevance(layer, query_vector(query, table))
-            want = concept_relevance(query, vocab, table)
+            got = concept_relevance(layer, query_vector(query, table))
+            want = phrase_relevance(query, vocab, table)
             # the same cosines bit for bit: the fit and the tie order see the last bit
             np.testing.assert_array_equal(got.values, want.values)
             assert got.oov_concepts == want.oov_concepts and len(got.oov_concepts) == 1
@@ -240,11 +248,11 @@ class TestQueryLayer:
     def test_weak_labels_match_per_phrase(self, seed):
         table, vocab, records, _ = self._instance(seed)
         layer = QueryLayer.build(vocab, records, table)
-        got = layer_weak_labels(layer)
+        got = weak_labels(layer)
         covered = []
         for record in records:
             try:
-                covered.append(weak_labels(record, vocab, table).values)
+                covered.append(phrase_weak_labels(record, vocab, table).values)
             except CoverageError:
                 assert record.description == "the of and"
         assert layer.uncovered_ids() == [
@@ -259,8 +267,8 @@ class TestQueryLayer:
         pool = [i for i, r in enumerate(records) if r.description != "the of and"]
         for query in queries:
             for n_pos, n_neg in ((1, 1), (3, 4), (2, len(pool) - 2)):
-                got = layer_partition(layer, query_vector(query, table), n_pos, n_neg)
-                want = partition_pseudo(
+                got = partition_pseudo(layer, query_vector(query, table), n_pos, n_neg)
+                want = phrase_partition(
                     query, [records[i] for i in pool], table, n_pos, n_neg
                 )
                 assert got.positives == tuple(pool[i] for i in want.positives)
@@ -273,10 +281,10 @@ class TestQueryLayer:
         ]
         layer = QueryLayer.build(_vocab("dog"), records, tiny_table)
         qvec = query_vector(EventQuery(event_id="e", name="dog"), tiny_table)
-        labels = layer_partition(layer, qvec, 1, 1)
+        labels = partition_pseudo(layer, qvec, 1, 1)
         assert (labels.positives, labels.negatives) == ((0,), (2,))
         with pytest.raises(ValueError, match="exceeds the 2 weak videos"):
-            layer_partition(layer, qvec, 2, 1)
+            partition_pseudo(layer, qvec, 2, 1)
 
     def test_test_split_rejected(self, tiny_table):
         with pytest.raises(ValueError):

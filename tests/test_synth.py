@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from conceptrank.synth import (
+from conceptrank.synth import gen_instance, toy_embedding_rows
+from conceptrank.query import PseudoLabels
+from conceptrank.text import porter_stem
+
+from helpers import (
     brute_force_push,
     brute_force_simplex,
     finite_diff_gradient,
-    gen_instance,
-    toy_embedding_rows,
     toy_embedding_table,
 )
-from conceptrank.query import PseudoLabels
-from conceptrank.text import porter_stem
 
 
 class TestToyTable:
@@ -67,6 +67,8 @@ class TestGenInstance:
         assert set(labels.positives) == set(np.flatnonzero(inst.weak_truth == 1))
 
 
+# the oracles of helpers.py, which the tests of graph and composer trust,
+# checked here on cases worked by hand
 class TestBruteForceSimplex:
     def test_uniform_for_constants(self):
         np.testing.assert_allclose(

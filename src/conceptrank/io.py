@@ -1,18 +1,27 @@
-"""Readers and writers for every external file format.
+"""Readers and writers for every file the pipeline reads or writes.
 
 Formats:
-  embeddings    plain text, ``token SP float ...`` per line (see embeddings)
-  vocabulary    CSV with header ``concept_id,name,source``
-  videos        headerless TSV ``video_id TAB split TAB description``
-  events        JSON lines with ``event_id``, ``name``, ``description``
-  scores        CSV with header ``video_id,<concept_id_1>,...`` matching the
-                vocabulary column order
-  supervised    CSV with header ``video_id,score``
-  ground truth  CSV with header ``event_id,video_id,label`` with label 0/1
-  rankings      headerless TSV ``video_id TAB score`` written per event
-  metrics       JSON object, keys sorted
+  embeddings         plain text, ``token SP float ...`` per line (see embeddings)
+  vocabulary         CSV with header ``concept_id,name,source``
+  videos             headerless TSV ``video_id TAB split TAB description``
+  events             JSON lines with string fields ``event_id``, ``name`` and,
+                     optionally, ``description``
+  scores             CSV with header ``video_id,<concept_id_1>,...`` matching the
+                     vocabulary column order
+  weak labels        the scores format over the weak videos that the
+                     vocabulary covers, written per event
+  supervised         CSV with header ``video_id,score``
+  ground truth       CSV with header ``event_id,video_id,label`` with label 0/1
+  rankings           headerless TSV ``video_id TAB score`` written per event
+  selected concepts  CSV with header ``event_id,rank,concept_id,relevance``,
+                     best concept first within each event
+  metrics            JSON object, keys sorted: ``rank``'s metrics, ``eval``'s
+                     metrics and ``synth``'s instance manifest
 
-Floats are serialized with repr so files round-trip bit-exactly.
+Every CSV and TSV file is read by ``_read_rows``: a row's first column (for
+ground truth, its first two) is its key, and no key may repeat.  Every CSV
+file is formatted by ``_csv_text``.  Floats are serialized with repr so
+files round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from io import StringIO
 
 import numpy as np
 
@@ -36,6 +46,7 @@ __all__ = [
     "write_events",
     "read_scores",
     "write_scores",
+    "scores_csv",
     "read_supervised",
     "write_supervised",
     "read_ground_truth",
@@ -43,6 +54,7 @@ __all__ = [
     "write_embeddings",
     "write_ranking",
     "read_ranking",
+    "write_selected_concepts",
     "write_metrics",
     "ranking_path",
 ]
@@ -52,73 +64,110 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"bad float {text!r}") from None
+
+
+def _tsv_rows(fh):
+    for line in fh:
+        line = line.rstrip("\n")
+        yield line.split("\t") if line else []
+
+
+def _read_rows(path, columns, parse, *, key=1, tsv=False, empty_ok=False, header_error=None):
+    """The rows of the delimited file ``path`` as ``{key: parse(row)}`` in file
+    order, where a row's key is its first field, or the tuple of its first
+    ``key`` fields.
+
+    A CSV file's first row must equal ``columns``; ``header_error(found)``,
+    if given, is the exception raised when it does not.  A TSV file
+    (``tsv``) has no header.  Blank rows are skipped.  Every other row must
+    have one field per column and a key no earlier row has; a ``ValueError``
+    from ``parse`` is raised again as a ``FormatError`` with the row's
+    ``path:lineno:`` prefix.  A file without rows is an error unless
+    ``empty_ok``.
+    """
+    out: dict = {}
+    with open(path, encoding="utf-8", newline=None if tsv else "") as fh:
+        rows = _tsv_rows(fh) if tsv else csv.reader(fh)
+        if not tsv:
+            found = next(rows, None)
+            if found != columns:
+                if header_error is not None:
+                    raise header_error(found)
+                raise FormatError(f"{path}: expected header {','.join(columns)}")
+        for lineno, row in enumerate(rows, start=1 if tsv else 2):
+            if not row:
+                continue
+            if len(row) != len(columns):
+                raise FormatError(
+                    f"{path}:{lineno}: expected {len(columns)} fields, got {len(row)}"
+                )
+            k = row[0] if key == 1 else tuple(row[:key])
+            if k in out:
+                raise FormatError(
+                    f"{path}:{lineno}: duplicate {','.join(columns[:key])} {k!r}"
+                )
+            try:
+                out[k] = parse(row)
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
+    if not out and not empty_ok:
+        raise FormatError(f"{path}: no rows")
+    return out
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """``header`` and then ``rows`` as CSV text, each line ending in ``\\n``."""
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def write_embeddings(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for token, vec in rows:
-            fh.write(token + " " + " ".join(_fmt(x) for x in vec) + "\n")
+    _write(path, "".join(
+        token + " " + " ".join(_fmt(x) for x in vec) + "\n" for token, vec in rows
+    ))
 
 
 def read_vocabulary(path: str) -> ConceptVocabulary:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["concept_id", "name", "source"]:
-            raise FormatError(f"{path}: expected header concept_id,name,source")
-        concepts = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            concepts.append(Concept(concept_id=row[0], name=row[1], source=row[2]))
-    if not concepts:
-        raise FormatError(f"{path}: no concepts")
+    concepts = _read_rows(path, ["concept_id", "name", "source"], lambda row: Concept(*row))
     try:
-        return ConceptVocabulary(concepts=concepts)
+        return ConceptVocabulary(concepts=list(concepts.values()))
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
 def write_vocabulary(path: str, vocab: ConceptVocabulary) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["concept_id", "name", "source"])
-        for c in vocab.concepts:
-            writer.writerow([c.concept_id, c.name, c.source])
+    _write(path, _csv_text(
+        ["concept_id", "name", "source"],
+        ([c.concept_id, c.name, c.source] for c in vocab.concepts),
+    ))
 
 
 def read_videos(path: str) -> list[VideoRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            try:
-                records.append(
-                    VideoRecord(video_id=parts[0], split=parts[1], description=parts[2])
-                )
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-    if not records:
-        raise FormatError(f"{path}: no videos")
-    ids = [r.video_id for r in records]
-    if len(set(ids)) != len(ids):
-        raise FormatError(f"{path}: duplicate video_id")
-    return records
+    records = _read_rows(
+        path, ["video_id", "split", "description"], lambda row: VideoRecord(*row), tsv=True
+    )
+    return list(records.values())
 
 
 def write_videos(path: str, records: list[VideoRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in records:
-            fh.write(f"{r.video_id}\t{r.split}\t{r.description}\n")
+    _write(path, "".join(f"{r.video_id}\t{r.split}\t{r.description}\n" for r in records))
 
 
 def read_events(path: str) -> list[EventQuery]:
-    events = []
+    events: dict[str, EventQuery] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -129,62 +178,50 @@ def read_events(path: str) -> list[EventQuery]:
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}:{lineno}: bad JSON: {exc}") from None
             try:
-                events.append(
-                    EventQuery(
-                        event_id=obj["event_id"],
-                        name=obj["name"],
-                        description=obj.get("description", ""),
-                    )
-                )
+                fields = {"event_id": obj["event_id"], "name": obj["name"]}
+                fields["description"] = obj.get("description", "")
+                for name, value in fields.items():
+                    if not isinstance(value, str):
+                        kind = type(value).__name__
+                        raise ValueError(f"{name} must be a JSON string, got {kind}")
+                event = EventQuery(**fields)
             except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
+            if event.event_id in events:
+                raise FormatError(f"{path}:{lineno}: duplicate event_id {event.event_id!r}")
+            events[event.event_id] = event
     if not events:
         raise FormatError(f"{path}: no events")
-    ids = [e.event_id for e in events]
-    if len(set(ids)) != len(ids):
-        raise FormatError(f"{path}: duplicate event_id")
-    return events
+    return list(events.values())
 
 
 def write_events(path: str, events: list[EventQuery]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for e in events:
-            fh.write(
-                json.dumps(
-                    {"event_id": e.event_id, "name": e.name, "description": e.description},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    _write(path, "".join(
+        json.dumps(
+            {"event_id": e.event_id, "name": e.name, "description": e.description},
+            sort_keys=True,
+        )
+        + "\n"
+        for e in events
+    ))
 
 
 def read_scores(
     path: str, vocab: ConceptVocabulary, videos: list[VideoRecord]
 ) -> ScoreMatrix:
     """Load the score matrix, reordering rows weak-first per the video file."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0] != "video_id":
-            raise FormatError(f"{path}: first header field must be video_id")
-        if header[1:] != vocab.ids:
-            raise ValidationError(
-                f"{path}: score columns do not match the vocabulary order"
-            )
-        by_id: dict[str, np.ndarray] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise FormatError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            if row[0] in by_id:
-                raise FormatError(f"{path}:{lineno}: duplicate video_id {row[0]!r}")
-            try:
-                by_id[row[0]] = np.array([float(x) for x in row[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad float: {exc}") from None
+
+    def header_error(found):
+        if found and found[0] == "video_id":
+            return ValidationError(f"{path}: score columns do not match the vocabulary order")
+        return FormatError(f"{path}: first header field must be video_id")
+
+    by_id = _read_rows(
+        path,
+        ["video_id"] + vocab.ids,
+        lambda row: np.array([_float(x) for x in row[1:]], dtype=np.float64),
+        header_error=header_error,
+    )
     missing = [r.video_id for r in videos if r.video_id not in by_id]
     if missing:
         raise ValidationError(f"{path}: missing score rows for videos: {missing[:10]}")
@@ -201,77 +238,55 @@ def read_scores(
     )
 
 
+def scores_csv(vocab: ConceptVocabulary, video_ids: list[str], values: np.ndarray) -> str:
+    """The text of a scores file; a weak-labels file has this format too."""
+    return _csv_text(
+        ["video_id"] + vocab.ids,
+        ([vid] + [_fmt(x) for x in row] for vid, row in zip(video_ids, values)),
+    )
+
+
 def write_scores(
     path: str, vocab: ConceptVocabulary, video_ids: list[str], values: np.ndarray
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["video_id"] + vocab.ids)
-        for vid, row in zip(video_ids, values):
-            writer.writerow([vid] + [_fmt(x) for x in row])
+    _write(path, scores_csv(vocab, video_ids, values))
 
 
 def read_supervised(path: str) -> dict[str, float]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["video_id", "score"]:
-            raise FormatError(f"{path}: expected header video_id,score")
-        out = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 2 fields")
-            if row[0] in out:
-                raise FormatError(f"{path}:{lineno}: duplicate video_id {row[0]!r}")
-            try:
-                out[row[0]] = float(row[1])
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: bad float {row[1]!r}") from None
-    if not out:
-        raise FormatError(f"{path}: no supervised scores")
-    return out
+    return _read_rows(path, ["video_id", "score"], lambda row: _float(row[1]))
 
 
 def write_supervised(path: str, scores: dict[str, float]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["video_id", "score"])
-        for vid, score in scores.items():
-            writer.writerow([vid, _fmt(score)])
+    _write(path, _csv_text(
+        ["video_id", "score"], ([vid, _fmt(score)] for vid, score in scores.items())
+    ))
+
+
+def _label(text: str) -> int:
+    if text not in ("0", "1"):
+        raise ValueError(f"label must be 0 or 1, got {text!r}")
+    return int(text)
 
 
 def read_ground_truth(path: str) -> dict[str, dict[str, int]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["event_id", "video_id", "label"]:
-            raise FormatError(f"{path}: expected header event_id,video_id,label")
-        out: dict[str, dict[str, int]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3 or row[2] not in ("0", "1"):
-                raise FormatError(f"{path}:{lineno}: expected event_id,video_id,0|1")
-            labels = out.setdefault(row[0], {})
-            if row[1] in labels:
-                raise FormatError(
-                    f"{path}:{lineno}: duplicate event_id,video_id {row[0]!r},{row[1]!r}"
-                )
-            labels[row[1]] = int(row[2])
-    if not out:
-        raise FormatError(f"{path}: no ground-truth rows")
+    labels = _read_rows(
+        path, ["event_id", "video_id", "label"], lambda row: _label(row[2]), key=2
+    )
+    out: dict[str, dict[str, int]] = {}
+    for (event_id, video_id), label in labels.items():
+        out.setdefault(event_id, {})[video_id] = label
     return out
 
 
 def write_ground_truth(path: str, truth: dict[str, dict[str, int]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["event_id", "video_id", "label"])
-        for event_id in truth:
-            for vid, label in truth[event_id].items():
-                writer.writerow([event_id, vid, str(int(label))])
+    _write(path, _csv_text(
+        ["event_id", "video_id", "label"],
+        (
+            [event_id, vid, str(int(label))]
+            for event_id, labels in truth.items()
+            for vid, label in labels.items()
+        ),
+    ))
 
 
 def ranking_path(out_dir: str, event_id: str) -> str:
@@ -279,29 +294,28 @@ def ranking_path(out_dir: str, event_id: str) -> str:
 
 
 def write_ranking(path: str, ranking: list[tuple[str, float]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for vid, score in ranking:
-            fh.write(f"{vid}\t{_fmt(score)}\n")
+    _write(path, "".join(f"{vid}\t{_fmt(score)}\n" for vid, score in ranking))
 
 
 def read_ranking(path: str) -> list[tuple[str, float]]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected video_id TAB score")
-            try:
-                out.append((parts[0], float(parts[1])))
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: bad float {parts[1]!r}") from None
-    return out
+    scores = _read_rows(
+        path, ["video_id", "score"], lambda row: _float(row[1]), tsv=True, empty_ok=True
+    )
+    return list(scores.items())
+
+
+def write_selected_concepts(path: str, selections) -> None:
+    """``selections`` holds, per event, ``(event_id, [(concept_id,
+    relevance), ...])`` with the best concept first."""
+    _write(path, _csv_text(
+        ["event_id", "rank", "concept_id", "relevance"],
+        (
+            [event_id, str(rank), concept_id, _fmt(relevance)]
+            for event_id, chosen in selections
+            for rank, (concept_id, relevance) in enumerate(chosen, start=1)
+        ),
+    ))
 
 
 def write_metrics(path: str, metrics: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(path, json.dumps(metrics, indent=2, sort_keys=True) + "\n")

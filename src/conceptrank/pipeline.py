@@ -16,12 +16,10 @@ byte-identical outputs.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import sys
 from dataclasses import dataclass, field
-from io import StringIO
 
 import numpy as np
 
@@ -43,7 +41,6 @@ from .evaluation import (
     ranked_list,
 )
 from .query import (
-    ConceptVocabulary,
     EventQuery,
     QueryLayer,
     concept_relevance,
@@ -152,15 +149,6 @@ def rank_one_event(
     return ranking, result, S_sel
 
 
-def _weak_labels_csv(vocab: ConceptVocabulary, video_ids: list[str], values) -> str:
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["video_id"] + vocab.ids)
-    for vid, row in zip(video_ids, values):
-        writer.writerow([vid] + [repr(float(x)) for x in row])
-    return buf.getvalue()
-
-
 def _write_weak_labels(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -183,7 +171,7 @@ def run_rank(config: RunConfig) -> tuple[int, dict]:
     layer = QueryLayer.build(vocab, [r for r in videos if r.split == "weak"], table)
     for video_id in layer.uncovered_ids():
         log_kv(stage="weak_labels", video=video_id, skipped="no_vocabulary_coverage")
-    weak_csv = _weak_labels_csv(
+    weak_csv = io.scores_csv(
         vocab,
         [r.video_id for r, ok in zip(layer.weak_records, layer.covered) if ok],
         weak_labels(layer),
@@ -192,6 +180,7 @@ def run_rank(config: RunConfig) -> tuple[int, dict]:
     failures: dict[str, str] = {}
     per_event_ap: dict[str, float] = {}
     per_event_borda: dict[str, float] = {}
+    per_event_iter0: dict[str, float] = {}
     for event in events:
         eid = event.event_id
         try:
@@ -218,12 +207,14 @@ def run_rank(config: RunConfig) -> tuple[int, dict]:
             positives = {v for v, lab in truth[eid].items() if lab == 1}
             per_event_ap[eid] = average_precision(ranking, positives)
             per_event_borda[eid] = average_precision(borda_baseline(S_sel), positives)
+            iter0 = ranked_list(S_sel.test_ids(), result.initial_scores[S_sel.l :])
+            per_event_iter0[eid] = average_precision(iter0, positives)
     metrics: dict = {"failures": failures}
     if per_event_ap:
         report = mean_average_precision(per_event_ap)
         metrics.update(report.as_dict())
-        borda_report = mean_average_precision(per_event_borda)
-        metrics["borda"] = borda_report.as_dict()
+        metrics["borda"] = mean_average_precision(per_event_borda).as_dict()
+        metrics["iter0"] = mean_average_precision(per_event_iter0).as_dict()
     io.write_metrics(os.path.join(config.out_dir, "metrics.json"), metrics)
 
     if not failures:
@@ -244,21 +235,14 @@ def run_select_concepts(
     queries = io.read_events(events)
     layer = QueryLayer.build(vocab, [], table)
     k = min(top_k, len(vocab))
+    selections = []
+    for event in queries:
+        relevance = concept_relevance(layer, query_vector(event, table))
+        chosen = select_concepts(relevance, k, vocab)
+        pairs = [(vocab.concepts[i].concept_id, relevance.values[i]) for i in chosen]
+        selections.append((event.event_id, pairs))
     path = os.path.join(out_dir, "selected_concepts.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["event_id", "rank", "concept_id", "relevance"])
-        for event in queries:
-            relevance = concept_relevance(layer, query_vector(event, table))
-            for rank, idx in enumerate(select_concepts(relevance, k, vocab), start=1):
-                writer.writerow(
-                    [
-                        event.event_id,
-                        str(rank),
-                        vocab.concepts[idx].concept_id,
-                        repr(float(relevance.values[idx])),
-                    ]
-                )
+    io.write_selected_concepts(path, selections)
     return 0, path
 
 

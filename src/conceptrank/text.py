@@ -93,6 +93,8 @@ def _rule_table(word: str, rules, min_measure: int) -> str:
     return word
 
 
+# Each table lists a suffix before every shorter suffix that it ends with,
+# so the first match is the longest one.
 _STEP2_RULES = [
     ("ational", "ate"),
     ("ization", "ize"),
@@ -192,7 +194,7 @@ def porter_stem(word: str) -> str:
     word = _rule_table(word, _STEP3_RULES, 0)
 
     # step 4
-    for suffix in sorted(_STEP4_SUFFIXES, key=len, reverse=True):
+    for suffix in _STEP4_SUFFIXES:
         if word.endswith(suffix):
             stem = word[: -len(suffix)]
             if suffix == "ion" and not stem.endswith(("s", "t")):

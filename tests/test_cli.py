@@ -6,7 +6,8 @@ import pytest
 from conceptrank import embeddings, io, query
 from conceptrank.cli import main
 from conceptrank.composer import CompositionConfig
-from conceptrank.pipeline import RunConfig, run_rank
+from conceptrank.evaluation import average_precision, ranked_list
+from conceptrank.pipeline import RunConfig, rank_one_event, run_rank
 
 
 def _synth(tmp_path, seed=0, weak=8, test=8, concepts=4, informative=1, sigma=0.0):
@@ -407,3 +408,92 @@ def test_eval_unknown_video_in_truth(tmp_path, capsys):
         fh.write("E001,vGHOST,1\n")
     assert main(["eval", "--rankings-dir", out, "--ground-truth", gt]) == 1
     assert "vGHOST" in capsys.readouterr().err
+
+
+def test_eval_rejects_repeated_video(tmp_path, capsys):
+    data = _synth(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(_rank_args(data, out)) == 0
+    path = io.ranking_path(out, "E001")
+    lines = open(path, encoding="utf-8").readlines()
+    truth = io.read_ground_truth(os.path.join(data, "ground_truth.csv"))["E001"]
+    first = next(i for i, line in enumerate(lines) if truth[line.split("\t")[0]] == 1)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(lines[first])
+    capsys.readouterr()
+    code = main(
+        ["eval", "--rankings-dir", out, "--ground-truth", os.path.join(data, "ground_truth.csv")]
+    )
+    assert code == 1
+    assert not os.path.exists(os.path.join(out, "eval_metrics.json"))
+    vid = lines[first].split("\t")[0]
+    (record,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert f"E001_ranking.tsv:{len(lines) + 1}: duplicate video_id '{vid}'" in (
+        record["validation_error"]
+    )
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [("rank", "event_id", 1), ("rank", "name", 5), ("select-concepts", "description", ["x"])],
+)
+def test_event_fields_must_be_strings(tmp_path, capsys, command, field, value):
+    data = _synth(tmp_path)
+    events = os.path.join(data, "events.jsonl")
+    event = json.loads(open(events, encoding="utf-8").readline())
+    with open(events, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({**event, field: value}) + "\n")
+    gt = os.path.join(data, "ground_truth.csv")
+    if field == "event_id":
+        # truth for the event as the CSV spells its id
+        text = open(gt, encoding="utf-8").read().replace("E001,", f"{value},")
+        open(gt, "w", encoding="utf-8").write(text)
+    out = str(tmp_path / "out")
+    if command == "rank":
+        argv = _rank_args(data, out)
+    else:
+        argv = [
+            "select-concepts",
+            "--embeddings", os.path.join(data, "embeddings.txt"),
+            "--vocabulary", os.path.join(data, "vocabulary.csv"),
+            "--events", events,
+            "--out-dir", out,
+        ]
+    capsys.readouterr()
+    assert main(argv) == 1
+    (record,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert f"events.jsonl:1: {field} must be a JSON string" in record["validation_error"]
+
+
+def test_rank_metrics_iter0_is_the_initial_scores_ap(tmp_path):
+    # an instance on which the first ranking, the final one and Borda differ
+    data = _synth(tmp_path, seed=1, sigma=0.6)
+    out = str(tmp_path / "out")
+    assert main(_rank_args(data, out)) == 0
+    metrics = json.loads(open(os.path.join(out, "metrics.json")).read())
+
+    config = RunConfig(
+        embeddings=os.path.join(data, "embeddings.txt"),
+        vocabulary=os.path.join(data, "vocabulary.csv"),
+        videos=os.path.join(data, "videos.tsv"),
+        scores=os.path.join(data, "scores.csv"),
+        events=os.path.join(data, "events.jsonl"),
+        out_dir=str(tmp_path / "unused"),
+        top_k=2, n_pos=4, n_neg=4,
+        fit=CompositionConfig(k_candidates=8, k_neighbors=3, max_outer_iters=4),
+    )
+    table = embeddings.load_embeddings(config.embeddings)
+    vocab = io.read_vocabulary(config.vocabulary)
+    videos = io.read_videos(config.videos)
+    (event,) = io.read_events(config.events)
+    scores = io.read_scores(config.scores, vocab, videos)
+    layer = query.QueryLayer.build(vocab, [r for r in videos if r.split == "weak"], table)
+    ranking, result, S_sel = rank_one_event(event, layer, table, scores, None, config)
+    assert ranking == io.read_ranking(io.ranking_path(out, "E001"))
+
+    truth = io.read_ground_truth(os.path.join(data, "ground_truth.csv"))["E001"]
+    positives = {v for v, label in truth.items() if label == 1}
+    initial = ranked_list(S_sel.test_ids(), result.initial_scores[S_sel.l :])
+    ap = average_precision(initial, positives)
+    assert metrics["iter0"] == {"E001": ap, "mAP": ap}
+    assert len({ap, metrics["E001"], metrics["borda"]["E001"]}) == 3

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,12 @@ class TestVideos:
         with pytest.raises(FormatError):
             io.read_videos(str(path))
 
+    def test_duplicate_video_rejected(self, tmp_path):
+        path = tmp_path / "videos.tsv"
+        path.write_text("v1\tweak\tx\n\nv2\ttest\t\nv1\ttest\t\n")
+        with pytest.raises(FormatError, match=r"videos\.tsv:4: duplicate video_id 'v1'"):
+            io.read_videos(str(path))
+
 
 class TestEvents:
     def test_round_trip(self, tmp_path, instance):
@@ -79,6 +87,17 @@ class TestEvents:
         path = tmp_path / "events.jsonl"
         path.write_text('{"event_id": "e1"}\n')
         with pytest.raises(FormatError):
+            io.read_events(str(path))
+
+    @pytest.mark.parametrize(
+        "field, value", [("event_id", 1), ("name", 5), ("description", ["a", "b"])]
+    )
+    def test_non_string_field_rejected(self, tmp_path, field, value):
+        path = tmp_path / "events.jsonl"
+        good = {"event_id": "e1", "name": "x", "description": "y"}
+        bad = {**good, "event_id": "e2", field: value}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(FormatError, match=rf"events\.jsonl:2: {field} must be a JSON string"):
             io.read_events(str(path))
 
 
@@ -168,6 +187,12 @@ class TestRankingAndEmbeddings:
         path = tmp_path / "rank.tsv"
         path.write_text("v2\t0.75\nv1\tabc\n")
         with pytest.raises(FormatError, match=r"rank\.tsv:2: bad float 'abc'"):
+            io.read_ranking(str(path))
+
+    def test_ranking_duplicate_video_rejected(self, tmp_path):
+        path = tmp_path / "rank.tsv"
+        path.write_text("v1\t0.75\nv2\t0.5\nv1\t0.25\n")
+        with pytest.raises(FormatError, match=r"rank\.tsv:3: duplicate video_id 'v1'"):
             io.read_ranking(str(path))
 
     def test_embeddings_round_trip(self, tmp_path):

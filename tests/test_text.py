@@ -3,6 +3,7 @@ import string
 import numpy as np
 import pytest
 
+from conceptrank import text
 from conceptrank.text import STOPWORDS, clean_text, porter_stem, tokenize
 
 # the step-4 suffixes of the classic algorithm (Porter 1980)
@@ -155,3 +156,19 @@ def test_known_non_idempotent_words_documented():
     # step 5a exposes -ed, which step 1b strips on a second pass
     assert porter_stem("recede") == "reced"
     assert porter_stem("reced") == "rece"
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [suffix for suffix, _ in text._STEP2_RULES],
+        [suffix for suffix, _ in text._STEP3_RULES],
+        text._STEP4_SUFFIXES,
+    ],
+    ids=["step2", "step3", "step4"],
+)
+def test_rule_tables_list_each_suffix_before_its_own_suffixes(table):
+    # a step applies the first rule that matches, which is the longest
+    # match only if no rule precedes a longer rule that ends with it
+    for i, suffix in enumerate(table):
+        assert not [s for s in table[:i] if suffix.endswith(s)], suffix

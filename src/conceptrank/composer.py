@@ -24,8 +24,9 @@ list on the free scores alone (``_laplacian``), so no n x n adjacency is
 formed.  Each dense matrix the step factors (every Newton system, and the
 certificate's curvature matrix once per weight step) goes through
 ``_cholesky_inverse``, a recursive block Cholesky that does its work in
-matrix products and returns the inverse factor; there is no
-eigendecomposition.
+matrix products and overwrites the matrix with its inverse factor, so a
+step holds P, the certificate's factor and one Newton matrix or factor;
+there is no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -241,36 +242,32 @@ _CHOLESKY_LEAF = 48
 
 
 def _cholesky_inverse(A: np.ndarray) -> np.ndarray:
-    """The inverse Li of the Cholesky factor of a symmetric positive
-    definite A, so that  A^-1 v = Li' (Li v).  Li is lower triangular with
-    exact zeros above the diagonal.  Raises ``LinAlgError`` when A, or any
-    trailing Schur complement, is not numerically positive definite.
+    """Overwrite a symmetric positive definite A with the inverse Li of its
+    Cholesky factor, so that  A^-1 v = Li' (Li v), and return it.  Li is
+    lower triangular with exact zeros above the diagonal.  Raises
+    ``LinAlgError`` when A, or any trailing Schur complement, is not
+    numerically positive definite; A is then left part overwritten.
 
     With A split in 2x2 blocks and L21 = A21 Li11',
       Li = [[Li11, 0], [-Li22 L21 Li11, Li22]],  Li22 = inv-chol(A22 - L21 L21'),
     so nearly all of the flops are matrix products, which run several times
     faster than ``np.linalg.cholesky`` at the weight step's sizes.
     """
-    Li = np.zeros(A.shape)
-    _cholesky_inverse_into(A, Li)
-    return Li
-
-
-def _cholesky_inverse_into(A: np.ndarray, Li: np.ndarray) -> None:
-    """Write the lower triangle of ``_cholesky_inverse(A)`` into Li; the
-    blocks above the diagonal are left as they are."""
     n = A.shape[0]
     if n <= _CHOLESKY_LEAF:
         # inv pivots, so it can leave rounding-level entries above the diagonal
-        Li[...] = np.tril(np.linalg.inv(np.linalg.cholesky(A)))
-        return
+        A[...] = np.tril(np.linalg.inv(np.linalg.cholesky(A)))
+        return A
     h = n // 2
-    Li11, Li21, Li22 = Li[:h, :h], Li[h:, :h], Li[h:, h:]
-    _cholesky_inverse_into(A[:h, :h], Li11)
-    L21 = A[h:, :h] @ Li11.T
-    _cholesky_inverse_into(A[h:, h:] - L21 @ L21.T, Li22)
-    np.matmul(Li22, L21 @ Li11, out=Li21)
-    Li21 *= -1.0
+    A11, A21, A22 = A[:h, :h], A[h:, :h], A[h:, h:]
+    _cholesky_inverse(A11)
+    L21 = A21 @ A11.T
+    A22 -= L21 @ L21.T
+    _cholesky_inverse(A22)
+    np.matmul(A22, L21 @ A11, out=A21)
+    A21 *= -1.0
+    A[:h, h:] = 0.0
+    return A
 
 
 # neighbor probabilities at most this fraction of the largest one are left
@@ -332,7 +329,7 @@ class _WeightSubproblem:
     the projector onto it, P_c + Pi is positive definite and its inverse is
     P_c^+ on the range of P_c, so its inverse Cholesky factor Li
     (``_cholesky_inverse``, once per step) gives  r_c' P_c^+ r_c = |Li r_c|^2
-    for any r_c orthogonal to the null space.
+    for any r_c orthogonal to the null space; Li overwrites P_c + Pi.
     """
 
     def __init__(
@@ -502,7 +499,9 @@ class _ScoreQP:
         is active); Jacobi scaling with a tiny ridge keeps the inverse
         Cholesky factor of the (f, t) system (``_cholesky_inverse``) stable,
         and two refinement passes against H itself restore accuracy in every
-        direction that changes the objective.
+        direction that changes the objective.  The (f, t) matrix is
+        overwritten by its factor, and the caller drops the returned function
+        before it asks for the next, so one Newton matrix or factor is alive.
         The returned function keeps the single unrefined pass as its
         ``eliminate`` attribute, so the elimination can be checked alone.
         """
@@ -711,6 +710,7 @@ def _interior_point(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarra
             return dx, Adx, dz_lo, dz_up, dz_a, alpha
 
         try:
+            solve = None  # drop the last factor before the next matrix is built
             solve = qp.newton(z_a / s_a, d_diag)
             rc_lo = np.where(has_lo, s_lo * z_lo, 0.0)
             rc_up = np.where(has_up, s_up * z_up, 0.0)

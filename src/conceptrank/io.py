@@ -184,6 +184,9 @@ def read_events(path: str) -> list[EventQuery]:
                     if not isinstance(value, str):
                         kind = type(value).__name__
                         raise ValueError(f"{name} must be a JSON string, got {kind}")
+                eid = fields["event_id"]  # names the event's output files
+                if eid in (".", "..") or any(c in eid for c in "/\\\0"):
+                    raise ValueError(f"event_id {eid!r} is not a plain file name")
                 event = EventQuery(**fields)
             except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None

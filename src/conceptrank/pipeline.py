@@ -154,6 +154,10 @@ def _write_weak_labels(path: str, text: str) -> None:
         fh.write(text)
 
 
+# metrics.json's own keys, beside the per-event APs; no event id may be one
+METRICS_KEYS = ("failures", "mAP", "borda", "iter0")
+
+
 def run_rank(config: RunConfig) -> tuple[int, dict]:
     """Rank every event; returns (exit_code, metrics dict)."""
     config.validate()
@@ -162,6 +166,9 @@ def run_rank(config: RunConfig) -> tuple[int, dict]:
     vocab = io.read_vocabulary(config.vocabulary)
     videos = io.read_videos(config.videos)
     events = io.read_events(config.events)
+    taken = sorted({e.event_id for e in events} & set(METRICS_KEYS))
+    if taken:
+        raise ValidationError(f"event ids {taken} are keys of metrics.json")
     scores = io.read_scores(config.scores, vocab, videos)
     supervised = io.read_supervised(config.supervised) if config.supervised else None
     truth = io.read_ground_truth(config.ground_truth) if config.ground_truth else None
@@ -209,12 +216,14 @@ def run_rank(config: RunConfig) -> tuple[int, dict]:
             per_event_borda[eid] = average_precision(borda_baseline(S_sel), positives)
             iter0 = ranked_list(S_sel.test_ids(), result.initial_scores[S_sel.l :])
             per_event_iter0[eid] = average_precision(iter0, positives)
-    metrics: dict = {"failures": failures}
+    failures_key, map_key, borda_key, iter0_key = METRICS_KEYS
+    metrics: dict = {failures_key: failures}
     if per_event_ap:
         report = mean_average_precision(per_event_ap)
-        metrics.update(report.as_dict())
-        metrics["borda"] = mean_average_precision(per_event_borda).as_dict()
-        metrics["iter0"] = mean_average_precision(per_event_iter0).as_dict()
+        metrics.update(report.per_event_ap)
+        metrics[map_key] = report.map_value
+        metrics[borda_key] = mean_average_precision(per_event_borda).as_dict()
+        metrics[iter0_key] = mean_average_precision(per_event_iter0).as_dict()
     io.write_metrics(os.path.join(config.out_dir, "metrics.json"), metrics)
 
     if not failures:

@@ -4,7 +4,8 @@ The references are independent or slower forms of what ``conceptrank``
 computes: the per-phrase query steps, which embed every phrase they
 touch; brute-force enumerations of the simplex projection and the push
 loss; a central-difference gradient; a dense Laplacian, an
-eigendecomposition split and an SLSQP solve of the weight step.  No
+eigendecomposition split, an out-of-place block Cholesky inverse and an
+SLSQP solve of the weight step.  No
 program path calls them.  The generators draw random solver inputs, and
 ``project_row`` and ``neighbor_row`` run the batched graph kernels on one
 row.
@@ -13,7 +14,7 @@ row.
 import numpy as np
 
 from conceptrank._kernels import simplex_project_rows
-from conceptrank.composer import ScoreMatrix
+from conceptrank.composer import _CHOLESKY_LEAF, ScoreMatrix
 from conceptrank.embeddings import EmbeddingTable, cosine, phrase_vector
 from conceptrank.errors import CoverageError
 from conceptrank.graph import (
@@ -162,6 +163,32 @@ def eigen_curvature_split(P, r):
     c = vec.T @ r
     flat = vec[:, ~curved] @ c[~curved]
     return flat, 0.5 * float(np.sum(c[curved] ** 2 / eig[curved]))
+
+
+def out_of_place_cholesky_inverse(A: np.ndarray) -> np.ndarray:
+    """Reference for ``composer._cholesky_inverse``: the same recursive
+    block routine, which writes the inverse factor into a fresh array and
+    leaves A as it is."""
+    Li = np.zeros(A.shape)
+    _cholesky_inverse_into(A, Li)
+    return Li
+
+
+def _cholesky_inverse_into(A: np.ndarray, Li: np.ndarray) -> None:
+    """Write the lower triangle of ``out_of_place_cholesky_inverse(A)`` into
+    Li; the blocks above the diagonal are left as they are."""
+    n = A.shape[0]
+    if n <= _CHOLESKY_LEAF:
+        # inv pivots, so it can leave rounding-level entries above the diagonal
+        Li[...] = np.tril(np.linalg.inv(np.linalg.cholesky(A)))
+        return
+    h = n // 2
+    Li11, Li21, Li22 = Li[:h, :h], Li[h:, :h], Li[h:, h:]
+    _cholesky_inverse_into(A[:h, :h], Li11)
+    L21 = A[h:, :h] @ Li11.T
+    _cholesky_inverse_into(A[h:, h:] - L21 @ L21.T, Li22)
+    np.matmul(Li22, L21 @ Li11, out=Li21)
+    Li21 *= -1.0
 
 
 # ---------------------------------------------------------------------------

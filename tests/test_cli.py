@@ -7,7 +7,7 @@ from conceptrank import embeddings, io, query
 from conceptrank.cli import main
 from conceptrank.composer import CompositionConfig
 from conceptrank.evaluation import average_precision, ranked_list
-from conceptrank.pipeline import RunConfig, rank_one_event, run_rank
+from conceptrank.pipeline import METRICS_KEYS, RunConfig, rank_one_event, run_rank
 
 
 def _synth(tmp_path, seed=0, weak=8, test=8, concepts=4, informative=1, sigma=0.0):
@@ -463,6 +463,49 @@ def test_event_fields_must_be_strings(tmp_path, capsys, command, field, value):
     assert main(argv) == 1
     (record,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert f"events.jsonl:1: {field} must be a JSON string" in record["validation_error"]
+
+
+def _rename_event(data, event_id):
+    """Give the synth event, and its ground truth, the id ``event_id``."""
+    events = os.path.join(data, "events.jsonl")
+    event = json.loads(open(events, encoding="utf-8").readline())
+    with open(events, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({**event, "event_id": event_id}) + "\n")
+    gt = os.path.join(data, "ground_truth.csv")
+    text = open(gt, encoding="utf-8").read().replace("E001,", f"{event_id},")
+    open(gt, "w", encoding="utf-8").write(text)
+
+
+def test_rank_rejects_event_id_outside_out_dir(tmp_path, capsys):
+    data = _synth(tmp_path)
+    _rename_event(data, "../escaped")
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main(_rank_args(data, out)) == 1
+    (record,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert "events.jsonl:1: event_id '../escaped'" in record["validation_error"]
+    assert sorted(os.listdir(tmp_path)) == ["data", "out"]
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("event_id", METRICS_KEYS)
+def test_rank_rejects_event_id_that_is_a_metrics_key(tmp_path, capsys, event_id):
+    data = _synth(tmp_path)
+    _rename_event(data, event_id)
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main(_rank_args(data, out)) == 1
+    (record,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert repr(event_id) in record["validation_error"]
+    assert os.listdir(out) == []
+
+
+def test_metrics_keys_are_the_run_level_keys(tmp_path):
+    data = _synth(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(_rank_args(data, out)) == 0
+    metrics = json.loads(open(os.path.join(out, "metrics.json")).read())
+    assert set(metrics) == {"E001", *METRICS_KEYS}
 
 
 def test_rank_metrics_iter0_is_the_initial_scores_ap(tmp_path):

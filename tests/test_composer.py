@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,7 @@ from helpers import (
     eigen_curvature_split,
     finite_diff_gradient,
     neighbor_row,
+    out_of_place_cholesky_inverse,
     random_instance,
     random_scores_and_labels,
     slsqp_weight_step_value,
@@ -382,6 +385,26 @@ class TestReferenceSolver:
             composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
             assert calls == {"_laplacian": 2, "_interior_point": 1 if cap else 2}
 
+    @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
+    def test_weight_step_heap_ceiling(self, cap):
+        # P, the certificate's factor, one Newton matrix and the factor's
+        # half-size products: 3.7 (capped) and 3.9 (uncapped) dense
+        # (nf + 1)^2 arrays traced above the heap at entry on this draw; a
+        # factor written beside its input, or the previous Newton factor
+        # kept alive, adds about one more array each
+        rng = np.random.default_rng(81)
+        S, labels, nb, W0, lam = random_instance(rng, n_min=320, n_max=320, m_max=3)
+        f0, hi = _step_inputs(S, W0, cap)
+        nf = int(np.count_nonzero(hi > 0.0))
+        assert nf >= 300
+        tracemalloc.start()  # traces only what is allocated from here on
+        try:
+            composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8.0 * (nf + 1) ** 2) <= 4.5
+
     def test_uncertified_step_warns(self):
         rng = np.random.default_rng(65)
         S, labels, nb, W0, lam = random_instance(rng, n_max=14, m_max=3)
@@ -546,7 +569,9 @@ class TestCholeskyInverse:
         for n in (0, 1, 2, leaf - 1, leaf, leaf + 1, 2 * leaf + 3, 5 * leaf, 641):
             B = rng.normal(size=(n, n))
             A = B @ B.T / n + np.eye(n)
-            Li = composer._cholesky_inverse(A)
+            work = A.copy()
+            Li = composer._cholesky_inverse(work)
+            assert Li is work  # overwritten in place
             assert np.all(np.triu(Li, 1) == 0.0)
             np.testing.assert_allclose(Li.T @ Li, np.linalg.inv(A), rtol=1e-10, atol=1e-13)
 
@@ -561,20 +586,31 @@ class TestCholeskyInverse:
         C = np.diag(np.r_[np.ones(n - h - 1), -0.5])
         A = np.block([[np.eye(h), B.T], [B, B @ B.T + C]])
         calls = []
-        inner = composer._cholesky_inverse_into
+        inner = composer._cholesky_inverse
 
-        def spy(M, Li):
+        def spy(M):
             calls.append(M.shape[0])
-            inner(M, Li)
+            inner(M)
             calls.append(-M.shape[0])
+            return M
 
-        monkeypatch.setattr(composer, "_cholesky_inverse_into", spy)
+        monkeypatch.setattr(composer, "_cholesky_inverse", spy)
         with pytest.raises(np.linalg.LinAlgError):
             composer._cholesky_inverse(A)
         assert calls[:2] == [n, h]
         # the first half returned before the second half began, which raised
         assert calls.index(-h) < calls.index(n - h)
         assert -(n - h) not in calls and -n not in calls
+
+    def test_bit_identical_to_out_of_place_reference(self):
+        # overwriting A runs the same operations in the same order as
+        # writing the factor into a fresh array
+        rng = np.random.default_rng(80)
+        for n in (0, 1, 47, 48, 49, 99, 143, 401, 641):
+            B = rng.normal(size=(n, n))
+            A = B @ B.T / max(n, 1) + np.eye(n)
+            want = out_of_place_cholesky_inverse(A)
+            np.testing.assert_array_equal(composer._cholesky_inverse(A.copy()), want)
 
 
 class TestFinalWeights:

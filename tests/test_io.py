@@ -90,6 +90,24 @@ class TestEvents:
             io.read_events(str(path))
 
     @pytest.mark.parametrize(
+        "event_id", ["", ".", "..", "../escaped", "a/b", "/abs", "a\\b", "a\0b"]
+    )
+    def test_event_id_that_is_no_plain_file_name_rejected(self, tmp_path, event_id):
+        # the id names the event's output files, so it must not leave the
+        # output directory or be empty
+        path = tmp_path / "events.jsonl"
+        good = {"event_id": "e1", "name": "x"}
+        bad = {"event_id": event_id, "name": "y"}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(FormatError, match=r"events\.jsonl:2: event_id"):
+            io.read_events(str(path))
+
+    def test_event_id_with_dots_inside_accepted(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(json.dumps({"event_id": "E.1..x", "name": "x"}) + "\n")
+        assert [e.event_id for e in io.read_events(str(path))] == ["E.1..x"]
+
+    @pytest.mark.parametrize(
         "field, value", [("event_id", 1), ("name", 5), ("description", ["a", "b"])]
     )
     def test_non_string_field_rejected(self, tmp_path, field, value):

@@ -15,13 +15,15 @@ The objective sees the weights only through the scores, and the weight
 constraints only through each score's box 0 <= f_i <= cap * max_k s_ik.
 So the fit carries the n scores, not the n x m weights, and derives one
 weight matrix that gives the final scores once, after the loop
-(``final_weights``).  The weight step solves the score-space quadratic
-program exactly, with an interior-point method that stops when a
-certified duality gap meets its tolerance; a step that stops above it is
-reported in ``FitResult.warnings``.  The graph term's Hessian and the
-certificate's strong-edge part of it are built from the neighbor edge
-list on the free scores alone (``_laplacian``), so no n x n adjacency is
-formed.  Each dense matrix the step factors (every Newton system, and the
+(``final_weights``).  The push term depends on the negatives only through
+the top negative's score, so the weight step is a quadratic program in the
+scores, that level and one hinge slack per positive whose hinge can clip
+(``_ScoreQP``).  It is solved exactly, with an interior-point method that
+stops when a certified duality gap meets its tolerance; a step that stops
+above it is reported in ``FitResult.warnings``.  The graph term's Hessian
+and the certificate's strong-edge part of it are built from the neighbor
+edge list on the free scores alone (``_laplacian``), so no n x n adjacency
+is formed.  Each dense matrix the step factors (every Newton system, and the
 certificate's curvature matrix once per weight step) goes through
 ``_cholesky_inverse``, a recursive block Cholesky that does its work in
 matrix products and overwrites the matrix with its inverse factor, so a
@@ -394,27 +396,30 @@ class _WeightSubproblem:
 class _ScoreQP:
     """The weight step as a QP over x = (f_free, t, xi).
 
-    Minimizes  1/2 f'Pf + lin'x + const  over the free scores f, the
-    epigraph level t and the hinge slacks xi, subject to  lo <= x <= up
-    and the rows
+    Every hinge  (1 - f_{p_i} + f_{n_j})_+  grows with f_{n_j}, so the push
+    loss  max_j mean_i (1 - f_{p_i} + f_{n_j})_+  is the mean hinge of each
+    positive against the top negative alone (Li, Jin & Zhou, *Top Rank
+    Optimization in Linear Time*, NIPS 2014).  The QP minimizes
+    1/2 f'Pf + lin'x + const  over the free scores f, the level t of the top
+    negative and one hinge slack xi_i per clipped positive, subject to
+    lo <= x <= up  and the rows
 
-      t >= (|U|/p) f_{n_j} + (1/p) sum_{i in C} xi_ij          (each j)
-      xi_ij >= 1 - f_{p_i} + f_{n_j},  xi_ij >= 0              (i in C)
+      f_{n_j} - t <= 0                                 (each negative j)
+      t - f_{p_i} - xi_i <= -1,  xi_i >= 0             (i in C)
 
     Videos whose score box is [0, 0] are left out of x, and a box without
-    a top (no cap) is closed at n (see ``update_scores``).
-    Positives whose score cannot exceed 1 never clip their hinges against
-    nonnegative negative scores, so those hinges enter the epigraph rows
-    linearly: U is the set of those positives, C the others, and the
-    objective is  2 f'Lf - (lam/p) sum_U f + lam t + lam |U|/p.  With the
-    default cap and scores in [0, 1], C is empty and x = (f, t).
+    a top (no cap) is closed at n (see ``update_scores``).  Positives whose
+    score cannot exceed 1 never clip their hinges against the nonnegative
+    level t, so those hinges enter linearly: U is the set of those
+    positives, C the others, a = |U|/p, and the objective is
+    2 f'Lf - (lam/p) sum_U f + lam a t + (lam/p) sum_C xi + lam a.  With
+    the default cap and scores in [0, 1], C is empty and x = (f, t).
 
-    The rows are never formed as a matrix.  Each slack xi_ij sits in one
-    hinge row and one epigraph row, so ``newton`` eliminates the slacks and
-    factors only an (nf + 1) x (nf + 1) system.  P and the certificate's
-    factor depend only on the free set, ``prob.free``, where ``hi`` must be
-    positive; they come from ``prob``, so the QPs of one weight step share
-    them.
+    The rows are never formed as a matrix.  Each slack sits in one hinge
+    row, so ``newton`` eliminates the slacks and factors only an
+    (nf + 1) x (nf + 1) system.  P and the certificate's factor depend only
+    on the free set, ``prob.free``, where ``hi`` must be positive; they
+    come from ``prob``, so the QPs of one weight step share them.
     """
 
     def __init__(self, prob: _WeightSubproblem, hi: np.ndarray):
@@ -425,55 +430,50 @@ class _ScoreQP:
         col = np.full(self.n, -1)
         col[self.free] = np.arange(nf)
         pos, neg = prob.pos, prob.neg
-        p = self.p = pos.shape[0]
+        p = pos.shape[0]
         n_epi = self.n_epi = neg.shape[0]
         clip = hi[pos] > 1.0
         unclipped, clipped = pos[~clip], pos[clip]
-        n_clip = self.n_clip = clipped.shape[0]
+        n_clip = clipped.shape[0]
+        a = unclipped.shape[0] / p
         self.lam = prob.lam
-        self.a = unclipped.shape[0] / p
-        self.const = prob.lam * self.a
+        self.const = prob.lam * a  # also the cost of t
+        self.slack_cost = prob.lam / p
         self.t = nf
-        nx = nf + 1 + n_clip * n_epi
+        nx = nf + 1 + n_clip
 
         self.prob = prob
         self.P = prob.P
         self.lin = np.zeros(nx)
         linear = unclipped[col[unclipped] >= 0]
-        self.lin[col[linear]] = -prob.lam / p
-        self.lin[self.t] = prob.lam
-        self.lo = np.concatenate([np.zeros(nf), [-np.inf], np.zeros(nx - nf - 1)])
-        self.up = np.concatenate([hi[self.free], np.full(nx - nf, np.inf)])
-        # rows: the n_epi epigraph rows, then the hinge rows with slack
-        # xi_ij at (i, j) of an n_clip x n_epi block
-        self.b = np.concatenate([np.zeros(n_epi), np.full(n_clip * n_epi, -1.0)])
+        self.lin[col[linear]] = -self.slack_cost
+        self.lin[self.t] = self.const
+        self.lin[nf + 1 :] = self.slack_cost
+        self.lo = np.concatenate([np.zeros(nf), [-np.inf], np.zeros(n_clip)])
+        self.up = np.concatenate([hi[self.free], np.full(1 + n_clip, np.inf)])
+        # rows: one per negative, then one hinge row per clipped positive
+        self.b = np.concatenate([np.zeros(n_epi), np.full(n_clip, -1.0)])
         self.hp = col[clipped]
         self.n_free = col[neg] >= 0
         self.hn = col[neg[self.n_free]]
 
-    def _neg_scores(self, f: np.ndarray) -> np.ndarray:
-        fn = np.zeros(self.n_epi)
-        fn[self.n_free] = f[self.hn]
-        return fn
-
     def rows(self, x: np.ndarray) -> np.ndarray:
         """The row values A x (compared against ``b``)."""
         nf = self.nf
-        f, t, xi = x[:nf], x[nf], x[nf + 1 :].reshape(self.n_clip, self.n_epi)
-        fn = self._neg_scores(f)
-        epi = self.a * fn - t + xi.sum(axis=0) / self.p
-        hinge = fn[None, :] - f[self.hp][:, None] - xi
-        return np.concatenate([epi, hinge.ravel()])
+        f, t = x[:nf], x[nf]
+        fn = np.zeros(self.n_epi)
+        fn[self.n_free] = f[self.hn]
+        return np.concatenate([fn - t, t - f[self.hp] - x[nf + 1 :]])
 
     def rows_t(self, z: np.ndarray) -> np.ndarray:
         """The adjoint A' z of ``rows``."""
-        nf, n_epi = self.nf, self.n_epi
-        z_e, z_h = z[:n_epi], z[n_epi:].reshape(self.n_clip, n_epi)
+        nf = self.nf
+        z_e, z_h = z[: self.n_epi], z[self.n_epi :]
         g = np.zeros(self.lin.shape[0])
-        g[self.hn] = (self.a * z_e + z_h.sum(axis=0))[self.n_free]
-        g[self.hp] -= z_h.sum(axis=1)
-        g[nf] = -z_e.sum()
-        g[nf + 1 :] = (z_e[None, :] / self.p - z_h).ravel()
+        g[self.hn] = z_e[self.n_free]
+        g[self.hp] -= z_h
+        g[nf] = z_h.sum() - z_e.sum()
+        g[nf + 1 :] = -z_h
         return g
 
     def grad(self, x: np.ndarray) -> np.ndarray:
@@ -488,72 +488,41 @@ class _ScoreQP:
     def newton(self, d_rows: np.ndarray, d_diag: np.ndarray):
         """A function that solves with the Newton matrix  H = P + A' diag(d_rows) A + diag(d_diag).
 
-        The slack block of H is diagonal apart from one rank-one term per
-        epigraph row, so block elimination (a Schur complement on the
-        slacks, then on the epigraph rows) leaves a system in (f, t) only.
-        Each eliminated epigraph row has nonzeros only at t, at its own
-        negative and at the clipped positives, so its outer products are
-        added entry by entry.  H is positive semidefinite and nearly
-        singular along directions in which the optimum is degenerate
-        (shifting every score and t together changes no term when no bound
-        is active); Jacobi scaling with a tiny ridge keeps the inverse
-        Cholesky factor of the (f, t) system (``_cholesky_inverse``) stable,
-        and two refinement passes against H itself restore accuracy in every
-        direction that changes the objective.  The (f, t) matrix is
-        overwritten by its factor, and the caller drops the returned function
-        before it asks for the next, so one Newton matrix or factor is alive.
-        The returned function keeps the single unrefined pass as its
-        ``eliminate`` attribute, so the elimination can be checked alone.
+        Each slack sits in one hinge row and its own bound, so eliminating
+        it leaves the row acting on (f_{p_i}, t) with the series weight of
+        the row and the bound.  Every remaining row is then  +-(f_v - t), so
+        the (f, t) matrix is P plus the diagonal plus each row's weight at
+        (v, v) and (t, t) and, negated, at (v, t) and (t, v).  H is positive
+        semidefinite and nearly singular along directions in which the
+        optimum is degenerate (shifting every score and t together changes
+        no term when no bound is active); Jacobi scaling with a tiny ridge
+        keeps the inverse Cholesky factor of the (f, t) system
+        (``_cholesky_inverse``) stable, and two refinement passes against H
+        itself restore accuracy in every direction that changes the
+        objective.  The (f, t) matrix is overwritten by its factor, and the
+        caller drops the returned function before it asks for the next, so
+        one Newton matrix or factor is alive.  The returned function keeps
+        the single unrefined pass as its ``eliminate`` attribute, so the
+        elimination can be checked alone.
         """
-        nf, p, n_epi = self.nf, self.p, self.n_epi
+        nf, t, hp = self.nf, self.t, self.hp
         ny = nf + 1
-        hp, hn, m = self.hp, self.hn, self.n_free
-        d_e = d_rows[:n_epi]
-        d_h = d_rows[n_epi:].reshape(self.n_clip, n_epi)
-        e = d_h + d_diag[ny:].reshape(self.n_clip, n_epi)
+        d_e, d_h = d_rows[: self.n_epi], d_rows[self.n_epi :]
+        d_x = d_diag[ny:]
+        e = d_h + d_x
         rho = d_h / e
-        # a hinge row with its slack eliminated acts on (f_{p_i}, f_{n_j})
-        # with the series weight of the row and the slack's bound
-        w = d_h * (e - d_h) / e
+        w = d_h * d_x / e
+        # the rows +-(f_v - t) with a free v and their weights; the row of
+        # a pinned negative is -t and adds to (t, t) only
+        ends = np.concatenate([self.hn, hp])
+        c = np.concatenate([d_e[self.n_free], w])
         S = np.zeros((ny, ny))
         S[:nf, :nf] = self.P
         S[np.diag_indices(ny)] += d_diag[:ny]
-        S[hp, hp] += w.sum(axis=1)
-        S[hn, hn] += w.sum(axis=0)[m]
-        S[np.ix_(hp, hn)] -= w[:, m]
-        S[np.ix_(hn, hp)] -= w[:, m].T
-        # an epigraph row with its slacks eliminated: row K_j, weight 1/N_j;
-        # K_j is -1 at t, k_j at its negative (if free) and -R_ij at each
-        # clipped positive
-        with np.errstate(divide="ignore"):
-            N = 1.0 / d_e + (1.0 / e).sum(axis=0) / (p * p)
-        k = (self.a + rho.sum(axis=0) / p)[m]
-        R = rho / p
-        wt = 1.0 / N
-        wk = wt[m] * k
-        wR = R * wt
-        S[nf, nf] += wt.sum()
-        S[hn, hn] += wk * k
-        S[hn, nf] -= wk
-        S[nf, hn] -= wk
-        S[np.ix_(hp, hp)] += wR @ R.T
-        S[hp, nf] += wR.sum(axis=1)
-        S[nf, hp] += wR.sum(axis=1)
-        S[np.ix_(hp, hn)] -= wR[:, m] * k
-        S[np.ix_(hn, hp)] -= (wR[:, m] * k).T
-
-        def k_mul(y: np.ndarray) -> np.ndarray:
-            out = -y[nf] - R.T @ y[hp]
-            out[m] += k * y[hn]
-            return out
-
-        def k_t(u: np.ndarray) -> np.ndarray:
-            out = np.zeros(ny)
-            out[nf] = -u.sum()
-            out[hn] = k * u[m]
-            out[hp] -= R @ u
-            return out
-
+        S[ends, ends] += c
+        S[ends, t] -= c
+        S[t, ends] -= c
+        S[t, t] += d_e.sum() + w.sum()
         d = np.sqrt(np.maximum(np.diag(S), 1e-300))
         S /= d[:, None]
         S /= d[None, :]
@@ -562,17 +531,12 @@ class _ScoreQP:
 
         def eliminate(r: np.ndarray) -> np.ndarray:
             r_y = r[:ny].copy()
-            r_x = r[ny:].reshape(self.n_clip, n_epi)
-            u = rho * r_x
-            r_y[hp] -= u.sum(axis=1)
-            r_y[hn] += u.sum(axis=0)[m]
-            s = (r_x / e).sum(axis=0) / p
-            r_y -= k_t(s / N)
+            u = rho * r[ny:]
+            r_y[hp] -= u
+            r_y[t] += u.sum()
             dy = (Li.T @ (Li @ (r_y / d))) / d
-            v = (k_mul(dy) + s) / N
-            dfn = self._neg_scores(dy)
-            dx = (r_x - d_h * (dy[hp][:, None] - dfn[None, :]) - v[None, :] / p) / e
-            return np.concatenate([dy, dx.ravel()])
+            dx = (r[ny:] + d_h * (dy[t] - dy[hp])) / e
+            return np.concatenate([dy, dx])
 
         def hmul(v: np.ndarray) -> np.ndarray:
             out = self.rows_t(d_rows * self.rows(v)) + d_diag * v
@@ -589,21 +553,22 @@ class _ScoreQP:
         return solve
 
     def start(self):
-        """Strictly feasible primal-dual point: mid-box scores, unit row
-        slacks, and multipliers that make every variable stationary."""
+        """Strictly feasible primal-dual point: mid-box scores, the level t
+        one above the top negative score, unit row slacks, and multipliers
+        that make every variable stationary."""
         nf, n_epi = self.nf, self.n_epi
         x = np.zeros(self.lin.shape[0])
         x[:nf] = 0.5 * self.up[:nf]
-        x[nf + 1 :] = np.maximum(self.rows(x)[n_epi:] - self.b[n_epi:], 0.0) + 1.0
         x[self.t] = float(np.max(self.rows(x)[:n_epi])) + 1.0
-        # the level t has cost lam and no curvature, so its rows carry lam;
-        # each slack passes half of its epigraph share to its hinge row
-        # and half to its lower bound
+        x[nf + 1 :] = np.maximum(self.rows(x)[n_epi:] - self.b[n_epi:], 0.0) + 1.0
+        # each slack passes half of its cost to its hinge row and half to
+        # its lower bound; the level t has cost lam a and no curvature, so
+        # the negatives' rows carry lam a plus the hinge multipliers
         z_a = np.empty(self.b.shape[0])
-        z_a[:n_epi] = self.lam / n_epi
         z_lo = np.zeros_like(x)
         z_up = np.zeros_like(x)
-        z_a[n_epi:] = z_lo[nf + 1 :] = 0.5 * np.tile(z_a[:n_epi], self.n_clip) / self.p
+        z_a[n_epi:] = z_lo[nf + 1 :] = 0.5 * self.slack_cost
+        z_a[:n_epi] = (self.const + z_a[n_epi:].sum()) / n_epi
         # the score boxes absorb the rest; at mid-box equal offsets cancel
         r = (self.grad(x) + self.rows_t(z_a))[:nf]
         offset = (self.lam / n_epi) / x[:nf]
@@ -616,17 +581,17 @@ class _ScoreQP:
         strictly feasible.
 
         Fixes row multipliers that make t and the slacks dual feasible:
-        epigraph multipliers rescaled to sum to lam (stationarity in t),
-        hinge multipliers capped by their epigraph share, whose remainder
-        goes to the slack's lower bound.  The Lagrangian is then a convex
-        quadratic in the scores alone, with gradient r at x, and the gap
-        adds the row complementarity to a bound on how far the Lagrangian
-        falls below its value at x over the score box.  That fall is at
-        most the box term  f'(r)_+ + (up - f)'(-r)_+  of the linear model,
-        and at most  r_c'P_c^+r_c / 2  plus the box term of r_0, where
-        P_c <= P is the strong-edge part of P (see ``_WeightSubproblem``),
-        r_0 is the projection of r onto the null space of P_c and r_c the
-        rest; the
+        hinge multipliers capped at the slack cost lam/p, whose remainder
+        goes to the slack's lower bound, and the negatives' multipliers
+        rescaled to sum to lam a plus the hinge multipliers (stationarity
+        in t).  The Lagrangian is then a convex quadratic in the scores
+        alone, with gradient r at x, and the gap adds the row
+        complementarity to a bound on how far the Lagrangian falls below
+        its value at x over the score box.  That fall is at most the box
+        term  f'(r)_+ + (up - f)'(-r)_+  of the linear model, and at most
+        r_c'P_c^+r_c / 2  plus the box term of r_0, where P_c <= P is the
+        strong-edge part of P (see ``_WeightSubproblem``), r_0 is the
+        projection of r onto the null space of P_c and r_c the rest; the
         smaller of the two is used.  The second does not grow with the
         level of the scores along directions that P does not see.
         """
@@ -637,9 +602,8 @@ class _ScoreQP:
         if min(s_a.min(), f.min(initial=1.0), s_up.min(initial=1.0), xi.min(initial=1.0)) <= 0.0:
             return np.inf
         z = np.maximum(z_a, 0.0)
-        z[:n_epi] *= self.lam / z[:n_epi].sum()
-        share = np.tile(z[:n_epi], self.n_clip) / self.p
-        z[n_epi:] = np.minimum(z[n_epi:], share)
+        z[n_epi:] = np.minimum(z[n_epi:], self.slack_cost)
+        z[:n_epi] *= (self.const + z[n_epi:].sum()) / z[:n_epi].sum()
         r = (self.grad(x) + self.rows_t(z))[:nf]
 
         def box_term(g):
@@ -647,7 +611,7 @@ class _ScoreQP:
 
         flat, curved = self.prob.split(r)
         fall = min(box_term(r), curved + box_term(flat))
-        return float(s_a @ z + xi @ (share - z[n_epi:])) + fall
+        return float(s_a @ z + xi @ (self.slack_cost - z[n_epi:])) + fall
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         f = np.zeros(self.n)
@@ -762,9 +726,10 @@ def update_scores(
     The subproblem objective depends on the weights only through the
     per-video scores f_i = w_i . s_i, and the weight constraint set maps
     to the box 0 <= f_i <= hi_i = cap * max_k s_ik (``score_box_top``).
-    Writing the push max as an epigraph level t (with hinge slacks only
-    where a hinge can clip, see ``_ScoreQP``) makes the step a convex QP,
-    which an interior-point method solves until its duality gap, a
+    Writing the push loss as the mean hinge against the level t of the
+    top negative (with one hinge slack per positive whose hinge can clip,
+    see ``_ScoreQP``) makes the step a convex QP, which an interior-point
+    method solves until its duality gap, a
     certified bound on the distance to the optimum, is at most
     ``tol * max(1, |objective|)``.  A step that spends ``max_iters``
     iterations, or whose gap stops shrinking, before it gets there raises

@@ -166,6 +166,14 @@ def write_videos(path: str, records: list[VideoRecord]) -> None:
     _write(path, "".join(f"{r.video_id}\t{r.split}\t{r.description}\n" for r in records))
 
 
+def _check_event_id(event_id: str) -> None:
+    """An event id names the event's ranking file in a directory, so it
+    must be a plain file name: not ``.`` or ``..``, with no ``/``, ``\\``
+    or NUL."""
+    if event_id in (".", "..") or any(c in event_id for c in "/\\\0"):
+        raise ValueError(f"event_id {event_id!r} is not a plain file name")
+
+
 def read_events(path: str) -> list[EventQuery]:
     events: dict[str, EventQuery] = {}
     with open(path, encoding="utf-8") as fh:
@@ -184,9 +192,7 @@ def read_events(path: str) -> list[EventQuery]:
                     if not isinstance(value, str):
                         kind = type(value).__name__
                         raise ValueError(f"{name} must be a JSON string, got {kind}")
-                eid = fields["event_id"]  # names the event's output files
-                if eid in (".", "..") or any(c in eid for c in "/\\\0"):
-                    raise ValueError(f"event_id {eid!r} is not a plain file name")
+                _check_event_id(fields["event_id"])
                 event = EventQuery(**fields)
             except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
@@ -272,9 +278,11 @@ def _label(text: str) -> int:
 
 
 def read_ground_truth(path: str) -> dict[str, dict[str, int]]:
-    labels = _read_rows(
-        path, ["event_id", "video_id", "label"], lambda row: _label(row[2]), key=2
-    )
+    def parse(row):
+        _check_event_id(row[0])
+        return _label(row[2])
+
+    labels = _read_rows(path, ["event_id", "video_id", "label"], parse, key=2)
     out: dict[str, dict[str, int]] = {}
     for (event_id, video_id), label in labels.items():
         out.setdefault(event_id, {})[video_id] = label

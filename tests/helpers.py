@@ -99,7 +99,9 @@ def neighbor_row(d, gamma):
 def slsqp_weight_step_value(prob, hi):
     """Optimal weight-step value from scipy's SLSQP, as an independent check.
 
-    Solves the general hinge form over (f, t, xi): minimize
+    Solves the pairwise hinge form over (f, t, xi), with one slack per
+    (positive, negative) pair, not the weight step's form over the top
+    negative: minimize
     2 f'Lf + lam t  subject to  t >= mean_i xi_ij,  xi_ij >= 1 - f_pi + f_nj,
     xi >= 0  and  0 <= f <= hi, from two starts, and returns the smaller
     subproblem value of the clipped scores.  The graph Laplacian L is

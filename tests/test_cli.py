@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -408,6 +409,25 @@ def test_eval_unknown_video_in_truth(tmp_path, capsys):
         fh.write("E001,vGHOST,1\n")
     assert main(["eval", "--rankings-dir", out, "--ground-truth", gt]) == 1
     assert "vGHOST" in capsys.readouterr().err
+
+
+def test_eval_rejects_event_id_outside_rankings_dir(tmp_path, capsys):
+    # a ground-truth event id names a ranking file, so '../E9' would read
+    # r2/E9_ranking.tsv from outside --rankings-dir r2/sub
+    data = _synth(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(_rank_args(data, out)) == 0
+    r2 = tmp_path / "r2"
+    (r2 / "sub").mkdir(parents=True)
+    shutil.copy(io.ranking_path(out, "E001"), r2 / "E9_ranking.tsv")
+    gt = os.path.join(data, "ground_truth.csv")
+    text = open(gt, encoding="utf-8").read().replace("E001,", "../E9,")
+    open(gt, "w", encoding="utf-8").write(text)
+    capsys.readouterr()
+    assert main(["eval", "--rankings-dir", str(r2 / "sub"), "--ground-truth", gt]) == 1
+    (record,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert "ground_truth.csv:2: event_id '../E9'" in record["validation_error"]
+    assert os.listdir(r2 / "sub") == []
 
 
 def test_eval_rejects_repeated_video(tmp_path, capsys):

@@ -123,6 +123,25 @@ class TestPushLoss:
             want = brute_force_push(scores, labels)
             assert abs(got - want) <= 1e-12
 
+    def test_equals_mean_hinge_against_top_negative(self):
+        # every hinge grows with the negative's score, so the max over
+        # negatives is the mean hinge against the top negative alone; the
+        # weight step's QP is built on this.  Draws hold tied top negatives,
+        # negatives pinned at 0 and positive scores above 1
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            n = int(rng.integers(4, 30))
+            f = rng.uniform(0.0, 2.0, n)
+            perm = rng.permutation(n)
+            n_pos = int(rng.integers(1, n - 2))
+            pos, neg = perm[:n_pos], perm[n_pos:]
+            f[neg[rng.uniform(size=neg.shape[0]) < 0.3]] = 0.0
+            if rng.uniform() < 0.5:
+                f[neg[: int(rng.integers(2, neg.shape[0] + 1))]] = f[neg].max()
+            labels = PseudoLabels(tuple(int(i) for i in pos), tuple(int(i) for i in neg))
+            want = np.mean(np.maximum(1.0 - f[pos] + f[neg].max(), 0.0))
+            assert push_loss_from_scores(f, labels) == pytest.approx(want, abs=1e-12)
+
 
 class TestObjective:
     def _setup(self, rng):
@@ -243,12 +262,28 @@ class TestReferenceSolver:
             x, gap = _interior_point(qp, 1e-10, 100)
             value = prob.value(qp.scores(x))
             assert gap <= 1e-10 * max(1.0, value)
-            # the epigraph level bounds the push term from above
+            # t is at least the top negative score, so the objective bounds the value
             assert value <= qp.objective(x) + 1e-12
             top = np.where(np.isinf(hi), 2.0 * S.n_videos, hi)
             for _ in range(50):
                 f = rng.uniform(0.0, 1.0, hi.shape[0]) * top
                 assert prob.value(f) >= value - gap - 1e-12
+
+    @pytest.mark.parametrize("cap", [1.0, 2.0, None])
+    def test_gap_bounds_at_any_multipliers(self, cap):
+        # the certificate makes its own multipliers dual feasible, so it
+        # bounds objective - optimum whatever row multipliers it is given,
+        # hinge multipliers far above the slack cost among them
+        rng = np.random.default_rng(62)
+        for _ in range(10):
+            S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=4)
+            hi = score_box_top(S.values, cap)
+            qp = _ScoreQP(_subproblem(nb, labels, lam, hi), hi)
+            x_opt, _ = _interior_point(qp, 1e-12, 200)
+            x = qp.start()[0]
+            for _ in range(5):
+                z = rng.uniform(0.0, 10.0 * lam, qp.b.shape[0])
+                assert qp.gap(x, z) >= qp.objective(x) - qp.objective(x_opt) - 1e-9
 
     @staticmethod
     def _check_newton(qp, rng, wide):
@@ -414,8 +449,9 @@ class TestReferenceSolver:
 
     @pytest.mark.parametrize("cap", [None, 2.0])
     def test_clip_regime_at_cli_label_counts(self, cap):
-        # 20 positives and 100 negatives: the clip regime carries 2000
-        # hinge slacks, which the Newton system eliminates
+        # 20 positives and 100 negatives: the clip regime carries one hinge
+        # slack per positive against the top negative, which the Newton
+        # system eliminates, and one row per negative and per slack
         rng = np.random.default_rng(66)
         n, l = 160, 130
         vals = rng.uniform(0.0, 1.0, (n, 4))
@@ -439,7 +475,8 @@ class TestReferenceSolver:
         nb = NeighborMatrix(candidates=cands, probs=update_neighbor_rows(D, gammas), gamma=gammas)
         hi = score_box_top(vals, cap)
         qp = _ScoreQP(_subproblem(nb, labels, 1.0, hi), hi)
-        assert qp.n_clip * qp.n_epi == 2000
+        assert qp.lin.shape[0] - (qp.nf + 1) == 20
+        assert qp.b.shape[0] == 120
         x, gap = _interior_point(qp, 1e-9, 500)
         assert gap <= 1e-9 * max(1.0, qp.objective(x))
 

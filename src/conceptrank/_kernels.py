@@ -1,18 +1,15 @@
-"""Numeric kernels shared by the graph and weight steps, in numpy.
+"""The neighbor step's row projection onto the probability simplex, in numpy.
 
-Each is vectorized across rows and exact up to rounding: the
-projection sorts once and solves its piecewise-linear threshold
-equation on the sorted kinks, without iterating to a tolerance.
+It is vectorized across rows and exact up to rounding: it sorts once and
+solves its piecewise-linear threshold equation on the sorted kinks,
+without iterating to a tolerance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "simplex_project_rows",
-    "push_hinge_means",
-]
+__all__ = ["simplex_project_rows"]
 
 
 def simplex_project_rows(V: np.ndarray) -> np.ndarray:
@@ -30,8 +27,3 @@ def simplex_project_rows(V: np.ndarray) -> np.ndarray:
     theta = css[np.arange(V.shape[0]), rho - 1] / rho
     return np.maximum(V - theta[:, None], 0.0)
 
-
-def push_hinge_means(f_pos: np.ndarray, f_neg: np.ndarray) -> np.ndarray:
-    """Per-negative mean hinge (1 - (f_i - f_j))_+ averaged over positives."""
-    H = np.maximum(1.0 - (f_pos[:, None] - f_neg[None, :]), 0.0)
-    return H.sum(axis=0) / f_pos.shape[0]

@@ -18,28 +18,30 @@ weight matrix that gives the final scores once, after the loop
 (``final_weights``).  The push term depends on the negatives only through
 the top negative's score, so the weight step is a quadratic program in the
 scores, that level and one hinge slack per positive whose hinge can clip
-(``_ScoreQP``).  It is solved exactly, with an interior-point method that
-stops when a certified duality gap meets its tolerance; a step that stops
-above it is reported in ``FitResult.warnings``.  The graph term's Hessian
-and the certificate's strong-edge part of it are built from the neighbor
-edge list on the free scores alone (``_laplacian``), so no n x n adjacency
-is formed.  Each dense matrix the step factors (every Newton system, and the
-certificate's curvature matrix once per weight step) goes through
-``_cholesky_inverse``, a recursive block Cholesky that does its work in
-matrix products and overwrites the matrix with its inverse factor, so a
-step holds P, the certificate's factor and one Newton matrix or factor;
-there is no eigendecomposition.
+(``_ScoreQP``).  It is solved exactly, once per step, with an
+interior-point method that stops when a certified duality gap meets its
+tolerance; a step that stops above it is reported in
+``FitResult.warnings``.  Where the optimum is not unique, the solved one is
+moved in closed form to an optimum whose gaps do not grow with where the
+solver closed an open box (``_compress_gaps``), then toward the input
+scores (``_nearest_shift``).  The graph term's Hessian and the certificate's
+strong-edge part of it are built from the neighbor edge list on the free
+scores alone (``_laplacian``), so no n x n adjacency is formed.  Each dense
+matrix the step factors (every Newton system, and the certificate's
+curvature matrix, grounded on one row of each flat component, once per
+weight step) goes through ``_cholesky_inverse``, a recursive block Cholesky
+that does its work in matrix products and overwrites the matrix with its
+inverse factor, so a step holds P, the certificate's factor and one Newton
+matrix or factor; there is no eigendecomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from warnings import warn
 
 import numpy as np
 
-from . import _kernels
 from .graph import (
     NeighborMatrix,
     candidate_neighbors,
@@ -190,11 +192,13 @@ def row_scores(W: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def push_loss_from_scores(f: np.ndarray, labels: PseudoLabels) -> float:
-    """Max over negatives of the mean positive hinge, from scores directly."""
-    pos = np.asarray(labels.positives)
-    neg = np.asarray(labels.negatives)
-    phi = _kernels.push_hinge_means(f[pos], f[neg])
-    return float(phi.max())
+    """Max over negatives of the mean positive hinge, from scores directly.
+
+    Every hinge grows with the negative's score, so the max is the mean
+    hinge against the top negative.
+    """
+    top = f[np.asarray(labels.negatives)].max()
+    return float(np.mean(np.maximum(1.0 - f[np.asarray(labels.positives)] + top, 0.0)))
 
 
 def smoothness_value(f: np.ndarray, neighbors: NeighborMatrix) -> float:
@@ -320,18 +324,21 @@ class _WeightSubproblem:
     the quadratic term of its QP on the free scores and what the
     certificate (``_ScoreQP.gap``) needs of it.
 
-    ``free`` holds the videos whose score box is not [0, 0]; both QPs of
-    an uncapped step share it.  P = 4 L[free, free] (``_laplacian`` on
-    every edge with a_ij > 0).  The certificate bounds how far a convex
-    quadratic with Hessian P falls over the score box, and uses P_c in
-    place of P: the same builder on the edges above ``_STRONG_EDGE``.  The
-    dropped edges form a Laplacian too, so  d'Pd >= d'P_c d  and the bound
-    stays sound.  The null space of P_c is spanned by the indicators of the
-    strong-edge components that hold no pinned video (not free).  With Pi
-    the projector onto it, P_c + Pi is positive definite and its inverse is
-    P_c^+ on the range of P_c, so its inverse Cholesky factor Li
-    (``_cholesky_inverse``, once per step) gives  r_c' P_c^+ r_c = |Li r_c|^2
-    for any r_c orthogonal to the null space; Li overwrites P_c + Pi.
+    ``free`` holds the videos whose score box is not [0, 0].
+    P = 4 L[free, free] (``_laplacian`` on every edge with a_ij > 0).  The
+    certificate bounds how far a convex quadratic with Hessian P falls over
+    the score box, and uses P_c in place of P: the same builder on the
+    edges above ``_STRONG_EDGE``.  The dropped edges form a Laplacian too,
+    so  d'Pd >= d'P_c d  and the bound stays sound.  The null space of P_c
+    is spanned by the indicators of the flat components: the strong-edge
+    components that hold no pinned video (not free).  Grounding one row of
+    each (``ground``: its row and column of P_c zeroed, 1 on the diagonal)
+    leaves a positive definite matrix, which its inverse Cholesky factor Li
+    (``_cholesky_inverse``, once per step) overwrites.  For r_c orthogonal
+    to the null space, the grounded system with r_c's grounded entries
+    zeroed solves  P_c y = r_c  up to a constant on each flat component,
+    which r_c does not see, so  r_c' P_c^+ r_c = |Li r_c|^2  with those
+    entries zeroed.
     """
 
     def __init__(
@@ -358,23 +365,21 @@ class _WeightSubproblem:
         pinned[group[fixed]] = True
         flat = ~pinned[group[free]]
         self.flat = np.flatnonzero(flat)
-        _, self.member = np.unique(group[free][flat], return_inverse=True)
+        _, first, self.member = np.unique(
+            group[free][flat], return_index=True, return_inverse=True
+        )
         self.size = np.bincount(self.member)
-        for c, size in enumerate(self.size):
-            idx = self.flat[self.member == c]
-            Pc[np.ix_(idx, idx)] += 1.0 / size
+        self.ground = self.flat[first]
+        Pc[self.ground, :] = 0.0
+        Pc[:, self.ground] = 0.0
+        Pc[self.ground, self.ground] = 1.0
         try:
             self.Li = _cholesky_inverse(Pc)
         except np.linalg.LinAlgError:
-            # a strong edge can still be weak enough to make P_c + Pi
-            # numerically singular; the certificate then uses only the
+            # a strong edge can still be weak enough to make the grounded
+            # P_c numerically singular; the certificate then uses only the
             # linear bound, which needs no factor
             self.Li = None
-
-    @cached_property
-    def components(self) -> np.ndarray:
-        """Component labels of the neighbor graph (an edge wherever a_ij > 0)."""
-        return _components(self.neighbors, self.neighbors.probs > 0.0)
 
     def value(self, f: np.ndarray) -> float:
         """Smoothness + push at the scores f, in the objective's arithmetic."""
@@ -384,13 +389,16 @@ class _WeightSubproblem:
     def split(self, r: np.ndarray) -> tuple[np.ndarray, float]:
         """(flat, curved): the projection of r onto the null space of P_c
         (its mean on each component there) and  r_c' P_c^+ r_c / 2  for the
-        rest r_c = r - flat (inf when P_c + Pi could not be factored)."""
+        rest r_c = r - flat (inf when the grounded P_c could not be
+        factored)."""
         flat = np.zeros_like(r)
         means = np.bincount(self.member, weights=r[self.flat], minlength=self.size.shape[0])
         flat[self.flat] = (means / self.size)[self.member]
         if self.Li is None:
             return flat, np.inf
-        return flat, 0.5 * float(np.sum(np.square(self.Li @ (r - flat))))
+        r_c = r - flat
+        r_c[self.ground] = 0.0
+        return flat, 0.5 * float(np.sum(np.square(self.Li @ r_c)))
 
 
 class _ScoreQP:
@@ -417,9 +425,9 @@ class _ScoreQP:
 
     The rows are never formed as a matrix.  Each slack sits in one hinge
     row, so ``newton`` eliminates the slacks and factors only an
-    (nf + 1) x (nf + 1) system.  P and the certificate's factor depend only
-    on the free set, ``prob.free``, where ``hi`` must be positive; they
-    come from ``prob``, so the QPs of one weight step share them.
+    (nf + 1) x (nf + 1) system.  P and the certificate's factor come from
+    ``prob`` and depend only on its free set, ``prob.free``, where ``hi``
+    must be positive.
     """
 
     def __init__(self, prob: _WeightSubproblem, hi: np.ndarray):
@@ -735,18 +743,16 @@ def update_scores(
     iterations, or whose gap stops shrinking, before it gets there raises
     a ``RuntimeWarning`` that states the gap.
 
-    Without a cap the box has no top.  The step first closes it at n,
-    then solves again with it closed at the range that the first optimum
-    shows to be enough (``_compressed_range``: the spans of the graph
-    components plus one per component).  That range depends on the
-    problem only, so optima that the objective cannot tell apart, such as
-    the level of a component of positives once all its hinges are
-    clipped, no longer drift with n.  Among such optima the interior
-    point settles near the analytic center of the optimal set.  Last, the
-    shifts that change no term move toward the input scores
-    (``_nearest_shift``): a component of the neighbor graph without
-    pseudo labels keeps its input mean, and the labelled components move
-    together.
+    Without a cap the box has no top, and the step closes it at n.  The
+    optimum is then not unique: the level of a component of positives
+    whose hinges are all clipped, for one, changes no term, and the
+    interior point settles near the analytic center of the optimal set,
+    which drifts with n.  So every gap of more than 1 between sorted
+    optimal scores is narrowed to 1 (``_compress_gaps``), which keeps an
+    optimum and leaves every step capped at 1 as it is.  Last, the shifts
+    that change no term move toward the input scores (``_nearest_shift``):
+    a component of the neighbor graph without pseudo labels keeps its
+    input mean, and the labelled components move together.
 
     Returns the optimized scores, or the input scores f_in if those have
     the lower subproblem value, so the objective never increases.
@@ -765,13 +771,7 @@ def _weight_step(f_in, neighbors, labels, lambda_push, hi, max_iters, tol):
     qp = _ScoreQP(prob, hi)
     x, gap = _interior_point(qp, tol, max_iters)
     bound = tol * max(1.0, abs(qp.objective(x)))
-    if np.any(np.isinf(hi)) and gap <= bound:
-        # only a certified optimum shows how far the open box must reach
-        top = _compressed_range(prob.components, qp.scores(x))
-        qp = _ScoreQP(prob, np.minimum(hi, top))
-        x, gap = _interior_point(qp, tol, max_iters)
-        bound = tol * max(1.0, abs(qp.objective(x)))
-    f = _nearest_shift(prob, qp.scores(x), f_in, hi)
+    f = _nearest_shift(prob, _compress_gaps(qp.scores(x)), f_in, hi)
     if prob.value(f) <= prob.value(f_in):
         return f, gap, bound
     return f_in, gap, bound
@@ -799,27 +799,22 @@ def _components(neighbors: NeighborMatrix, edge: np.ndarray) -> np.ndarray:
         label = new
 
 
-def _compressed_range(group: np.ndarray, f: np.ndarray) -> float:
-    """Score range that holds an optimum of an uncapped step, given one
-    optimum f: the spans of its graph components plus their number.
+def _compress_gaps(f: np.ndarray) -> np.ndarray:
+    """f with every gap of more than 1 between consecutive sorted scores
+    narrowed to 1, by lowering each score by the excess of the gaps below it.
 
-    Without a cap, narrowing a gap of more than 1 between consecutive
-    sorted scores never raises the objective: hinges across it stay
-    clipped or shrink, and edges across it shorten.  So no edge crosses
-    such a gap at an optimum, and narrowing each to 1 leaves an optimum
-    whose range is at most the sum of the component spans plus one per
-    component; its lowest score is 0, since a video with box [0, 0] sits
-    there and without one every score may move down together.  The spans
-    are the same at every optimum: optima share the smoothness gradient,
-    so they differ only by shifting whole components.  ``group`` holds the
-    component labels of the neighbor graph.
+    Narrowing such a gap never raises the step's objective: hinges across
+    it stay clipped or shrink, edges across it shorten, and the scores only
+    fall, keep their order and stay at or above the lowest one, so they
+    stay in their boxes.  So an optimum comes back as an optimum, with no
+    gap left that grows with where an open box was closed.  A vector
+    without such a gap, which includes every step capped at 1, comes back
+    bit for bit.
     """
-    lo = np.full(f.shape[0], np.inf)
-    up = np.full(f.shape[0], -np.inf)
-    np.minimum.at(lo, group, f)
-    np.maximum.at(up, group, f)
-    used = np.isfinite(lo)
-    return float(np.sum(up[used] - lo[used]) + used.sum())
+    order = np.argsort(f, kind="stable")
+    out = f.copy()
+    out[order[1:]] -= np.cumsum(np.maximum(np.diff(f[order]) - 1.0, 0.0))
+    return out
 
 
 def _nearest_shift(
@@ -839,11 +834,12 @@ def _nearest_shift(
     scores inside their boxes [0, hi]; a group with a pinned video (box
     [0, 0]) cannot move.  The nearest such optimum moves each group by the
     mean of f0 - f over it, clipped to that range.  Relative moves of
-    labelled components that leave the push term unchanged are not
-    searched.
+    labelled components that leave the push term unchanged are searched
+    only in part: ``_compress_gaps`` has closed every gap above 1 between
+    them, and moves within the gaps left are not searched.
     """
     n = f.shape[0]
-    group = prob.components
+    group = _components(prob.neighbors, prob.neighbors.probs > 0.0)
     labelled = np.zeros(n, dtype=bool)
     labelled[prob.pos] = labelled[prob.neg] = True
     group = np.where(np.isin(group, group[labelled]), n, group)

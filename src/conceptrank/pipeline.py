@@ -178,6 +178,12 @@ def run_rank(config: RunConfig) -> tuple[int, dict]:
     layer = QueryLayer.build(vocab, [r for r in videos if r.split == "weak"], table)
     for video_id in layer.uncovered_ids():
         log_kv(stage="weak_labels", video=video_id, skipped="no_vocabulary_coverage")
+    # every event splits the same covered weak pool
+    pool = int(layer.covered.sum())
+    if config.n_pos + config.n_neg > pool:
+        raise ValidationError(
+            f"n_pos + n_neg = {config.n_pos + config.n_neg} exceeds the {pool} covered weak videos"
+        )
     weak_csv = io.scores_csv(
         vocab,
         [r.video_id for r, ok in zip(layer.weak_records, layer.covered) if ok],

@@ -85,6 +85,30 @@ def test_synth_then_rank_with_default_label_counts(tmp_path):
     assert os.path.getsize(io.ranking_path(out, "E001")) > 0
 
 
+def test_rank_rejects_label_counts_above_weak_pool_once(tmp_path, capsys):
+    # every event splits the same weak pool, so 20 + 100 pseudo labels from
+    # 40 weak videos is one run-level error, raised before any event is ranked
+    data = str(tmp_path / "data")
+    assert main(["synth", "--out-dir", data, "--weak", "40"]) == 0
+    out = tmp_path / "out"
+    capsys.readouterr()
+    args = [
+        "rank",
+        "--embeddings", os.path.join(data, "embeddings.txt"),
+        "--vocabulary", os.path.join(data, "vocabulary.csv"),
+        "--videos", os.path.join(data, "videos.tsv"),
+        "--scores", os.path.join(data, "scores.csv"),
+        "--events", os.path.join(data, "events.jsonl"),
+        "--out-dir", str(out),
+    ]
+    assert main(args) == 1
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert not any("event" in r for r in records)
+    (error,) = [r["validation_error"] for r in records if "validation_error" in r]
+    assert "n_pos + n_neg = 120 exceeds the 40" in error
+    assert os.listdir(out) == []
+
+
 def test_rank_end_to_end_and_metrics(tmp_path):
     data = _synth(tmp_path)
     out = str(tmp_path / "out")

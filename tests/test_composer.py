@@ -373,8 +373,8 @@ class TestReferenceSolver:
                 np.testing.assert_allclose(curved, curved_ref, rtol=1e-8)
 
     def test_certificate_without_curvature_factor(self, monkeypatch):
-        # when P_c + Pi cannot be factored, the certificate keeps only the
-        # linear bound, which is still a bound
+        # when the grounded P_c cannot be factored, the certificate keeps
+        # only the linear bound, which is still a bound
         rng = np.random.default_rng(71)
         S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
         hi = score_box_top(S.values, 1.0)
@@ -396,8 +396,8 @@ class TestReferenceSolver:
 
     @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
     def test_graph_matrices_built_once_per_step(self, cap, monkeypatch):
-        # one weight step builds P and P_c once each, also when an uncapped
-        # step solves a second QP
+        # one weight step builds P and P_c once each and solves one QP,
+        # with or without a cap
         rng = np.random.default_rng(74)
         calls = {"_laplacian": 0, "_interior_point": 0}
 
@@ -418,15 +418,15 @@ class TestReferenceSolver:
             for name in calls:
                 calls[name] = 0
             composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
-            assert calls == {"_laplacian": 2, "_interior_point": 1 if cap else 2}
+            assert calls == {"_laplacian": 2, "_interior_point": 1}
 
     @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
     def test_weight_step_heap_ceiling(self, cap):
         # P, the certificate's factor, one Newton matrix and the factor's
-        # half-size products: 3.7 (capped) and 3.9 (uncapped) dense
-        # (nf + 1)^2 arrays traced above the heap at entry on this draw; a
-        # factor written beside its input, or the previous Newton factor
-        # kept alive, adds about one more array each
+        # half-size products: 3.7 dense (nf + 1)^2 arrays, capped or not,
+        # traced above the heap at entry on this draw; a factor written
+        # beside its input, or the previous Newton factor kept alive, adds
+        # about one more array each
         rng = np.random.default_rng(81)
         S, labels, nb, W0, lam = random_instance(rng, n_min=320, n_max=320, m_max=3)
         f0, hi = _step_inputs(S, W0, cap)
@@ -446,6 +446,42 @@ class TestReferenceSolver:
         f0, hi = _step_inputs(S, W0, 1.0)
         with pytest.warns(RuntimeWarning, match="certified gap"):
             update_scores(f0, nb, labels, lam, hi, max_iters=2)
+
+    @staticmethod
+    def _cli_graph(vals):
+        """The neighbor graph at the CLI's k: 10 candidates, 5 neighbors,
+        on the distances of the mean scores."""
+        cands = candidate_neighbors(vals, 10)
+        f0 = vals.mean(axis=1)
+        D = np.square(f0[:, None] - f0[cands])
+        gammas = np.array([gamma_for_k(D[i], 5) for i in range(vals.shape[0])])
+        return NeighborMatrix(candidates=cands, probs=update_neighbor_rows(D, gammas), gamma=gammas)
+
+    def test_subproblem_heap_ceiling_on_one_component(self):
+        # P, P_c and the factor that overwrites P_c, with little beside
+        # them: 2.67 dense (nf + 1)^2 arrays traced on this draw, whose
+        # strong edges join every video.  A dense copy of the flat
+        # component's block, as a projector added with np.ix_ makes, adds
+        # half an array or more
+        rng = np.random.default_rng(83)
+        n = 320
+        vals = rng.uniform(0.0, 1.0, (n, 4))
+        perm = rng.permutation(n)
+        labels = PseudoLabels(
+            positives=tuple(int(i) for i in perm[:20]),
+            negatives=tuple(int(i) for i in perm[20:120]),
+        )
+        nb = self._cli_graph(vals)
+        strong = nb.probs > composer._STRONG_EDGE * nb.probs.max()
+        assert np.all(composer._components(nb, strong) == 0)
+        tracemalloc.start()  # traces only what is allocated from here on
+        try:
+            prob = _WeightSubproblem(nb, labels, 1.0, np.arange(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prob.Li is not None and prob.size.tolist() == [n]
+        assert peak / (8.0 * (n + 1) ** 2) <= 2.9
 
     @pytest.mark.parametrize("cap", [None, 2.0])
     def test_clip_regime_at_cli_label_counts(self, cap):
@@ -468,11 +504,7 @@ class TestReferenceSolver:
             positives=tuple(int(i) for i in perm[:20]),
             negatives=tuple(int(i) for i in perm[20:120]),
         )
-        cands = candidate_neighbors(vals, 10)
-        f0 = vals.mean(axis=1)
-        D = np.square(f0[:, None] - f0[cands])
-        gammas = np.array([gamma_for_k(D[i], 5) for i in range(n)])
-        nb = NeighborMatrix(candidates=cands, probs=update_neighbor_rows(D, gammas), gamma=gammas)
+        nb = self._cli_graph(vals)
         hi = score_box_top(vals, cap)
         qp = _ScoreQP(_subproblem(nb, labels, 1.0, hi), hi)
         assert qp.lin.shape[0] - (qp.nf + 1) == 20
@@ -553,6 +585,46 @@ class TestReferenceSolver:
         f = update_scores(f0, nb, labels, lam, hi, max_iters=120)
         assert np.all(f >= 0.0)
         assert np.all(f <= hi)
+
+
+class TestCompressGaps:
+    def test_no_wide_gap_is_bit_for_bit(self):
+        # scores in [0, 1], as every step capped at 1 gives, and sorted gaps
+        # up to exactly 1
+        rng = np.random.default_rng(84)
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            for f in (
+                rng.uniform(0.0, 1.0, n),
+                rng.permutation(np.cumsum(rng.choice([0.0, 0.5, 1.0], n))),
+            ):
+                np.testing.assert_array_equal(composer._compress_gaps(f), f)
+
+    def test_uncapped_optima_stay_optimal(self):
+        # on uncapped step optima (the box closed at n): no score rises,
+        # order and boxes hold, no sorted gap exceeds 1, and the step's
+        # value does not rise.  Positives and negatives in separate
+        # components leave the positives' level free, so those optima hold
+        # wide gaps
+        rng = np.random.default_rng(85)
+        cases = [random_instance(rng, n_max=20, m_max=3) for _ in range(10)]
+        cases += [TestReferenceSolver._split_instance(rng) for _ in range(10)]
+        wide = 0
+        for S, labels, nb, W0, lam in cases:
+            hi = score_box_top(S.values, None)
+            prob = _subproblem(nb, labels, lam, hi)
+            qp = _ScoreQP(prob, hi)
+            x, _ = _interior_point(qp, 1e-10, 100)
+            f = qp.scores(x)
+            g = composer._compress_gaps(f)
+            wide += int(np.any(np.diff(np.sort(f)) > 1.0))
+            order = np.argsort(f, kind="stable")
+            assert np.all(g <= f)
+            assert np.all(np.diff(g[order]) >= 0.0)
+            assert np.all((g >= 0.0) & (g <= hi))
+            assert np.all(np.diff(g[order]) <= 1.0 + 1e-12)
+            assert prob.value(g) <= prob.value(f) + 1e-12 * max(1.0, prob.value(f))
+        assert wide >= 10
 
 
 class TestLaplacian:

@@ -35,6 +35,7 @@ def test_query_steps_are_the_ones_the_pipeline_runs():
 ABSENT_TRACED = {
     "conceptrank._kernels.project_rows_nonneg_l1",
     "conceptrank._kernels.colmax_ball_project",
+    "conceptrank._kernels.push_hinge_means",
 }
 
 

@@ -18,20 +18,25 @@ weight matrix that gives the final scores once, after the loop
 (``final_weights``).  The push term depends on the negatives only through
 the top negative's score, so the weight step is a quadratic program in the
 scores, that level and one hinge slack per positive whose hinge can clip
-(``_ScoreQP``).  It is solved exactly, once per step, with an
-interior-point method that stops when a certified duality gap meets its
-tolerance; a step that stops above it is reported in
+(``_ScoreQP``).  Unlabelled scores meet only the graph term, so each one
+whose box cannot bind is eliminated as the harmonic extension of the
+others (a Kron reduction, ``_harmonic_split``), and the QP keeps the
+pseudo-labelled scores and the few unlabelled ones that could reach their
+box.  It is solved exactly, once per step, with an interior-point method
+that stops when a duality gap, certified over every score at the lifted
+iterate, meets its tolerance; a step that stops above it is reported in
 ``FitResult.warnings``.  Where the optimum is not unique, the solved one is
 moved in closed form to an optimum whose gaps do not grow with where the
 solver closed an open box (``_compress_gaps``), then toward the input
 scores (``_nearest_shift``).  The graph term's Hessian and the certificate's
 strong-edge part of it are built from the neighbor edge list on the free
 scores alone (``_laplacian``), so no n x n adjacency is formed.  Each dense
-matrix the step factors (every Newton system, and the certificate's
-curvature matrix, grounded on one row of each flat component, once per
-weight step) goes through ``_cholesky_inverse``, a recursive block Cholesky
-that does its work in matrix products and overwrites the matrix with its
-inverse factor, so a step holds P, the certificate's factor and one Newton
+matrix the step factors (every Newton system on the kept scores, the
+eliminated block of P, and the certificate's curvature matrix, grounded on
+one row of each flat component, once per weight step) goes through
+``_cholesky_inverse``, a recursive block Cholesky that does its work in
+matrix products and overwrites the matrix with its inverse factor, so a
+step holds P, the certificate's factor, the Schur complement and one Newton
 matrix or factor; there is no eigendecomposition.
 """
 
@@ -282,6 +287,11 @@ def _cholesky_inverse(A: np.ndarray) -> np.ndarray:
 # and those join components that are numerically separate
 _STRONG_EDGE = 1e-10
 
+# rows whose harmonic weights sum to at most this are kept by
+# ``_harmonic_split``: their lift would be 0, or rounding noise around it,
+# on the bottom of their box
+_LIFT_FLOOR = 1e-12
+
 
 def _laplacian(neighbors: NeighborMatrix, free: np.ndarray, edge: np.ndarray) -> np.ndarray:
     """4 L[free, free], with L the Laplacian of the symmetrized neighbor
@@ -317,6 +327,51 @@ def _laplacian(neighbors: NeighborMatrix, free: np.ndarray, edge: np.ndarray) ->
     )
     P[np.diag_indices(nf)] = -P.sum(axis=1) + pinned
     return P
+
+
+def _harmonic_split(
+    P: np.ndarray, kept: np.ndarray, top: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(B, H, w, S): the rows of P to keep, the rows to eliminate as the
+    harmonic extension  f_H = w f_B  of the kept ones, and the Schur
+    complement  S = P_BB + P_BH w,  the curvature of  f'Pf / 2  in f_B once
+    f_H is eliminated (a Kron reduction).
+
+    ``kept`` masks the rows that must be kept; ``top`` is each row's box top.
+    For a row that meets no term but P's, the best score given f_B is
+    w f_B  with  w = -P_HH^-1 P_HB  (Zhu, Ghahramani & Lafferty, ICML 2003).
+    P is a Laplacian plus a nonnegative diagonal, so w >= 0 and each row of
+    w sums to at most 1 (the maximum principle).  A row h stays in H when
+    its weights do not sum to 0 and  w_h . (top_B - top_h) <= 0:  then
+    w_h . top_B <= top_h, so  0 < w_h f_B < top_h  whenever f_B lies
+    strictly inside its boxes, and h's box never binds.  The second test
+    is exact on equal tops, which every open box has.  Every other row
+    moves to B, and w is built again, with one factor of P_HH, until no row
+    moves.  The QP over f_B with curvature S then has the same optimal
+    value as the QP over every row.  If P_HH cannot be factored, every row
+    is kept.
+    """
+    kept = kept.copy()
+    while True:
+        B, H = np.flatnonzero(kept), np.flatnonzero(~kept)
+        if H.shape[0] == 0:
+            return B, H, np.zeros((0, B.shape[0])), P
+        try:
+            Li = _cholesky_inverse(P[np.ix_(H, H)])
+        except np.linalg.LinAlgError:
+            kept[:] = True
+            continue
+        G = Li @ P[np.ix_(H, B)]
+        w = -(Li.T @ G)
+        # w_h . top_B - top_h = w_h . (top_B - top_h) - (1 - sum w_h) top_h,
+        # and the last term is >= 0; equal tops (an open box) give exactly 0
+        rise = np.einsum("hb,hb->h", w, top[B][None, :] - top[H][:, None])
+        move = (rise > 0.0) | (w.sum(axis=1) <= _LIFT_FLOOR)
+        if not np.any(move):
+            S = P[np.ix_(B, B)]
+            S -= G.T @ G
+            return B, H, w, S
+        kept[H[move]] = True
 
 
 class _WeightSubproblem:
@@ -423,21 +478,41 @@ class _ScoreQP:
     2 f'Lf - (lam/p) sum_U f + lam a t + (lam/p) sum_C xi + lam a.  With
     the default cap and scores in [0, 1], C is empty and x = (f, t).
 
+    x holds only the kept scores f_B: the pseudo-labelled ones, those of
+    flat components without a pseudo label (whose level P does not fix, so
+    they would make P_HH singular), and each unlabelled score whose harmonic
+    extension could reach its box (``_harmonic_split``).  Every other free
+    score meets only the graph term, so it is eliminated as  f_H = w f_B,
+    P here is the Schur complement of ``prob.P`` on f_B, and nf counts the
+    kept scores.  The lift of a strictly feasible f_B lies strictly inside
+    the eliminated boxes, so they never bind, and the QP over x has the
+    optimal value of the QP over every free score.  ``gap`` certifies the
+    lifted point (``lift``) against that full QP, with ``prob.P`` and the
+    certificate's factor as they are: the bound holds at any strictly
+    feasible primal-dual point, wherever it came from.
+
     The rows are never formed as a matrix.  Each slack sits in one hinge
     row, so ``newton`` eliminates the slacks and factors only an
-    (nf + 1) x (nf + 1) system.  P and the certificate's factor come from
-    ``prob`` and depend only on its free set, ``prob.free``, where ``hi``
-    must be positive.
+    (nf + 1) x (nf + 1) system.  ``prob`` fixes the free set,
+    ``prob.free``, where ``hi`` must be positive.
     """
 
     def __init__(self, prob: _WeightSubproblem, hi: np.ndarray):
         self.n = hi.shape[0]
         hi = np.where(np.isinf(hi), float(self.n), hi)
         self.free = prob.free
-        nf = self.nf = self.free.shape[0]
-        col = np.full(self.n, -1)
-        col[self.free] = np.arange(nf)
         pos, neg = prob.pos, prob.neg
+        self.top = hi[self.free]
+        labelled = np.zeros(self.n, dtype=bool)
+        labelled[pos] = labelled[neg] = True
+        kept = labelled[self.free]
+        # a flat component without a pseudo label meets P_HH as a singular block
+        held = np.bincount(prob.member, weights=kept[prob.flat], minlength=prob.size.shape[0])
+        kept[prob.flat[held[prob.member] == 0.0]] = True
+        self.keep, self.drop, self.w, self.P = _harmonic_split(prob.P, kept, self.top)
+        nf = self.nf = self.keep.shape[0]
+        col = np.full(self.n, -1)
+        col[self.free[self.keep]] = np.arange(nf)
         p = pos.shape[0]
         n_epi = self.n_epi = neg.shape[0]
         clip = hi[pos] > 1.0
@@ -451,14 +526,13 @@ class _ScoreQP:
         nx = nf + 1 + n_clip
 
         self.prob = prob
-        self.P = prob.P
         self.lin = np.zeros(nx)
         linear = unclipped[col[unclipped] >= 0]
         self.lin[col[linear]] = -self.slack_cost
         self.lin[self.t] = self.const
         self.lin[nf + 1 :] = self.slack_cost
         self.lo = np.concatenate([np.zeros(nf), [-np.inf], np.zeros(n_clip)])
-        self.up = np.concatenate([hi[self.free], np.full(1 + n_clip, np.inf)])
+        self.up = np.concatenate([self.top[self.keep], np.full(1 + n_clip, np.inf)])
         # rows: one per negative, then one hinge row per clipped positive
         self.b = np.concatenate([np.zeros(n_epi), np.full(n_clip, -1.0)])
         self.hp = col[clipped]
@@ -586,7 +660,7 @@ class _ScoreQP:
 
     def gap(self, x: np.ndarray, z_a: np.ndarray) -> float:
         """Certified bound on objective(x) - optimum, or inf if x is not
-        strictly feasible.
+        strictly feasible; both over every free score, at the lifted scores.
 
         Fixes row multipliers that make t and the slacks dual feasible:
         hinge multipliers capped at the slack cost lam/p, whose remainder
@@ -604,15 +678,16 @@ class _ScoreQP:
         level of the scores along directions that P does not see.
         """
         nf, n_epi = self.nf, self.n_epi
-        f, xi = x[:nf], x[nf + 1 :]
+        f, xi = self.lift(x), x[nf + 1 :]
         s_a = self.b - self.rows(x)
-        s_up = self.up[:nf] - f
+        s_up = self.top - f
         if min(s_a.min(), f.min(initial=1.0), s_up.min(initial=1.0), xi.min(initial=1.0)) <= 0.0:
             return np.inf
         z = np.maximum(z_a, 0.0)
         z[n_epi:] = np.minimum(z[n_epi:], self.slack_cost)
         z[:n_epi] *= (self.const + z[n_epi:].sum()) / z[:n_epi].sum()
-        r = (self.grad(x) + self.rows_t(z))[:nf]
+        r = self.prob.P @ f
+        r[self.keep] += (self.lin + self.rows_t(z))[:nf]
 
         def box_term(g):
             return float(f @ np.maximum(g, 0.0) + s_up @ np.maximum(-g, 0.0))
@@ -621,9 +696,16 @@ class _ScoreQP:
         fall = min(box_term(r), curved + box_term(flat))
         return float(s_a @ z + xi @ (self.slack_cost - z[n_epi:])) + fall
 
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        """The free scores of x: its kept scores and their harmonic extension."""
+        f = np.empty(self.free.shape[0])
+        f[self.keep] = x[: self.nf]
+        f[self.drop] = self.w @ x[: self.nf]
+        return f
+
     def scores(self, x: np.ndarray) -> np.ndarray:
         f = np.zeros(self.n)
-        f[self.free] = np.clip(x[: self.nf], 0.0, self.up[: self.nf])
+        f[self.free] = np.clip(self.lift(x), 0.0, self.top)
         return f
 
 
@@ -632,9 +714,11 @@ def _interior_point(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarra
 
     Stops when the certified gap (``_ScoreQP.gap``) is at most
     tol * max(1, |objective|), when it has stopped shrinking (three
-    iterations in a row that leave it above 0.9 times its best value), or
-    after max_iters iterations.  Returns the iterate with the smallest gap and
-    that gap; the caller decides what a gap above tolerance means.
+    iterations in a row that leave it above 0.9 times its best value and
+    above the iterate's complementarity s'z, which the gap tracks until it
+    reaches its rounding floor), or after max_iters iterations.  Returns the
+    iterate with the smallest gap and that gap; the caller decides what a
+    gap above tolerance means.
     """
     b = qp.b
     has_lo = np.isfinite(qp.lo)
@@ -651,17 +735,21 @@ def _interior_point(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarra
 
     x, z_lo, z_up, z_a = qp.start()
     best_x, best_gap = x, qp.gap(x, z_a)
-    stalled = 0
+    gap, slow, stalled = best_gap, False, 0
     for _ in range(max_iters):
-        # a gap that stops shrinking has reached rounding level
-        if best_gap <= tol * max(1.0, abs(qp.objective(best_x))) or stalled >= 3:
-            break
         s_lo = np.where(has_lo, x - lo, 1.0)
         s_up = np.where(has_up, up - x, 1.0)
         s_a = b - qp.rows(x)
+        comp = float(s_lo[has_lo] @ z_lo[has_lo] + s_up[has_up] @ z_up[has_up] + s_a @ z_a)
+        # a gap that stops shrinking although the complementarity has fallen
+        # below it has reached rounding level; above it, the gap can swing
+        # while the iterate still converges
+        stalled = stalled + 1 if slow and gap > comp else 0
+        if best_gap <= tol * max(1.0, abs(qp.objective(best_x))) or stalled >= 3:
+            break
         d_diag = np.where(has_lo, z_lo / s_lo, 0.0) + np.where(has_up, z_up / s_up, 0.0)
         r_d = qp.grad(x) - z_lo + z_up + qp.rows_t(z_a)
-        mu = float(s_lo[has_lo] @ z_lo[has_lo] + s_up[has_up] @ z_up[has_up] + s_a @ z_a) / n_con
+        mu = comp / n_con
 
         def direction(rc_lo, rc_up, rc_a):
             # Newton step on the perturbed KKT system, slacks eliminated
@@ -714,7 +802,7 @@ def _interior_point(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarra
             break
         x, z_lo, z_up, z_a = x_new, z_lo + alpha * dz_lo, z_up + alpha * dz_up, z_a_new
         # a gap that shrinks steadily, if slowly, is still converging
-        stalled = stalled + 1 if gap > 0.9 * best_gap else 0
+        slow = gap > 0.9 * best_gap
         if gap < best_gap:
             best_x, best_gap = x, gap
     return best_x, best_gap
@@ -736,12 +824,17 @@ def update_scores(
     to the box 0 <= f_i <= hi_i = cap * max_k s_ik (``score_box_top``).
     Writing the push loss as the mean hinge against the level t of the
     top negative (with one hinge slack per positive whose hinge can clip,
-    see ``_ScoreQP``) makes the step a convex QP, which an interior-point
-    method solves until its duality gap, a
-    certified bound on the distance to the optimum, is at most
-    ``tol * max(1, |objective|)``.  A step that spends ``max_iters``
-    iterations, or whose gap stops shrinking, before it gets there raises
-    a ``RuntimeWarning`` that states the gap.
+    see ``_ScoreQP``) makes the step a convex QP.  Only the push term sees
+    the pseudo-labelled scores; an unlabelled score whose box cannot bind
+    is the harmonic extension of the others, so the QP keeps only the
+    pseudo-labelled scores and the unlabelled ones that could reach their
+    box (or hold a level of their own), with the rest eliminated
+    (``_harmonic_split``).  An interior-point method solves it until the
+    duality gap of its iterate, lifted back to every score, is at most
+    ``tol * max(1, |objective|)``; that gap is a certified bound on the
+    distance to the optimum of the QP over every score.  A step that spends
+    ``max_iters`` iterations, or whose gap stops shrinking, before it gets
+    there raises a ``RuntimeWarning`` that states the gap.
 
     Without a cap the box has no top, and the step closes it at n.  The
     optimum is then not unique: the level of a component of positives
@@ -766,7 +859,9 @@ def update_scores(
 def _weight_step(f_in, neighbors, labels, lambda_push, hi, max_iters, tol):
     """``update_scores`` with its certificate: returns (f, gap, bound),
     where gap bounds the distance of the solved scores to the optimum and
-    bound is the tolerance it was asked to meet."""
+    bound is the tolerance it was asked to meet.  One QP is solved, over the
+    kept scores (``_ScoreQP``); the scores it eliminates follow as their
+    harmonic extension, and the closed-form moves below act on every score."""
     prob = _WeightSubproblem(neighbors, labels, lambda_push, np.flatnonzero(hi > 0.0))
     qp = _ScoreQP(prob, hi)
     x, gap = _interior_point(qp, tol, max_iters)

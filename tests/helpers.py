@@ -8,8 +8,12 @@ eigendecomposition split, an out-of-place block Cholesky inverse and an
 SLSQP solve of the weight step.  No
 program path calls them.  The generators draw random solver inputs, and
 ``project_row`` and ``neighbor_row`` run the batched graph kernels on one
-row.
+row.  ``bench_generator`` loads the benchmark's input generator.
 """
+
+import importlib.util
+import os
+import sys
 
 import numpy as np
 
@@ -342,3 +346,15 @@ def finite_diff_gradient(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
             fn((flat + step).reshape(x.shape)) - fn((flat - step).reshape(x.shape))
         ) / (2.0 * h)
     return grad.reshape(x.shape)
+
+
+def bench_generator():
+    """``perfbench/gen.py``, which writes the benchmark's inputs, as a module."""
+    name = "perfbench_gen"
+    if name not in sys.modules:
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "gen.py")
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # its dataclass looks itself up there
+        spec.loader.exec_module(module)
+    return sys.modules[name]

@@ -10,6 +10,8 @@ from conceptrank.composer import CompositionConfig
 from conceptrank.evaluation import average_precision, ranked_list
 from conceptrank.pipeline import METRICS_KEYS, RunConfig, rank_one_event, run_rank
 
+from helpers import bench_generator
+
 
 def _synth(tmp_path, seed=0, weak=8, test=8, concepts=4, informative=1, sigma=0.0):
     out = str(tmp_path / "data")
@@ -584,3 +586,21 @@ def test_rank_metrics_iter0_is_the_initial_scores_ap(tmp_path):
     ap = average_precision(initial, positives)
     assert metrics["iter0"] == {"E001": ap, "mAP": ap}
     assert len({ap, metrics["E001"], metrics["borda"]["E001"]}) == 3
+
+
+@pytest.mark.parametrize("workload", sorted(bench_generator().WORKLOADS))
+def test_bench_workloads_certify_every_step(workload, tmp_path, capsys):
+    # instance 0 of three seeds of each benchmark workload, ranked with its
+    # own flags: every weight step of every event meets its certified
+    # tolerance
+    gen = bench_generator()
+    for seed in (90, 91, 92):
+        data, out = str(tmp_path / f"in{seed}"), str(tmp_path / f"out{seed}")
+        os.makedirs(data)
+        gen.generate(workload, seed, 0, data)
+        capsys.readouterr()
+        assert main(gen.rank_argv(workload, data, out)) == 0
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        ranked = [r for r in records if r.get("stage") == "rank"]
+        assert len(ranked) == gen.WORKLOADS[workload].events
+        assert [r["uncertified_steps"] for r in ranked] == [0] * len(ranked)

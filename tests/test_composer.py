@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conceptrank import composer
+from conceptrank.cli import main
 from conceptrank.composer import (
     CompositionConfig,
     ScoreMatrix,
@@ -31,6 +32,7 @@ from conceptrank.graph import (
 from conceptrank.query import PseudoLabels
 
 from helpers import (
+    bench_generator,
     brute_force_push,
     dense_laplacian,
     eigen_curvature_split,
@@ -52,6 +54,14 @@ def _step_inputs(S, W0, cap):
 def _subproblem(nb, labels, lam, hi):
     """The weight step's subproblem on the videos whose box is not [0, 0]."""
     return _WeightSubproblem(nb, labels, lam, np.flatnonzero(hi > 0.0))
+
+
+def _keep_every_row(monkeypatch):
+    """Make ``_ScoreQP`` keep every free score: the QP before elimination."""
+    split = composer._harmonic_split
+    monkeypatch.setattr(
+        composer, "_harmonic_split", lambda P, kept, top: split(P, np.ones_like(kept), top)
+    )
 
 
 def _matrix(values, l=None):
@@ -329,9 +339,10 @@ class TestReferenceSolver:
                 qp = _ScoreQP(_subproblem(nb, labels, lam, hi), hi)
                 self._check_newton(qp, rng, wide)
 
-    def test_newton_matches_dense_system_above_split(self):
+    def test_newton_matches_dense_system_above_split(self, monkeypatch):
         # the same checks with the (f, t) system large enough that
-        # ``_cholesky_inverse`` recurses
+        # ``_cholesky_inverse`` recurses: every free score is kept
+        _keep_every_row(monkeypatch)
         rng = np.random.default_rng(77)
         wide = np.random.default_rng(78)
         for top in (0.8, 1.5, np.inf):
@@ -421,24 +432,30 @@ class TestReferenceSolver:
             assert calls == {"_laplacian": 2, "_interior_point": 1}
 
     @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
-    def test_weight_step_heap_ceiling(self, cap):
-        # P, the certificate's factor, one Newton matrix and the factor's
-        # half-size products: 3.7 dense (nf + 1)^2 arrays, capped or not,
-        # traced above the heap at entry on this draw; a factor written
-        # beside its input, or the previous Newton factor kept alive, adds
-        # about one more array each
+    def test_weight_step_heap_ceiling(self, cap, monkeypatch):
+        # P and the certificate's factor, then the eliminated block's
+        # factor, the harmonic weights and the Schur complement, or one
+        # Newton matrix on the kept scores and its factor's half-size
+        # products: 3.5 (capped) and 3.3 (uncapped) dense (nf + 1)^2 arrays
+        # traced above the heap at entry on this draw, and 3.7 with every
+        # score kept; a factor written beside its input, or the previous
+        # Newton factor kept alive, adds up to one more array each
         rng = np.random.default_rng(81)
         S, labels, nb, W0, lam = random_instance(rng, n_min=320, n_max=320, m_max=3)
         f0, hi = _step_inputs(S, W0, cap)
         nf = int(np.count_nonzero(hi > 0.0))
         assert nf >= 300
-        tracemalloc.start()  # traces only what is allocated from here on
-        try:
-            composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / (8.0 * (nf + 1) ** 2) <= 4.5
+        for keep_all in (False, True):
+            with monkeypatch.context() as patch:
+                if keep_all:
+                    _keep_every_row(patch)
+                tracemalloc.start()  # traces only what is allocated from here on
+                try:
+                    composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak / (8.0 * (nf + 1) ** 2) <= 4.5
 
     def test_uncertified_step_warns(self):
         rng = np.random.default_rng(65)
@@ -482,6 +499,33 @@ class TestReferenceSolver:
             tracemalloc.stop()
         assert prob.Li is not None and prob.size.tolist() == [n]
         assert peak / (8.0 * (n + 1) ** 2) <= 2.9
+
+    def test_newton_systems_skip_eliminated_scores(self, monkeypatch):
+        # at the CLI's 20/100 labels on 320 capped videos, the unlabelled
+        # scores that stay inside their boxes are eliminated, so no Newton
+        # system spans every free score and t
+        rng = np.random.default_rng(88)
+        n = 320
+        vals = rng.uniform(0.0, 1.0, (n, 4))
+        perm = rng.permutation(n)
+        labels = PseudoLabels(
+            positives=tuple(int(i) for i in perm[:20]),
+            negatives=tuple(int(i) for i in perm[20:120]),
+        )
+        nb = self._cli_graph(vals)
+        hi = score_box_top(vals, 1.0)
+        nf = int(np.count_nonzero(hi > 0.0))
+        sides = []
+        newton = composer._ScoreQP.newton
+
+        def spy(qp, d_rows, d_diag):
+            sides.append(qp.nf + 1)
+            return newton(qp, d_rows, d_diag)
+
+        monkeypatch.setattr(composer._ScoreQP, "newton", spy)
+        f, gap, bound = composer._weight_step(vals.mean(axis=1), nb, labels, 1.0, hi, 500, 1e-9)
+        assert nf >= 300 and gap <= bound
+        assert sides and max(sides) < nf + 1
 
     @pytest.mark.parametrize("cap", [None, 2.0])
     def test_clip_regime_at_cli_label_counts(self, cap):
@@ -585,6 +629,103 @@ class TestReferenceSolver:
         f = update_scores(f0, nb, labels, lam, hi, max_iters=120)
         assert np.all(f >= 0.0)
         assert np.all(f <= hi)
+
+
+class TestHarmonicSplit:
+    """The weight step with unlabelled scores eliminated as the harmonic
+    extension of the kept ones, against the same step with every free score
+    kept: both certified, with values within their certified gaps."""
+
+    @staticmethod
+    def _compare(f0, nb, labels, lam, hi, monkeypatch):
+        """The reduced step's scores and the free rows it kept, after
+        checking it against the step that keeps every free row."""
+        kept = []
+        split = composer._harmonic_split
+
+        def spy(P, keep, top):
+            out = split(P, keep, top)
+            kept.append(out[0])
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(composer, "_harmonic_split", spy)
+            f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
+        with monkeypatch.context() as patch:
+            _keep_every_row(patch)
+            g, gap_all, bound_all = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
+        assert gap <= bound and gap_all <= bound_all
+        prob = _subproblem(nb, labels, lam, hi)
+        assert abs(prob.value(f) - prob.value(g)) <= gap + gap_all + 1e-12
+        (rows,) = kept
+        return f, prob.free[rows]
+
+    @pytest.mark.parametrize("cap", [1.0, 2.0])
+    def test_row_that_can_pass_its_top_is_kept(self, cap, monkeypatch):
+        # an unlabelled video with a low box among high ones: the harmonic
+        # extension of its neighbours passes its top, so eliminating it
+        # would leave its box
+        rng = np.random.default_rng(86)
+        for _ in range(10):
+            S, labels, nb, W0, lam = random_instance(rng, n_min=16, n_max=24, m_max=3)
+            low = S.n_videos - 1  # a test video, never pseudo-labelled
+            S.values[low] *= 0.02
+            f0, hi = _step_inputs(S, W0, cap)
+            f, kept = self._compare(f0, nb, labels, lam, hi, monkeypatch)
+            assert low in kept
+            assert kept.shape[0] < S.n_videos
+
+    @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
+    def test_row_attached_only_to_pinned_rows_is_kept(self, cap, monkeypatch):
+        # a test video whose only neighbours are pinned (box [0, 0]): its
+        # harmonic weights are all 0, so its lift would sit on the bottom of
+        # its box, where the certificate rejects the point
+        rng = np.random.default_rng(87)
+        for _ in range(10):
+            S, labels, nb, W0, lam = random_instance(rng, n_min=16, n_max=24, m_max=3)
+            n = S.n_videos
+            lone, pinned = n - 1, [n - 2, n - 3]
+            S.values[pinned] = 0.0
+            cands, probs = nb.candidates.copy(), nb.probs.copy()
+            probs[cands == lone] = 0.0
+            probs /= probs.sum(axis=1, keepdims=True)
+            cands[lone, :2], probs[lone] = pinned, 0.0
+            probs[lone, :2] = 0.5
+            nb = NeighborMatrix(candidates=cands, probs=probs, gamma=nb.gamma)
+            f0, hi = _step_inputs(S, W0, cap)
+            assert hi[lone] > 0.0 and np.all(hi[pinned] == 0.0)
+            f, kept = self._compare(f0, nb, labels, lam, hi, monkeypatch)
+            assert lone in kept and f[lone] <= 1e-3
+
+    def test_singular_eliminated_block_keeps_every_row(self):
+        # rows 1 and 2 meet only each other, so P_HH is singular and cannot
+        # be factored: nothing is eliminated
+        P = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
+        B, H, w, S = composer._harmonic_split(P, np.array([True, False, False]), np.ones(3))
+        assert B.tolist() == [0, 1, 2] and H.size == 0 and w.shape == (0, 3)
+        assert S is P
+
+    def test_open_box_at_mid_box(self, tmp_path, monkeypatch):
+        # the first weight step of the ``uncapped`` benchmark input (seed 96,
+        # instance 0): every box is open and closed at n, so the scores sit
+        # near n / 2, and only the pseudo-labelled rows are kept.  The gap of
+        # the reduced solve swings on its way down; a stall rule that ignored
+        # the iterate's complementarity stopped it at 0.197
+        gen = bench_generator()
+        gen.generate("uncapped", 96, 0, str(tmp_path))
+        steps = []
+
+        def first_step(*args):
+            steps.append(args)
+            raise RuntimeError("first weight step captured")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(composer, "_weight_step", first_step)
+            main(gen.rank_argv("uncapped", str(tmp_path), str(tmp_path / "out")))
+        f0, nb, labels, lam, hi = steps[0][:5]
+        f, kept = self._compare(f0, nb, labels, lam, hi, monkeypatch)
+        assert np.all(np.isinf(hi))
+        assert kept.shape[0] == len(labels.positives) + len(labels.negatives)
 
 
 class TestCompressGaps:

@@ -28,12 +28,14 @@ iterate, meets its tolerance; a step that stops above it is reported in
 ``FitResult.warnings``.  Where the optimum is not unique, the solved one is
 moved in closed form to an optimum whose gaps do not grow with where the
 solver closed an open box (``_compress_gaps``), then toward the input
-scores (``_nearest_shift``).  The graph term's Hessian and the certificate's
-strong-edge part of it are built from the neighbor edge list on the free
-scores alone (``_laplacian``), so no n x n adjacency is formed.  Each dense
-matrix the step factors (every Newton system on the kept scores, the
-eliminated block of P, and the certificate's curvature matrix, grounded on
-one row of each flat component, once per weight step) goes through
+scores (``_nearest_shift``).  The step sees one graph, the edges with
+a_ij > 0 (the neighbor step leaves no rounding-level ones): P, its
+Laplacian on the free scores, is built from the edge list once per step
+(``_laplacian``), so no n x n adjacency is formed, and its components are
+labelled once (``_components``).  Each dense matrix the step factors (every
+Newton system on the kept scores, the eliminated block of P, and the
+certificate's copy of P, grounded on one row of each flat component, once
+per weight step) goes through
 ``_cholesky_inverse``, a recursive block Cholesky that does its work in
 matrix products and overwrites the matrix with its inverse factor, so a
 step holds P, the certificate's factor, the Schur complement and one Newton
@@ -76,6 +78,8 @@ SUPERVISED_COLUMN_ID = "__supervised__"
 
 # relative duality gap that every weight step of ``fit`` is certified to
 WEIGHT_STEP_TOL = 1e-9
+# interior-point iterations that a weight step of ``fit`` may take
+WEIGHT_STEP_MAX_ITERS = 500
 
 
 @dataclass
@@ -130,7 +134,6 @@ class CompositionConfig:
     max_outer_iters: int = 100
     tol: float = 1e-6
     weight_cap: float | None = 1.0  # None reproduces the bare w >= 0 constraint
-    max_inner_iters: int = 500
 
     def __post_init__(self):
         if self.lambda_push <= 0:
@@ -163,7 +166,11 @@ class FitResult:
     converged: bool
     iterations: int
     warnings: list[str] = field(default_factory=list)
-    uncertified_steps: int = 0  # weight steps that ended above their tolerance
+
+    @property
+    def uncertified_steps(self) -> int:
+        """Weight steps above their tolerance; ``fit`` warns of nothing else."""
+        return len(self.warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -281,24 +288,17 @@ def _cholesky_inverse(A: np.ndarray) -> np.ndarray:
     return A
 
 
-# neighbor probabilities at most this fraction of the largest one are left
-# out of the certificate's curvature: the projection that ``gamma_for_k``
-# puts on each row's boundary leaves rounding-level probabilities (~1e-17),
-# and those join components that are numerically separate
-_STRONG_EDGE = 1e-10
-
 # rows whose harmonic weights sum to at most this are kept by
 # ``_harmonic_split``: their lift would be 0, or rounding noise around it,
 # on the bottom of their box
 _LIFT_FLOOR = 1e-12
 
 
-def _laplacian(neighbors: NeighborMatrix, free: np.ndarray, edge: np.ndarray) -> np.ndarray:
+def _laplacian(neighbors: NeighborMatrix, free: np.ndarray) -> np.ndarray:
     """4 L[free, free], with L the Laplacian of the symmetrized neighbor
-    graph  M = (A + A') / 2  on the edges where ``edge`` (a mask shaped like
-    ``neighbors.probs``) holds.
+    graph  M = (A + A') / 2.
 
-    The off-diagonal entries are scattered from the edge list.  Each
+    The off-diagonal entries are scattered from the edges with a_ij > 0.  Each
     diagonal entry is minus the ``np.sum`` of its row's off-diagonal
     entries, plus the weight of the row's edges to rows outside ``free``.
     With every row free this is  4 M.sum(axis=1)  bit for bit: the
@@ -307,6 +307,7 @@ def _laplacian(neighbors: NeighborMatrix, free: np.ndarray, edge: np.ndarray) ->
     does not keep.
     """
     n, k = neighbors.candidates.shape
+    edge = neighbors.probs > 0.0
     nf = free.shape[0]
     col = np.full(n, -1)
     col[free] = np.arange(nf)
@@ -379,20 +380,21 @@ class _WeightSubproblem:
     the quadratic term of its QP on the free scores and what the
     certificate (``_ScoreQP.gap``) needs of it.
 
-    ``free`` holds the videos whose score box is not [0, 0].
-    P = 4 L[free, free] (``_laplacian`` on every edge with a_ij > 0).  The
-    certificate bounds how far a convex quadratic with Hessian P falls over
-    the score box, and uses P_c in place of P: the same builder on the
-    edges above ``_STRONG_EDGE``.  The dropped edges form a Laplacian too,
-    so  d'Pd >= d'P_c d  and the bound stays sound.  The null space of P_c
-    is spanned by the indicators of the flat components: the strong-edge
-    components that hold no pinned video (not free).  Grounding one row of
-    each (``ground``: its row and column of P_c zeroed, 1 on the diagonal)
-    leaves a positive definite matrix, which its inverse Cholesky factor Li
+    ``free`` holds the videos whose score box is not [0, 0].  The step
+    sees one edge set, the edges with a_ij > 0: P = 4 L[free, free]
+    (``_laplacian``), and ``group`` labels the components of that graph
+    over every video (``_components``), for ``_ScoreQP`` and
+    ``_nearest_shift`` as well as the certificate; ``labelled`` marks the
+    pseudo-labelled videos.  The certificate bounds how far a convex
+    quadratic with Hessian P falls over the score box.  The null space of P
+    is spanned by the indicators of the flat components: those that hold no
+    pinned video (not free).  Grounding one row of each in a copy of P
+    (``ground``: its row and column zeroed, 1 on the diagonal) leaves a
+    positive definite matrix, which its inverse Cholesky factor Li
     (``_cholesky_inverse``, once per step) overwrites.  For r_c orthogonal
     to the null space, the grounded system with r_c's grounded entries
-    zeroed solves  P_c y = r_c  up to a constant on each flat component,
-    which r_c does not see, so  r_c' P_c^+ r_c = |Li r_c|^2  with those
+    zeroed solves  P y = r_c  up to a constant on each flat component,
+    which r_c does not see, so  r_c' P^+ r_c = |Li r_c|^2  with those
     entries zeroed.
     """
 
@@ -409,15 +411,12 @@ class _WeightSubproblem:
         self.neg = np.asarray(labels.negatives)
         self.lam = float(lambda_push)
         self.free = free
-        probs = neighbors.probs
-        self.P = _laplacian(neighbors, free, probs > 0.0)
-        strong = probs > _STRONG_EDGE * probs.max(initial=0.0)
-        Pc = _laplacian(neighbors, free, strong)
-        group = _components(neighbors, strong)
-        fixed = np.ones(probs.shape[0], dtype=bool)
-        fixed[free] = False
-        pinned = np.zeros_like(fixed)  # components that hold a pinned video
-        pinned[group[fixed]] = True
+        self.P = _laplacian(neighbors, free)
+        group = self.group = _components(neighbors)
+        self.labelled = np.zeros(group.shape[0], dtype=bool)
+        self.labelled[self.pos] = self.labelled[self.neg] = True
+        pinned = np.zeros(group.shape[0], dtype=bool)  # components with a pinned video
+        pinned[np.delete(group, free)] = True
         flat = ~pinned[group[free]]
         self.flat = np.flatnonzero(flat)
         _, first, self.member = np.unique(
@@ -425,15 +424,16 @@ class _WeightSubproblem:
         )
         self.size = np.bincount(self.member)
         self.ground = self.flat[first]
-        Pc[self.ground, :] = 0.0
-        Pc[:, self.ground] = 0.0
-        Pc[self.ground, self.ground] = 1.0
+        Pg = self.P.copy()
+        Pg[self.ground, :] = 0.0
+        Pg[:, self.ground] = 0.0
+        Pg[self.ground, self.ground] = 1.0
         try:
-            self.Li = _cholesky_inverse(Pc)
+            self.Li = _cholesky_inverse(Pg)
         except np.linalg.LinAlgError:
-            # a strong edge can still be weak enough to make the grounded
-            # P_c numerically singular; the certificate then uses only the
-            # linear bound, which needs no factor
+            # an edge can be weak enough to make the grounded P numerically
+            # singular; the certificate then uses only the linear bound,
+            # which needs no factor
             self.Li = None
 
     def value(self, f: np.ndarray) -> float:
@@ -442,9 +442,9 @@ class _WeightSubproblem:
         return smoothness_value(f, self.neighbors) + self.lam * push
 
     def split(self, r: np.ndarray) -> tuple[np.ndarray, float]:
-        """(flat, curved): the projection of r onto the null space of P_c
-        (its mean on each component there) and  r_c' P_c^+ r_c / 2  for the
-        rest r_c = r - flat (inf when the grounded P_c could not be
+        """(flat, curved): the projection of r onto the null space of P
+        (its mean on each flat component) and  r_c' P^+ r_c / 2  for the
+        rest r_c = r - flat (inf when the grounded P could not be
         factored)."""
         flat = np.zeros_like(r)
         means = np.bincount(self.member, weights=r[self.flat], minlength=self.size.shape[0])
@@ -503,9 +503,7 @@ class _ScoreQP:
         self.free = prob.free
         pos, neg = prob.pos, prob.neg
         self.top = hi[self.free]
-        labelled = np.zeros(self.n, dtype=bool)
-        labelled[pos] = labelled[neg] = True
-        kept = labelled[self.free]
+        kept = prob.labelled[self.free]
         # a flat component without a pseudo label meets P_HH as a singular block
         held = np.bincount(prob.member, weights=kept[prob.flat], minlength=prob.size.shape[0])
         kept[prob.flat[held[prob.member] == 0.0]] = True
@@ -671,11 +669,11 @@ class _ScoreQP:
         complementarity to a bound on how far the Lagrangian falls below
         its value at x over the score box.  That fall is at most the box
         term  f'(r)_+ + (up - f)'(-r)_+  of the linear model, and at most
-        r_c'P_c^+r_c / 2  plus the box term of r_0, where P_c <= P is the
-        strong-edge part of P (see ``_WeightSubproblem``), r_0 is the
-        projection of r onto the null space of P_c and r_c the rest; the
-        smaller of the two is used.  The second does not grow with the
-        level of the scores along directions that P does not see.
+        r_c'P^+r_c / 2  plus the box term of r_0, where r_0 is the
+        projection of r onto the null space of P (its flat components, see
+        ``_WeightSubproblem``) and r_c the rest; the smaller of the two is
+        used.  The second does not grow with the level of the scores along
+        directions that P does not see.
         """
         nf, n_epi = self.nf, self.n_epi
         f, xi = self.lift(x), x[nf + 1 :]
@@ -814,7 +812,7 @@ def update_scores(
     labels: PseudoLabels,
     lambda_push: float,
     hi: np.ndarray,
-    max_iters: int = CompositionConfig.max_inner_iters,
+    max_iters: int = WEIGHT_STEP_MAX_ITERS,
     tol: float = WEIGHT_STEP_TOL,
 ) -> np.ndarray:
     """Exact weight step, solved as a quadratic program in score space.
@@ -876,11 +874,11 @@ def _gap_message(gap: float, bound: float) -> str:
     return f"weight step stopped at certified gap {gap:.3g}, above its tolerance {bound:.3g}"
 
 
-def _components(neighbors: NeighborMatrix, edge: np.ndarray) -> np.ndarray:
+def _components(neighbors: NeighborMatrix) -> np.ndarray:
     """Component label of every row of the graph with the neighbor edges
-    where ``edge`` (a mask shaped like ``neighbors.probs``) holds: the
-    smallest row index in its component."""
+    a_ij > 0: the smallest row index in its component."""
     n, k = neighbors.candidates.shape
+    edge = neighbors.probs > 0.0
     i = np.repeat(np.arange(n), k)[edge.ravel()]
     j = neighbors.candidates[edge]
     label = np.arange(n)
@@ -934,10 +932,7 @@ def _nearest_shift(
     them, and moves within the gaps left are not searched.
     """
     n = f.shape[0]
-    group = _components(prob.neighbors, prob.neighbors.probs > 0.0)
-    labelled = np.zeros(n, dtype=bool)
-    labelled[prob.pos] = labelled[prob.neg] = True
-    group = np.where(np.isin(group, group[labelled]), n, group)
+    group = np.where(np.isin(prob.group, prob.group[prob.labelled]), n, prob.group)
     size = np.bincount(group, minlength=n + 1)
     move = np.bincount(group, weights=f0 - f, minlength=n + 1) / np.maximum(size, 1)
     lo = np.full(n + 1, -np.inf)
@@ -1020,7 +1015,7 @@ def fit(
     the relative decrease over one outer iteration falls below
     ``config.tol``.  The fit counts as converged only if it stopped so and
     its last weight step met its certified tolerance; every step that did
-    not is counted in ``uncertified_steps`` and stated in ``warnings``.
+    not is stated in ``warnings`` (and counted by ``uncertified_steps``).
     """
     _check_labels(labels, S.l)
     vals = S.values
@@ -1050,7 +1045,6 @@ def fit(
 
     trace: list[float] = []
     warnings: list[str] = []
-    uncertified_steps = 0
     neighbors = None
     prev_outer = None
     converged = False
@@ -1068,13 +1062,12 @@ def fit(
             labels,
             config.lambda_push,
             hi,
-            config.max_inner_iters,
+            WEIGHT_STEP_MAX_ITERS,
             WEIGHT_STEP_TOL,
         )
         uncertified = bool(gap > bound)
         if uncertified:
             warnings.append(_gap_message(gap, bound))
-        uncertified_steps += uncertified
         trace.append(objective(f, neighbors, labels, gammas, config.lambda_push))
 
         if prev_outer is not None:
@@ -1094,7 +1087,6 @@ def fit(
         converged=converged and not uncertified,
         iterations=iterations,
         warnings=warnings,
-        uncertified_steps=uncertified_steps,
     )
 
 

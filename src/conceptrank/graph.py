@@ -46,7 +46,8 @@ def update_neighbor_rows(D: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     is the simplex projection of -D[i] / (2 gamma[i]).
 
     All-zero distances give the uniform vector (the analytic limit), and
-    gamma -> infinity approaches uniform for any bounded distances.
+    gamma -> infinity approaches uniform for any bounded distances.  At
+    ``gamma_for_k``'s boundary exactly k entries are > 0 (no rounding edges).
     """
     if np.any(gamma <= 0):
         raise ValueError("all gamma values must be positive")

@@ -132,7 +132,6 @@ def test_monotone_descent_trace():
         cfg = CompositionConfig(
             lambda_push=lam,
             max_outer_iters=4,
-            max_inner_iters=40,
             k_candidates=8,
         )
         res = fit(S, labels, np.ones(S.n_concepts), cfg)
@@ -216,7 +215,6 @@ def _pipeline_ap(inst, top_k, lam, with_supervised, table):
         k_candidates=15,
         k_neighbors=5,
         max_outer_iters=6,
-        max_inner_iters=25,
         tol=1e-4,
     )
     result = fit(S_fit, labels, w_init, cfg)
@@ -264,7 +262,7 @@ def test_initialization_baseline_equality():
             concept_ids=[str(k) for k in selected],
         )
     )
-    cfg = CompositionConfig(max_outer_iters=3, k_candidates=10, max_inner_iters=40)
+    cfg = CompositionConfig(max_outer_iters=3, k_candidates=10)
     result = fit(S, labels, relevance.values[selected], cfg)
     got = ranked_list(S.test_ids(), result.initial_scores[S.l :])
     prior = relevance.values[selected]

@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from conceptrank import embeddings, io, query
+from conceptrank import composer, embeddings, io, query
 from conceptrank.cli import main
 from conceptrank.composer import CompositionConfig
 from conceptrank.evaluation import average_precision, ranked_list
@@ -253,7 +253,9 @@ def test_rank_embeds_one_phrase_per_event(tmp_path, monkeypatch):
     assert counts[3] - counts[1] == 2
 
 
-def test_rank_logs_uncertified_weight_steps(tmp_path, capsys):
+def test_rank_logs_uncertified_weight_steps(tmp_path, capsys, monkeypatch):
+    # one interior-point iteration certifies no weight step
+    monkeypatch.setattr(composer, "WEIGHT_STEP_MAX_ITERS", 1)
     data = _synth(tmp_path, sigma=0.2)
     args = dict(
         embeddings=os.path.join(data, "embeddings.txt"),
@@ -264,9 +266,7 @@ def test_rank_logs_uncertified_weight_steps(tmp_path, capsys):
         out_dir=str(tmp_path / "out"),
         top_k=2, n_pos=4, n_neg=4,
     )
-    fit = CompositionConfig(
-        k_candidates=8, k_neighbors=3, max_outer_iters=4, max_inner_iters=1
-    )
+    fit = CompositionConfig(k_candidates=8, k_neighbors=3, max_outer_iters=4)
     capsys.readouterr()
     code, _ = run_rank(RunConfig(**args, fit=fit))
     assert code == 0

@@ -356,8 +356,8 @@ class TestReferenceSolver:
     def test_curvature_matches_spectrum(self):
         # the certificate's split of r into a flat part and the curvature
         # term r_c'P^+r_c / 2, against the eigendecomposition of P; blocks
-        # of videos form components, a rounding-level edge joins two of
-        # them, and one pinned video makes its component curved
+        # of videos form components, and one pinned video makes its
+        # component curved
         rng = np.random.default_rng(70)
         for _ in range(10):
             sizes = rng.integers(3, 7, size=int(rng.integers(2, 5)))
@@ -370,7 +370,6 @@ class TestReferenceSolver:
                 cands[i, :2] = rng.choice(mates, 2, replace=False)
                 cands[i, 2] = rng.choice(np.flatnonzero(block != block[i]))
                 probs[i, :2] = rng.dirichlet(np.ones(2))
-            probs[0, 2] = 5.6e-17  # an edge out of block 0
             nb = NeighborMatrix(candidates=cands, probs=probs, gamma=np.ones(n))
             rng.uniform(0.0, 1.0, (n, 2))  # the unused score rows, kept in the draws
             free = np.delete(np.arange(n), rng.integers(n))
@@ -384,7 +383,7 @@ class TestReferenceSolver:
                 np.testing.assert_allclose(curved, curved_ref, rtol=1e-8)
 
     def test_certificate_without_curvature_factor(self, monkeypatch):
-        # when the grounded P_c cannot be factored, the certificate keeps
+        # when the grounded P cannot be factored, the certificate keeps
         # only the linear bound, which is still a bound
         rng = np.random.default_rng(71)
         S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
@@ -407,10 +406,10 @@ class TestReferenceSolver:
 
     @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
     def test_graph_matrices_built_once_per_step(self, cap, monkeypatch):
-        # one weight step builds P and P_c once each and solves one QP,
-        # with or without a cap
+        # one weight step builds P once, labels the graph's components
+        # once and solves one QP, with or without a cap
         rng = np.random.default_rng(74)
-        calls = {"_laplacian": 0, "_interior_point": 0}
+        calls = {"_laplacian": 0, "_components": 0, "_interior_point": 0}
 
         def counted(name):
             inner = getattr(composer, name)
@@ -429,7 +428,7 @@ class TestReferenceSolver:
             for name in calls:
                 calls[name] = 0
             composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
-            assert calls == {"_laplacian": 2, "_interior_point": 1}
+            assert calls == {"_laplacian": 1, "_components": 1, "_interior_point": 1}
 
     @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
     def test_weight_step_heap_ceiling(self, cap, monkeypatch):
@@ -475,9 +474,9 @@ class TestReferenceSolver:
         return NeighborMatrix(candidates=cands, probs=update_neighbor_rows(D, gammas), gamma=gammas)
 
     def test_subproblem_heap_ceiling_on_one_component(self):
-        # P, P_c and the factor that overwrites P_c, with little beside
-        # them: 2.67 dense (nf + 1)^2 arrays traced on this draw, whose
-        # strong edges join every video.  A dense copy of the flat
+        # P, its grounded copy and the factor that overwrites the copy, with
+        # little beside them: 2.66 dense (nf + 1)^2 arrays traced on this
+        # draw, whose edges join every video.  A dense copy of the flat
         # component's block, as a projector added with np.ix_ makes, adds
         # half an array or more
         rng = np.random.default_rng(83)
@@ -489,8 +488,7 @@ class TestReferenceSolver:
             negatives=tuple(int(i) for i in perm[20:120]),
         )
         nb = self._cli_graph(vals)
-        strong = nb.probs > composer._STRONG_EDGE * nb.probs.max()
-        assert np.all(composer._components(nb, strong) == 0)
+        assert np.all(composer._components(nb) == 0)
         tracemalloc.start()  # traces only what is allocated from here on
         try:
             prob = _WeightSubproblem(nb, labels, 1.0, np.arange(n))
@@ -570,13 +568,31 @@ class TestReferenceSolver:
         W0 = np.tile(rng.uniform(0.0, 1.0, 3), (12, 1))
         return S, labels, nb, W0, float(rng.uniform(0.5, 3.0))
 
+    @staticmethod
+    def _fit_graph_instance(rng):
+        # the graph that ``fit`` builds (``candidate_neighbors``,
+        # ``gamma_for_k``, ``update_neighbor_rows``) with k = 7 neighbors of
+        # 10 candidates, on two clusters of k + 1 videos: labelled (rows
+        # 0-7) and unlabelled (8-15).  Each video's k neighbors are its
+        # cluster, so no edge may cross the gap
+        vals = np.concatenate([rng.uniform(0.1, 0.3, (8, 3)), rng.uniform(0.7, 0.9, (8, 3))])
+        prior = rng.uniform(0.1, 1.0, 3)
+        W0 = np.tile(prior / prior.sum(), (16, 1))
+        f0 = row_scores(W0, vals)
+        cands = candidate_neighbors(vals, 10)
+        D = np.square(f0[:, None] - f0[cands])
+        gammas = np.array([gamma_for_k(d, 7) for d in D])
+        nb = NeighborMatrix(candidates=cands, probs=update_neighbor_rows(D, gammas), gamma=gammas)
+        labels = PseudoLabels(positives=(0, 1, 2, 3), negatives=(4, 5, 6, 7))
+        return _matrix(vals, l=8), labels, nb, W0, float(rng.uniform(0.5, 3.0))
+
     @pytest.mark.parametrize("cap", [None, 1.0])
     def test_unlabelled_component_keeps_input_level(self, cap):
         # any constant is optimal on a component without pseudo labels; the
         # step keeps the input mean (clipped to the component's boxes)
         rng = np.random.default_rng(64)
-        for _ in range(10):
-            S, labels, nb, W0, lam = self._split_instance(rng)
+        cases = [self._split_instance(rng) for _ in range(10)]
+        for S, labels, nb, W0, lam in cases + [self._fit_graph_instance(rng)]:
             f0, hi = _step_inputs(S, W0, cap)
             f = update_scores(f0, nb, labels, lam, hi, tol=1e-12)
             want = min(float(f0[8:].mean()), float(hi[8:].min()))
@@ -772,7 +788,7 @@ class TestLaplacian:
     @staticmethod
     def _graphs(rng):
         # edge lists with mutual, zero-probability and 1e-17 edges, each
-        # with three edge sets: every edge, a_ij > 0 and a random subset
+        # as drawn and with a random subset of its edges set to 0
         for _ in range(200):
             n = int(rng.integers(2, 30))
             k = int(rng.integers(1, min(6, n - 1) + 1))
@@ -782,21 +798,18 @@ class TestLaplacian:
             probs = rng.dirichlet(np.ones(k), size=n)
             probs[rng.uniform(size=(n, k)) < 0.2] = 0.0
             probs[rng.uniform(size=(n, k)) < 0.1] = 1e-17
-            nb = NeighborMatrix(candidates=cands, probs=probs, gamma=np.ones(n))
-            for edge in (np.ones((n, k), dtype=bool), probs > 0.0, rng.uniform(size=(n, k)) < 0.7):
-                kept = NeighborMatrix(
-                    candidates=cands, probs=np.where(edge, probs, 0.0), gamma=nb.gamma
-                )
-                yield nb, edge, 4.0 * dense_laplacian(kept)
+            for kept in (probs, np.where(rng.uniform(size=(n, k)) < 0.7, probs, 0.0)):
+                nb = NeighborMatrix(candidates=cands, probs=kept, gamma=np.ones(n))
+                yield nb, 4.0 * dense_laplacian(nb)
 
     def test_every_row_free_is_exact(self):
         rng = np.random.default_rng(75)
         mutual = 0
-        for nb, edge, want in self._graphs(rng):
+        for nb, want in self._graphs(rng):
             n = nb.n_rows
-            np.testing.assert_array_equal(composer._laplacian(nb, np.arange(n), edge), want)
+            np.testing.assert_array_equal(composer._laplacian(nb, np.arange(n)), want)
             A = np.zeros((n, n), dtype=bool)
-            A[np.arange(n)[:, None], nb.candidates] = edge
+            A[np.arange(n)[:, None], nb.candidates] = nb.probs > 0.0
             mutual += int(np.sum(A & A.T))
         assert mutual > 0
 
@@ -804,10 +817,10 @@ class TestLaplacian:
         # the edges to pinned rows move into the diagonal, which then sums
         # its terms in another order
         rng = np.random.default_rng(76)
-        for nb, edge, want in self._graphs(rng):
+        for nb, want in self._graphs(rng):
             n = nb.n_rows
             free = np.flatnonzero(rng.uniform(size=n) < 0.7)
-            got = composer._laplacian(nb, free, edge)
+            got = composer._laplacian(nb, free)
             np.testing.assert_allclose(got, want[np.ix_(free, free)], rtol=1e-15, atol=0.0)
 
 
@@ -943,7 +956,7 @@ class TestFit:
         rng = np.random.default_rng(48)
         S, labels = self._normalized_instance(rng)
         w_prior = rng.uniform(0.1, 1.0, S.n_concepts)
-        cfg = CompositionConfig(max_outer_iters=1, k_candidates=5, max_inner_iters=10)
+        cfg = CompositionConfig(max_outer_iters=1, k_candidates=5)
         res = fit(S, labels, w_prior, cfg)
         expected = row_scores(
             np.tile(w_prior * (1.0 / w_prior.sum()), (S.n_videos, 1)), S.values
@@ -961,7 +974,7 @@ class TestFit:
         rng = np.random.default_rng(49)
         for _ in range(5):
             S, labels = self._normalized_instance(rng)
-            cfg = CompositionConfig(max_outer_iters=6, k_candidates=5, max_inner_iters=60)
+            cfg = CompositionConfig(max_outer_iters=6, k_candidates=5)
             res = fit(S, labels, np.ones(S.n_concepts), cfg)
             trace = np.array(res.objective_trace)
             assert np.all(np.diff(trace) <= 1e-10)
@@ -970,9 +983,7 @@ class TestFit:
     def test_scores_recomputed_from_weights(self, cap):
         rng = np.random.default_rng(50)
         S, labels = self._normalized_instance(rng)
-        cfg = CompositionConfig(
-            weight_cap=cap, max_outer_iters=3, k_candidates=5, max_inner_iters=40
-        )
+        cfg = CompositionConfig(weight_cap=cap, max_outer_iters=3, k_candidates=5)
         res = fit(S, labels, np.ones(S.n_concepts), cfg)
         np.testing.assert_array_equal(res.scores, row_scores(res.weights, S.values))
 
@@ -981,9 +992,7 @@ class TestFit:
         # the derived weights are feasible, with or without the cap
         rng = np.random.default_rng(51)
         S, labels = self._normalized_instance(rng, n_max=12)
-        cfg = CompositionConfig(
-            weight_cap=cap, max_outer_iters=3, k_candidates=5, max_inner_iters=40
-        )
+        cfg = CompositionConfig(weight_cap=cap, max_outer_iters=3, k_candidates=5)
         res = fit(S, labels, np.ones(S.n_concepts), cfg)
         assert np.all(res.weights >= 0.0)
         if cap is not None:
@@ -1006,18 +1015,20 @@ class TestFit:
         assert res.iterations == iters
         assert len(calls) == 1
 
-    def test_uncertified_last_step_is_not_converged(self):
+    def test_uncertified_last_step_is_not_converged(self, monkeypatch):
         # one interior-point iteration certifies no step, and the fit stalls
         # well before its iteration cap
         rng = np.random.default_rng(53)
         S, labels = self._normalized_instance(rng)
-        cfg = CompositionConfig(k_candidates=5, max_inner_iters=1)
-        res = fit(S, labels, np.ones(S.n_concepts), cfg)
+        cfg = CompositionConfig(k_candidates=5)
+        with monkeypatch.context() as patch:
+            patch.setattr(composer, "WEIGHT_STEP_MAX_ITERS", 1)
+            res = fit(S, labels, np.ones(S.n_concepts), cfg)
         assert res.iterations < cfg.max_outer_iters
         assert res.converged is False
         gaps = [w for w in res.warnings if "certified gap" in w]
         assert res.uncertified_steps == len(gaps) == res.iterations
-        certified = fit(S, labels, np.ones(S.n_concepts), CompositionConfig(k_candidates=5))
+        certified = fit(S, labels, np.ones(S.n_concepts), cfg)
         assert certified.converged and certified.uncertified_steps == 0
 
     def test_two_videos_fit(self):

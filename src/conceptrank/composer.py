@@ -33,13 +33,14 @@ a_ij > 0 (the neighbor step leaves no rounding-level ones): P, its
 Laplacian on the free scores, is built from the edge list once per step
 (``_laplacian``), so no n x n adjacency is formed, and its components are
 labelled once (``_components``).  Each dense matrix the step factors (every
-Newton system on the kept scores, the eliminated block of P, and the
-certificate's copy of P, grounded on one row of each flat component, once
-per weight step) goes through
-``_cholesky_inverse``, a recursive block Cholesky that does its work in
-matrix products and overwrites the matrix with its inverse factor, so a
-step holds P, the certificate's factor, the Schur complement and one Newton
-matrix or factor; there is no eigendecomposition.
+Newton system on the kept scores, the eliminated block of P, and, for the
+certificate, the Schur complement on the kept scores grounded on one row of
+each flat component) goes through ``_cholesky_inverse``, a recursive block
+Cholesky that does its work in matrix products and overwrites the matrix
+with its inverse factor.  So a step holds P, the eliminated block's factor,
+the Schur complement and its grounded factor, and one Newton matrix or
+factor; no factor spans every free score, and there is no
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -332,11 +333,12 @@ def _laplacian(neighbors: NeighborMatrix, free: np.ndarray) -> np.ndarray:
 
 def _harmonic_split(
     P: np.ndarray, kept: np.ndarray, top: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(B, H, w, S): the rows of P to keep, the rows to eliminate as the
-    harmonic extension  f_H = w f_B  of the kept ones, and the Schur
-    complement  S = P_BB + P_BH w,  the curvature of  f'Pf / 2  in f_B once
-    f_H is eliminated (a Kron reduction).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(B, H, w, S, Li): the rows of P to keep, the rows to eliminate as the
+    harmonic extension  f_H = w f_B  of the kept ones, the Schur complement
+    S = P_BB + P_BH w,  the curvature of  f'Pf / 2  in f_B once f_H is
+    eliminated (a Kron reduction), and the inverse Cholesky factor Li of
+    P_HH, with which the certificate measures the eliminated rows.
 
     ``kept`` masks the rows that must be kept; ``top`` is each row's box top.
     For a row that meets no term but P's, the best score given f_B is
@@ -350,13 +352,13 @@ def _harmonic_split(
     moves to B, and w is built again, with one factor of P_HH, until no row
     moves.  The QP over f_B with curvature S then has the same optimal
     value as the QP over every row.  If P_HH cannot be factored, every row
-    is kept.
+    is kept, and S is P itself.
     """
     kept = kept.copy()
     while True:
         B, H = np.flatnonzero(kept), np.flatnonzero(~kept)
         if H.shape[0] == 0:
-            return B, H, np.zeros((0, B.shape[0])), P
+            return B, H, np.zeros((0, B.shape[0])), P, np.zeros((0, 0))
         try:
             Li = _cholesky_inverse(P[np.ix_(H, H)])
         except np.linalg.LinAlgError:
@@ -371,31 +373,56 @@ def _harmonic_split(
         if not np.any(move):
             S = P[np.ix_(B, B)]
             S -= G.T @ G
-            return B, H, w, S
+            return B, H, w, S, Li
         kept[H[move]] = True
 
 
-class _WeightSubproblem:
-    """Smoothness + push objective for fixed neighbor probabilities, with
-    the quadratic term of its QP on the free scores and what the
-    certificate (``_ScoreQP.gap``) needs of it.
+class _ScoreQP:
+    """The weight step for fixed neighbor probabilities, as a QP over
+    x = (f_free, t, xi).
 
-    ``free`` holds the videos whose score box is not [0, 0].  The step
-    sees one edge set, the edges with a_ij > 0: P = 4 L[free, free]
+    Every hinge  (1 - f_{p_i} + f_{n_j})_+  grows with f_{n_j}, so the push
+    loss  max_j mean_i (1 - f_{p_i} + f_{n_j})_+  is the mean hinge of each
+    positive against the top negative alone (Li, Jin & Zhou, *Top Rank
+    Optimization in Linear Time*, NIPS 2014).  The QP minimizes
+    1/2 f'Sf + lin'x + const  over the kept free scores f, the level t of
+    the top negative and one hinge slack xi_i per clipped positive, subject
+    to  lo <= x <= up  and the rows
+
+      f_{n_j} - t <= 0                                 (each negative j)
+      t - f_{p_i} - xi_i <= -1,  xi_i >= 0             (i in C)
+
+    Videos whose score box is [0, 0] are pinned and left out (``free``
+    holds the others), and a box without a top (no cap) is closed at n
+    (see ``update_scores``).  Positives whose score cannot exceed 1 never
+    clip their hinges against the nonnegative level t, so those hinges
+    enter linearly: U is the set of those positives, C the others,
+    a = |U|/p, and the objective is
+    2 f'Lf - (lam/p) sum_U f + lam a t + (lam/p) sum_C xi + lam a.  With
+    the default cap and scores in [0, 1], C is empty and x = (f, t).
+
+    The step sees one edge set, the edges with a_ij > 0: P = 4 L[free, free]
     (``_laplacian``), and ``group`` labels the components of that graph
-    over every video (``_components``), for ``_ScoreQP`` and
-    ``_nearest_shift`` as well as the certificate; ``labelled`` marks the
-    pseudo-labelled videos.  The certificate bounds how far a convex
-    quadratic with Hessian P falls over the score box.  The null space of P
-    is spanned by the indicators of the flat components: those that hold no
-    pinned video (not free).  Grounding one row of each in a copy of P
-    (``ground``: its row and column zeroed, 1 on the diagonal) leaves a
-    positive definite matrix, which its inverse Cholesky factor Li
-    (``_cholesky_inverse``, once per step) overwrites.  For r_c orthogonal
-    to the null space, the grounded system with r_c's grounded entries
-    zeroed solves  P y = r_c  up to a constant on each flat component,
-    which r_c does not see, so  r_c' P^+ r_c = |Li r_c|^2  with those
-    entries zeroed.
+    over every video (``_components``); ``labelled`` marks the
+    pseudo-labelled videos.  A free score's component is flat when it holds
+    no pinned video: ``flat`` lists those free rows, ``member`` numbers
+    their components and ``size`` counts them.  Their indicators span the
+    null space of P.  x holds only the kept scores f_B: the pseudo-labelled
+    ones, those of flat components without a pseudo label (whose level P
+    does not fix, so they would make P_HH singular), and each unlabelled
+    score whose harmonic extension could reach its box
+    (``_harmonic_split``).  Every other free score meets only the graph
+    term, so it is eliminated as  f_H = w f_B,  S is the Schur complement
+    of P on f_B, and nf counts the kept scores.  The lift of a strictly
+    feasible f_B lies strictly inside the eliminated boxes, so they never
+    bind, and the QP over x has the optimal value of the QP over every free
+    score.  ``gap`` certifies the lifted point (``lift``) against that full
+    QP, with P as it is: the bound holds at any strictly feasible
+    primal-dual point, wherever it came from.
+
+    The rows are never formed as a matrix.  Each slack sits in one hinge
+    row, so ``newton`` eliminates the slacks and factors only an
+    (nf + 1) x (nf + 1) system.
     """
 
     def __init__(
@@ -403,127 +430,62 @@ class _WeightSubproblem:
         neighbors: NeighborMatrix,
         labels: PseudoLabels,
         lambda_push: float,
-        free: np.ndarray,
+        hi: np.ndarray,
     ):
-        self.neighbors = neighbors
-        self.labels = labels
-        self.pos = np.asarray(labels.positives)
-        self.neg = np.asarray(labels.negatives)
-        self.lam = float(lambda_push)
-        self.free = free
-        self.P = _laplacian(neighbors, free)
-        group = self.group = _components(neighbors)
-        self.labelled = np.zeros(group.shape[0], dtype=bool)
-        self.labelled[self.pos] = self.labelled[self.neg] = True
-        pinned = np.zeros(group.shape[0], dtype=bool)  # components with a pinned video
-        pinned[np.delete(group, free)] = True
-        flat = ~pinned[group[free]]
-        self.flat = np.flatnonzero(flat)
-        _, first, self.member = np.unique(
-            group[free][flat], return_index=True, return_inverse=True
-        )
-        self.size = np.bincount(self.member)
-        self.ground = self.flat[first]
-        Pg = self.P.copy()
-        Pg[self.ground, :] = 0.0
-        Pg[:, self.ground] = 0.0
-        Pg[self.ground, self.ground] = 1.0
-        try:
-            self.Li = _cholesky_inverse(Pg)
-        except np.linalg.LinAlgError:
-            # an edge can be weak enough to make the grounded P numerically
-            # singular; the certificate then uses only the linear bound,
-            # which needs no factor
-            self.Li = None
-
-    def value(self, f: np.ndarray) -> float:
-        """Smoothness + push at the scores f, in the objective's arithmetic."""
-        push = push_loss_from_scores(f, self.labels)
-        return smoothness_value(f, self.neighbors) + self.lam * push
-
-    def split(self, r: np.ndarray) -> tuple[np.ndarray, float]:
-        """(flat, curved): the projection of r onto the null space of P
-        (its mean on each flat component) and  r_c' P^+ r_c / 2  for the
-        rest r_c = r - flat (inf when the grounded P could not be
-        factored)."""
-        flat = np.zeros_like(r)
-        means = np.bincount(self.member, weights=r[self.flat], minlength=self.size.shape[0])
-        flat[self.flat] = (means / self.size)[self.member]
-        if self.Li is None:
-            return flat, np.inf
-        r_c = r - flat
-        r_c[self.ground] = 0.0
-        return flat, 0.5 * float(np.sum(np.square(self.Li @ r_c)))
-
-
-class _ScoreQP:
-    """The weight step as a QP over x = (f_free, t, xi).
-
-    Every hinge  (1 - f_{p_i} + f_{n_j})_+  grows with f_{n_j}, so the push
-    loss  max_j mean_i (1 - f_{p_i} + f_{n_j})_+  is the mean hinge of each
-    positive against the top negative alone (Li, Jin & Zhou, *Top Rank
-    Optimization in Linear Time*, NIPS 2014).  The QP minimizes
-    1/2 f'Pf + lin'x + const  over the free scores f, the level t of the top
-    negative and one hinge slack xi_i per clipped positive, subject to
-    lo <= x <= up  and the rows
-
-      f_{n_j} - t <= 0                                 (each negative j)
-      t - f_{p_i} - xi_i <= -1,  xi_i >= 0             (i in C)
-
-    Videos whose score box is [0, 0] are left out of x, and a box without
-    a top (no cap) is closed at n (see ``update_scores``).  Positives whose
-    score cannot exceed 1 never clip their hinges against the nonnegative
-    level t, so those hinges enter linearly: U is the set of those
-    positives, C the others, a = |U|/p, and the objective is
-    2 f'Lf - (lam/p) sum_U f + lam a t + (lam/p) sum_C xi + lam a.  With
-    the default cap and scores in [0, 1], C is empty and x = (f, t).
-
-    x holds only the kept scores f_B: the pseudo-labelled ones, those of
-    flat components without a pseudo label (whose level P does not fix, so
-    they would make P_HH singular), and each unlabelled score whose harmonic
-    extension could reach its box (``_harmonic_split``).  Every other free
-    score meets only the graph term, so it is eliminated as  f_H = w f_B,
-    P here is the Schur complement of ``prob.P`` on f_B, and nf counts the
-    kept scores.  The lift of a strictly feasible f_B lies strictly inside
-    the eliminated boxes, so they never bind, and the QP over x has the
-    optimal value of the QP over every free score.  ``gap`` certifies the
-    lifted point (``lift``) against that full QP, with ``prob.P`` and the
-    certificate's factor as they are: the bound holds at any strictly
-    feasible primal-dual point, wherever it came from.
-
-    The rows are never formed as a matrix.  Each slack sits in one hinge
-    row, so ``newton`` eliminates the slacks and factors only an
-    (nf + 1) x (nf + 1) system.  ``prob`` fixes the free set,
-    ``prob.free``, where ``hi`` must be positive.
-    """
-
-    def __init__(self, prob: _WeightSubproblem, hi: np.ndarray):
         self.n = hi.shape[0]
         hi = np.where(np.isinf(hi), float(self.n), hi)
-        self.free = prob.free
-        pos, neg = prob.pos, prob.neg
-        self.top = hi[self.free]
-        kept = prob.labelled[self.free]
+        self.neighbors = neighbors
+        self.labels = labels
+        pos = self.pos = np.asarray(labels.positives)
+        neg = self.neg = np.asarray(labels.negatives)
+        self.lam = float(lambda_push)
+        free = self.free = np.flatnonzero(hi > 0.0)
+        self.top = hi[free]
+        self.P = _laplacian(neighbors, free)
+        group = self.group = _components(neighbors)
+        self.labelled = np.isin(np.arange(self.n), np.concatenate([pos, neg]))
+        # a flat component holds no pinned video
+        flat = ~np.isin(group[free], np.delete(group, free))
+        self.flat = np.flatnonzero(flat)
+        self.member = np.unique(group[free][flat], return_inverse=True)[1]
+        self.size = np.bincount(self.member)
+        kept = self.labelled[free]
         # a flat component without a pseudo label meets P_HH as a singular block
-        held = np.bincount(prob.member, weights=kept[prob.flat], minlength=prob.size.shape[0])
-        kept[prob.flat[held[prob.member] == 0.0]] = True
-        self.keep, self.drop, self.w, self.P = _harmonic_split(prob.P, kept, self.top)
+        held = np.bincount(self.member, weights=kept[self.flat], minlength=self.size.shape[0])
+        kept[self.flat[held[self.member] == 0.0]] = True
+        self.keep, self.drop, self.w, self.S, self.Li_H = _harmonic_split(
+            self.P, kept, self.top
+        )
         nf = self.nf = self.keep.shape[0]
         col = np.full(self.n, -1)
-        col[self.free[self.keep]] = np.arange(nf)
+        col[free[self.keep]] = np.arange(nf)
+        # the certificate's factor: S grounded on one kept row of each flat
+        # component (``split``); each has one, its pseudo labels or all of it
+        at = col[free[self.flat]]
+        first = np.unique(self.member[at >= 0], return_index=True)[1]
+        self.ground = at[at >= 0][first]
+        Sg = self.S.copy()
+        Sg[self.ground, :] = 0.0
+        Sg[:, self.ground] = 0.0
+        Sg[self.ground, self.ground] = 1.0
+        try:
+            self.Li_S = _cholesky_inverse(Sg)
+        except np.linalg.LinAlgError:
+            # an edge can be weak enough to make the grounded S numerically
+            # singular; the certificate then uses only the linear bound,
+            # which needs no factor
+            self.Li_S = None
         p = pos.shape[0]
         n_epi = self.n_epi = neg.shape[0]
         clip = hi[pos] > 1.0
         unclipped, clipped = pos[~clip], pos[clip]
         n_clip = clipped.shape[0]
         a = unclipped.shape[0] / p
-        self.lam = prob.lam
-        self.const = prob.lam * a  # also the cost of t
-        self.slack_cost = prob.lam / p
+        self.const = self.lam * a  # also the cost of t
+        self.slack_cost = self.lam / p
         self.t = nf
         nx = nf + 1 + n_clip
 
-        self.prob = prob
         self.lin = np.zeros(nx)
         linear = unclipped[col[unclipped] >= 0]
         self.lin[col[linear]] = -self.slack_cost
@@ -536,6 +498,37 @@ class _ScoreQP:
         self.hp = col[clipped]
         self.n_free = col[neg] >= 0
         self.hn = col[neg[self.n_free]]
+
+    def value(self, f: np.ndarray) -> float:
+        """Smoothness + push at the scores f, in the objective's arithmetic."""
+        push = push_loss_from_scores(f, self.labels)
+        return smoothness_value(f, self.neighbors) + self.lam * push
+
+    def split(self, r: np.ndarray) -> tuple[np.ndarray, float]:
+        """(flat, curved) for r over the free scores: the projection of r
+        onto the null space of P (its mean on each flat component) and
+        r_c' P^+ r_c / 2  for the rest r_c = r - flat (inf when the
+        grounded S could not be factored).
+
+        Block elimination of  P y = r_c  over (f_B, f_H) gives
+          r_c' P^+ r_c = |Li_H r_H|^2 + r^' S^+ r^,   r^ = r_B + w' r_H,
+        with r_B and r_H the kept and eliminated rows of r_c.  r^ is
+        orthogonal to the null space of S, as r_c is to that of P, so with
+        its grounded entries zeroed the grounded system solves  S y = r^
+        up to a constant on each flat component, which r^ does not see:
+        r^' S^+ r^ = |Li_S r^|^2.
+        """
+        flat = np.zeros_like(r)
+        means = np.bincount(self.member, weights=r[self.flat], minlength=self.size.shape[0])
+        flat[self.flat] = (means / self.size)[self.member]
+        if self.Li_S is None:
+            return flat, np.inf
+        r_c = r - flat
+        r_h = r_c[self.drop]
+        r_hat = r_c[self.keep] + self.w.T @ r_h
+        r_hat[self.ground] = 0.0
+        curved = np.sum(np.square(self.Li_H @ r_h)) + np.sum(np.square(self.Li_S @ r_hat))
+        return flat, 0.5 * float(curved)
 
     def rows(self, x: np.ndarray) -> np.ndarray:
         """The row values A x (compared against ``b``)."""
@@ -558,20 +551,20 @@ class _ScoreQP:
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         g = self.lin.copy()
-        g[: self.nf] += self.P @ x[: self.nf]
+        g[: self.nf] += self.S @ x[: self.nf]
         return g
 
     def objective(self, x: np.ndarray) -> float:
         f = x[: self.nf]
-        return 0.5 * float(f @ (self.P @ f)) + float(self.lin @ x) + self.const
+        return 0.5 * float(f @ (self.S @ f)) + float(self.lin @ x) + self.const
 
     def newton(self, d_rows: np.ndarray, d_diag: np.ndarray):
-        """A function that solves with the Newton matrix  H = P + A' diag(d_rows) A + diag(d_diag).
+        """A function that solves with the Newton matrix  H = S + A' diag(d_rows) A + diag(d_diag).
 
         Each slack sits in one hinge row and its own bound, so eliminating
         it leaves the row acting on (f_{p_i}, t) with the series weight of
         the row and the bound.  Every remaining row is then  +-(f_v - t), so
-        the (f, t) matrix is P plus the diagonal plus each row's weight at
+        the (f, t) matrix is S plus the diagonal plus each row's weight at
         (v, v) and (t, t) and, negated, at (v, t) and (t, v).  H is positive
         semidefinite and nearly singular along directions in which the
         optimum is degenerate (shifting every score and t together changes
@@ -596,18 +589,18 @@ class _ScoreQP:
         # a pinned negative is -t and adds to (t, t) only
         ends = np.concatenate([self.hn, hp])
         c = np.concatenate([d_e[self.n_free], w])
-        S = np.zeros((ny, ny))
-        S[:nf, :nf] = self.P
-        S[np.diag_indices(ny)] += d_diag[:ny]
-        S[ends, ends] += c
-        S[ends, t] -= c
-        S[t, ends] -= c
-        S[t, t] += d_e.sum() + w.sum()
-        d = np.sqrt(np.maximum(np.diag(S), 1e-300))
-        S /= d[:, None]
-        S /= d[None, :]
-        S[np.diag_indices(ny)] += 1e-12
-        Li = _cholesky_inverse(S)
+        K = np.zeros((ny, ny))
+        K[:nf, :nf] = self.S
+        K[np.diag_indices(ny)] += d_diag[:ny]
+        K[ends, ends] += c
+        K[ends, t] -= c
+        K[t, ends] -= c
+        K[t, t] += d_e.sum() + w.sum()
+        d = np.sqrt(np.maximum(np.diag(K), 1e-300))
+        K /= d[:, None]
+        K /= d[None, :]
+        K[np.diag_indices(ny)] += 1e-12
+        Li = _cholesky_inverse(K)
 
         def eliminate(r: np.ndarray) -> np.ndarray:
             r_y = r[:ny].copy()
@@ -620,7 +613,7 @@ class _ScoreQP:
 
         def hmul(v: np.ndarray) -> np.ndarray:
             out = self.rows_t(d_rows * self.rows(v)) + d_diag * v
-            out[:nf] += self.P @ v[:nf]
+            out[:nf] += self.S @ v[:nf]
             return out
 
         def solve(r: np.ndarray) -> np.ndarray:
@@ -670,10 +663,12 @@ class _ScoreQP:
         its value at x over the score box.  That fall is at most the box
         term  f'(r)_+ + (up - f)'(-r)_+  of the linear model, and at most
         r_c'P^+r_c / 2  plus the box term of r_0, where r_0 is the
-        projection of r onto the null space of P (its flat components, see
-        ``_WeightSubproblem``) and r_c the rest; the smaller of the two is
-        used.  The second does not grow with the level of the scores along
-        directions that P does not see.
+        projection of r onto the null space of P (its mean on each flat
+        component) and r_c the rest; the smaller of the two is used.  The
+        second does not grow with the level of the scores along directions
+        that P does not see.  ``split`` computes it from the matrices the
+        step solves with, P_HH's factor and the Schur complement S, so no
+        factor spans every free score.
         """
         nf, n_epi = self.nf, self.n_epi
         f, xi = self.lift(x), x[nf + 1 :]
@@ -684,13 +679,13 @@ class _ScoreQP:
         z = np.maximum(z_a, 0.0)
         z[n_epi:] = np.minimum(z[n_epi:], self.slack_cost)
         z[:n_epi] *= (self.const + z[n_epi:].sum()) / z[:n_epi].sum()
-        r = self.prob.P @ f
+        r = self.P @ f
         r[self.keep] += (self.lin + self.rows_t(z))[:nf]
 
         def box_term(g):
             return float(f @ np.maximum(g, 0.0) + s_up @ np.maximum(-g, 0.0))
 
-        flat, curved = self.prob.split(r)
+        flat, curved = self.split(r)
         fall = min(box_term(r), curved + box_term(flat))
         return float(s_a @ z + xi @ (self.slack_cost - z[n_epi:])) + fall
 
@@ -860,12 +855,11 @@ def _weight_step(f_in, neighbors, labels, lambda_push, hi, max_iters, tol):
     bound is the tolerance it was asked to meet.  One QP is solved, over the
     kept scores (``_ScoreQP``); the scores it eliminates follow as their
     harmonic extension, and the closed-form moves below act on every score."""
-    prob = _WeightSubproblem(neighbors, labels, lambda_push, np.flatnonzero(hi > 0.0))
-    qp = _ScoreQP(prob, hi)
+    qp = _ScoreQP(neighbors, labels, lambda_push, hi)
     x, gap = _interior_point(qp, tol, max_iters)
     bound = tol * max(1.0, abs(qp.objective(x)))
-    f = _nearest_shift(prob, _compress_gaps(qp.scores(x)), f_in, hi)
-    if prob.value(f) <= prob.value(f_in):
+    f = _nearest_shift(qp, _compress_gaps(qp.scores(x)), f_in, hi)
+    if qp.value(f) <= qp.value(f_in):
         return f, gap, bound
     return f_in, gap, bound
 
@@ -911,7 +905,7 @@ def _compress_gaps(f: np.ndarray) -> np.ndarray:
 
 
 def _nearest_shift(
-    prob: _WeightSubproblem,
+    qp: _ScoreQP,
     f: np.ndarray,
     f0: np.ndarray,
     hi: np.ndarray,
@@ -932,7 +926,7 @@ def _nearest_shift(
     them, and moves within the gaps left are not searched.
     """
     n = f.shape[0]
-    group = np.where(np.isin(prob.group, prob.group[prob.labelled]), n, prob.group)
+    group = np.where(np.isin(qp.group, qp.group[qp.labelled]), n, qp.group)
     size = np.bincount(group, minlength=n + 1)
     move = np.bincount(group, weights=f0 - f, minlength=n + 1) / np.maximum(size, 1)
     lo = np.full(n + 1, -np.inf)

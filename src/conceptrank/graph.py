@@ -61,12 +61,19 @@ def gamma_for_k(d: np.ndarray, k: int) -> float:
     ascending-sorted distances.  When ties make support exactly k
     unattainable, k is widened to the end of the tie run and the same
     boundary formula is applied, so the result has the smallest attainable
-    support >= k.  Degenerate (non-positive) values are nudged to 1e-12.
+    support >= k.  Every gamma > 0 gives a row at one distance d the uniform
+    row; it takes gamma = max(d, 1), on the scale of its distances and of
+    normalized scores, so that the projection keeps its digits there and
+    once the distances move apart (a rounding-level gamma leaves rows that
+    are not stochastic).  Other degenerate (non-positive) values are nudged
+    to 1e-12.
     """
     d = np.sort(np.asarray(d, dtype=np.float64))
     n = d.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < {n}, got {k}")
+    if d[0] == d[-1]:
+        return max(float(d[0]), 1.0)
     kk = k
     while kk < n and d[kk] == d[kk - 1]:
         kk += 1

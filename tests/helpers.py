@@ -100,7 +100,7 @@ def neighbor_row(d, gamma):
     return update_neighbor_rows(d[None, :], np.array([gamma], dtype=np.float64))[0]
 
 
-def slsqp_weight_step_value(prob, hi):
+def slsqp_weight_step_value(qp, hi):
     """Optimal weight-step value from scipy's SLSQP, as an independent check.
 
     Solves the pairwise hinge form over (f, t, xi), with one slack per
@@ -114,19 +114,19 @@ def slsqp_weight_step_value(prob, hi):
     from scipy.optimize import minimize
 
     n = hi.shape[0]
-    pos, neg = prob.pos, prob.neg
+    pos, neg = qp.pos, qp.neg
     p, q = pos.shape[0], neg.shape[0]
-    L = dense_laplacian(prob.neighbors)
+    L = dense_laplacian(qp.neighbors)
     top = np.where(np.isfinite(hi), hi, float(n))
 
     def obj(z):
         f = z[:n]
-        return 2.0 * f @ L @ f + prob.lam * z[n]
+        return 2.0 * f @ L @ f + qp.lam * z[n]
 
     def jac(z):
         g = np.zeros(z.shape[0])
         g[:n] = 4.0 * L @ z[:n]
-        g[n] = prob.lam
+        g[n] = qp.lam
         return g
 
     def cons(z):
@@ -144,7 +144,7 @@ def slsqp_weight_step_value(prob, hi):
             constraints=[{"type": "ineq", "fun": cons}],
             method="SLSQP", options={"ftol": 1e-15, "maxiter": 3000},
         )
-        best = min(best, prob.value(np.clip(res.x[:n], 0.0, top)))
+        best = min(best, qp.value(np.clip(res.x[:n], 0.0, top)))
     return best
 
 

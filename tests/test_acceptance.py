@@ -11,12 +11,13 @@ import time
 import numpy as np
 import pytest
 
+from conceptrank import composer
 from conceptrank.cli import main
 from conceptrank.composer import (
     CompositionConfig,
     ScoreMatrix,
+    _ScoreQP,
     _weight_step,
-    _WeightSubproblem,
     fit,
     fuse_supervised,
     normalize_scores,
@@ -153,11 +154,11 @@ def test_solver_cross_validation():
     for _ in range(100):
         S, labels, neighbors, W0, lam = random_instance(rng, n_max=30, m_max=5)
         hi = score_box_top(S.values, 1.0)
-        prob = _WeightSubproblem(neighbors, labels, lam, np.flatnonzero(hi > 0.0))
+        qp = _ScoreQP(neighbors, labels, lam, hi)
         f0 = np.minimum(row_scores(W0, S.values), hi)
         f, gap, bound = _weight_step(f0, neighbors, labels, lam, hi, 60, 1e-10)
-        want = slsqp_weight_step_value(prob, hi)
-        worst = max(worst, abs(prob.value(f) - want))
+        want = slsqp_weight_step_value(qp, hi)
+        worst = max(worst, abs(qp.value(f) - want))
         uncertified += gap > bound
     elapsed = time.perf_counter() - start
     _report(
@@ -173,14 +174,14 @@ def test_smoothness_gradient_check():
     worst = 0.0
     for _ in range(100):
         S, labels, nb, W0, lam = random_instance(rng, n_max=14, m_max=4)
-        prob = _WeightSubproblem(nb, labels, lam, np.arange(S.n_videos))
+        P = composer._laplacian(nb, np.arange(S.n_videos))
         W = np.maximum(W0 * rng.uniform(0.3, 1.2), 0.0)
 
         def smooth_of_w(Wx):
             return smoothness_value(row_scores(Wx, S.values), nb)
 
         # P is the Hessian of the smoothness term, so P f its gradient
-        analytic = (prob.P @ row_scores(W, S.values))[:, None] * S.values
+        analytic = (P @ row_scores(W, S.values))[:, None] * S.values
         numeric = finite_diff_gradient(smooth_of_w, W, h=1e-6)
         rel = np.linalg.norm(numeric - analytic) / max(1.0, np.linalg.norm(analytic))
         worst = max(worst, float(rel))

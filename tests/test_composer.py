@@ -11,7 +11,6 @@ from conceptrank.composer import (
     _initial_row,
     _interior_point,
     _ScoreQP,
-    _WeightSubproblem,
     final_weights,
     fit,
     fuse_supervised,
@@ -49,11 +48,6 @@ def _step_inputs(S, W0, cap):
     """Input scores of a weight step from a weight matrix, and the box top."""
     hi = score_box_top(S.values, cap)
     return np.minimum(row_scores(W0, S.values), hi), hi
-
-
-def _subproblem(nb, labels, lam, hi):
-    """The weight step's subproblem on the videos whose box is not [0, 0]."""
-    return _WeightSubproblem(nb, labels, lam, np.flatnonzero(hi > 0.0))
 
 
 def _keep_every_row(monkeypatch):
@@ -226,14 +220,14 @@ class TestReferenceSolver:
         lam, cap = 20.0, 2.0
         f0, hi = _step_inputs(S, np.full((2, 1), 0.5), cap)
         f = update_scores(f0, nb, labels, lam, hi, max_iters=400)
-        prob = _subproblem(nb, labels, lam, hi)
+        qp = _ScoreQP(nb, labels, lam, hi)
         # grid-search oracle over both scores, each across its box
         best = min(
-            prob.value(np.array([fp, fn]))
+            qp.value(np.array([fp, fn]))
             for fp in np.linspace(0.0, hi[0], 201)
             for fn in np.linspace(0.0, hi[1], 201)
         )
-        assert prob.value(f) <= best + 1e-6
+        assert qp.value(f) <= best + 1e-6
         assert push_loss_from_scores(f, labels) <= 1e-9
 
     def test_monotone_contract(self):
@@ -241,10 +235,10 @@ class TestReferenceSolver:
         for _ in range(15):
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=4)
             f0, hi = _step_inputs(S, W0, 1.0)
-            prob = _subproblem(nb, labels, lam, hi)
-            before = prob.value(f0)
+            qp = _ScoreQP(nb, labels, lam, hi)
+            before = qp.value(f0)
             f = update_scores(f0, nb, labels, lam, hi, max_iters=120)
-            assert prob.value(f) <= before + 1e-12
+            assert qp.value(f) <= before + 1e-12
 
     @pytest.mark.parametrize("cap", [1.0, 2.0, None])
     def test_matches_independent_qp_solve(self, cap):
@@ -253,10 +247,10 @@ class TestReferenceSolver:
         for _ in range(8):
             S, labels, nb, W0, lam = random_instance(rng, n_max=14, m_max=3)
             f0, hi = _step_inputs(S, W0, cap)
-            prob = _subproblem(nb, labels, lam, hi)
+            qp = _ScoreQP(nb, labels, lam, hi)
             f = update_scores(f0, nb, labels, lam, hi, tol=1e-10)
-            want = slsqp_weight_step_value(prob, hi)
-            assert prob.value(f) <= want + 1e-8
+            want = slsqp_weight_step_value(qp, hi)
+            assert qp.value(f) <= want + 1e-8
 
     @pytest.mark.parametrize("cap", [1.0, 2.0, None])
     def test_certified_gap(self, cap):
@@ -267,17 +261,16 @@ class TestReferenceSolver:
         for _ in range(10):
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=4)
             hi = score_box_top(S.values, cap)
-            prob = _subproblem(nb, labels, lam, hi)
-            qp = _ScoreQP(prob, hi)
+            qp = _ScoreQP(nb, labels, lam, hi)
             x, gap = _interior_point(qp, 1e-10, 100)
-            value = prob.value(qp.scores(x))
+            value = qp.value(qp.scores(x))
             assert gap <= 1e-10 * max(1.0, value)
             # t is at least the top negative score, so the objective bounds the value
             assert value <= qp.objective(x) + 1e-12
             top = np.where(np.isinf(hi), 2.0 * S.n_videos, hi)
             for _ in range(50):
                 f = rng.uniform(0.0, 1.0, hi.shape[0]) * top
-                assert prob.value(f) >= value - gap - 1e-12
+                assert qp.value(f) >= value - gap - 1e-12
 
     @pytest.mark.parametrize("cap", [1.0, 2.0, None])
     def test_gap_bounds_at_any_multipliers(self, cap):
@@ -288,7 +281,7 @@ class TestReferenceSolver:
         for _ in range(10):
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=4)
             hi = score_box_top(S.values, cap)
-            qp = _ScoreQP(_subproblem(nb, labels, lam, hi), hi)
+            qp = _ScoreQP(nb, labels, lam, hi)
             x_opt, _ = _interior_point(qp, 1e-12, 200)
             x = qp.start()[0]
             for _ in range(5):
@@ -307,7 +300,7 @@ class TestReferenceSolver:
         d_diag = rng.uniform(0.1, 10.0, nx)
         d_diag[qp.t] = 0.0
         H = A.T @ (d_rows[:, None] * A) + np.diag(d_diag)
-        H[: qp.nf, : qp.nf] += qp.P
+        H[: qp.nf, : qp.nf] += qp.S
         r = rng.normal(size=nx)
         solve = qp.newton(d_rows, d_diag)
         want = np.linalg.solve(H, r)
@@ -322,7 +315,7 @@ class TestReferenceSolver:
         d_diag = 10.0 ** wide.uniform(-8.0, 8.0, nx)
         d_diag[qp.t] = 0.0
         H = A.T @ (d_rows[:, None] * A) + np.diag(d_diag)
-        H[: qp.nf, : qp.nf] += qp.P
+        H[: qp.nf, : qp.nf] += qp.S
         x = qp.newton(d_rows, d_diag)(r)
         scale = np.linalg.norm(H, 2) * np.linalg.norm(x) + np.linalg.norm(r)
         assert np.linalg.norm(H @ x - r) <= 1e-15 * scale
@@ -336,7 +329,7 @@ class TestReferenceSolver:
                 S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
                 hi = np.full(S.n_videos, top)
                 hi[rng.integers(S.n_videos)] = 0.0
-                qp = _ScoreQP(_subproblem(nb, labels, lam, hi), hi)
+                qp = _ScoreQP(nb, labels, lam, hi)
                 self._check_newton(qp, rng, wide)
 
     def test_newton_matches_dense_system_above_split(self, monkeypatch):
@@ -349,16 +342,19 @@ class TestReferenceSolver:
             S, labels, nb, W0, lam = random_instance(rng, n_min=100, n_max=160, m_max=3)
             hi = np.full(S.n_videos, top)
             hi[rng.integers(S.n_videos)] = 0.0
-            qp = _ScoreQP(_subproblem(nb, labels, lam, hi), hi)
+            qp = _ScoreQP(nb, labels, lam, hi)
             assert qp.nf + 1 > 2 * composer._CHOLESKY_LEAF
             self._check_newton(qp, rng, wide)
 
     def test_curvature_matches_spectrum(self):
         # the certificate's split of r into a flat part and the curvature
-        # term r_c'P^+r_c / 2, against the eigendecomposition of P; blocks
-        # of videos form components, and one pinned video makes its
-        # component curved
+        # term r_c'P^+r_c / 2, computed from the QP's factors of P_HH and
+        # the grounded Schur complement, against the eigendecomposition of
+        # the full P; blocks of videos form components, one pinned video
+        # makes its component curved, and the unlabelled videos of labelled
+        # components are eliminated
         rng = np.random.default_rng(70)
+        eliminated = 0
         for _ in range(10):
             sizes = rng.integers(3, 7, size=int(rng.integers(2, 5)))
             n = int(sizes.sum())
@@ -372,37 +368,50 @@ class TestReferenceSolver:
                 probs[i, :2] = rng.dirichlet(np.ones(2))
             nb = NeighborMatrix(candidates=cands, probs=probs, gamma=np.ones(n))
             rng.uniform(0.0, 1.0, (n, 2))  # the unused score rows, kept in the draws
-            free = np.delete(np.arange(n), rng.integers(n))
-            prob = _WeightSubproblem(nb, PseudoLabels((0, 1), (2, 3)), 1.0, free)
-            assert prob.size.shape[0] >= 1 and prob.flat.shape[0] < free.shape[0]
+            hi = np.ones(n)
+            hi[rng.integers(n)] = 0.0
+            qp = _ScoreQP(nb, PseudoLabels((0, 1), (2, 3)), 1.0, hi)
+            assert qp.size.shape[0] >= 1 and qp.flat.shape[0] < qp.free.shape[0]
+            eliminated += qp.drop.shape[0]
             for _ in range(5):
-                r = rng.normal(size=free.shape[0])
-                flat, curved = prob.split(r)
-                flat_ref, curved_ref = eigen_curvature_split(prob.P, r)
+                r = rng.normal(size=qp.free.shape[0])
+                flat, curved = qp.split(r)
+                flat_ref, curved_ref = eigen_curvature_split(qp.P, r)
                 np.testing.assert_allclose(flat, flat_ref, atol=1e-10)
                 np.testing.assert_allclose(curved, curved_ref, rtol=1e-8)
+        assert eliminated > 0
 
     def test_certificate_without_curvature_factor(self, monkeypatch):
-        # when the grounded P cannot be factored, the certificate keeps
-        # only the linear bound, which is still a bound
+        # when the grounded Schur complement cannot be factored, the
+        # certificate keeps only the linear bound, which is still a bound
         rng = np.random.default_rng(71)
         S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
         hi = score_box_top(S.values, 1.0)
+        split, factor = composer._harmonic_split, composer._cholesky_inverse
+        done = []
 
-        def singular(A):
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        def split_once(*args):
+            out = split(*args)
+            done.append(True)
+            return out
+
+        def singular_after_split(A):
+            # the only factor after the split is the grounded Schur complement
+            if done:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return factor(A)
 
         with monkeypatch.context() as patch:
-            patch.setattr(composer, "_cholesky_inverse", singular)
-            prob = _subproblem(nb, labels, lam, hi)
-        assert prob.Li is None
-        qp = _ScoreQP(prob, hi)
+            patch.setattr(composer, "_harmonic_split", split_once)
+            patch.setattr(composer, "_cholesky_inverse", singular_after_split)
+            qp = _ScoreQP(nb, labels, lam, hi)
+        assert qp.Li_S is None
         x, gap = _interior_point(qp, 1e-10, 100)
-        value = prob.value(qp.scores(x))
+        value = qp.value(qp.scores(x))
         assert np.isfinite(gap)
         for _ in range(50):
             f = rng.uniform(0.0, 1.0, hi.shape[0]) * hi
-            assert prob.value(f) >= value - gap - 1e-12
+            assert qp.value(f) >= value - gap - 1e-12
 
     @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
     def test_graph_matrices_built_once_per_step(self, cap, monkeypatch):
@@ -432,13 +441,14 @@ class TestReferenceSolver:
 
     @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
     def test_weight_step_heap_ceiling(self, cap, monkeypatch):
-        # P and the certificate's factor, then the eliminated block's
-        # factor, the harmonic weights and the Schur complement, or one
-        # Newton matrix on the kept scores and its factor's half-size
-        # products: 3.5 (capped) and 3.3 (uncapped) dense (nf + 1)^2 arrays
-        # traced above the heap at entry on this draw, and 3.7 with every
-        # score kept; a factor written beside its input, or the previous
-        # Newton factor kept alive, adds up to one more array each
+        # P, the eliminated block's factor, the harmonic weights, the Schur
+        # complement and its grounded factor, then one Newton matrix on the
+        # kept scores and its factor's half-size products: 2.55 (capped) and
+        # 2.29 (uncapped) dense (nf + 1)^2 arrays traced above the heap at
+        # entry on this draw, and 3.7 with every score kept; a factor of P
+        # over every free score for the certificate, as the step once built,
+        # gave 3.5 and 3.3.  A factor written beside its input, or the
+        # previous Newton factor kept alive, adds up to one more array each
         rng = np.random.default_rng(81)
         S, labels, nb, W0, lam = random_instance(rng, n_min=320, n_max=320, m_max=3)
         f0, hi = _step_inputs(S, W0, cap)
@@ -454,7 +464,7 @@ class TestReferenceSolver:
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-            assert peak / (8.0 * (nf + 1) ** 2) <= 4.5
+            assert peak / (8.0 * (nf + 1) ** 2) <= (4.5 if keep_all else 3.0)
 
     def test_uncertified_step_warns(self):
         rng = np.random.default_rng(65)
@@ -474,11 +484,11 @@ class TestReferenceSolver:
         return NeighborMatrix(candidates=cands, probs=update_neighbor_rows(D, gammas), gamma=gammas)
 
     def test_subproblem_heap_ceiling_on_one_component(self):
-        # P, its grounded copy and the factor that overwrites the copy, with
-        # little beside them: 2.66 dense (nf + 1)^2 arrays traced on this
-        # draw, whose edges join every video.  A dense copy of the flat
-        # component's block, as a projector added with np.ix_ makes, adds
-        # half an array or more
+        # P, the eliminated block's factor, the Schur complement on the 120
+        # labelled scores and its grounded factor, with little beside them:
+        # 2.28 dense (nf + 1)^2 arrays traced on this draw, whose edges join
+        # every video.  A dense copy of the flat component's block, as a
+        # projector added with np.ix_ makes, adds half an array or more
         rng = np.random.default_rng(83)
         n = 320
         vals = rng.uniform(0.0, 1.0, (n, 4))
@@ -491,17 +501,17 @@ class TestReferenceSolver:
         assert np.all(composer._components(nb) == 0)
         tracemalloc.start()  # traces only what is allocated from here on
         try:
-            prob = _WeightSubproblem(nb, labels, 1.0, np.arange(n))
+            qp = _ScoreQP(nb, labels, 1.0, np.ones(n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert prob.Li is not None and prob.size.tolist() == [n]
+        assert qp.Li_S is not None and qp.size.tolist() == [n]
         assert peak / (8.0 * (n + 1) ** 2) <= 2.9
 
-    def test_newton_systems_skip_eliminated_scores(self, monkeypatch):
-        # at the CLI's 20/100 labels on 320 capped videos, the unlabelled
-        # scores that stay inside their boxes are eliminated, so no Newton
-        # system spans every free score and t
+    @classmethod
+    def _cli_step(cls):
+        """A capped weight step's inputs at the CLI's 20/100 labels on 320
+        videos, and the count of free scores."""
         rng = np.random.default_rng(88)
         n = 320
         vals = rng.uniform(0.0, 1.0, (n, 4))
@@ -510,9 +520,15 @@ class TestReferenceSolver:
             positives=tuple(int(i) for i in perm[:20]),
             negatives=tuple(int(i) for i in perm[20:120]),
         )
-        nb = self._cli_graph(vals)
         hi = score_box_top(vals, 1.0)
-        nf = int(np.count_nonzero(hi > 0.0))
+        step = (vals.mean(axis=1), cls._cli_graph(vals), labels, 1.0, hi)
+        return step, int(np.count_nonzero(hi > 0.0))
+
+    def test_newton_systems_skip_eliminated_scores(self, monkeypatch):
+        # at the CLI's 20/100 labels on 320 capped videos, the unlabelled
+        # scores that stay inside their boxes are eliminated, so no Newton
+        # system spans every free score and t
+        step, nf = self._cli_step()
         sides = []
         newton = composer._ScoreQP.newton
 
@@ -521,9 +537,26 @@ class TestReferenceSolver:
             return newton(qp, d_rows, d_diag)
 
         monkeypatch.setattr(composer._ScoreQP, "newton", spy)
-        f, gap, bound = composer._weight_step(vals.mean(axis=1), nb, labels, 1.0, hi, 500, 1e-9)
+        f, gap, bound = composer._weight_step(*step, 500, 1e-9)
         assert nf >= 300 and gap <= bound
         assert sides and max(sides) < nf + 1
+
+    def test_no_factor_spans_every_free_score(self, monkeypatch):
+        # the certificate measures the eliminated scores with P_HH's factor
+        # and the kept ones with the grounded Schur complement's, so no
+        # matrix the step factors has a row for every free score
+        step, nf = self._cli_step()
+        sides = []
+        factor = composer._cholesky_inverse
+
+        def spy(A):
+            sides.append(A.shape[0])
+            return factor(A)
+
+        monkeypatch.setattr(composer, "_cholesky_inverse", spy)
+        f, gap, bound = composer._weight_step(*step, 500, 1e-9)
+        assert nf >= 300 and gap <= bound
+        assert sides and max(sides) < nf
 
     @pytest.mark.parametrize("cap", [None, 2.0])
     def test_clip_regime_at_cli_label_counts(self, cap):
@@ -548,7 +581,7 @@ class TestReferenceSolver:
         )
         nb = self._cli_graph(vals)
         hi = score_box_top(vals, cap)
-        qp = _ScoreQP(_subproblem(nb, labels, 1.0, hi), hi)
+        qp = _ScoreQP(nb, labels, 1.0, hi)
         assert qp.lin.shape[0] - (qp.nf + 1) == 20
         assert qp.b.shape[0] == 120
         x, gap = _interior_point(qp, 1e-9, 500)
@@ -612,8 +645,10 @@ class TestReferenceSolver:
         base = [step(*case) for case in cases]
 
         class WideBox(composer._ScoreQP):
-            def __init__(self, prob, hi):
-                super().__init__(prob, np.where(np.isinf(hi), 3.0 * hi.shape[0], hi))
+            def __init__(self, neighbors, labels, lambda_push, hi):
+                super().__init__(
+                    neighbors, labels, lambda_push, np.where(np.isinf(hi), 3.0 * hi.shape[0], hi)
+                )
 
         monkeypatch.setattr(composer, "_ScoreQP", WideBox)
         for case, f in zip(cases, base):
@@ -629,14 +664,13 @@ class TestReferenceSolver:
         S = normalize_scores(S)
         zero = int(np.argmin(S.values[:, 0]))
         f0, hi = _step_inputs(S, W0, None)
-        prob = _subproblem(nb, labels, lam, hi)
         assert hi[zero] == 0.0
         assert np.all(np.isinf(np.delete(hi, zero)))
         f = update_scores(f0, nb, labels, lam, hi, tol=1e-10)
         assert np.all(f >= 0.0) and f[zero] == 0.0
-        qp = _ScoreQP(prob, np.where(np.isinf(hi), float(S.n_videos), hi))
+        qp = _ScoreQP(nb, labels, lam, np.where(np.isinf(hi), float(S.n_videos), hi))
         x, _ = _interior_point(qp, 1e-10, 100)
-        assert prob.value(f) <= qp.objective(x) + 1e-9
+        assert qp.value(f) <= qp.objective(x) + 1e-9
 
     def test_output_feasible(self):
         rng = np.random.default_rng(43)
@@ -671,10 +705,10 @@ class TestHarmonicSplit:
             _keep_every_row(patch)
             g, gap_all, bound_all = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
         assert gap <= bound and gap_all <= bound_all
-        prob = _subproblem(nb, labels, lam, hi)
-        assert abs(prob.value(f) - prob.value(g)) <= gap + gap_all + 1e-12
+        qp = _ScoreQP(nb, labels, lam, hi)
+        assert abs(qp.value(f) - qp.value(g)) <= gap + gap_all + 1e-12
         (rows,) = kept
-        return f, prob.free[rows]
+        return f, qp.free[rows]
 
     @pytest.mark.parametrize("cap", [1.0, 2.0])
     def test_row_that_can_pass_its_top_is_kept(self, cap, monkeypatch):
@@ -717,8 +751,8 @@ class TestHarmonicSplit:
         # rows 1 and 2 meet only each other, so P_HH is singular and cannot
         # be factored: nothing is eliminated
         P = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
-        B, H, w, S = composer._harmonic_split(P, np.array([True, False, False]), np.ones(3))
-        assert B.tolist() == [0, 1, 2] and H.size == 0 and w.shape == (0, 3)
+        B, H, w, S, Li = composer._harmonic_split(P, np.array([True, False, False]), np.ones(3))
+        assert B.tolist() == [0, 1, 2] and H.size == 0 and w.shape == (0, 3) and Li.shape == (0, 0)
         assert S is P
 
     def test_open_box_at_mid_box(self, tmp_path, monkeypatch):
@@ -769,8 +803,7 @@ class TestCompressGaps:
         wide = 0
         for S, labels, nb, W0, lam in cases:
             hi = score_box_top(S.values, None)
-            prob = _subproblem(nb, labels, lam, hi)
-            qp = _ScoreQP(prob, hi)
+            qp = _ScoreQP(nb, labels, lam, hi)
             x, _ = _interior_point(qp, 1e-10, 100)
             f = qp.scores(x)
             g = composer._compress_gaps(f)
@@ -780,7 +813,7 @@ class TestCompressGaps:
             assert np.all(np.diff(g[order]) >= 0.0)
             assert np.all((g >= 0.0) & (g <= hi))
             assert np.all(np.diff(g[order]) <= 1.0 + 1e-12)
-            assert prob.value(g) <= prob.value(f) + 1e-12 * max(1.0, prob.value(f))
+            assert qp.value(g) <= qp.value(f) + 1e-12 * max(1.0, qp.value(f))
         assert wide >= 10
 
 
@@ -917,14 +950,14 @@ class TestGradient:
         rng = np.random.default_rng(46)
         for _ in range(20):
             S, labels, nb, W0, lam = random_instance(rng, n_max=12, m_max=3)
-            prob = _WeightSubproblem(nb, labels, lam, np.arange(S.n_videos))
+            P = composer._laplacian(nb, np.arange(S.n_videos))
             W = np.maximum(W0 + rng.normal(0, 0.05, W0.shape), 0.0)
 
             def smooth_of_w(Wx):
                 return smoothness_value(row_scores(Wx, S.values), nb)
 
             # P is the Hessian of the smoothness term, so P f its gradient
-            grad_f = prob.P @ row_scores(W, S.values)
+            grad_f = P @ row_scores(W, S.values)
             analytic = grad_f[:, None] * S.values
             numeric = finite_diff_gradient(smooth_of_w, W, h=1e-6)
             denom = max(1.0, float(np.linalg.norm(analytic)))
@@ -951,6 +984,17 @@ class TestFit:
     def _normalized_instance(self, rng, n_max=20, m_max=4):
         S, labels, nb, W0, lam = random_instance(rng, n_max=n_max, m_max=m_max)
         return normalize_scores(S), labels
+
+    def test_candidates_at_one_distance(self):
+        # one video at score 0 and twelve at 0.3: the first video's ten
+        # candidates all lie at distance 0.09, which must still give it a
+        # stochastic neighbor row
+        S = _matrix([[0.0]] + [[0.3]] * 12, l=8)
+        labels = PseudoLabels(positives=(1, 2), negatives=(0, 3))
+        cfg = CompositionConfig(k_candidates=10, k_neighbors=5)
+        res = fit(S, labels, np.ones(1), cfg)
+        assert res.converged
+        np.testing.assert_allclose(res.neighbors.probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
     def test_initialization_reproduces_fixed_weight_ranking(self):
         rng = np.random.default_rng(48)

@@ -113,10 +113,16 @@ class TestGammaForK:
         assert support_size(neighbor_row(d, g)) == 2
 
     def test_all_equal_distances(self):
-        d = np.full(5, 2.0)
-        g = gamma_for_k(d, 2)
-        assert g > 0
-        assert support_size(neighbor_row(d, g)) == 5
+        # any gamma > 0 gives the uniform row; a rounding-level one loses
+        # every digit of the projection
+        for dist in (0.0, 1e-8, 0.01, 0.09, 2.0, 1e4):
+            for length in (5, 12, 50):
+                d = np.full(length, dist)
+                g = gamma_for_k(d, 2)
+                assert g > 0
+                a = neighbor_row(d, g)
+                assert support_size(a) == length
+                assert abs(a.sum() - 1.0) <= 1e-12
 
     def test_nearest_neighbor_limit(self):
         d = np.array([0.5, 3.0, 4.0, 5.0])

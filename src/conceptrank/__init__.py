@@ -23,7 +23,9 @@ API, in pipeline order:
   ``CompositionConfig``, ``fit`` and its ``FitResult``; the two steps it
   alternates, ``update_scores`` and the graph step over
   ``candidate_neighbors`` and ``gamma_for_k`` into a ``NeighborMatrix``;
-  and the ``objective`` it descends.
+  and the ``objective`` it descends.  The model and ``fit`` live in
+  ``conceptrank.composer``; the weight step, its QP and every matrix it
+  factors live in ``conceptrank.weightstep``, which ``composer`` imports.
 - Evaluation: ``ranked_list``, ``average_precision``, ``borda_baseline``,
   ``EvalReport``.
 - Runs: ``RunConfig`` and the three ``run_*`` functions; synthetic

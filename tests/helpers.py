@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from conceptrank._kernels import simplex_project_rows
-from conceptrank.composer import _CHOLESKY_LEAF, ScoreMatrix
+from conceptrank.composer import ScoreMatrix
 from conceptrank.embeddings import EmbeddingTable, cosine, phrase_vector
 from conceptrank.errors import CoverageError
 from conceptrank.graph import (
@@ -36,6 +36,7 @@ from conceptrank.query import (
 )
 from conceptrank.synth import toy_embedding_rows
 from conceptrank.text import clean_text, tokenize
+from conceptrank.weightstep import _CHOLESKY_LEAF
 
 
 def random_instance(rng, n_max=30, m_max=5, n_min=6):
@@ -172,7 +173,7 @@ def eigen_curvature_split(P, r):
 
 
 def out_of_place_cholesky_inverse(A: np.ndarray) -> np.ndarray:
-    """Reference for ``composer._cholesky_inverse``: the same recursive
+    """Reference for ``weightstep._cholesky_inverse``: the same recursive
     block routine, which writes the inverse factor into a fresh array and
     leaves A as it is."""
     Li = np.zeros(A.shape)

@@ -11,13 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from conceptrank import composer
+from conceptrank import weightstep
 from conceptrank.cli import main
 from conceptrank.composer import (
     CompositionConfig,
     ScoreMatrix,
-    _ScoreQP,
-    _weight_step,
     fit,
     fuse_supervised,
     normalize_scores,
@@ -30,6 +28,7 @@ from conceptrank.evaluation import average_precision, borda_baseline, ranked_lis
 from conceptrank.graph import gamma_for_k
 from conceptrank.query import select_concepts
 from conceptrank.synth import gen_instance
+from conceptrank.weightstep import _ScoreQP, _weight_step
 
 from helpers import (
     brute_force_push,
@@ -174,7 +173,7 @@ def test_smoothness_gradient_check():
     worst = 0.0
     for _ in range(100):
         S, labels, nb, W0, lam = random_instance(rng, n_max=14, m_max=4)
-        P = composer._laplacian(nb, np.arange(S.n_videos))
+        P = weightstep._laplacian(nb, np.arange(S.n_videos))
         W = np.maximum(W0 * rng.uniform(0.3, 1.2), 0.0)
 
         def smooth_of_w(Wx):

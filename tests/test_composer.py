@@ -3,14 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conceptrank import composer
+from conceptrank import composer, weightstep
 from conceptrank.cli import main
 from conceptrank.composer import (
     CompositionConfig,
     ScoreMatrix,
     _initial_row,
-    _interior_point,
-    _ScoreQP,
     final_weights,
     fit,
     fuse_supervised,
@@ -29,6 +27,7 @@ from conceptrank.graph import (
     update_neighbor_rows,
 )
 from conceptrank.query import PseudoLabels
+from conceptrank.weightstep import _interior_point, _KronLaplacian, _ScoreQP
 
 from helpers import (
     bench_generator,
@@ -52,10 +51,7 @@ def _step_inputs(S, W0, cap):
 
 def _keep_every_row(monkeypatch):
     """Make ``_ScoreQP`` keep every free score: the QP before elimination."""
-    split = composer._harmonic_split
-    monkeypatch.setattr(
-        composer, "_harmonic_split", lambda P, kept, top: split(P, np.ones_like(kept), top)
-    )
+    monkeypatch.setattr(_KronLaplacian, "_kept", lambda lap: np.ones_like(lap.free, dtype=bool))
 
 
 def _matrix(values, l=None):
@@ -300,7 +296,7 @@ class TestReferenceSolver:
         d_diag = rng.uniform(0.1, 10.0, nx)
         d_diag[qp.t] = 0.0
         H = A.T @ (d_rows[:, None] * A) + np.diag(d_diag)
-        H[: qp.nf, : qp.nf] += qp.S
+        H[: qp.nf, : qp.nf] += qp.lap.S
         r = rng.normal(size=nx)
         solve = qp.newton(d_rows, d_diag)
         want = np.linalg.solve(H, r)
@@ -315,7 +311,7 @@ class TestReferenceSolver:
         d_diag = 10.0 ** wide.uniform(-8.0, 8.0, nx)
         d_diag[qp.t] = 0.0
         H = A.T @ (d_rows[:, None] * A) + np.diag(d_diag)
-        H[: qp.nf, : qp.nf] += qp.S
+        H[: qp.nf, : qp.nf] += qp.lap.S
         x = qp.newton(d_rows, d_diag)(r)
         scale = np.linalg.norm(H, 2) * np.linalg.norm(x) + np.linalg.norm(r)
         assert np.linalg.norm(H @ x - r) <= 1e-15 * scale
@@ -343,16 +339,16 @@ class TestReferenceSolver:
             hi = np.full(S.n_videos, top)
             hi[rng.integers(S.n_videos)] = 0.0
             qp = _ScoreQP(nb, labels, lam, hi)
-            assert qp.nf + 1 > 2 * composer._CHOLESKY_LEAF
+            assert qp.nf + 1 > 2 * weightstep._CHOLESKY_LEAF
             self._check_newton(qp, rng, wide)
 
     def test_curvature_matches_spectrum(self):
         # the certificate's split of r into a flat part and the curvature
-        # term r_c'P^+r_c / 2, computed from the QP's factors of P_HH and
-        # the grounded Schur complement, against the eigendecomposition of
-        # the full P; blocks of videos form components, one pinned video
-        # makes its component curved, and the unlabelled videos of labelled
-        # components are eliminated
+        # term r_c'P^+r_c / 2, computed from the Kron-reduced Laplacian's
+        # factors of P_HH and the grounded Schur complement, against the
+        # eigendecomposition of the full P; blocks of videos form components,
+        # one pinned video makes its component curved, and the unlabelled
+        # videos of labelled components are eliminated
         rng = np.random.default_rng(70)
         eliminated = 0
         for _ in range(10):
@@ -370,13 +366,14 @@ class TestReferenceSolver:
             rng.uniform(0.0, 1.0, (n, 2))  # the unused score rows, kept in the draws
             hi = np.ones(n)
             hi[rng.integers(n)] = 0.0
-            qp = _ScoreQP(nb, PseudoLabels((0, 1), (2, 3)), 1.0, hi)
-            assert qp.size.shape[0] >= 1 and qp.flat.shape[0] < qp.free.shape[0]
-            eliminated += qp.drop.shape[0]
+            free = np.flatnonzero(hi > 0.0)
+            lap = _KronLaplacian(nb, free, np.isin(np.arange(n), [0, 1, 2, 3]), hi[free])
+            assert lap.size.shape[0] >= 1 and lap.flat.shape[0] < free.shape[0]
+            eliminated += lap.drop.shape[0]
             for _ in range(5):
-                r = rng.normal(size=qp.free.shape[0])
-                flat, curved = qp.split(r)
-                flat_ref, curved_ref = eigen_curvature_split(qp.P, r)
+                r = rng.normal(size=free.shape[0])
+                flat, curved = lap.split(r)
+                flat_ref, curved_ref = eigen_curvature_split(lap.P, r)
                 np.testing.assert_allclose(flat, flat_ref, atol=1e-10)
                 np.testing.assert_allclose(curved, curved_ref, rtol=1e-8)
         assert eliminated > 0
@@ -387,31 +384,46 @@ class TestReferenceSolver:
         rng = np.random.default_rng(71)
         S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
         hi = score_box_top(S.values, 1.0)
-        split, factor = composer._harmonic_split, composer._cholesky_inverse
-        done = []
-
-        def split_once(*args):
-            out = split(*args)
-            done.append(True)
-            return out
-
-        def singular_after_split(A):
-            # the only factor after the split is the grounded Schur complement
-            if done:
-                raise np.linalg.LinAlgError("Matrix is not positive definite")
-            return factor(A)
-
         with monkeypatch.context() as patch:
-            patch.setattr(composer, "_harmonic_split", split_once)
-            patch.setattr(composer, "_cholesky_inverse", singular_after_split)
+            # a grounded Schur complement that is not positive definite
+            patch.setattr(_KronLaplacian, "_grounded", lambda lap: -np.eye(lap.nf))
             qp = _ScoreQP(nb, labels, lam, hi)
-        assert qp.Li_S is None
+        assert qp.lap.Li_S is None
         x, gap = _interior_point(qp, 1e-10, 100)
         value = qp.value(qp.scores(x))
         assert np.isfinite(gap)
         for _ in range(50):
             f = rng.uniform(0.0, 1.0, hi.shape[0]) * hi
             assert qp.value(f) >= value - gap - 1e-12
+
+    @pytest.mark.parametrize("keep_all", [False, True], ids=["reduced", "every_row"])
+    def test_factor_matches_dense_solve(self, keep_all, monkeypatch):
+        # the bordered (f_B, t) matrix that the Kron-reduced Laplacian
+        # factors, built densely: S, a diagonal, and rows +-(f_v - t); with
+        # every row kept the matrix is large enough that the factor recurses
+        if keep_all:
+            _keep_every_row(monkeypatch)
+        rng = np.random.default_rng(89)
+        for top in (0.8, np.inf):
+            for _ in range(5):
+                S, labels, nb, W0, lam = random_instance(
+                    rng, n_min=100 if keep_all else 6, n_max=160 if keep_all else 30, m_max=3
+                )
+                lap = _ScoreQP(nb, labels, lam, np.full(S.n_videos, top)).lap
+                nf = lap.nf
+                ends = rng.choice(nf, size=min(nf, 8), replace=False)
+                c = rng.uniform(0.1, 10.0, ends.shape[0])
+                diag = rng.uniform(0.1, 10.0, nf + 1)
+                diag[nf] += c.sum()
+                K = np.diag(diag)
+                K[:nf, :nf] += lap.S
+                K[ends, ends] += c
+                K[ends, nf] -= c
+                K[nf, ends] -= c
+                r = rng.normal(size=nf + 1)
+                got = lap.factor(diag, ends, c)(r)
+                np.testing.assert_allclose(got, np.linalg.solve(K, r), rtol=1e-8, atol=1e-10)
+        assert nf + 1 > 2 * weightstep._CHOLESKY_LEAF or not keep_all
 
     @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
     def test_graph_matrices_built_once_per_step(self, cap, monkeypatch):
@@ -421,7 +433,7 @@ class TestReferenceSolver:
         calls = {"_laplacian": 0, "_components": 0, "_interior_point": 0}
 
         def counted(name):
-            inner = getattr(composer, name)
+            inner = getattr(weightstep, name)
 
             def wrapper(*args):
                 calls[name] += 1
@@ -430,7 +442,7 @@ class TestReferenceSolver:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(composer, name, counted(name))
+            monkeypatch.setattr(weightstep, name, counted(name))
         for _ in range(5):
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
             f0, hi = _step_inputs(S, W0, cap)
@@ -498,14 +510,14 @@ class TestReferenceSolver:
             negatives=tuple(int(i) for i in perm[20:120]),
         )
         nb = self._cli_graph(vals)
-        assert np.all(composer._components(nb) == 0)
+        assert np.all(weightstep._components(nb) == 0)
         tracemalloc.start()  # traces only what is allocated from here on
         try:
             qp = _ScoreQP(nb, labels, 1.0, np.ones(n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert qp.Li_S is not None and qp.size.tolist() == [n]
+        assert qp.lap.Li_S is not None and qp.lap.size.tolist() == [n]
         assert peak / (8.0 * (n + 1) ** 2) <= 2.9
 
     @classmethod
@@ -530,13 +542,13 @@ class TestReferenceSolver:
         # system spans every free score and t
         step, nf = self._cli_step()
         sides = []
-        newton = composer._ScoreQP.newton
+        newton = weightstep._ScoreQP.newton
 
         def spy(qp, d_rows, d_diag):
             sides.append(qp.nf + 1)
             return newton(qp, d_rows, d_diag)
 
-        monkeypatch.setattr(composer._ScoreQP, "newton", spy)
+        monkeypatch.setattr(weightstep._ScoreQP, "newton", spy)
         f, gap, bound = composer._weight_step(*step, 500, 1e-9)
         assert nf >= 300 and gap <= bound
         assert sides and max(sides) < nf + 1
@@ -547,13 +559,13 @@ class TestReferenceSolver:
         # matrix the step factors has a row for every free score
         step, nf = self._cli_step()
         sides = []
-        factor = composer._cholesky_inverse
+        factor = weightstep._cholesky_inverse
 
         def spy(A):
             sides.append(A.shape[0])
             return factor(A)
 
-        monkeypatch.setattr(composer, "_cholesky_inverse", spy)
+        monkeypatch.setattr(weightstep, "_cholesky_inverse", spy)
         f, gap, bound = composer._weight_step(*step, 500, 1e-9)
         assert nf >= 300 and gap <= bound
         assert sides and max(sides) < nf
@@ -644,13 +656,13 @@ class TestReferenceSolver:
 
         base = [step(*case) for case in cases]
 
-        class WideBox(composer._ScoreQP):
+        class WideBox(weightstep._ScoreQP):
             def __init__(self, neighbors, labels, lambda_push, hi):
                 super().__init__(
                     neighbors, labels, lambda_push, np.where(np.isinf(hi), 3.0 * hi.shape[0], hi)
                 )
 
-        monkeypatch.setattr(composer, "_ScoreQP", WideBox)
+        monkeypatch.setattr(weightstep, "_ScoreQP", WideBox)
         for case, f in zip(cases, base):
             np.testing.assert_allclose(step(*case), f, atol=1e-3)
             # the level stays within one unit per component of the data
@@ -691,7 +703,7 @@ class TestHarmonicSplit:
         """The reduced step's scores and the free rows it kept, after
         checking it against the step that keeps every free row."""
         kept = []
-        split = composer._harmonic_split
+        split = weightstep._harmonic_split
 
         def spy(P, keep, top):
             out = split(P, keep, top)
@@ -699,7 +711,7 @@ class TestHarmonicSplit:
             return out
 
         with monkeypatch.context() as patch:
-            patch.setattr(composer, "_harmonic_split", spy)
+            patch.setattr(weightstep, "_harmonic_split", spy)
             f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
         with monkeypatch.context() as patch:
             _keep_every_row(patch)
@@ -751,7 +763,7 @@ class TestHarmonicSplit:
         # rows 1 and 2 meet only each other, so P_HH is singular and cannot
         # be factored: nothing is eliminated
         P = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
-        B, H, w, S, Li = composer._harmonic_split(P, np.array([True, False, False]), np.ones(3))
+        B, H, w, S, Li = weightstep._harmonic_split(P, np.array([True, False, False]), np.ones(3))
         assert B.tolist() == [0, 1, 2] and H.size == 0 and w.shape == (0, 3) and Li.shape == (0, 0)
         assert S is P
 
@@ -789,7 +801,7 @@ class TestCompressGaps:
                 rng.uniform(0.0, 1.0, n),
                 rng.permutation(np.cumsum(rng.choice([0.0, 0.5, 1.0], n))),
             ):
-                np.testing.assert_array_equal(composer._compress_gaps(f), f)
+                np.testing.assert_array_equal(weightstep._compress_gaps(f), f)
 
     def test_uncapped_optima_stay_optimal(self):
         # on uncapped step optima (the box closed at n): no score rises,
@@ -806,7 +818,7 @@ class TestCompressGaps:
             qp = _ScoreQP(nb, labels, lam, hi)
             x, _ = _interior_point(qp, 1e-10, 100)
             f = qp.scores(x)
-            g = composer._compress_gaps(f)
+            g = weightstep._compress_gaps(f)
             wide += int(np.any(np.diff(np.sort(f)) > 1.0))
             order = np.argsort(f, kind="stable")
             assert np.all(g <= f)
@@ -840,7 +852,7 @@ class TestLaplacian:
         mutual = 0
         for nb, want in self._graphs(rng):
             n = nb.n_rows
-            np.testing.assert_array_equal(composer._laplacian(nb, np.arange(n)), want)
+            np.testing.assert_array_equal(weightstep._laplacian(nb, np.arange(n)), want)
             A = np.zeros((n, n), dtype=bool)
             A[np.arange(n)[:, None], nb.candidates] = nb.probs > 0.0
             mutual += int(np.sum(A & A.T))
@@ -853,7 +865,7 @@ class TestLaplacian:
         for nb, want in self._graphs(rng):
             n = nb.n_rows
             free = np.flatnonzero(rng.uniform(size=n) < 0.7)
-            got = composer._laplacian(nb, free)
+            got = weightstep._laplacian(nb, free)
             np.testing.assert_allclose(got, want[np.ix_(free, free)], rtol=1e-15, atol=0.0)
 
 
@@ -861,12 +873,12 @@ class TestCholeskyInverse:
     def test_matches_dense_inverse(self):
         # below, at and above the recursion's leaf size
         rng = np.random.default_rng(72)
-        leaf = composer._CHOLESKY_LEAF
+        leaf = weightstep._CHOLESKY_LEAF
         for n in (0, 1, 2, leaf - 1, leaf, leaf + 1, 2 * leaf + 3, 5 * leaf, 641):
             B = rng.normal(size=(n, n))
             A = B @ B.T / n + np.eye(n)
             work = A.copy()
-            Li = composer._cholesky_inverse(work)
+            Li = weightstep._cholesky_inverse(work)
             assert Li is work  # overwritten in place
             assert np.all(np.triu(Li, 1) == 0.0)
             np.testing.assert_allclose(Li.T @ Li, np.linalg.inv(A), rtol=1e-10, atol=1e-13)
@@ -876,13 +888,13 @@ class TestCholeskyInverse:
         # trailing Schur complement has a negative eigenvalue, so the error
         # comes out of the second recursive call
         rng = np.random.default_rng(79)
-        n = 2 * composer._CHOLESKY_LEAF + 3
+        n = 2 * weightstep._CHOLESKY_LEAF + 3
         h = n // 2
         B = rng.normal(size=(n - h, h))
         C = np.diag(np.r_[np.ones(n - h - 1), -0.5])
         A = np.block([[np.eye(h), B.T], [B, B @ B.T + C]])
         calls = []
-        inner = composer._cholesky_inverse
+        inner = weightstep._cholesky_inverse
 
         def spy(M):
             calls.append(M.shape[0])
@@ -890,9 +902,9 @@ class TestCholeskyInverse:
             calls.append(-M.shape[0])
             return M
 
-        monkeypatch.setattr(composer, "_cholesky_inverse", spy)
+        monkeypatch.setattr(weightstep, "_cholesky_inverse", spy)
         with pytest.raises(np.linalg.LinAlgError):
-            composer._cholesky_inverse(A)
+            weightstep._cholesky_inverse(A)
         assert calls[:2] == [n, h]
         # the first half returned before the second half began, which raised
         assert calls.index(-h) < calls.index(n - h)
@@ -906,7 +918,7 @@ class TestCholeskyInverse:
             B = rng.normal(size=(n, n))
             A = B @ B.T / max(n, 1) + np.eye(n)
             want = out_of_place_cholesky_inverse(A)
-            np.testing.assert_array_equal(composer._cholesky_inverse(A.copy()), want)
+            np.testing.assert_array_equal(weightstep._cholesky_inverse(A.copy()), want)
 
 
 class TestFinalWeights:
@@ -950,7 +962,7 @@ class TestGradient:
         rng = np.random.default_rng(46)
         for _ in range(20):
             S, labels, nb, W0, lam = random_instance(rng, n_max=12, m_max=3)
-            P = composer._laplacian(nb, np.arange(S.n_videos))
+            P = weightstep._laplacian(nb, np.arange(S.n_videos))
             W = np.maximum(W0 + rng.normal(0, 0.05, W0.shape), 0.0)
 
             def smooth_of_w(Wx):

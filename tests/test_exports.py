@@ -61,3 +61,24 @@ def test_every_traced_name_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     }
     assert absent == ABSENT_TRACED
+
+
+def _syntax_tree(module_name):
+    path = os.path.join(os.path.dirname(conceptrank.__file__), f"{module_name}.py")
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def test_weight_step_stays_behind_its_module():
+    # the weight step never reaches back into the model, and the model
+    # holds no factorization: every factor is made in ``weightstep``
+    for node in ast.walk(_syntax_tree("weightstep")):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+            assert not any(name.endswith("composer") for name in names), ast.dump(node)
+        if isinstance(node, ast.Import):
+            assert not any(a.name.endswith("composer") for a in node.names), ast.dump(node)
+    for node in ast.walk(_syntax_tree("composer")):
+        assert not (isinstance(node, ast.Name) and node.id == "_cholesky_inverse")
+        assert not (isinstance(node, ast.alias) and node.name == "_cholesky_inverse")
+        assert not (isinstance(node, ast.Attribute) and node.attr == "linalg"), ast.dump(node)

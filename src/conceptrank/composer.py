@@ -110,16 +110,18 @@ class CompositionConfig:
     weight_cap: float | None = 1.0  # None reproduces the bare w >= 0 constraint
 
     def __post_init__(self):
-        if self.lambda_push <= 0:
-            raise ValueError("lambda_push must be positive")
-        if self.tol <= 0 or self.max_outer_iters < 1:
-            raise ValueError("tol must be positive and max_outer_iters >= 1")
+        # a NaN fails every comparison, so each test is written to pass only
+        # on a finite value in range
+        if not 0.0 < self.lambda_push < np.inf:
+            raise ValueError("lambda_push must be positive and finite")
+        if not 0.0 < self.tol < np.inf or self.max_outer_iters < 1:
+            raise ValueError("tol must be positive and finite and max_outer_iters >= 1")
         if self.k_neighbors < 1:
             raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
         if self.k_candidates < 1:
             raise ValueError(f"k_candidates must be >= 1, got {self.k_candidates}")
-        if self.weight_cap is not None and self.weight_cap <= 0:
-            raise ValueError("weight_cap must be positive (or None to disable)")
+        if self.weight_cap is not None and not 0.0 < self.weight_cap < np.inf:
+            raise ValueError("weight_cap must be positive and finite (or None to disable)")
 
 
 @dataclass
@@ -321,7 +323,8 @@ def fit(
         f, gap, bound = _weight_step(
             f, neighbors, labels, config.lambda_push, hi, WEIGHT_STEP_MAX_ITERS, WEIGHT_STEP_TOL
         )
-        uncertified = bool(gap > bound)
+        # a NaN gap certifies nothing
+        uncertified = not gap <= bound
         if uncertified:
             warnings.append(_gap_message(gap, bound))
         trace.append(objective(f, neighbors, labels, gammas, config.lambda_push))

@@ -713,7 +713,7 @@ def update_scores(
     the lower subproblem value, so the objective never increases.
     """
     f, gap, bound = _weight_step(f_in, neighbors, labels, lambda_push, hi, max_iters, tol)
-    if gap > bound:
+    if not gap <= bound:  # a NaN gap certifies nothing
         warn(_gap_message(gap, bound), RuntimeWarning, stacklevel=2)
     return f
 

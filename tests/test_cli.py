@@ -339,6 +339,30 @@ def test_rank_rejects_zero_neighbor_counts(tmp_path, capsys, flag):
     assert any(field in r.get("validation_error", "") for r in records)
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--lambda", "nan", "lambda_push"),
+        ("--lambda", "inf", "lambda_push"),
+        ("--weight-cap", "nan", "weight_cap"),
+        ("--weight-cap", "inf", "weight_cap"),
+        ("--tol", "nan", "tol"),
+        ("--tol", "inf", "tol"),
+    ],
+)
+def test_rank_rejects_non_finite_fit_settings(tmp_path, capsys, flag, value, field):
+    # each of these once ran to the end: with a NaN or infinite objective
+    # reported as certified, or with a tolerance that any decrease meets
+    data = _synth(tmp_path)
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main(_rank_args(data, out, extra=(flag, value))) == 1
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    (error,) = [r["validation_error"] for r in records if "validation_error" in r]
+    assert error.startswith(field)
+    assert not os.path.exists(out)
+
+
 def test_rank_stdout_flag(tmp_path, capsys):
     data = _synth(tmp_path)
     out = str(tmp_path / "out")

@@ -485,6 +485,18 @@ class TestReferenceSolver:
         with pytest.warns(RuntimeWarning, match="certified gap"):
             update_scores(f0, nb, labels, lam, hi, max_iters=2)
 
+    def test_nan_gap_warns(self, monkeypatch):
+        # a NaN gap meets no tolerance, so it certifies nothing
+        inner = weightstep._interior_point
+        monkeypatch.setattr(
+            weightstep, "_interior_point", lambda qp, tol, it: (inner(qp, tol, it)[0], np.nan)
+        )
+        rng = np.random.default_rng(65)
+        S, labels, nb, W0, lam = random_instance(rng, n_max=14, m_max=3)
+        f0, hi = _step_inputs(S, W0, 1.0)
+        with pytest.warns(RuntimeWarning, match="certified gap nan"):
+            update_scores(f0, nb, labels, lam, hi)
+
     @staticmethod
     def _cli_graph(vals):
         """The neighbor graph at the CLI's k: 10 candidates, 5 neighbors,
@@ -1086,6 +1098,27 @@ class TestFit:
         assert res.uncertified_steps == len(gaps) == res.iterations
         certified = fit(S, labels, np.ones(S.n_concepts), cfg)
         assert certified.converged and certified.uncertified_steps == 0
+
+    def test_nan_gap_is_not_converged(self, monkeypatch):
+        # the second of two weight steps reports a NaN gap: the fit counts
+        # it as uncertified and does not report convergence
+        gaps = []
+        inner = weightstep._interior_point
+
+        def nan_second_gap(qp, tol, max_iters):
+            x, gap = inner(qp, tol, max_iters)
+            gaps.append(gap)
+            return x, np.nan if len(gaps) == 2 else gap
+
+        monkeypatch.setattr(weightstep, "_interior_point", nan_second_gap)
+        rng = np.random.default_rng(56)
+        S, labels = self._normalized_instance(rng)
+        # a tolerance that the second outer iteration's decrease meets
+        cfg = CompositionConfig(k_candidates=5, tol=0.99)
+        res = fit(S, labels, np.ones(S.n_concepts), cfg)
+        assert res.iterations == 2
+        assert res.uncertified_steps == 1 and "certified gap nan" in res.warnings[0]
+        assert res.converged is False
 
     def test_two_videos_fit(self):
         # each video's one candidate takes probability 1, whatever gamma is

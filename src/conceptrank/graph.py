@@ -45,13 +45,18 @@ def update_neighbor_rows(D: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Closed-form row minimizers for a (n, k_cand) distance matrix: row i
     is the simplex projection of -D[i] / (2 gamma[i]).
 
-    All-zero distances give the uniform vector (the analytic limit), and
-    gamma -> infinity approaches uniform for any bounded distances.  At
-    ``gamma_for_k``'s boundary exactly k entries are > 0 (no rounding edges).
+    The projection ignores a constant added to a row, so row i projects
+    -(D[i] - min D[i]) / (2 gamma[i]), which is exact: a row whose
+    distances lie far above its gamma keeps the digits of their
+    differences, and stays stochastic.  All-zero distances give the
+    uniform vector (the analytic limit), and gamma -> infinity approaches
+    uniform for any bounded distances.  At ``gamma_for_k``'s boundary
+    exactly k entries are > 0 (no rounding edges).
     """
     if np.any(gamma <= 0):
         raise ValueError("all gamma values must be positive")
-    return _kernels.simplex_project_rows(-D / (2.0 * gamma[:, None]))
+    shifted = D - D.min(axis=1, keepdims=True)
+    return _kernels.simplex_project_rows(-shifted / (2.0 * gamma[:, None]))
 
 
 def gamma_for_k(d: np.ndarray, k: int) -> float:
@@ -63,10 +68,9 @@ def gamma_for_k(d: np.ndarray, k: int) -> float:
     boundary formula is applied, so the result has the smallest attainable
     support >= k.  Every gamma > 0 gives a row at one distance d the uniform
     row; it takes gamma = max(d, 1), on the scale of its distances and of
-    normalized scores, so that the projection keeps its digits there and
-    once the distances move apart (a rounding-level gamma leaves rows that
-    are not stochastic).  Other degenerate (non-positive) values are nudged
-    to 1e-12.
+    normalized scores, so that once the distances move apart the row's
+    probabilities follow them and not their rounding.  Other degenerate
+    (non-positive) values are nudged to 1e-12.
     """
     d = np.sort(np.asarray(d, dtype=np.float64))
     n = d.shape[0]

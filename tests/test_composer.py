@@ -1020,6 +1020,17 @@ class TestFit:
         assert res.converged
         np.testing.assert_allclose(res.neighbors.probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
+    def test_candidates_near_one_distance(self):
+        # one video at score 0, nine at 0.3 and three 2e-12 above them: the
+        # first video's ten candidates lie within 1e-12 of distance 0.09,
+        # which gives it a gamma of about 1e-12, far below its distances
+        S = _matrix([[0.0]] + [[0.3]] * 9 + [[0.3 + 2e-12]] * 3, l=8)
+        labels = PseudoLabels(positives=(1, 2), negatives=(0, 3))
+        cfg = CompositionConfig(k_candidates=10, k_neighbors=5)
+        res = fit(S, labels, np.ones(1), cfg)
+        assert res.converged
+        np.testing.assert_allclose(res.neighbors.probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
     def test_initialization_reproduces_fixed_weight_ranking(self):
         rng = np.random.default_rng(48)
         S, labels = self._normalized_instance(rng)

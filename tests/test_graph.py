@@ -99,6 +99,21 @@ class TestUpdateNeighbors:
             a_after = neighbor_row(d2, 1.0)
             assert a_after[j] <= a_before[j] + 1e-12
 
+    def test_distances_far_above_gamma(self):
+        # nine candidates at 0.09 and one 1e-12 further give gamma 4.5e-12
+        # at k = 5; projecting -d / (2 gamma), about -1e10, lost the
+        # differences' digits and gave a row summing to 1 + 1.3e-5
+        d = np.r_[np.full(9, 0.09), 0.09 + 1e-12]
+        g = gamma_for_k(d, 5)
+        assert g < 1e-11
+        assert abs(neighbor_row(d, g).sum() - 1.0) <= 1e-12
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            dim = int(rng.integers(2, 30))
+            d = rng.choice([0.09, 1.0, 1e3]) + rng.uniform(0.0, 1e-12, dim)
+            a = neighbor_row(d, float(rng.choice([1e-14, 1e-12, gamma_for_k(d, 1)])))
+            assert np.all(a >= 0.0) and abs(a.sum() - 1.0) <= 1e-12
+
     def test_large_gamma_approaches_uniform(self):
         d = np.array([0.3, 1.2, 0.8, 2.0])
         a = neighbor_row(d, 1e9)

@@ -90,11 +90,22 @@ def gamma_for_k(d: np.ndarray, k: int) -> float:
     return float(gamma)
 
 
+# rows of the distance matrix whose candidates ``candidate_neighbors`` picks
+# at once, so no n x n index array is built
+_CANDIDATE_BLOCK = 128
+
+
 def candidate_neighbors(S: np.ndarray, k_cand: int) -> np.ndarray:
     """k_cand nearest rows of S per row (Euclidean), self excluded.
 
     Distance ties break by ascending row index, making the candidate sets
-    deterministic.  Computed once before optimization.
+    deterministic: each row's candidates are the first k_cand entries of a
+    stable argsort of its distances.  No row is sorted in full.  A block of
+    rows finds each row's k_cand-th distance with ``np.partition`` and
+    picks every index strictly below it, then the indices tied at it in
+    ascending order until k_cand are picked; a stable sort of the picked
+    indices by distance gives their order.  Computed once before
+    optimization.
     """
     n = S.shape[0]
     if not 1 <= k_cand <= n - 1:
@@ -102,6 +113,15 @@ def candidate_neighbors(S: np.ndarray, k_cand: int) -> np.ndarray:
     sq = np.sum(S * S, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (S @ S.T)
     np.fill_diagonal(d2, np.inf)
-    # a stable sort keeps equal distances in ascending column order
-    order = np.argsort(d2, axis=1, kind="stable")
-    return np.ascontiguousarray(order[:, :k_cand])
+    out = np.empty((n, k_cand), dtype=np.intp)
+    for lo in range(0, n, _CANDIDATE_BLOCK):
+        d = d2[lo : lo + _CANDIDATE_BLOCK]
+        kth = np.partition(d, k_cand - 1, axis=1)[:, k_cand - 1 : k_cand]
+        below = d < kth
+        tied = d == kth
+        fill = k_cand - below.sum(axis=1, keepdims=True)
+        pick = below | (tied & (np.cumsum(tied, axis=1) <= fill))
+        cols = np.nonzero(pick)[1].reshape(-1, k_cand)
+        order = np.argsort(np.take_along_axis(d, cols, axis=1), axis=1, kind="stable")
+        out[lo : lo + _CANDIDATE_BLOCK] = np.take_along_axis(cols, order, axis=1)
+    return out

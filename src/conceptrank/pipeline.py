@@ -11,7 +11,11 @@ records are logged and its AP is scored before the next event starts.
 One event's failure is logged and recorded in its place in that order,
 without aborting the others.  Per-event outputs go to distinct files, and
 nothing in a run is random, so identical configs and inputs produce
-byte-identical outputs.
+byte-identical outputs at a fixed BLAS thread count.  The dense products of
+the weight step round differently with the number of threads, and where the
+optimum is not unique that moves the solved scores by more than rounding,
+so runs at different thread counts (set by ``OPENBLAS_NUM_THREADS``, for
+one) can rank differently.
 """
 
 from __future__ import annotations

@@ -5,34 +5,47 @@ through the scores f_i = w_i . s_i, and the weight constraints only through
 each score's box 0 <= f_i <= cap * max_k s_ik.  The push term depends on
 the negatives only through the top negative's score, so the step is a
 quadratic program in the scores, that level and one hinge slack per
-positive whose hinge can clip (``_ScoreQP``).  It is solved once per step
-with an interior-point method (``_interior_point``) that stops when a
-duality gap, certified over every score at the lifted iterate, meets its
-tolerance; ``update_scores`` warns of a step that stops above it, and
-``fit`` counts it.  Where the optimum is not unique, the solved one is
+positive whose hinge can clip (``_ScoreQP``).  ``_interior_point`` solves
+it and returns a duality gap certified over every score at the lifted
+point; ``update_scores`` warns of a step whose gap is above its tolerance,
+and ``fit`` counts it.  Where the optimum is not unique, the solved one is
 moved in closed form to an optimum whose gaps do not grow with where the
 solver closed an open box (``_compress_gaps``), then toward the input
 scores (``_nearest_shift``).
+
+Unlabelled scores meet only the graph term, so the QP is solved over the
+labelled scores and the few unlabelled ones whose box binds; every other
+score is eliminated as the harmonic extension of the kept ones (a Kron
+reduction, Dorfler & Bullo, IEEE TCS 2013), with its box dropped.  Which
+boxes bind is found by seed and verify.  A step starts from the rows whose
+input score sits at its top, the last step's active tops (``_weight_step``).
+Each round solves the relaxed QP with a Mehrotra interior point
+(``_mehrotra``) and lifts the result; a row whose lift reaches its top
+joins the kept rows, and another round follows.  By the maximum principle
+of the harmonic extension (Zhu, Ghahramani & Lafferty, ICML 2003) a lift
+never passes the highest kept score, so the relaxation only drops upper
+bounds, and an optimum of it that is feasible is the optimum of the full
+QP; the gap is then certified against the full QP.  Most steps take one or
+two rounds.
 
 Every matrix of the step belongs to one object, ``_KronLaplacian``, built
 once per step.  The step sees one graph, the edges with a_ij > 0 (the
 neighbor step leaves no rounding-level ones): P, its Laplacian on the free
 scores, is built from the edge list (``_laplacian``), so no n x n adjacency
-is formed, and its components are labelled once (``_components``).
-Unlabelled scores meet only the graph term, so each one whose box cannot
-bind is eliminated as the harmonic extension of the others (a Kron
-reduction, ``_harmonic_split``), and the QP keeps the pseudo-labelled
-scores and the few unlabelled ones that could reach their box.  The QP
-reaches the graph only through the object's matvec by the Schur complement
-S, its factor of the bordered Newton block, the lift of the kept scores,
-the residual P f and the certificate's curvature split.  Each dense matrix
-the object factors (every Newton block on the kept scores, the eliminated
-block of P, and the Schur complement grounded on one row of each flat
-component) goes through ``_cholesky_inverse``, a recursive block Cholesky
-that does its work in matrix products and overwrites the matrix with its
-inverse factor.  So a step holds P, the eliminated block's factor, S and
-its grounded factor, and one Newton matrix or factor; no factor spans every
-free score, and there is no eigendecomposition.
+is formed, its components are labelled once (``_components``), and it is
+factored once (``_harmonic_split``), on the rows every round keeps.  A row
+that joins in a later round is moved back with a correction of the rank
+of the rows moved, not a second factor.  The QP reaches the graph only
+through the object's matvec by the Schur complement S, its factor of the
+bordered Newton block, the lift of the kept scores, the residual P f and
+the certificate's curvature split.  Each dense matrix the object factors
+(every Newton block on the kept scores, the eliminated block of P, and the
+Schur complement grounded on one row of each flat component) goes through
+``_cholesky_inverse``, a recursive block Cholesky that does its work in
+matrix products and overwrites the matrix with its inverse factor.  So a
+step holds P, the eliminated block's factor, S and its grounded factor,
+and one Newton matrix or factor; no factor spans every free score, and
+there is no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -46,6 +59,8 @@ from .query import PseudoLabels
 
 # relative duality gap that every weight step of ``fit`` is certified to
 WEIGHT_STEP_TOL = 1e-9
+# an input score within this fraction of its top starts the weight step kept
+_AT_TOP = WEIGHT_STEP_TOL**0.5
 # interior-point iterations that a weight step of ``fit`` may take
 WEIGHT_STEP_MAX_ITERS = 500
 
@@ -160,26 +175,25 @@ def _components(neighbors: NeighborMatrix) -> np.ndarray:
         label = new
 
 
-def _harmonic_split(P: np.ndarray, kept: np.ndarray, top: np.ndarray) -> tuple:
+def _harmonic_split(P: np.ndarray, kept: np.ndarray) -> tuple:
     """(B, H, w, S, Li): the rows of P to keep, the rows to eliminate as the
     harmonic extension  f_H = w f_B  of the kept ones, the Schur complement
     S = P_BB + P_BH w,  the curvature of  f'Pf / 2  in f_B once f_H is
     eliminated (a Kron reduction), and the inverse Cholesky factor Li of
     P_HH, with which the certificate measures the eliminated rows.
 
-    ``kept`` masks the rows that must be kept; ``top`` is each row's box top.
-    For a row that meets no term but P's, the best score given f_B is
-    w f_B  with  w = -P_HH^-1 P_HB  (Zhu, Ghahramani & Lafferty, ICML 2003).
-    P is a Laplacian plus a nonnegative diagonal, so w >= 0 and each row of
-    w sums to at most 1 (the maximum principle).  A row h stays in H when
-    its weights do not sum to 0 and  w_h . (top_B - top_h) <= 0:  then
-    w_h . top_B <= top_h, so  0 < w_h f_B < top_h  whenever f_B lies
-    strictly inside its boxes, and h's box never binds.  The second test
-    is exact on equal tops, which every open box has.  Every other row
-    moves to B, and w is built again, with one factor of P_HH, until no row
-    moves.  The QP over f_B with curvature S then has the same optimal
-    value as the QP over every row.  If P_HH cannot be factored, every row
-    is kept, and S is P itself.
+    ``kept`` masks the rows to keep.  For a row that meets no term but P's,
+    the best score given f_B is  w f_B  with  w = -P_HH^-1 P_HB  (Zhu,
+    Ghahramani & Lafferty, ICML 2003).  P is a Laplacian plus a nonnegative
+    diagonal, so w >= 0 and each row of w sums to at most 1 (the maximum
+    principle): a lift never passes the highest kept score.  A row whose
+    weights sum to at most ``_LIFT_FLOOR`` would be lifted onto the bottom
+    of its box, so it moves to B and w is built again (moving rows to B
+    only raises the other rows' sums).  No box top is tested here: the
+    rows whose top binds are found after a solve, by lifting it
+    (``_interior_point``), and moved back without a second split
+    (``_KronLaplacian.reduce``).  If P_HH cannot be factored, every row is
+    kept, and S is P itself.
     """
     kept = kept.copy()
     while True:
@@ -193,15 +207,12 @@ def _harmonic_split(P: np.ndarray, kept: np.ndarray, top: np.ndarray) -> tuple:
             continue
         G = Li @ P[np.ix_(H, B)]
         w = -(Li.T @ G)
-        # w_h . top_B - top_h = w_h . (top_B - top_h) - (1 - sum w_h) top_h,
-        # and the last term is >= 0; equal tops (an open box) give exactly 0
-        rise = np.einsum("hb,hb->h", w, top[B][None, :] - top[H][:, None])
-        move = (rise > 0.0) | (w.sum(axis=1) <= _LIFT_FLOOR)
-        if not np.any(move):
+        low = w.sum(axis=1) <= _LIFT_FLOOR
+        if not np.any(low):
             S = P[np.ix_(B, B)]
             S -= G.T @ G
             return B, H, w, S, Li
-        kept[H[move]] = True
+        kept[H[low]] = True
 
 
 class _KronLaplacian:
@@ -210,21 +221,38 @@ class _KronLaplacian:
 
     Built from the neighbor graph, the free rows ``free``, the mask
     ``labelled`` of the videos the push loss sees and the free rows' box
-    tops.  P = 4 L[free, free] (``_laplacian``) is the curvature of the
-    smoothness term, and ``group`` labels the components of the graph over
-    every video (``_components``).  A free score's component is flat when
-    it holds no pinned video: ``flat`` lists those free rows, ``member``
-    numbers their components and ``size`` counts them.  Their indicators
-    span the null space of P.  The kept scores f_B (``keep``) are the
-    labelled ones, those of flat components without a label (``_kept``:
-    P does not fix their level, so they would make P_HH singular), and each
-    unlabelled score whose harmonic extension could reach its box
-    (``_harmonic_split``).  The others (``drop``) meet only the graph term
-    and are eliminated as  f_H = w f_B,  so S is the Schur complement of P
-    on f_B, nf counts the kept scores and ``col`` gives each video's column
-    among them (-1 for none).  P_HH's inverse factor ``Li_H`` comes from the
-    split; ``Li_S`` is that of S grounded on one kept row of each flat
-    component (``ground``), or None when it cannot be factored.
+    tops ``top``.  P = 4 L[free, free] (``_laplacian``) is the curvature of
+    the smoothness term, and ``group`` labels the components of the graph
+    over every video (``_components``).  A free score's component is flat
+    when it holds no pinned video: ``flat`` lists those free rows,
+    ``member`` numbers their components and ``size`` counts them.  Their
+    indicators span the null space of P.
+
+    P is split once (``_harmonic_split``), keeping the rows that ``_kept``
+    masks: the labelled ones, and those of flat components without a label
+    (P does not fix their level, so they would make P_HH singular).  The
+    split keeps ``base``, eliminates ``elim`` with the harmonic weights
+    ``w`` and the inverse factor ``Li_H`` of P_HH, and leaves the Schur
+    complement ``S_base``.  ``reduce`` moves eliminated rows M back
+    among the kept ones without a second factor of P: the harmonic
+    extension with f_M held is  w f_B + K_M T (f_M - w_M f_B),  with
+    K = P_HH^-1 = Li_H' Li_H  and  T = (K_MM)^-1,  which is the Schur
+    complement of P_HH onto M.  So the Schur complement on B + M is
+    [[S_base + w_M' T w_M, -w_M' T], [-T w_M, T]],  and the eliminated
+    rows' curvature loses  v' T v,  v = K_M' r,  to M.  T = Li_M' Li_M
+    comes from the QR factor R of  Li_H[:, M]  (K_MM = R'R, Li_M = R^-T),
+    so its conditioning is that of Li_H's columns, not their square.
+
+    The kept scores f_B (``keep``, masked by ``kept``) are the rows the QP
+    solves for; the others (``drop``) meet only the graph term and follow as
+    their harmonic extension.  S is the Schur complement of P on f_B, nf
+    counts the kept scores and ``col`` gives each video's column among them
+    (-1 for none).  ``Li_S`` is the inverse factor of S grounded on one kept
+    row of each flat component (``ground``), or None when it cannot be
+    factored.  ``ceiling`` holds the tops of the relaxed QP over f_B: each
+    eliminated row's top raised to at least the highest kept one, which no
+    lift reaches (the maximum principle), so no eliminated box binds.
+    ``reached`` masks the eliminated rows whose lift reaches their own top.
 
     The QP sees the graph only through ``matvec``, ``factor``, ``lift``,
     ``residual`` and ``split``.
@@ -233,7 +261,7 @@ class _KronLaplacian:
     def __init__(
         self, neighbors: NeighborMatrix, free: np.ndarray, labelled: np.ndarray, top: np.ndarray
     ):
-        self.free, self.labelled = free, labelled
+        self.free, self.labelled, self.top = free, labelled, top
         self.P = _laplacian(neighbors, free)
         group = self.group = _components(neighbors)
         # a flat component holds no pinned video
@@ -241,14 +269,52 @@ class _KronLaplacian:
         self.flat = np.flatnonzero(flat)
         self.member = np.unique(group[free][flat], return_inverse=True)[1]
         self.size = np.bincount(self.member)
-        self.keep, self.drop, self.w, self.S, self.Li_H = _harmonic_split(
-            self.P, self._kept(), top
-        )
-        nf = self.nf = self.keep.shape[0]
-        col = self.col = np.full(labelled.shape[0], -1)
-        col[free[self.keep]] = np.arange(nf)
+        required = self._kept()
+        self.base, self.elim, self.w, self.S_base, self.Li_H = _harmonic_split(self.P, required)
+        self.reduce(required)
+
+    def _kept(self) -> np.ndarray:
+        """The free rows that the split of P must keep: the labelled ones,
+        and every row of a flat component that holds none of them."""
+        kept = self.labelled[self.free]
+        held = np.bincount(self.member, weights=kept[self.flat], minlength=self.size.shape[0])
+        kept[self.flat[held[self.member] == 0.0]] = True
+        return kept
+
+    def reduce(self, kept: np.ndarray) -> None:
+        """Keep the eliminated rows that ``kept`` masks as well as ``base``;
+        the last reduction's S and factor are released before the new ones
+        are built."""
+        self.S = self.Li_S = None
+        moved = self.moved = np.flatnonzero(kept[self.elim])
+        self.drop = np.delete(self.elim, moved)
+        self.kept = np.zeros(self.free.shape[0], dtype=bool)
+        self.kept[self.base] = True
+        self.kept[self.elim[moved]] = True
+        keep = self.keep = np.flatnonzero(self.kept)
+        nf = self.nf = keep.shape[0]
+        at_b = self.at_b = np.searchsorted(keep, self.base)
+        at_m = self.at_m = np.searchsorted(keep, self.elim[moved])
+        if moved.shape[0] == 0:
+            self.S = self.S_base
+            self.Li_M = self.Y = self.U = None
+        else:
+            Z = self.Li_H[:, moved]
+            Li_M = self.Li_M = np.linalg.inv(np.linalg.qr(Z, mode="r")).T
+            self.U = (self.Li_H.T @ Z) @ Li_M.T  # K_M Li_M'
+            Y = self.Y = Li_M @ self.w[moved]  # Li_M w_M
+            S = self.S = np.empty((nf, nf))
+            S[np.ix_(at_b, at_b)] = self.S_base + Y.T @ Y
+            C = -(Li_M.T @ Y)  # -T w_M
+            S[np.ix_(at_m, at_b)] = C
+            S[np.ix_(at_b, at_m)] = C.T
+            S[np.ix_(at_m, at_m)] = Li_M.T @ Li_M
+        col = self.col = np.full(self.labelled.shape[0], -1)
+        col[self.free[keep]] = np.arange(nf)
+        self.ceiling = self.top.copy()
+        self.ceiling[self.drop] = np.maximum(self.top[self.drop], self.top[keep].max(initial=0.0))
         # each flat component has a kept row: its labelled rows or all of it
-        at = col[free[self.flat]]
+        at = col[self.free[self.flat]]
         first = np.unique(self.member[at >= 0], return_index=True)[1]
         self.ground = at[at >= 0][first]
         try:
@@ -259,13 +325,13 @@ class _KronLaplacian:
             # which needs no factor
             self.Li_S = None
 
-    def _kept(self) -> np.ndarray:
-        """The free rows that ``_harmonic_split`` must keep: the labelled
-        ones, and every row of a flat component that holds none of them."""
-        kept = self.labelled[self.free]
-        held = np.bincount(self.member, weights=kept[self.flat], minlength=self.size.shape[0])
-        kept[self.flat[held[self.member] == 0.0]] = True
-        return kept
+    def reached(self, f_b: np.ndarray) -> np.ndarray:
+        """Mask of the free rows eliminated by the split whose lift from the
+        kept scores f_b reaches their top."""
+        out = np.zeros(self.free.shape[0], dtype=bool)
+        f = self.lift(f_b)
+        out[self.drop] = f[self.drop] >= self.top[self.drop]
+        return out
 
     def _grounded(self) -> np.ndarray:
         """A copy of S with each ``ground`` row and column set to the identity's."""
@@ -284,10 +350,14 @@ class _KronLaplacian:
         return self.P @ f
 
     def lift(self, f_b: np.ndarray) -> np.ndarray:
-        """The free scores of the kept scores f_b: f_b and its harmonic extension."""
+        """The free scores of the kept scores f_b: f_b and its harmonic
+        extension, computed over ``elim`` with the moved rows held at f_b."""
         f = np.empty(self.free.shape[0])
         f[self.keep] = f_b
-        f[self.drop] = self.w @ f_b
+        g = self.w @ f_b[self.at_b]
+        if self.U is not None:
+            g += self.U @ (self.Li_M @ (f_b[self.at_m] - g[self.moved]))
+        f[self.drop] = np.delete(g, self.moved)
         return f
 
     def factor(self, diag: np.ndarray, ends: np.ndarray, c: np.ndarray):
@@ -325,11 +395,15 @@ class _KronLaplacian:
         grounded S could not be factored).
 
         Block elimination of  P y = r_c  over (f_B, f_H) gives
-          r_c' P^+ r_c = |Li_H r_H|^2 + r^' S^+ r^,   r^ = r_B + w' r_H,
-        with r_B and r_H the kept and eliminated rows of r_c.  r^ is
+          r_c' P^+ r_c = r_H' P_HH^-1 r_H + r^' S^+ r^,   r^ = r_B + w' r_H,
+        with r_B and r_H the kept and eliminated rows of r_c and w the
+        harmonic weights of the eliminated rows.  With r_H set in ``elim``
+        and 0 on the moved rows M, the first term is  |Li_H r_H|^2 - |c|^2,
+        c = Li_M K_M' r_H,  and w' r_H is  w' r_H - Y' c  on ``base`` and
+        Li_M' c  on M, with the split's own w (see the class).  r^ is
         orthogonal to the null space of S, as r_c is to that of P, so with
-        its grounded entries zeroed the grounded system solves  S y = r^
-        up to a constant on each flat component, which r^ does not see:
+        its grounded entries zeroed the grounded system solves  S y = r^  up
+        to a constant on each flat component, which r^ does not see:
         r^' S^+ r^ = |Li_S r^|^2.
         """
         flat = np.zeros_like(r)
@@ -338,10 +412,18 @@ class _KronLaplacian:
         if self.Li_S is None:
             return flat, np.inf
         r_c = r - flat
-        r_h = r_c[self.drop]
-        r_hat = r_c[self.keep] + self.w.T @ r_h
+        r_h = r_c[self.elim]
+        r_h[self.moved] = 0.0
+        r_hat = r_c[self.keep]
+        r_hat[self.at_b] += self.w.T @ r_h
+        curved = np.sum(np.square(self.Li_H @ r_h))
+        if self.U is not None:
+            c = self.U.T @ r_h
+            r_hat[self.at_b] -= self.Y.T @ c
+            r_hat[self.at_m] += self.Li_M.T @ c
+            curved -= np.sum(np.square(c))
         r_hat[self.ground] = 0.0
-        curved = np.sum(np.square(self.Li_H @ r_h)) + np.sum(np.square(self.Li_S @ r_hat))
+        curved += np.sum(np.square(self.Li_S @ r_hat))
         return flat, 0.5 * float(curved)
 
 
@@ -371,12 +453,14 @@ class _ScoreQP:
 
     The graph term lives in ``lap`` (``_KronLaplacian``): x holds only the
     nf kept scores f_B, every other free score is their harmonic extension,
-    and S is the Schur complement of P on f_B.  The lift of a strictly
-    feasible f_B lies strictly inside the eliminated boxes, so they never
-    bind, and the QP over x has the optimal value of the QP over every free
-    score.  ``gap`` certifies the lifted point against that full QP, with P
-    as it is: the bound holds at any strictly feasible primal-dual point,
-    wherever it came from.
+    and S is the Schur complement of P on f_B.  So the QP over x is the QP
+    over every free score with the eliminated rows' boxes dropped, a
+    relaxation: a lift stays inside the box ``lap.ceiling`` gives it, but
+    can pass its own top.  ``reduce`` keeps more rows.  Where every lift
+    lies strictly inside its own box, the two QPs share their optimum.
+    ``gap`` certifies the lifted point against the full QP, or the relaxed
+    one with the tops ``lap.ceiling``, with P as it is: the bound holds at
+    any strictly feasible primal-dual point, wherever it came from.
 
     The rows are never formed as a matrix.  Each slack sits in one hinge
     row, so ``newton`` eliminates the slacks and factors only an
@@ -395,28 +479,39 @@ class _ScoreQP:
         free = self.free = np.flatnonzero(hi > 0.0)
         self.top = hi[free]
         labelled = np.isin(np.arange(self.n), np.concatenate([pos, neg]))
-        lap = self.lap = _KronLaplacian(neighbors, free, labelled, self.top)
-        nf = self.nf = lap.nf
-        col = lap.col
+        self.lap = _KronLaplacian(neighbors, free, labelled, self.top)
         p = pos.shape[0]
-        n_epi = self.n_epi = neg.shape[0]
+        self.n_epi = neg.shape[0]
         clip = hi[pos] > 1.0
-        unclipped, clipped = pos[~clip], pos[clip]
-        n_clip = clipped.shape[0]
-        a = unclipped.shape[0] / p
+        self.unclipped, self.clipped = pos[~clip], pos[clip]
+        a = self.unclipped.shape[0] / p
         self.const = self.lam * a  # also the cost of t
         self.slack_cost = self.lam / p
+        self._index()
+
+    def reduce(self, kept: np.ndarray) -> None:
+        """Keep the free rows that ``kept`` masks as well, from here on
+        (``_KronLaplacian.reduce``)."""
+        self.lap.reduce(kept)
+        self._index()
+
+    def _index(self) -> None:
+        """The cost, bounds and row indices over the kept scores of ``lap``."""
+        lap, neg = self.lap, self.neg
+        nf = self.nf = lap.nf
+        col = lap.col
+        n_clip = self.clipped.shape[0]
         self.t = nf
         self.lin = np.zeros(nf + 1 + n_clip)
-        linear = unclipped[col[unclipped] >= 0]
+        linear = self.unclipped[col[self.unclipped] >= 0]
         self.lin[col[linear]] = -self.slack_cost
         self.lin[self.t] = self.const
         self.lin[nf + 1 :] = self.slack_cost
         self.lo = np.concatenate([np.zeros(nf), [-np.inf], np.zeros(n_clip)])
         self.up = np.concatenate([self.top[lap.keep], np.full(1 + n_clip, np.inf)])
         # rows: one per negative, then one hinge row per clipped positive
-        self.b = np.concatenate([np.zeros(n_epi), np.full(n_clip, -1.0)])
-        self.hp = col[clipped]
+        self.b = np.concatenate([np.zeros(self.n_epi), np.full(n_clip, -1.0)])
+        self.hp = col[self.clipped]
         self.n_free = col[neg] >= 0
         self.hn = col[neg[self.n_free]]
 
@@ -530,9 +625,11 @@ class _ScoreQP:
         z_up[:nf] = np.maximum(-r, 0.0) + offset
         return x, z_lo, z_up, z_a
 
-    def gap(self, x: np.ndarray, z_a: np.ndarray) -> float:
+    def gap(self, x: np.ndarray, z_a: np.ndarray, top: np.ndarray | None = None) -> float:
         """Certified bound on objective(x) - optimum, or inf if x is not
-        strictly feasible; both over every free score, at the lifted scores.
+        strictly feasible; both over every free score, at the lifted scores,
+        with the free scores' boxes closed at ``top`` (by default their own
+        tops: the full QP; ``lap.ceiling`` gives the relaxed QP).
 
         Fixes row multipliers that make t and the slacks dual feasible:
         hinge multipliers capped at the slack cost lam/p, whose remainder
@@ -554,7 +651,7 @@ class _ScoreQP:
         nf, n_epi = self.nf, self.n_epi
         f, xi = self.lap.lift(x[:nf]), x[nf + 1 :]
         s_a = self.b - self.rows(x)
-        s_up = self.top - f
+        s_up = (self.top if top is None else top) - f
         if min(s_a.min(), f.min(initial=1.0), s_up.min(initial=1.0), xi.min(initial=1.0)) <= 0.0:
             return np.inf
         z = np.maximum(z_a, 0.0)
@@ -577,15 +674,38 @@ class _ScoreQP:
 
 
 def _interior_point(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarray, float]:
+    """The QP over every free score, solved in rounds over the kept ones.
+
+    Each round solves the relaxed QP that ``qp`` holds: the eliminated
+    scores follow as the harmonic extension of the kept ones, and their
+    boxes are dropped (``_mehrotra``).  A row whose lift then reaches its
+    top joins the kept rows (``_ScoreQP.reduce``), and the next round
+    solves again.  Once every lift lies strictly inside its box, the relaxed
+    optimum is feasible for the full QP, so it is the full optimum.  Returns
+    the last round's iterate and the gap of the full QP there.  The kept
+    rows only grow, so at worst every free row is kept.
+    """
+    while True:
+        x, gap = _mehrotra(qp, tol, max_iters)
+        reached = qp.lap.reached(x[: qp.nf])
+        if not np.any(reached):
+            return x, gap
+        qp.reduce(qp.lap.kept | reached)
+
+
+def _mehrotra(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarray, float]:
     """Mehrotra predictor-corrector from the QP's strictly feasible start.
 
-    Stops when the certified gap (``_ScoreQP.gap``) is at most
-    tol * max(1, |objective|), when it has stopped shrinking (three
-    iterations in a row that leave it above 0.9 times its best value and
-    above the iterate's complementarity s'z, which the gap tracks until it
-    reaches its rounding floor), or after max_iters iterations.  Returns the
-    iterate with the smallest gap and that gap; the caller decides what a
-    gap above tolerance means.
+    Solves the relaxed QP over the kept scores: its certified gap
+    (``_ScoreQP.gap`` with the tops ``lap.ceiling``) guards each step, and
+    the method stops when that gap is at most tol * max(1, |objective|),
+    when it has stopped shrinking (three iterations in a row that leave it
+    above 0.9 times its best value and above the iterate's complementarity
+    s'z, which the gap tracks until it reaches its rounding floor), or after
+    max_iters iterations.  Returns the iterate with the smallest relaxed gap
+    and the gap of the full QP there, which is at most the relaxed one when
+    every lift lies strictly inside its own box and inf when one does not;
+    the caller decides what a gap above tolerance means.
     """
     b = qp.b
     has_lo = np.isfinite(qp.lo)
@@ -600,8 +720,9 @@ def _interior_point(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarra
             return 1.0
         return min(1.0, float(np.min(-v[shrink] / dv[shrink])))
 
+    ceiling = qp.lap.ceiling
     x, z_lo, z_up, z_a = qp.start()
-    best_x, best_gap = x, qp.gap(x, z_a)
+    best_x, best_z, best_gap = x, z_a, qp.gap(x, z_a, ceiling)
     gap, slow, stalled = best_gap, False, 0
     for _ in range(max_iters):
         s_lo = np.where(has_lo, x - lo, 1.0)
@@ -661,7 +782,7 @@ def _interior_point(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarra
         for _ in range(8):
             x_new = x + alpha * dx
             z_a_new = z_a + alpha * dz_a
-            gap = qp.gap(x_new, z_a_new)
+            gap = qp.gap(x_new, z_a_new, ceiling)
             if np.isfinite(gap):
                 break
             alpha *= 0.5
@@ -671,8 +792,8 @@ def _interior_point(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarra
         # a gap that shrinks steadily, if slowly, is still converging
         slow = gap > 0.9 * best_gap
         if gap < best_gap:
-            best_x, best_gap = x, gap
-    return best_x, best_gap
+            best_x, best_z, best_gap = x, z_a, gap
+    return best_x, qp.gap(best_x, best_z)
 
 
 def update_scores(
@@ -687,16 +808,21 @@ def update_scores(
     Writing the push loss as the mean hinge against the level t of the
     top negative (with one hinge slack per positive whose hinge can clip,
     see ``_ScoreQP``) makes the step a convex QP.  Only the push term sees
-    the pseudo-labelled scores; an unlabelled score whose box cannot bind
-    is the harmonic extension of the others, so the QP keeps only the
-    pseudo-labelled scores and the unlabelled ones that could reach their
-    box (or hold a level of their own), with the rest eliminated
-    (``_harmonic_split``).  An interior-point method solves it until the
-    duality gap of its iterate, lifted back to every score, is at most
-    ``tol * max(1, |objective|)``; that gap is a certified bound on the
-    distance to the optimum of the QP over every score.  A step that spends
-    ``max_iters`` iterations, or whose gap stops shrinking, before it gets
-    there raises a ``RuntimeWarning`` that states the gap.
+    the pseudo-labelled scores; an unlabelled score whose box does not bind
+    is the harmonic extension of the others.  So the QP is solved in rounds
+    over the pseudo-labelled scores, the unlabelled ones that hold a level
+    of their own, and the unlabelled ones whose box binds, with the rest
+    eliminated and their boxes dropped (``_harmonic_split``).  The first
+    round also keeps the rows whose input score sits at its top, and each
+    round adds the rows whose lifted score reaches its top
+    (``_weight_step``, ``_interior_point``).  An interior-point method
+    solves each round until the duality gap of its iterate is at most
+    ``tol * max(1, |objective|)``.  Once no lift reaches its top, the gap
+    of the last round's point, lifted back to every score, is a certified
+    bound on its distance to the optimum of the QP over every score.  A
+    step that spends ``max_iters`` iterations, or whose gap stops
+    shrinking, before it gets there raises a ``RuntimeWarning`` that
+    states the gap.
 
     Without a cap the box has no top, and the step closes it at n.  The
     optimum is then not unique: the level of a component of positives
@@ -721,10 +847,18 @@ def update_scores(
 def _weight_step(f_in, neighbors, labels, lambda_push, hi, max_iters, tol):
     """``update_scores`` with its certificate: returns (f, gap, bound),
     where gap bounds the distance of the solved scores to the optimum and
-    bound is the tolerance it was asked to meet.  One QP is solved, over the
-    kept scores (``_ScoreQP``); the scores it eliminates follow as their
-    harmonic extension, and the closed-form moves below act on every score."""
+    bound is the tolerance it was asked to meet.
+
+    One QP is built (``_ScoreQP``) and solved in rounds over the kept
+    scores (``_interior_point``).  The first round keeps the rows every
+    split keeps and the free rows whose input score lies within ``_AT_TOP``
+    of its top, relative to it: the last step's active tops, most of which
+    stay active.  The scores it eliminates follow as their harmonic
+    extension, and the closed-form moves below act on every score."""
     qp = _ScoreQP(neighbors, labels, lambda_push, hi)
+    seed = qp.top - f_in[qp.free] <= _AT_TOP * qp.top
+    if np.any(seed & ~qp.lap.kept):
+        qp.reduce(qp.lap.kept | seed)
     x, gap = _interior_point(qp, tol, max_iters)
     bound = tol * max(1.0, abs(qp.objective(x)))
     f = _nearest_shift(qp.lap, _compress_gaps(qp.scores(x)), f_in, hi)

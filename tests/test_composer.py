@@ -428,9 +428,22 @@ class TestReferenceSolver:
     @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
     def test_graph_matrices_built_once_per_step(self, cap, monkeypatch):
         # one weight step builds P once, labels the graph's components
-        # once and solves one QP, with or without a cap
+        # once, factors P once and solves one QP, with or without a cap; the
+        # QP takes one relaxed solve per round, and each round ends with a
+        # check of the lifted scores against their tops
         rng = np.random.default_rng(74)
-        calls = {"_laplacian": 0, "_components": 0, "_interior_point": 0}
+        calls = {
+            "_laplacian": 0, "_components": 0, "_harmonic_split": 0, "_interior_point": 0,
+            "_mehrotra": 0,
+        }
+        checks = []
+        reached = _KronLaplacian.reached
+
+        def check(lap, f_b):
+            checks.append(f_b)
+            return reached(lap, f_b)
+
+        monkeypatch.setattr(_KronLaplacian, "reached", check)
 
         def counted(name):
             inner = getattr(weightstep, name)
@@ -448,8 +461,14 @@ class TestReferenceSolver:
             f0, hi = _step_inputs(S, W0, cap)
             for name in calls:
                 calls[name] = 0
+            checks.clear()
             composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
-            assert calls == {"_laplacian": 1, "_components": 1, "_interior_point": 1}
+            rounds = len(checks)
+            assert rounds >= 1
+            assert calls == {
+                "_laplacian": 1, "_components": 1, "_harmonic_split": 1, "_interior_point": 1,
+                "_mehrotra": rounds,
+            }
 
     @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
     def test_weight_step_heap_ceiling(self, cap, monkeypatch):
@@ -712,18 +731,17 @@ class TestHarmonicSplit:
 
     @staticmethod
     def _compare(f0, nb, labels, lam, hi, monkeypatch):
-        """The reduced step's scores and the free rows it kept, after
-        checking it against the step that keeps every free row."""
+        """The reduced step's scores and the free rows its last round kept,
+        after checking it against the step that keeps every free row."""
         kept = []
-        split = weightstep._harmonic_split
+        reduce = weightstep._KronLaplacian.reduce
 
-        def spy(P, keep, top):
-            out = split(P, keep, top)
-            kept.append(out[0])
-            return out
+        def spy(lap, rows):
+            reduce(lap, rows)
+            kept.append(lap.keep)
 
         with monkeypatch.context() as patch:
-            patch.setattr(weightstep, "_harmonic_split", spy)
+            patch.setattr(weightstep._KronLaplacian, "reduce", spy)
             f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
         with monkeypatch.context() as patch:
             _keep_every_row(patch)
@@ -731,8 +749,7 @@ class TestHarmonicSplit:
         assert gap <= bound and gap_all <= bound_all
         qp = _ScoreQP(nb, labels, lam, hi)
         assert abs(qp.value(f) - qp.value(g)) <= gap + gap_all + 1e-12
-        (rows,) = kept
-        return f, qp.free[rows]
+        return f, qp.free[kept[-1]]
 
     @pytest.mark.parametrize("cap", [1.0, 2.0])
     def test_row_that_can_pass_its_top_is_kept(self, cap, monkeypatch):
@@ -775,7 +792,7 @@ class TestHarmonicSplit:
         # rows 1 and 2 meet only each other, so P_HH is singular and cannot
         # be factored: nothing is eliminated
         P = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
-        B, H, w, S, Li = weightstep._harmonic_split(P, np.array([True, False, False]), np.ones(3))
+        B, H, w, S, Li = weightstep._harmonic_split(P, np.array([True, False, False]))
         assert B.tolist() == [0, 1, 2] and H.size == 0 and w.shape == (0, 3) and Li.shape == (0, 0)
         assert S is P
 
@@ -800,6 +817,109 @@ class TestHarmonicSplit:
         f, kept = self._compare(f0, nb, labels, lam, hi, monkeypatch)
         assert np.all(np.isinf(hi))
         assert kept.shape[0] == len(labels.positives) + len(labels.negatives)
+
+    def test_moved_rows_match_a_direct_split(self, monkeypatch):
+        # eliminated rows moved back among the kept ones by ``reduce``,
+        # without a second factor of P, against a split that keeps them from
+        # the start and against dense references: the Schur complement, the
+        # lift as a harmonic solve, and the certificate's curvature term
+        rng = np.random.default_rng(90)
+        moved = 0
+        for _ in range(10):
+            S, labels, nb, W0, lam = random_instance(rng, n_min=20, n_max=40, m_max=3)
+            n = S.n_videos
+            hi = score_box_top(S.values, 1.0)
+            hi[rng.integers(n)] = 0.0
+            free = np.flatnonzero(hi > 0.0)
+            labelled = np.isin(np.arange(n), labels.positives + labels.negatives)
+            lap = _KronLaplacian(nb, free, labelled, hi[free])
+            rows = np.zeros(free.shape[0], dtype=bool)
+            rows[rng.choice(lap.elim, size=min(4, lap.elim.shape[0] // 2), replace=False)] = True
+            lap.reduce(lap.kept | rows)
+            moved += lap.moved.shape[0]
+            with monkeypatch.context() as patch:
+                patch.setattr(_KronLaplacian, "_kept", lambda self: lap.kept.copy())
+                direct = _KronLaplacian(nb, free, labelled, hi[free])
+            np.testing.assert_array_equal(lap.keep, direct.keep)
+            np.testing.assert_array_equal(lap.drop, direct.drop)
+            np.testing.assert_allclose(lap.S, direct.S, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(lap.ceiling, direct.ceiling)
+            B, H, P = lap.keep, lap.drop, lap.P
+            for _ in range(5):
+                f_b = rng.uniform(0.0, 1.0, lap.nf) * lap.top[B]
+                f = lap.lift(f_b)
+                np.testing.assert_allclose(f, direct.lift(f_b), rtol=1e-9, atol=1e-12)
+                want = np.linalg.solve(P[np.ix_(H, H)], -P[np.ix_(H, B)] @ f_b)
+                np.testing.assert_allclose(f[H], want, rtol=1e-9, atol=1e-12)
+                r = rng.normal(size=free.shape[0])
+                flat, curved = lap.split(r)
+                flat_ref, curved_ref = eigen_curvature_split(P, r)
+                np.testing.assert_allclose(flat, flat_ref, atol=1e-10)
+                np.testing.assert_allclose(curved, curved_ref, rtol=1e-8)
+        assert moved > 0
+
+    @pytest.mark.parametrize("cap", [1.0, 2.0])
+    def test_binding_row_joins_in_round_two(self, cap, monkeypatch):
+        # the low-box instances of ``test_row_that_can_pass_its_top_is_kept``
+        # with the low row's input score below its top, so the first round
+        # eliminates it.  Where its lift passes its top, the second round
+        # keeps it (on 8 of the 10 instances with cap 1 and all 10 with cap
+        # 2), and a step from that output, where it sits at its top, keeps
+        # it from the first round; elsewhere it stays eliminated inside its
+        # box.  Every step is certified
+        rng = np.random.default_rng(86)
+        joined = 0
+        rounds = []
+        mehrotra = weightstep._mehrotra
+
+        def spy(qp, tol, max_iters):
+            rounds.append(qp.free[qp.lap.keep])
+            return mehrotra(qp, tol, max_iters)
+
+        monkeypatch.setattr(weightstep, "_mehrotra", spy)
+        for _ in range(10):
+            S, labels, nb, W0, lam = random_instance(rng, n_min=16, n_max=24, m_max=3)
+            low = S.n_videos - 1
+            S.values[low] *= 0.02
+            f0, hi = _step_inputs(S, W0, cap)
+            f0[low] = 0.5 * hi[low]
+            rounds.clear()
+            f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
+            assert gap <= bound and low not in rounds[0]
+            if low in rounds[-1]:
+                assert low in rounds[1]
+                joined += 1
+                rounds.clear()
+                f, gap, bound = composer._weight_step(f, nb, labels, lam, hi, 500, 1e-9)
+                assert gap <= bound and low in rounds[0]
+            else:
+                assert f[low] < hi[low]
+        assert joined >= 8
+
+    def test_bench_steps_match_every_row_kept(self, tmp_path, monkeypatch):
+        # the first four weight steps of the ``solve`` benchmark input (seed
+        # 96, instance 0), where unlabelled rows reach their tops: the step
+        # over the kept rows, with its rounds, against the step that keeps
+        # every free row, both certified
+        gen = bench_generator()
+        gen.generate("solve", 96, 0, str(tmp_path))
+        steps = []
+        inner = composer._weight_step
+
+        def record(*args):
+            steps.append(args)
+            return inner(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(composer, "_weight_step", record)
+            main(gen.rank_argv("solve", str(tmp_path), str(tmp_path / "out")))
+        assert len(steps) == 4
+        binding = 0
+        for f0, nb, labels, lam, hi in (step[:5] for step in steps):
+            f, kept = self._compare(f0, nb, labels, lam, hi, monkeypatch)
+            assert kept.shape[0] < 0.5 * hi.shape[0]
+            binding += kept.shape[0] - len(labels.positives) - len(labels.negatives)
+        assert binding > 0
 
 
 class TestCompressGaps:

@@ -200,3 +200,23 @@ class TestCandidateNeighbors:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             candidate_neighbors(np.zeros((3, 2)), 3)
+
+    def test_matches_stable_argsort(self):
+        # the first k columns of a stable argsort of the same distances, on
+        # random rows, integer rows (most distances tied) and repeated rows
+        # (zero distances tied), with more rows than one block
+        rng = np.random.default_rng(11)
+        inputs = [
+            rng.uniform(0, 1, (300, 5)),
+            rng.integers(0, 3, (300, 2)).astype(np.float64),
+            np.repeat(rng.uniform(0, 1, (30, 4)), 10, axis=0),
+            rng.uniform(0, 1, (7, 3)),
+        ]
+        for S in inputs:
+            n = S.shape[0]
+            sq = np.sum(S * S, axis=1)
+            d2 = sq[:, None] + sq[None, :] - 2.0 * (S @ S.T)
+            np.fill_diagonal(d2, np.inf)
+            want = np.argsort(d2, axis=1, kind="stable")
+            for k in sorted({1, 2, 5, 12, n // 2, n - 1} & set(range(1, n))):
+                np.testing.assert_array_equal(candidate_neighbors(S, k), want[:, :k])

@@ -702,10 +702,13 @@ def _mehrotra(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarray, flo
     when it has stopped shrinking (three iterations in a row that leave it
     above 0.9 times its best value and above the iterate's complementarity
     s'z, which the gap tracks until it reaches its rounding floor), or after
-    max_iters iterations.  Returns the iterate with the smallest relaxed gap
-    and the gap of the full QP there, which is at most the relaxed one when
-    every lift lies strictly inside its own box and inf when one does not;
-    the caller decides what a gap above tolerance means.
+    max_iters iterations.  It also stops once the gap is at most
+    sqrt(tol) * max(1, |objective|) and the best iterate's lift reaches an
+    eliminated row's top (``lap.reached``), since the caller then solves
+    again with that row kept.  Returns the iterate with the smallest relaxed
+    gap and the gap of the full QP there, which is at most the relaxed one
+    when every lift lies strictly inside its own box and inf when one does
+    not; the caller decides what a gap above tolerance means.
     """
     b = qp.b
     has_lo = np.isfinite(qp.lo)
@@ -733,7 +736,13 @@ def _mehrotra(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarray, flo
         # below it has reached rounding level; above it, the gap can swing
         # while the iterate still converges
         stalled = stalled + 1 if slow and gap > comp else 0
-        if best_gap <= tol * max(1.0, abs(qp.objective(best_x))) or stalled >= 3:
+        scale = max(1.0, abs(qp.objective(best_x)))
+        if best_gap <= tol * scale or stalled >= 3:
+            break
+        # once a lift has passed its top this close to the optimum, its row
+        # joins the kept ones and the next round solves again, so this
+        # round's last digits would be thrown away
+        if best_gap <= tol**0.5 * scale and np.any(qp.lap.reached(best_x[: qp.nf])):
             break
         d_diag = np.where(has_lo, z_lo / s_lo, 0.0) + np.where(has_up, z_up / s_up, 0.0)
         r_d = qp.grad(x) - z_lo + z_up + qp.rows_t(z_a)

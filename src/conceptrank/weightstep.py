@@ -42,10 +42,11 @@ the certificate's curvature split.  Each dense matrix the object factors
 (every Newton block on the kept scores, the eliminated block of P, and the
 Schur complement grounded on one row of each flat component) goes through
 ``_cholesky_inverse``, a recursive block Cholesky that does its work in
-matrix products and overwrites the matrix with its inverse factor.  So a
-step holds P, the eliminated block's factor, S and its grounded factor,
-and one Newton matrix or factor; no factor spans every free score, and
-there is no eigendecomposition.
+matrix products and overwrites the matrix with its inverse factor; only
+the small triangular factor of the moved rows comes from ``np.linalg.qr``.
+So a step holds P, the eliminated block's factor, S and its grounded
+factor, and one Newton matrix or factor; no factor spans every free score,
+and there is no eigendecomposition.
 """
 
 from __future__ import annotations

@@ -26,7 +26,11 @@ from .synth import gen_instance, toy_embedding_rows
 
 
 def _add_input_flags(p: argparse.ArgumentParser, with_scores: bool) -> None:
-    p.add_argument("--embeddings", required=True, help="embedding table text file")
+    p.add_argument(
+        "--embeddings", required=True,
+        help="embedding table text file; its parse is cached beside it, in "
+        "<file>.cache.npz, and reused while the file's bytes are unchanged",
+    )
     p.add_argument("--vocabulary", required=True, help="concept vocabulary CSV")
     p.add_argument("--events", required=True, help="event queries JSONL")
     if with_scores:

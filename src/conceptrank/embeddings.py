@@ -21,11 +21,38 @@ number, or accepts the block, since ``float()`` also reads values the C
 reader does not (``1_0``, non-ASCII digits).  So the table holds the same
 bits, and a bad file fails with the same message, as a parse of every
 record with ``float()``.
+
+A parsed table is cached beside its file, in ``<file>.cache.npz``, so a
+later load of the same bytes skips the float parse.  The cache is an
+uncompressed ``np.savez`` archive of four arrays: ``key``, int64 [format
+version, CRC-32, Adler-32, byte length] of the file; ``tokens``, the
+table's tokens in order, joined by line feeds, as UTF-8 ``uint8`` (a
+token never holds a line break); ``rows``, the n x D float64 vectors in
+the same order; and ``duplicates``, the duplicate count.  A load computes
+the key, reading the file in 1 MB chunks, and uses the cache only when
+its key is equal and it passes the checks a parse makes (2-D, finite, no
+zero row, as many distinct tokens as rows); it is read with
+``allow_pickle=False``, and its rows stay read-only views.  Any other
+cache, missing, unreadable, stale or of another version, is ignored, and
+the file is parsed.  After a parse that succeeded, and only if the
+file's key is unchanged by then, the cache is written to a temporary
+file in the same directory and moved into place with ``os.replace``; a
+write that fails (a read-only directory, a full disk) leaves no file and
+does not fail the load.  A file that is not a regular file, such as a
+pipe, is parsed and never cached.  The checksums come from ``zlib``:
+importing ``hashlib`` loads OpenSSL's libcrypto, which adds about 3.5 MB
+to the resident memory of the process, 8% of a rank whose table holds a
+few hundred tokens.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import stat
+import tempfile
 import warnings
+import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -34,6 +61,14 @@ import numpy as np
 from .errors import CoverageError, FormatError
 
 __all__ = ["EmbeddingTable", "PhraseVector", "load_embeddings", "phrase_vector", "cosine"]
+
+# the cache file of a table is its path with this suffix
+_CACHE_SUFFIX = ".cache.npz"
+# the version of the cache's layout, the first entry of its key; a cache
+# of another version is not read, and the next parse replaces it
+_CACHE_VERSION = 1
+# bytes of the table read per checksum update
+_CHUNK_BYTES = 1 << 20
 
 # non-blank lines per np.loadtxt call.  A block's value strings are all
 # alive at once; at 128 lines the loader's peak RSS on a 20k x 48 table is
@@ -76,7 +111,25 @@ def load_embeddings(path: str) -> EmbeddingTable:
     ``duplicate_count``.  Raises FormatError, naming the line,
     on a record without a token or values, inconsistent arity, an
     unparsable or non-finite value, or a zero vector, and on an empty file.
+
+    The table is read from its cache file, ``path + ".cache.npz"``, when
+    that holds the parse of the file's current bytes; otherwise the file
+    is parsed and the cache written (see the module docstring).
     """
+    cache = os.fspath(path) + _CACHE_SUFFIX
+    key = _table_key(path)
+    if key is not None:
+        table = _read_cache(cache, key)
+        if table is not None:
+            return table
+    table = _parse_table(path)
+    if key is not None and np.array_equal(_table_key(path), key):
+        _write_cache(path, cache, key, table)
+    return table
+
+
+def _parse_table(path: str) -> EmbeddingTable:
+    """The table of the text file at ``path``, parsed block by block."""
     vectors: dict[str, np.ndarray] = {}
     dimension = None
     duplicates = 0
@@ -91,6 +144,98 @@ def load_embeddings(path: str) -> EmbeddingTable:
     if dimension is None:
         raise FormatError(f"{path}: no entries")
     return EmbeddingTable(dimension=dimension, vectors=vectors, duplicate_count=duplicates)
+
+
+def _table_key(path: str) -> np.ndarray | None:
+    """The cache key of the file at ``path``: the cache format's version,
+    the CRC-32 and Adler-32 of its bytes and their count.  None when it is
+    not a regular file, such as a pipe, which reading would consume, or
+    cannot be read."""
+    crc, adler, length = 0, 1, 0
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        with open(path, "rb") as fh:
+            while chunk := fh.read(_CHUNK_BYTES):
+                crc = zlib.crc32(chunk, crc)
+                adler = zlib.adler32(chunk, adler)
+                length += len(chunk)
+    except OSError:
+        return None
+    return np.array([_CACHE_VERSION, crc, adler, length], dtype=np.int64)
+
+
+def _read_cache(cache: str, key: np.ndarray) -> EmbeddingTable | None:
+    """The table stored in ``cache``; None when the cache is missing or
+    unreadable, is of other bytes or another format, or fails a check
+    that the parse makes of a table."""
+    try:
+        # np.load leaks its own handle when the zip directory is bad
+        with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            if not np.array_equal(npz["key"], key):
+                return None
+            tokens, rows, duplicates = npz["tokens"], npz["rows"], npz["duplicates"]
+    except Exception:
+        # np.load and zipfile raise a dozen types on corrupt bytes (OSError,
+        # ValueError, BadZipFile, EOFError, KeyError, NotImplementedError,
+        # tokenize.TokenError among them); a cache that cannot be read is
+        # parsed again like one that is not there
+        return None
+    if not (
+        all(isinstance(a, np.ndarray) for a in (tokens, rows, duplicates))
+        and tokens.dtype == np.uint8
+        and tokens.ndim == 1
+        and rows.dtype == np.float64
+        and rows.ndim == 2
+        and duplicates.dtype == np.int64
+        and duplicates.ndim == 0
+        and duplicates >= 0
+        and np.isfinite(rows).all()
+        and rows.any(axis=1).all()
+    ):
+        return None
+    try:
+        names = tokens.tobytes().decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        return None
+    rows.setflags(write=False)
+    vectors = dict(zip(names, rows))
+    if not len(names) == rows.shape[0] == len(vectors):
+        return None
+    return EmbeddingTable(
+        dimension=rows.shape[1], vectors=vectors, duplicate_count=int(duplicates)
+    )
+
+
+def _write_cache(path: str, cache: str, key: np.ndarray, table: EmbeddingTable) -> None:
+    """Store ``table``, parsed from ``path``, under ``key`` in ``cache``,
+    through a temporary file in its directory that replaces it whole.  A
+    failed write leaves no file and is not an error: the next load parses
+    the table again."""
+    tokens = np.frombuffer("\n".join(table.vectors).encode("utf-8"), dtype=np.uint8)
+    rows = np.array(list(table.vectors.values()))
+    try:
+        fd, tmp = tempfile.mkstemp(
+            prefix=os.path.basename(cache) + ".", suffix=".tmp",
+            dir=os.path.dirname(cache) or os.curdir,
+        )
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(
+                fh, key=key, tokens=tokens, rows=rows,
+                duplicates=np.int64(table.duplicate_count),
+            )
+        # whoever may read the table may read its cache (mkstemp makes 0600)
+        os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode) & 0o666)
+        os.replace(tmp, cache)
+    except (OSError, ValueError):
+        pass
+    finally:
+        # gone after the replace; left by a write that failed or was cut
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 # (line number, token, separator, value fields): a line split at its first

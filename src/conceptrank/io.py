@@ -2,6 +2,9 @@
 
 Formats:
   embeddings         plain text, ``token SP float ...`` per line (see embeddings)
+  embeddings cache   ``<embeddings>.cache.npz`` beside the table, written on a
+                     parse and read while the table's bytes are unchanged
+                     (see embeddings)
   vocabulary         CSV with header ``concept_id,name,source``
   videos             headerless TSV ``video_id TAB split TAB description``
   events             JSON lines with string fields ``event_id``, ``name`` and,

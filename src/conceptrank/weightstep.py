@@ -144,9 +144,14 @@ def _laplacian(neighbors: NeighborMatrix, free: np.ndarray) -> np.ndarray:
     w = 2.0 * neighbors.probs[edge]  # 4 (a_ij / 2) on each side of the edge
     inner = (i >= 0) & (j >= 0)
     a, b, w_in = i[inner], j[inner], -w[inner]
-    P = np.zeros((nf, nf))
-    np.add.at(P, (a, b), w_in)
-    np.add.at(P, (b, a), w_in)
+    # one scatter over the entries (a, b), then (b, a): the same additions
+    # in the same order as two np.add.at calls, in one pass.  With no edge
+    # inside ``free`` np.bincount returns integers
+    P = np.bincount(
+        np.concatenate([a * nf + b, b * nf + a]),
+        weights=np.concatenate([w_in, w_in]),
+        minlength=nf * nf,
+    ).astype(np.float64, copy=False).reshape(nf, nf)
     # an edge with one end pinned adds its weight to the free end only
     out_i, out_j = (i >= 0) & (j < 0), (j >= 0) & (i < 0)
     pinned = np.bincount(

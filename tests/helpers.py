@@ -3,10 +3,10 @@
 The references are independent or slower forms of what ``conceptrank``
 computes: the per-phrase query steps, which embed every phrase they
 touch; brute-force enumerations of the simplex projection and the push
-loss; a central-difference gradient; a dense Laplacian, an
-eigendecomposition split, an out-of-place block Cholesky inverse and an
-SLSQP solve of the weight step.  No
-program path calls them.  The generators draw random solver inputs, and
+loss; a central-difference gradient; a dense Laplacian and one scattered
+by ``np.add.at``, an eigendecomposition split, an out-of-place block
+Cholesky inverse and an SLSQP solve of the weight step.  No program path
+calls them.  The generators draw random solver inputs, and
 ``project_row`` and ``neighbor_row`` run the batched graph kernels on one
 row.  ``bench_generator`` loads the benchmark's input generator.
 """
@@ -156,6 +156,33 @@ def dense_laplacian(neighbors):
     A[np.arange(n)[:, None], neighbors.candidates] = neighbors.probs
     M = 0.5 * (A + A.T)
     return np.diag(M.sum(axis=1)) - M
+
+
+def add_at_laplacian(neighbors, free):
+    """``weightstep._laplacian`` with its off-diagonal entries scattered by
+    two ``np.add.at`` calls, (a, b) and then (b, a): the order of additions
+    that the one ``np.bincount`` there must keep bit for bit."""
+    n, k = neighbors.candidates.shape
+    edge = neighbors.probs > 0.0
+    nf = free.shape[0]
+    col = np.full(n, -1)
+    col[free] = np.arange(nf)
+    i = col[np.repeat(np.arange(n), k)[edge.ravel()]]
+    j = col[neighbors.candidates[edge]]
+    w = 2.0 * neighbors.probs[edge]
+    inner = (i >= 0) & (j >= 0)
+    a, b, w_in = i[inner], j[inner], -w[inner]
+    P = np.zeros((nf, nf))
+    np.add.at(P, (a, b), w_in)
+    np.add.at(P, (b, a), w_in)
+    out_i, out_j = (i >= 0) & (j < 0), (j >= 0) & (i < 0)
+    pinned = np.bincount(
+        np.concatenate([i[out_i], j[out_j]]),
+        weights=np.concatenate([w[out_i], w[out_j]]),
+        minlength=nf,
+    )
+    P[np.diag_indices(nf)] = -P.sum(axis=1) + pinned
+    return P
 
 
 def eigen_curvature_split(P, r):

@@ -30,6 +30,7 @@ from conceptrank.query import PseudoLabels
 from conceptrank.weightstep import _interior_point, _KronLaplacian, _ScoreQP
 
 from helpers import (
+    add_at_laplacian,
     bench_generator,
     brute_force_push,
     dense_laplacian,
@@ -994,6 +995,18 @@ class TestLaplacian:
             free = np.flatnonzero(rng.uniform(size=n) < 0.7)
             got = weightstep._laplacian(nb, free)
             np.testing.assert_allclose(got, want[np.ix_(free, free)], rtol=1e-15, atol=0.0)
+            np.testing.assert_array_equal(got, add_at_laplacian(nb, free))
+
+    def test_no_edge_inside_free_rows(self):
+        # the off-diagonal scatter is empty; the diagonal holds only the
+        # edges to pinned rows, as floats
+        rng = np.random.default_rng(77)
+        for nb, want in self._graphs(rng):
+            for free in (np.array([0]), np.array([], dtype=int)):
+                got = weightstep._laplacian(nb, free)
+                assert got.dtype == np.float64
+                np.testing.assert_array_equal(got, add_at_laplacian(nb, free))
+                np.testing.assert_allclose(got, want[np.ix_(free, free)], rtol=1e-15, atol=0.0)
 
 
 class TestCholeskyInverse:

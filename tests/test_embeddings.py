@@ -1,5 +1,10 @@
 import math
+import os
+import stat
+import threading
 import warnings
+import zlib
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -245,6 +250,199 @@ def test_load_matches_reference_on_generated_files(tmp_path_factory, text, block
     path = tmp_path_factory.mktemp("differential") / "emb.txt"
     path.write_bytes(text.encode("utf-8"))
     _check_against_reference(str(path), block_lines)
+
+
+def _cached_table_file(tmp_path):
+    """A table over more than two default blocks, with uppercase tokens and
+    tokens that repeat across blocks, loaded once so its cache is written."""
+    rng = np.random.default_rng(9)
+    n = 2 * embeddings._BLOCK_LINES + 11
+    distinct = embeddings._BLOCK_LINES + 3
+    lines = [
+        f"{'W' if i % 3 else 'w'}{i % distinct} "
+        + " ".join(repr(float(x)) for x in rng.standard_normal(5))
+        for i in range(n)
+    ]
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    load_embeddings(path)
+    return path, path + embeddings._CACHE_SUFFIX
+
+
+def _count_parses(monkeypatch):
+    """Counts the text parses of every later load."""
+    calls = []
+    parse = embeddings._parse_table
+
+    def spy(path):
+        calls.append(path)
+        return parse(path)
+
+    monkeypatch.setattr(embeddings, "_parse_table", spy)
+    return calls
+
+
+def _rewrite(cache, **changes):
+    """Write the cache again with some of its arrays changed."""
+    with np.load(cache) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    for name, change in changes.items():
+        arrays[name] = change(arrays[name])
+    with open(cache, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _set_row(i, value):
+    def change(rows):
+        rows[i] = value
+        return rows
+
+    return change
+
+
+def _names(tokens):
+    return tokens.tobytes().decode("utf-8").split("\n")
+
+
+def _joined(names):
+    return np.frombuffer("\n".join(names).encode("utf-8"), dtype=np.uint8)
+
+
+class TestCache:
+    def test_hit_matches_parse(self, tmp_path, monkeypatch):
+        path, cache = _cached_table_file(tmp_path)
+        assert sorted(os.listdir(tmp_path)) == ["emb.txt", "emb.txt.cache.npz"]
+        # whoever may read the table may read the cache
+        assert stat.S_IMODE(os.stat(cache).st_mode) == stat.S_IMODE(os.stat(path).st_mode) & 0o666
+        parses = _count_parses(monkeypatch)
+        hit = _outcome(load_embeddings, path)
+        assert parses == []
+        assert hit == _outcome(_reference_load, path)
+        assert hit[2] == 2 * embeddings._BLOCK_LINES + 11 - (embeddings._BLOCK_LINES + 3)
+        assert all(writeable is False for *_, writeable in hit[4])
+        assert [t for t in hit[3] if t != t.lower()] == []
+
+    def test_key_is_version_checksums_and_length(self, tmp_path, monkeypatch):
+        # read in chunks, the checksums are those of the whole file
+        monkeypatch.setattr(embeddings, "_CHUNK_BYTES", 7)
+        data = "".join(f"t{i} {i + 1} -0.5\n" for i in range(20)).encode("utf-8")
+        path = tmp_path / "emb.txt"
+        path.write_bytes(data)
+        want = [embeddings._CACHE_VERSION, zlib.crc32(data), zlib.adler32(data), len(data)]
+        assert embeddings._table_key(str(path)).tolist() == want
+
+    def test_same_size_edit_with_restored_mtime_invalidates(self, tmp_path, monkeypatch):
+        path, cache = _cached_table_file(tmp_path)
+        st = os.stat(path)
+        text = Path(path).read_text(encoding="utf-8")
+        first = text.index(" ") + 1
+        digit = "1" if text[first + 1] != "1" else "2"
+        edited = text[: first + 1] + digit + text[first + 2 :]
+        assert len(edited) == len(text) and edited != text
+        Path(path).write_text(edited, encoding="utf-8")
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert os.stat(path).st_size == st.st_size
+        parses = _count_parses(monkeypatch)
+        assert _outcome(load_embeddings, path) == _outcome(_reference_load, path)
+        assert len(parses) == 1
+        # the cache now holds the edited table
+        assert _outcome(load_embeddings, path) == _outcome(_reference_load, path)
+        assert len(parses) == 1
+
+    _BROKEN = {
+        "truncated": lambda c: os.truncate(c, os.path.getsize(c) // 2),
+        "empty": lambda c: os.truncate(c, 0),
+        "garbage": lambda c: Path(c).write_bytes(b"not a cache\n" * 100),
+        "version": lambda c: _rewrite(c, key=lambda k: k + np.array([1, 0, 0, 0])),
+        "nan_row": lambda c: _rewrite(c, rows=_set_row(3, np.nan)),
+        "zero_row": lambda c: _rewrite(c, rows=_set_row(-1, 0.0)),
+        "one_token_short": lambda c: _rewrite(c, tokens=lambda t: _joined(_names(t)[1:])),
+        "repeated_token": lambda c: _rewrite(c, tokens=lambda t: _joined(["w0"] * len(_names(t)))),
+        "float32_rows": lambda c: _rewrite(c, rows=lambda r: r.astype(np.float32)),
+        "rows_1d": lambda c: _rewrite(c, rows=np.ravel),
+        "no_rows": lambda c: _rewrite(c, rows=lambda r: r[:0]),
+        "bytes_member": lambda c: _rewrite(c, tokens=lambda t: t.tobytes()),
+    }
+
+    @pytest.mark.parametrize("broken", sorted(_BROKEN))
+    def test_broken_cache_is_parsed_and_rewritten(self, tmp_path, monkeypatch, broken):
+        path, cache = _cached_table_file(tmp_path)
+        good = Path(cache).read_bytes()
+        self._BROKEN[broken](cache)
+        assert Path(cache).read_bytes() != good
+        parses = _count_parses(monkeypatch)
+        assert _outcome(load_embeddings, path) == _outcome(_reference_load, path)
+        assert len(parses) == 1
+        assert Path(cache).read_bytes() == good
+        assert sorted(os.listdir(tmp_path)) == ["emb.txt", "emb.txt.cache.npz"]
+
+    @pytest.mark.parametrize("step", ["mkstemp", "replace"])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, step):
+        # the tests may run as root, where a read-only directory is
+        # still written to; so the write is failed where it happens
+        def fail(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        if step == "mkstemp":
+            monkeypatch.setattr(embeddings.tempfile, "mkstemp", fail)
+        else:
+            monkeypatch.setattr(embeddings.os, "replace", fail)
+        path = _write(tmp_path, "dog 1 0 0\nshow 0 1 0\n")
+        assert _outcome(load_embeddings, path) == _outcome(_reference_load, path)
+        assert os.listdir(tmp_path) == ["emb.txt"]
+
+    def test_interrupted_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(embeddings.os, "replace", interrupt)
+        path = _write(tmp_path, "dog 1 0 0\n")
+        with pytest.raises(KeyboardInterrupt):
+            load_embeddings(path)
+        assert os.listdir(tmp_path) == ["emb.txt"]
+
+    def test_format_error_writes_no_cache(self, tmp_path):
+        path = _write(tmp_path, "dog 1 0\ncat 0 x\n")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(FormatError) as err:
+                load_embeddings(path)
+            messages.append(str(err.value))
+        assert messages == [f"{path}:2: bad float: could not convert string to float: 'x'"] * 2
+        assert os.listdir(tmp_path) == ["emb.txt"]
+
+    def test_file_changed_during_parse_writes_no_cache(self, tmp_path, monkeypatch):
+        path = _write(tmp_path, "dog 1 0\n")
+        parse = embeddings._parse_table
+
+        def parse_then_edit(p):
+            table = parse(p)
+            with open(p, "a", encoding="utf-8") as fh:
+                fh.write("cat 0 1\n")
+            return table
+
+        monkeypatch.setattr(embeddings, "_parse_table", parse_then_edit)
+        assert list(load_embeddings(path).vectors) == ["dog"]
+        assert os.listdir(tmp_path) == ["emb.txt"]
+
+    def test_pipe_is_read_once_and_not_cached(self, tmp_path):
+        # a table read from a pipe, as from a shell's process substitution
+        fifo = str(tmp_path / "emb.txt")
+        os.mkfifo(fifo)
+        result = {}
+        reader = threading.Thread(
+            target=lambda: result.update(table=load_embeddings(fifo)), daemon=True
+        )
+        reader.start()
+        Path(fifo).write_bytes(b"dog 1 0\nDOG 0 2\n")
+        reader.join(timeout=10)
+        if reader.is_alive():
+            # a loader that opened the pipe twice waits for a second writer
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+        table = result["table"]
+        assert list(table.vectors) == ["dog"] and table.duplicate_count == 1
+        np.testing.assert_array_equal(table.get("dog"), [0.0, 2.0])
+        assert os.listdir(tmp_path) == ["emb.txt"]
 
 
 class TestPhrase:

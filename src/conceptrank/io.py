@@ -265,7 +265,13 @@ def write_scores(
 
 
 def read_supervised(path: str) -> dict[str, float]:
-    return _read_rows(path, ["video_id", "score"], lambda row: _float(row[1]))
+    def parse(row):
+        score = _float(row[1])
+        if not np.isfinite(score):
+            raise ValueError(f"supervised score must be finite, got {row[1]!r}")
+        return score
+
+    return _read_rows(path, ["video_id", "score"], parse)
 
 
 def write_supervised(path: str, scores: dict[str, float]) -> None:

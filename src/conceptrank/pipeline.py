@@ -188,6 +188,25 @@ def run_rank(config: RunConfig) -> tuple[int, dict]:
         raise ValidationError(
             f"n_pos + n_neg = {config.n_pos + config.n_neg} exceeds the {pool} covered weak videos"
         )
+    # inputs that would fail every event, or fail the run after some
+    # events are written, are rejected before the first one
+    if supervised is not None:
+        missing = [v for v in scores.video_ids if v not in supervised]
+        if missing:
+            raise ValidationError(
+                f"{config.supervised}: supervised scores missing for videos: {missing[:10]}"
+            )
+    if truth is not None:
+        test_ids = set(scores.test_ids())
+        for eid in [e.event_id for e in events if e.event_id in truth]:
+            unknown = sorted(set(truth[eid]) - test_ids)
+            if unknown:
+                raise ValidationError(
+                    f"{config.ground_truth}: {eid} labels videos that are not test "
+                    f"videos: {unknown[:10]}"
+                )
+            if not any(truth[eid].values()):
+                raise ValidationError(f"{config.ground_truth}: {eid} has no positive video")
     weak_csv = io.scores_csv(
         vocab,
         [r.video_id for r, ok in zip(layer.weak_records, layer.covered) if ok],

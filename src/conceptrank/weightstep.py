@@ -20,13 +20,14 @@ reduction, Dorfler & Bullo, IEEE TCS 2013), with its box dropped.  Which
 boxes bind is found by seed and verify.  A step starts from the rows whose
 input score sits at its top, the last step's active tops (``_weight_step``).
 Each round solves the relaxed QP with a Mehrotra interior point
-(``_mehrotra``) and lifts the result; a row whose lift reaches its top
-joins the kept rows, and another round follows.  By the maximum principle
-of the harmonic extension (Zhu, Ghahramani & Lafferty, ICML 2003) a lift
-never passes the highest kept score, so the relaxation only drops upper
-bounds, and an optimum of it that is feasible is the optimum of the full
-QP; the gap is then certified against the full QP.  Most steps take one or
-two rounds.
+(``_mehrotra``), on one slack vector s and one multiplier vector z with
+an entry per inequality, bound or row, and lifts the result; a row whose
+lift reaches its top joins the kept rows, and another round follows.  By
+the maximum principle of the harmonic extension (Zhu, Ghahramani &
+Lafferty, ICML 2003) a lift never passes the highest kept score, so the
+relaxation only drops upper bounds, and an optimum of it that is feasible
+is the optimum of the full QP; the gap is then certified against the full
+QP.  Most steps take one or two rounds.
 
 Every matrix of the step belongs to one object, ``_KronLaplacian``, built
 once per step.  The step sees one graph, the edges with a_ij > 0 (the
@@ -443,10 +444,15 @@ class _ScoreQP:
     Optimization in Linear Time*, NIPS 2014).  The QP minimizes
     1/2 f'Sf + lin'x + const  over the kept free scores f, the level t of
     the top negative and one hinge slack xi_i per clipped positive, subject
-    to  lo <= x <= up  and the rows
+    to  f, xi >= 0,  f <= up  (the kept scores' tops) and the rows
 
       f_{n_j} - t <= 0                                 (each negative j)
-      t - f_{p_i} - xi_i <= -1,  xi_i >= 0             (i in C)
+      t - f_{p_i} - xi_i <= -1                         (i in C)
+
+    Each bound and row, in that order, is one entry of  G x + s = h,
+    s >= 0:  ``ineq`` is G x, ``ineq_t`` its adjoint and ``slack`` h - G x,
+    and ``start`` gives one multiplier per entry of s.  The level t has no
+    bound.
 
     Videos whose score box is [0, 0] are pinned and left out (``free``
     holds the others), and a box without a top (no cap) is closed at n
@@ -468,8 +474,8 @@ class _ScoreQP:
     one with the tops ``lap.ceiling``, with P as it is: the bound holds at
     any strictly feasible primal-dual point, wherever it came from.
 
-    The rows are never formed as a matrix.  Each slack sits in one hinge
-    row, so ``newton`` eliminates the slacks and factors only an
+    Neither G nor the rows A are formed as a matrix.  Each slack sits in one
+    hinge row, so ``newton`` eliminates the slacks and factors only an
     (nf + 1) x (nf + 1) system.
     """
 
@@ -513,13 +519,16 @@ class _ScoreQP:
         self.lin[col[linear]] = -self.slack_cost
         self.lin[self.t] = self.const
         self.lin[nf + 1 :] = self.slack_cost
-        self.lo = np.concatenate([np.zeros(nf), [-np.inf], np.zeros(n_clip)])
-        self.up = np.concatenate([self.top[lap.keep], np.full(1 + n_clip, np.inf)])
+        self.up = self.top[lap.keep]
         # rows: one per negative, then one hinge row per clipped positive
         self.b = np.concatenate([np.zeros(self.n_epi), np.full(n_clip, -1.0)])
         self.hp = col[self.clipped]
         self.n_free = col[neg] >= 0
         self.hn = col[neg[self.n_free]]
+        # the bounds: -x_j <= 0 on every entry but t, then f_j <= up_j
+        self.box = np.concatenate([np.delete(np.arange(self.lin.shape[0]), nf), np.arange(nf)])
+        self.sign = np.concatenate([np.full(nf + n_clip, -1.0), np.ones(nf)])
+        self.h = np.concatenate([np.zeros(nf + n_clip), self.up, self.b])
 
     def value(self, f: np.ndarray) -> float:
         """Smoothness + push at the scores f, in the objective's arithmetic."""
@@ -544,6 +553,21 @@ class _ScoreQP:
         g[nf] = z_h.sum() - z_e.sum()
         g[nf + 1 :] = -z_h
         return g
+
+    def ineq(self, x: np.ndarray) -> np.ndarray:
+        """G x, the left-hand sides of every inequality  G x <= h:  the
+        bounds' ``sign * x[box]``, then the rows A x."""
+        return np.concatenate([self.sign * x[self.box], self.rows(x)])
+
+    def ineq_t(self, v: np.ndarray) -> np.ndarray:
+        """The adjoint G' v of ``ineq``."""
+        nb = self.box.shape[0]
+        bounds = np.bincount(self.box, weights=self.sign * v[:nb], minlength=self.lin.shape[0])
+        return bounds + self.rows_t(v[nb:])
+
+    def slack(self, x: np.ndarray) -> np.ndarray:
+        """The slacks  s = h - G x  of every inequality at x."""
+        return self.h - self.ineq(x)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         g = self.lin.copy()
@@ -608,28 +632,27 @@ class _ScoreQP:
         return solve
 
     def start(self):
-        """Strictly feasible primal-dual point: mid-box scores, the level t
-        one above the top negative score, unit row slacks, and multipliers
-        that make every variable stationary."""
+        """Strictly feasible primal-dual point (x, z): mid-box scores, the
+        level t one above the top negative score, unit row slacks, and
+        multipliers z, in the order of ``ineq``, that make every variable
+        stationary."""
         nf, n_epi = self.nf, self.n_epi
         x = np.zeros(self.lin.shape[0])
-        x[:nf] = 0.5 * self.up[:nf]
+        x[:nf] = 0.5 * self.up
         x[self.t] = float(np.max(self.rows(x)[:n_epi])) + 1.0
         x[nf + 1 :] = np.maximum(self.rows(x)[n_epi:] - self.b[n_epi:], 0.0) + 1.0
         # each slack passes half of its cost to its hinge row and half to
         # its lower bound; the level t has cost lam a and no curvature, so
         # the negatives' rows carry lam a plus the hinge multipliers
         z_a = np.empty(self.b.shape[0])
-        z_lo = np.zeros_like(x)
-        z_up = np.zeros_like(x)
-        z_a[n_epi:] = z_lo[nf + 1 :] = 0.5 * self.slack_cost
+        z_a[n_epi:] = 0.5 * self.slack_cost
         z_a[:n_epi] = (self.const + z_a[n_epi:].sum()) / n_epi
         # the score boxes absorb the rest; at mid-box equal offsets cancel
         r = (self.grad(x) + self.rows_t(z_a))[:nf]
         offset = (self.lam / n_epi) / x[:nf]
-        z_lo[:nf] = np.maximum(r, 0.0) + offset
-        z_up[:nf] = np.maximum(-r, 0.0) + offset
-        return x, z_lo, z_up, z_a
+        return x, np.concatenate(
+            [np.maximum(r, 0.0) + offset, z_a[n_epi:], np.maximum(-r, 0.0) + offset, z_a]
+        )
 
     def gap(self, x: np.ndarray, z_a: np.ndarray, top: np.ndarray | None = None) -> float:
         """Certified bound on objective(x) - optimum, or inf if x is not
@@ -702,6 +725,12 @@ def _interior_point(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarra
 def _mehrotra(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarray, float]:
     """Mehrotra predictor-corrector from the QP's strictly feasible start.
 
+    Every bound and row of the QP is one inequality of  G x + s = h
+    (``_ScoreQP.ineq``), so the method carries one slack vector s = h - G x,
+    recomputed from x, and one multiplier vector z > 0: each iteration
+    takes one complementarity s'z, one Newton matrix with  D = z / s  split
+    into its rows' and its bounds' weights, and, for the predictor and
+    then the corrector, one residual, one ratio test on s and one on z.
     Solves the relaxed QP over the kept scores: its certified gap
     (``_ScoreQP.gap`` with the tops ``lap.ceiling``) guards each step, and
     the method stops when that gap is at most tol * max(1, |objective|),
@@ -716,12 +745,7 @@ def _mehrotra(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarray, flo
     when every lift lies strictly inside its own box and inf when one does
     not; the caller decides what a gap above tolerance means.
     """
-    b = qp.b
-    has_lo = np.isfinite(qp.lo)
-    has_up = np.isfinite(qp.up)
-    lo = np.where(has_lo, qp.lo, 0.0)
-    up = np.where(has_up, qp.up, 0.0)
-    n_con = int(has_lo.sum() + has_up.sum()) + b.shape[0]
+    nb = qp.box.shape[0]
 
     def max_step(v, dv):
         shrink = dv < 0.0
@@ -730,14 +754,12 @@ def _mehrotra(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarray, flo
         return min(1.0, float(np.min(-v[shrink] / dv[shrink])))
 
     ceiling = qp.lap.ceiling
-    x, z_lo, z_up, z_a = qp.start()
-    best_x, best_z, best_gap = x, z_a, qp.gap(x, z_a, ceiling)
+    x, z = qp.start()
+    best_x, best_z, best_gap = x, z, qp.gap(x, z[nb:], ceiling)
     gap, slow, stalled = best_gap, False, 0
     for _ in range(max_iters):
-        s_lo = np.where(has_lo, x - lo, 1.0)
-        s_up = np.where(has_up, up - x, 1.0)
-        s_a = b - qp.rows(x)
-        comp = float(s_lo[has_lo] @ z_lo[has_lo] + s_up[has_up] @ z_up[has_up] + s_a @ z_a)
+        s = qp.slack(x)
+        comp = float(s @ z)
         # a gap that stops shrinking although the complementarity has fallen
         # below it has reached rounding level; above it, the gap can swing
         # while the iterate still converges
@@ -750,65 +772,43 @@ def _mehrotra(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarray, flo
         # round's last digits would be thrown away
         if best_gap <= tol**0.5 * scale and np.any(qp.lap.reached(best_x[: qp.nf])):
             break
-        d_diag = np.where(has_lo, z_lo / s_lo, 0.0) + np.where(has_up, z_up / s_up, 0.0)
-        r_d = qp.grad(x) - z_lo + z_up + qp.rows_t(z_a)
-        mu = comp / n_con
+        r_d = qp.grad(x) + qp.ineq_t(z)
+        mu = comp / s.shape[0]
 
-        def direction(rc_lo, rc_up, rc_a):
-            # Newton step on the perturbed KKT system, slacks eliminated
-            rhs = -r_d - rc_lo / s_lo + rc_up / s_up + qp.rows_t(rc_a / s_a)
-            dx = solve(rhs)
-            Adx = qp.rows(dx)
-            dz_lo = np.where(has_lo, (-rc_lo - z_lo * dx) / s_lo, 0.0)
-            dz_up = np.where(has_up, (-rc_up + z_up * dx) / s_up, 0.0)
-            dz_a = (-rc_a + z_a * Adx) / s_a
-            alpha = min(
-                max_step(s_lo[has_lo], dx[has_lo]),
-                max_step(s_up[has_up], -dx[has_up]),
-                max_step(s_a, -Adx),
-                max_step(z_lo[has_lo], dz_lo[has_lo]),
-                max_step(z_up[has_up], dz_up[has_up]),
-                max_step(z_a, dz_a),
-            )
-            return dx, Adx, dz_lo, dz_up, dz_a, alpha
+        def direction(rc):
+            # Newton step on the perturbed KKT system, s and z eliminated
+            dx = solve(qp.ineq_t(rc / s) - r_d)
+            ds = -qp.ineq(dx)
+            dz = -(rc + z * ds) / s
+            return dx, ds, dz, min(max_step(s, ds), max_step(z, dz))
 
         try:
             solve = None  # drop the last factor before the next matrix is built
-            solve = qp.newton(z_a / s_a, d_diag)
-            rc_lo = np.where(has_lo, s_lo * z_lo, 0.0)
-            rc_up = np.where(has_up, s_up * z_up, 0.0)
-            dx, Adx, dz_lo, dz_up, dz_a, alpha = direction(rc_lo, rc_up, s_a * z_a)
-            mu_aff = float(
-                ((s_lo + alpha * dx) * (z_lo + alpha * dz_lo))[has_lo].sum()
-                + ((s_up - alpha * dx) * (z_up + alpha * dz_up))[has_up].sum()
-                + ((s_a - alpha * Adx) * (z_a + alpha * dz_a)).sum()
-            ) / n_con
+            d = z / s
+            solve = qp.newton(d[nb:], np.bincount(qp.box, weights=d[:nb], minlength=x.shape[0]))
+            dx, ds, dz, alpha = direction(s * z)
+            mu_aff = float((s + alpha * ds) @ (z + alpha * dz)) / s.shape[0]
             sigma_mu = (mu_aff / mu) ** 3 * mu
-            dx, Adx, dz_lo, dz_up, dz_a, alpha = direction(
-                np.where(has_lo, rc_lo + dx * dz_lo - sigma_mu, 0.0),
-                np.where(has_up, rc_up - dx * dz_up - sigma_mu, 0.0),
-                s_a * z_a - Adx * dz_a - sigma_mu,
-            )
+            dx, ds, dz, alpha = direction(s * z + ds * dz - sigma_mu)
         except np.linalg.LinAlgError:
             break
         # near the boundary, rounding can put a full fraction-to-boundary
         # step outside the feasible set: shorten it until it is inside
         alpha *= 0.99
         for _ in range(8):
-            x_new = x + alpha * dx
-            z_a_new = z_a + alpha * dz_a
-            gap = qp.gap(x_new, z_a_new, ceiling)
+            x_new, z_new = x + alpha * dx, z + alpha * dz
+            gap = qp.gap(x_new, z_new[nb:], ceiling)
             if np.isfinite(gap):
                 break
             alpha *= 0.5
         else:
             break
-        x, z_lo, z_up, z_a = x_new, z_lo + alpha * dz_lo, z_up + alpha * dz_up, z_a_new
+        x, z = x_new, z_new
         # a gap that shrinks steadily, if slowly, is still converging
         slow = gap > 0.9 * best_gap
         if gap < best_gap:
-            best_x, best_z, best_gap = x, z_a, gap
-    return best_x, qp.gap(best_x, best_z)
+            best_x, best_z, best_gap = x, z, gap
+    return best_x, qp.gap(best_x, best_z[nb:])
 
 
 def update_scores(

@@ -124,6 +124,70 @@ def test_rank_end_to_end_and_metrics(tmp_path):
     assert os.path.isfile(os.path.join(out, "E001_weak_labels.csv"))
 
 
+def test_rank_with_supervised_scores(tmp_path):
+    data = _synth(tmp_path)
+    out = str(tmp_path / "out")
+    extra = ("--supervised", os.path.join(data, "supervised.csv"))
+    assert main(_rank_args(data, out, extra=extra)) == 0
+    metrics = json.loads(open(os.path.join(out, "metrics.json")).read())
+    assert metrics["failures"] == {} and metrics["E001"] >= 0.0
+    assert len(io.read_ranking(io.ranking_path(out, "E001"))) == 8
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[:2] + lines[3:], "supervised scores missing for videos: ['V0001']"),
+        (lambda lines: lines[:2] + ["V0001,nan\n"] + lines[3:], "supervised.csv:3: "),
+    ],
+    ids=["missing_row", "nan"],
+)
+def test_rank_rejects_bad_supervised_file(tmp_path, capsys, edit, message):
+    # a supervised file that fails every event is a validation error,
+    # raised before any event is ranked
+    data = _synth(tmp_path)
+    path = os.path.join(data, "supervised.csv")
+    lines = open(path, encoding="utf-8").readlines()
+    assert lines[2].startswith("V0001,")
+    open(path, "w", encoding="utf-8").writelines(edit(lines))
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main(_rank_args(data, out, extra=("--supervised", path))) == 1
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert not any("event" in r for r in records)
+    (error,) = [r["validation_error"] for r in records if "validation_error" in r]
+    assert message in error
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (
+            ["E002,V0008,1", "E002,VXXXX,1"],
+            "E002 labels videos that are not test videos: ['VXXXX']",
+        ),
+        (["E002,V0008,0", "E002,V0009,0"], "E002 has no positive video"),
+    ],
+    ids=["unknown_video", "no_positive"],
+)
+def test_rank_checks_ground_truth_before_any_event(tmp_path, capsys, rows, message):
+    # the second event's truth would fail only after the first event's
+    # files were written, so the run rejects it before ranking either
+    data = _synth(tmp_path)
+    _add_events(data, 2)
+    with open(os.path.join(data, "ground_truth.csv"), "a", encoding="utf-8") as fh:
+        fh.write("".join(row + "\n" for row in rows))
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main(_rank_args(data, out)) == 1
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert not any("event" in r for r in records)
+    (error,) = [r["validation_error"] for r in records if "validation_error" in r]
+    assert message in error
+    assert os.listdir(out) == []
+
+
 def test_rank_noiseless_planted_event_is_perfect(tmp_path):
     data = _synth(tmp_path, weak=12, test=12, sigma=0.0)
     out = str(tmp_path / "out")

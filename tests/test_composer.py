@@ -329,6 +329,33 @@ class TestReferenceSolver:
                 qp = _ScoreQP(nb, labels, lam, hi)
                 self._check_newton(qp, rng, wide)
 
+    def test_inequalities_match_dense_matrix(self):
+        # every bound and row as one inequality  G x <= h:  x >= 0 on every
+        # entry but t, a top on each kept score, then the rows, with G built
+        # column by column from ``ineq``; the start is strictly feasible and
+        # stationary, with one multiplier per slack
+        rng = np.random.default_rng(90)
+        for top in (0.8, 1.5, np.inf):
+            for _ in range(5):
+                S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
+                hi = np.full(S.n_videos, top)
+                hi[rng.integers(S.n_videos)] = 0.0
+                qp = _ScoreQP(nb, labels, lam, hi)
+                nx, nf = qp.lin.shape[0], qp.nf
+                G = np.stack([qp.ineq(e) for e in np.eye(nx)], axis=1)
+                A = np.stack([qp.rows(e) for e in np.eye(nx)], axis=1)
+                lower = np.delete(-np.eye(nx), qp.t, axis=0)
+                np.testing.assert_array_equal(G, np.vstack([lower, np.eye(nx)[:nf], A]))
+                h = np.concatenate([np.zeros(nx - 1), qp.top[qp.lap.keep], qp.b])
+                v = rng.normal(size=G.shape[0])
+                np.testing.assert_allclose(qp.ineq_t(v), G.T @ v, atol=1e-12)
+                x, z = qp.start()
+                s = qp.slack(x)
+                np.testing.assert_allclose(s, h - G @ x, atol=1e-12)
+                assert s.shape == z.shape and s.min() > 0.0 and z.min() > 0.0
+                r = qp.grad(x) + qp.ineq_t(z)
+                assert np.abs(r).max() <= 1e-12 * max(1.0, np.abs(qp.grad(x)).max())
+
     def test_newton_matches_dense_system_above_split(self, monkeypatch):
         # the same checks with the (f, t) system large enough that
         # ``_cholesky_inverse`` recurses: every free score is kept

@@ -48,10 +48,12 @@ few hundred tokens.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import stat
 import tempfile
 import warnings
+import zipfile
 import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -69,6 +71,8 @@ _CACHE_SUFFIX = ".cache.npz"
 _CACHE_VERSION = 1
 # bytes of the table read per checksum update
 _CHUNK_BYTES = 1 << 20
+# rows of the table stacked per write into the cache's ``rows`` array
+_CACHE_ROWS = 1024
 
 # non-blank lines per np.loadtxt call.  A block's value strings are all
 # alive at once; at 128 lines the loader's peak RSS on a 20k x 48 table is
@@ -211,9 +215,12 @@ def _write_cache(path: str, cache: str, key: np.ndarray, table: EmbeddingTable) 
     """Store ``table``, parsed from ``path``, under ``key`` in ``cache``,
     through a temporary file in its directory that replaces it whole.  A
     failed write leaves no file and is not an error: the next load parses
-    the table again."""
+    the table again.
+
+    The archive is the one ``np.savez`` writes of the four arrays, with
+    ``rows`` written ``_CACHE_ROWS`` rows at a time (``_write_rows``), so
+    the table is not copied into one n x D array."""
     tokens = np.frombuffer("\n".join(table.vectors).encode("utf-8"), dtype=np.uint8)
-    rows = np.array(list(table.vectors.values()))
     try:
         fd, tmp = tempfile.mkstemp(
             prefix=os.path.basename(cache) + ".", suffix=".tmp",
@@ -222,11 +229,15 @@ def _write_cache(path: str, cache: str, key: np.ndarray, table: EmbeddingTable) 
     except OSError:
         return
     try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(
-                fh, key=key, tokens=tokens, rows=rows,
-                duplicates=np.int64(table.duplicate_count),
-            )
+        arrays = {"key": key, "tokens": tokens, "duplicates": np.int64(table.duplicate_count)}
+        with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as archive:
+            # np.savez's order of the members, each forced to zip64 as it does
+            for name in ("key", "tokens", "rows", "duplicates"):
+                with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                    if name == "rows":
+                        _write_rows(member, table)
+                    else:
+                        np.lib.format.write_array(member, np.asanyarray(arrays[name]))
         # whoever may read the table may read its cache (mkstemp makes 0600)
         os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode) & 0o666)
         os.replace(tmp, cache)
@@ -236,6 +247,17 @@ def _write_cache(path: str, cache: str, key: np.ndarray, table: EmbeddingTable) 
         # gone after the replace; left by a write that failed or was cut
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+
+
+def _write_rows(member, table: EmbeddingTable) -> None:
+    """Write the table's rows to ``member`` as one n x D float64 ``.npy``
+    array, stacking ``_CACHE_ROWS`` rows at a time."""
+    np.lib.format.write_array_header_1_0(
+        member, {"descr": "<f8", "fortran_order": False, "shape": (len(table), table.dimension)}
+    )
+    rows = iter(table.vectors.values())
+    while chunk := list(itertools.islice(rows, _CACHE_ROWS)):
+        member.write(np.array(chunk, dtype="<f8").data)
 
 
 # (line number, token, separator, value fields): a line split at its first

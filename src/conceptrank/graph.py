@@ -90,8 +90,8 @@ def gamma_for_k(d: np.ndarray, k: int) -> float:
     return float(gamma)
 
 
-# rows of the distance matrix whose candidates ``candidate_neighbors`` picks
-# at once, so no n x n index array is built
+# rows whose distances ``candidate_neighbors`` computes and picks from at
+# once, so no n x n array is built
 _CANDIDATE_BLOCK = 128
 
 
@@ -100,28 +100,47 @@ def candidate_neighbors(S: np.ndarray, k_cand: int) -> np.ndarray:
 
     Distance ties break by ascending row index, making the candidate sets
     deterministic: each row's candidates are the first k_cand entries of a
-    stable argsort of its distances.  No row is sorted in full.  A block of
-    rows finds each row's k_cand-th distance with ``np.partition`` and
-    picks every index strictly below it, then the indices tied at it in
-    ascending order until k_cand are picked; a stable sort of the picked
-    indices by distance gives their order.  Computed once before
-    optimization.
+    stable argsort of its distances.  The squared distances
+    |s_i|^2 + |s_j|^2 - 2 s_i . s_j  are computed for a block of
+    ``_CANDIDATE_BLOCK`` rows at a time, against every row, so memory grows
+    with n times the block, never with n^2.  A block's product can differ
+    from the same rows of a full n x n product at rounding level, which can
+    reorder near-ties, such as those among repeated rows.  No row is sorted
+    in full.  A block finds each row's k_cand-th distance with
+    ``np.partition`` and picks every index strictly below it, then the
+    indices tied at it in ascending order until k_cand are picked; a stable
+    sort of the picked indices by distance gives their order.  Computed
+    once before optimization.
     """
     n = S.shape[0]
     if not 1 <= k_cand <= n - 1:
         raise ValueError(f"need 1 <= k_candidates <= {n - 1}, got {k_cand}")
     sq = np.sum(S * S, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (S @ S.T)
-    np.fill_diagonal(d2, np.inf)
     out = np.empty((n, k_cand), dtype=np.intp)
     for lo in range(0, n, _CANDIDATE_BLOCK):
-        d = d2[lo : lo + _CANDIDATE_BLOCK]
-        kth = np.partition(d, k_cand - 1, axis=1)[:, k_cand - 1 : k_cand]
-        below = d < kth
-        tied = d == kth
-        fill = k_cand - below.sum(axis=1, keepdims=True)
-        pick = below | (tied & (np.cumsum(tied, axis=1) <= fill))
-        cols = np.nonzero(pick)[1].reshape(-1, k_cand)
-        order = np.argsort(np.take_along_axis(d, cols, axis=1), axis=1, kind="stable")
-        out[lo : lo + _CANDIDATE_BLOCK] = np.take_along_axis(cols, order, axis=1)
+        out[lo : lo + _CANDIDATE_BLOCK] = _block_candidates(S, sq, lo, k_cand)
     return out
+
+
+def _block_candidates(S: np.ndarray, sq: np.ndarray, lo: int, k_cand: int) -> np.ndarray:
+    """``candidate_neighbors`` of the ``_CANDIDATE_BLOCK`` rows of S from row
+    lo, given the squared norms sq of every row.  The block's arrays are
+    released on return, before the next block's are built."""
+    block = S[lo : lo + _CANDIDATE_BLOCK]
+    m = block.shape[0]
+    # (|s_i|^2 + |s_j|^2) - 2 s_i . s_j  in that order, in place where it
+    # can be, so at most two block-sized arrays are alive
+    twice = block @ S.T
+    twice *= 2.0
+    d = sq[lo : lo + m, None] + sq[None, :]
+    d -= twice
+    del twice
+    d[np.arange(m), np.arange(lo, lo + m)] = np.inf
+    kth = np.partition(d, k_cand - 1, axis=1)[:, [k_cand - 1]]
+    below = d < kth
+    tied = d == kth
+    fill = k_cand - below.sum(axis=1, keepdims=True)
+    pick = below | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= fill))
+    cols = np.nonzero(pick)[1].reshape(-1, k_cand)
+    order = np.argsort(np.take_along_axis(d, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)

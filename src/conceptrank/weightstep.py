@@ -32,9 +32,11 @@ QP.  Most steps take one or two rounds.
 Every matrix of the step belongs to one object, ``_KronLaplacian``, built
 once per step.  The step sees one graph, the edges with a_ij > 0 (the
 neighbor step leaves no rounding-level ones): P, its Laplacian on the free
-scores, is built from the edge list (``_laplacian``), so no n x n adjacency
-is formed, its components are labelled once (``_components``), and it is
-factored once (``_harmonic_split``), on the rows every round keeps.  A row
+scores, is kept as the free rows' edge list (``_EdgeList``), so neither an
+n x n adjacency nor P itself is formed.  The graph's components are
+labelled once (``_components``), and P is split once
+(``_harmonic_split``), on the rows every round keeps, from the blocks
+P_HH, P_HB and P_BB that the split builds from the edge list.  A row
 that joins in a later round is moved back with a correction of the rank
 of the rows moved, not a second factor.  The QP reaches the graph only
 through the object's matvec by the Schur complement S, its factor of the
@@ -45,9 +47,11 @@ Schur complement grounded on one row of each flat component) goes through
 ``_cholesky_inverse``, a recursive block Cholesky that does its work in
 matrix products and overwrites the matrix with its inverse factor; only
 the small triangular factor of the moved rows comes from ``np.linalg.qr``.
-So a step holds P, the eliminated block's factor, S and its grounded
-factor, and one Newton matrix or factor; no factor spans every free score,
-and there is no eigendecomposition.
+So a step holds P's edge list, the eliminated block's factor, S and its
+grounded factor, and one Newton matrix or factor.  Of these only the
+eliminated block's factor grows with the square of the free scores'
+count; S and the Newton matrices grow with that of the kept ones.  No
+factor spans every free score, and there is no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -123,45 +127,98 @@ def _cholesky_inverse(A: np.ndarray) -> np.ndarray:
 _LIFT_FLOOR = 1e-12
 
 
-def _laplacian(neighbors: NeighborMatrix, free: np.ndarray) -> np.ndarray:
-    """4 L[free, free], with L the Laplacian of the symmetrized neighbor
-    graph  M = (A + A') / 2.
+# free rows whose off-diagonal entries ``_EdgeList`` lays out densely at
+# once to sum each row's diagonal entry, so no nf x nf array is built
+_DIAGONAL_BLOCK = 128
 
-    The off-diagonal entries are scattered from the edges with a_ij > 0.  Each
-    diagonal entry is minus the ``np.sum`` of its row's off-diagonal
-    entries, plus the weight of the row's edges to rows outside ``free``.
-    With every row free this is  4 M.sum(axis=1)  bit for bit: the
-    interior point's stopping test on an uncapped step needs  P 1  at the
-    accuracy of a pairwise sum, which adding the diagonal edge by edge
-    does not keep.
+
+class _EdgeList:
+    """P = 4 L[free, free], with L the Laplacian of the symmetrized neighbor
+    graph  M = (A + A') / 2,  held as the edge list it is built from.
+
+    Each edge a_ij > 0 with both ends free joins the free rows ``a`` and
+    ``b`` (numbered within ``free``, in the order of the neighbor lists)
+    with the weight ``w`` = 2 a_ij, which is 4 (a_ij / 2) on each side: it
+    adds -w at (a, b) and at (b, a).  A row's candidates are distinct, so
+    each off-diagonal entry of P adds at most two values, an edge's and its
+    reverse's, and holds the same bits in whatever order they are added.
+    An edge with one end pinned adds its weight to ``pinned`` at the free
+    end.  Each diagonal entry ``diag`` is minus the ``np.sum`` of its row's
+    off-diagonal entries, plus ``pinned``; the rows are laid out densely
+    ``_DIAGONAL_BLOCK`` at a time to be summed.  With every row free that
+    is  4 M.sum(axis=1)  bit for bit: the interior point on an uncapped step
+    needs the blocks it solves with to sum P 1 at the accuracy of a
+    pairwise sum, which adding the diagonal edge by edge does not keep.
+    ``block`` builds any block of P, and ``residual`` multiplies by P, from
+    the list alone.
     """
-    n, k = neighbors.candidates.shape
-    edge = neighbors.probs > 0.0
-    nf = free.shape[0]
-    col = np.full(n, -1)
-    col[free] = np.arange(nf)
-    i = col[np.repeat(np.arange(n), k)[edge.ravel()]]
-    j = col[neighbors.candidates[edge]]
-    w = 2.0 * neighbors.probs[edge]  # 4 (a_ij / 2) on each side of the edge
-    inner = (i >= 0) & (j >= 0)
-    a, b, w_in = i[inner], j[inner], -w[inner]
-    # one scatter over the entries (a, b), then (b, a): the same additions
-    # in the same order as two np.add.at calls, in one pass.  With no edge
-    # inside ``free`` np.bincount returns integers
-    P = np.bincount(
-        np.concatenate([a * nf + b, b * nf + a]),
-        weights=np.concatenate([w_in, w_in]),
-        minlength=nf * nf,
-    ).astype(np.float64, copy=False).reshape(nf, nf)
-    # an edge with one end pinned adds its weight to the free end only
-    out_i, out_j = (i >= 0) & (j < 0), (j >= 0) & (i < 0)
-    pinned = np.bincount(
-        np.concatenate([i[out_i], j[out_j]]),
-        weights=np.concatenate([w[out_i], w[out_j]]),
-        minlength=nf,
-    )
-    P[np.diag_indices(nf)] = -P.sum(axis=1) + pinned
-    return P
+
+    def __init__(self, neighbors: NeighborMatrix, free: np.ndarray):
+        n, k = neighbors.candidates.shape
+        edge = neighbors.probs > 0.0
+        nf = self.nf = free.shape[0]
+        col = np.full(n, -1)
+        col[free] = np.arange(nf)
+        i = col[np.repeat(np.arange(n), k)[edge.ravel()]]
+        j = col[neighbors.candidates[edge]]
+        w = 2.0 * neighbors.probs[edge]
+        inner = (i >= 0) & (j >= 0)
+        self.a, self.b, self.w = i[inner], j[inner], w[inner]
+        out_i, out_j = (i >= 0) & (j < 0), (j >= 0) & (i < 0)
+        self.pinned = np.bincount(
+            np.concatenate([i[out_i], j[out_j]]),
+            weights=np.concatenate([w[out_i], w[out_j]]),
+            minlength=nf,
+        )
+        # the diagonal entries are 0 while the rows are summed
+        self.diag = np.zeros(nf)
+        every = np.arange(nf)
+        diag = np.empty(nf)
+        for lo in range(0, nf, _DIAGONAL_BLOCK):
+            rows = every[lo : lo + _DIAGONAL_BLOCK]
+            diag[rows] = -self.block(rows, every).sum(axis=1) + self.pinned[rows]
+        self.diag = diag
+
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """P[np.ix_(rows, cols)], bit for bit, for index arrays of free rows
+        without repeats: the off-diagonal entries inside the block,
+        scattered by one np.bincount, and the diagonal entries it holds."""
+        at_row = np.full(self.nf, -1)
+        at_row[rows] = np.arange(rows.shape[0])
+        at_col = np.full(self.nf, -1)
+        at_col[cols] = np.arange(cols.shape[0])
+        i, j, v = [], [], []
+        # each edge's entry at (a, b), then its entry at (b, a)
+        for r, c in ((at_row[self.a], at_col[self.b]), (at_row[self.b], at_col[self.a])):
+            inside = (r >= 0) & (c >= 0)
+            i.append(r[inside])
+            j.append(c[inside])
+            v.append(-self.w[inside])
+        m = cols.shape[0]
+        out = np.bincount(
+            np.concatenate(i) * m + np.concatenate(j),
+            weights=np.concatenate(v),
+            minlength=rows.shape[0] * m,
+        )
+        # with no edge inside the block np.bincount returns integers
+        out = out.astype(np.float64, copy=False).reshape(rows.shape[0], m)
+        both = (at_row >= 0) & (at_col >= 0)
+        out[at_row[both], at_col[both]] = self.diag[both]
+        return out
+
+    def residual(self, f: np.ndarray) -> np.ndarray:
+        """P f, summed as the edge differences  sum_j w_ij (f_i - f_j) + pinned_i f_i.
+
+        A difference of equal scores is exactly 0, so on a level vector the
+        product is exactly its pinned part: P 1 = ``pinned``, and a shift of
+        every score moves P f by no rounding of the diagonal against its
+        row.  An uncapped step's scores sit near n / 2, where the diagonal
+        form  P @ f  carries that rounding times the level into the
+        certificate's residual."""
+        d = self.w * (f[self.a] - f[self.b])
+        out = np.bincount(self.a, weights=d, minlength=self.nf)
+        out -= np.bincount(self.b, weights=d, minlength=self.nf)
+        return out + self.pinned * f
 
 
 def _components(neighbors: NeighborMatrix) -> np.ndarray:
@@ -182,7 +239,7 @@ def _components(neighbors: NeighborMatrix) -> np.ndarray:
         label = new
 
 
-def _harmonic_split(P: np.ndarray, kept: np.ndarray) -> tuple:
+def _harmonic_split(P: _EdgeList, kept: np.ndarray) -> tuple:
     """(B, H, w, S, Li): the rows of P to keep, the rows to eliminate as the
     harmonic extension  f_H = w f_B  of the kept ones, the Schur complement
     S = P_BB + P_BH w,  the curvature of  f'Pf / 2  in f_B once f_H is
@@ -199,24 +256,26 @@ def _harmonic_split(P: np.ndarray, kept: np.ndarray) -> tuple:
     only raises the other rows' sums).  No box top is tested here: the
     rows whose top binds are found after a solve, by lifting it
     (``_interior_point``), and moved back without a second split
-    (``_KronLaplacian.reduce``).  If P_HH cannot be factored, every row is
-    kept, and S is P itself.
+    (``_KronLaplacian.reduce``).  P_HH, P_HB and P_BB are built from P's
+    edge list (``_EdgeList.block``), so P itself is never formed.  If P_HH
+    cannot be factored, every row is kept, and S is all of P, the one case
+    that builds it.
     """
     kept = kept.copy()
     while True:
         B, H = np.flatnonzero(kept), np.flatnonzero(~kept)
         if H.shape[0] == 0:
-            return B, H, np.zeros((0, B.shape[0])), P, np.zeros((0, 0))
+            return B, H, np.zeros((0, B.shape[0])), P.block(B, B), np.zeros((0, 0))
         try:
-            Li = _cholesky_inverse(P[np.ix_(H, H)])
+            Li = _cholesky_inverse(P.block(H, H))
         except np.linalg.LinAlgError:
             kept[:] = True
             continue
-        G = Li @ P[np.ix_(H, B)]
+        G = Li @ P.block(H, B)
         w = -(Li.T @ G)
         low = w.sum(axis=1) <= _LIFT_FLOOR
         if not np.any(low):
-            S = P[np.ix_(B, B)]
+            S = P.block(B, B)
             S -= G.T @ G
             return B, H, w, S, Li
         kept[H[low]] = True
@@ -228,12 +287,14 @@ class _KronLaplacian:
 
     Built from the neighbor graph, the free rows ``free``, the mask
     ``labelled`` of the videos the push loss sees and the free rows' box
-    tops ``top``.  P = 4 L[free, free] (``_laplacian``) is the curvature of
-    the smoothness term, and ``group`` labels the components of the graph
-    over every video (``_components``).  A free score's component is flat
-    when it holds no pinned video: ``flat`` lists those free rows,
-    ``member`` numbers their components and ``size`` counts them.  Their
-    indicators span the null space of P.
+    tops ``top``.  P = 4 L[free, free] is the curvature of the smoothness
+    term.  It is kept as the free rows' edge list ``edges`` (``_EdgeList``),
+    never as an nf x nf array: the split builds the blocks it factors from
+    that list, and ``residual`` sums P f over it.  ``group`` labels the
+    components of the graph over every video (``_components``).  A free
+    score's component is flat when it holds no pinned video: ``flat`` lists
+    those free rows, ``member`` numbers their components and ``size``
+    counts them.  Their indicators span the null space of P.
 
     P is split once (``_harmonic_split``), keeping the rows that ``_kept``
     masks: the labelled ones, and those of flat components without a label
@@ -269,7 +330,7 @@ class _KronLaplacian:
         self, neighbors: NeighborMatrix, free: np.ndarray, labelled: np.ndarray, top: np.ndarray
     ):
         self.free, self.labelled, self.top = free, labelled, top
-        self.P = _laplacian(neighbors, free)
+        self.edges = _EdgeList(neighbors, free)
         group = self.group = _components(neighbors)
         # a flat component holds no pinned video
         flat = ~np.isin(group[free], np.delete(group, free))
@@ -277,7 +338,7 @@ class _KronLaplacian:
         self.member = np.unique(group[free][flat], return_inverse=True)[1]
         self.size = np.bincount(self.member)
         required = self._kept()
-        self.base, self.elim, self.w, self.S_base, self.Li_H = _harmonic_split(self.P, required)
+        self.base, self.elim, self.w, self.S_base, self.Li_H = _harmonic_split(self.edges, required)
         self.reduce(required)
 
     def _kept(self) -> np.ndarray:
@@ -353,8 +414,9 @@ class _KronLaplacian:
         return self.S @ v
 
     def residual(self, f: np.ndarray) -> np.ndarray:
-        """P f, the gradient of  f'Pf / 2,  for f over the free scores."""
-        return self.P @ f
+        """P f, the gradient of  f'Pf / 2,  for f over the free scores, summed
+        over the edges in difference form (``_EdgeList.residual``)."""
+        return self.edges.residual(f)
 
     def lift(self, f_b: np.ndarray) -> np.ndarray:
         """The free scores of the kept scores f_b: f_b and its harmonic

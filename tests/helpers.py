@@ -159,9 +159,11 @@ def dense_laplacian(neighbors):
 
 
 def add_at_laplacian(neighbors, free):
-    """``weightstep._laplacian`` with its off-diagonal entries scattered by
-    two ``np.add.at`` calls, (a, b) and then (b, a): the order of additions
-    that the one ``np.bincount`` there must keep bit for bit."""
+    """The dense P = 4 L[free, free] that ``weightstep._EdgeList`` holds as
+    its edge list, with the off-diagonal entries scattered by two
+    ``np.add.at`` calls, (a, b) and then (b, a), and each diagonal entry
+    minus its row's ``np.sum`` plus the weight of its edges to pinned rows:
+    every block the edge list builds must equal its slice bit for bit."""
     n, k = neighbors.candidates.shape
     edge = neighbors.probs > 0.0
     nf = free.shape[0]

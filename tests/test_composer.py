@@ -398,10 +398,11 @@ class TestReferenceSolver:
             lap = _KronLaplacian(nb, free, np.isin(np.arange(n), [0, 1, 2, 3]), hi[free])
             assert lap.size.shape[0] >= 1 and lap.flat.shape[0] < free.shape[0]
             eliminated += lap.drop.shape[0]
+            P = add_at_laplacian(nb, free)
             for _ in range(5):
                 r = rng.normal(size=free.shape[0])
                 flat, curved = lap.split(r)
-                flat_ref, curved_ref = eigen_curvature_split(lap.P, r)
+                flat_ref, curved_ref = eigen_curvature_split(P, r)
                 np.testing.assert_allclose(flat, flat_ref, atol=1e-10)
                 np.testing.assert_allclose(curved, curved_ref, rtol=1e-8)
         assert eliminated > 0
@@ -455,12 +456,12 @@ class TestReferenceSolver:
 
     @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
     def test_graph_matrices_built_once_per_step(self, cap, monkeypatch):
-        # one weight step builds P once, labels the graph's components
-        # once, factors P once and solves one QP, with or without a cap; the
-        # QP takes one relaxed solve per round, each over more kept rows
-        # than the last
+        # one weight step builds P's edge list once, labels the graph's
+        # components once, factors P once and solves one QP, with or without
+        # a cap; the QP takes one relaxed solve per round, each over more
+        # kept rows than the last
         rng = np.random.default_rng(74)
-        calls = {"_laplacian": 0, "_components": 0, "_harmonic_split": 0, "_interior_point": 0}
+        calls = {"_EdgeList": 0, "_components": 0, "_harmonic_split": 0, "_interior_point": 0}
         sizes = []
         mehrotra = weightstep._mehrotra
 
@@ -489,20 +490,21 @@ class TestReferenceSolver:
             sizes.clear()
             composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
             assert calls == {
-                "_laplacian": 1, "_components": 1, "_harmonic_split": 1, "_interior_point": 1
+                "_EdgeList": 1, "_components": 1, "_harmonic_split": 1, "_interior_point": 1
             }
             assert sizes and all(a < b for a, b in zip(sizes, sizes[1:]))
 
     @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
     def test_weight_step_heap_ceiling(self, cap, monkeypatch):
-        # P, the eliminated block's factor, the harmonic weights, the Schur
+        # the eliminated block's factor, the harmonic weights, the Schur
         # complement and its grounded factor, then one Newton matrix on the
-        # kept scores and its factor's half-size products: 2.55 (capped) and
-        # 2.29 (uncapped) dense (nf + 1)^2 arrays traced above the heap at
-        # entry on this draw, and 3.7 with every score kept; a factor of P
-        # over every free score for the certificate, as the step once built,
-        # gave 3.5 and 3.3.  A factor written beside its input, or the
-        # previous Newton factor kept alive, adds up to one more array each
+        # kept scores and its factor's half-size products: 1.40 (capped) and
+        # 1.27 (uncapped) dense (nf + 1)^2 arrays traced above the heap at
+        # entry on this draw, and 3.8 with every score kept.  A dense P
+        # beside them, as the step once held, gave 2.36 and 2.23; a factor
+        # of P over every free score for the certificate gave 3.5 and 3.3.
+        # A factor written beside its input, or the previous Newton factor
+        # kept alive, adds up to one more array each
         rng = np.random.default_rng(81)
         S, labels, nb, W0, lam = random_instance(rng, n_min=320, n_max=320, m_max=3)
         f0, hi = _step_inputs(S, W0, cap)
@@ -550,11 +552,12 @@ class TestReferenceSolver:
         return NeighborMatrix(candidates=cands, probs=update_neighbor_rows(D, gammas), gamma=gammas)
 
     def test_subproblem_heap_ceiling_on_one_component(self):
-        # P, the eliminated block's factor, the Schur complement on the 120
+        # the eliminated block's factor, the Schur complement on the 120
         # labelled scores and its grounded factor, with little beside them:
-        # 2.28 dense (nf + 1)^2 arrays traced on this draw, whose edges join
-        # every video.  A dense copy of the flat component's block, as a
-        # projector added with np.ix_ makes, adds half an array or more
+        # 1.22 dense (nf + 1)^2 arrays traced on this draw, whose edges join
+        # every video, and 2.18 with a dense P beside them.  A dense copy of
+        # the flat component's block, as a projector added with np.ix_
+        # makes, adds half an array or more
         rng = np.random.default_rng(83)
         n = 320
         vals = rng.uniform(0.0, 1.0, (n, 4))
@@ -573,6 +576,41 @@ class TestReferenceSolver:
             tracemalloc.stop()
         assert qp.lap.Li_S is not None and qp.lap.size.tolist() == [n]
         assert peak / (8.0 * (n + 1) ** 2) <= 2.9
+
+    def test_weight_step_memory_without_dense_laplacian(self, monkeypatch):
+        # one capped step at the CLI's 20/100 labels and k (10 candidates,
+        # 5 neighbors) on n = 2000 videos.  The one array the step holds of
+        # the eliminated rows' count squared is P_HH, overwritten by its
+        # factor, whose half-size products take n_elim^2 / 2 more at their
+        # peak; everything else fits in c n k floats with c = 16.  A dense P
+        # of the free scores adds n^2 floats (74.5 MB traced here, against
+        # 42.8 MB without it, and a bound of 45.0 MB)
+        rng = np.random.default_rng(91)
+        n, k = 2000, 10
+        vals = rng.uniform(0.0, 1.0, (n, 3))
+        perm = rng.permutation(n)
+        labels = PseudoLabels(
+            positives=tuple(int(i) for i in perm[:20]),
+            negatives=tuple(int(i) for i in perm[20:120]),
+        )
+        step = (vals.mean(axis=1), self._cli_graph(vals), labels, 1.0, score_box_top(vals, 1.0))
+        elim = []
+        split = weightstep._harmonic_split
+
+        def spy(P, kept):
+            out = split(P, kept)
+            elim.append(out[1].shape[0])
+            return out
+
+        monkeypatch.setattr(weightstep, "_harmonic_split", spy)
+        tracemalloc.start()  # traces only what is allocated from here on
+        try:
+            f, gap, bound = composer._weight_step(*step, 500, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gap <= bound and elim[0] > 0.9 * n
+        assert peak <= 8.0 * (1.5 * elim[0] ** 2 + 16 * n * k)
 
     @classmethod
     def _cli_step(cls):
@@ -813,11 +851,17 @@ class TestHarmonicSplit:
 
     def test_singular_eliminated_block_keeps_every_row(self):
         # rows 1 and 2 meet only each other, so P_HH is singular and cannot
-        # be factored: nothing is eliminated
-        P = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
-        B, H, w, S, Li = weightstep._harmonic_split(P, np.array([True, False, False]))
+        # be factored: nothing is eliminated, and S is all of P.  Row 0
+        # meets only the pinned row 3
+        nb = NeighborMatrix(
+            candidates=np.array([[3], [2], [1], [0]]), probs=np.ones((4, 1)), gamma=np.ones(4)
+        )
+        free = np.arange(3)
+        P = add_at_laplacian(nb, free)
+        edges = weightstep._EdgeList(nb, free)
+        B, H, w, S, Li = weightstep._harmonic_split(edges, np.array([True, False, False]))
         assert B.tolist() == [0, 1, 2] and H.size == 0 and w.shape == (0, 3) and Li.shape == (0, 0)
-        assert S is P
+        np.testing.assert_array_equal(S, P)
 
     def test_open_box_at_mid_box(self, tmp_path, monkeypatch):
         # the first weight step of the ``uncapped`` benchmark input (seed 96,
@@ -867,7 +911,7 @@ class TestHarmonicSplit:
             np.testing.assert_array_equal(lap.drop, direct.drop)
             np.testing.assert_allclose(lap.S, direct.S, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(lap.ceiling, direct.ceiling)
-            B, H, P = lap.keep, lap.drop, lap.P
+            B, H, P = lap.keep, lap.drop, add_at_laplacian(nb, free)
             for _ in range(5):
                 f_b = rng.uniform(0.0, 1.0, lap.nf) * lap.top[B]
                 f = lap.lift(f_b)
@@ -985,6 +1029,9 @@ class TestCompressGaps:
 
 
 class TestLaplacian:
+    # P is held as its edge list (``weightstep._EdgeList``): each block it
+    # builds must hold the bits of the same slice of a dense P scattered by
+    # np.add.at, and its product must be P f
     @staticmethod
     def _graphs(rng):
         # edge lists with mutual, zero-probability and 1e-17 edges, each
@@ -1002,12 +1049,32 @@ class TestLaplacian:
                 nb = NeighborMatrix(candidates=cands, probs=kept, gamma=np.ones(n))
                 yield nb, 4.0 * dense_laplacian(nb)
 
+    @staticmethod
+    def _from_edges(rng, nb, free):
+        """All of P from the edge list, after checking the edge list's
+        blocks: split into kept and eliminated rows as ``_harmonic_split``
+        does, and on random rows and columns in random order."""
+        edges = weightstep._EdgeList(nb, free)
+        want = add_at_laplacian(nb, free)
+        nf = free.shape[0]
+        kept = rng.uniform(size=nf) < 0.3
+        B, H = np.flatnonzero(kept), np.flatnonzero(~kept)
+        blocks = [(H, H), (H, B), (B, B)]
+        for _ in range(2):
+            blocks.append(tuple(rng.permutation(nf)[: rng.integers(0, nf + 1)] for _ in range(2)))
+        for rows, cols in blocks:
+            got = edges.block(rows, cols)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want[np.ix_(rows, cols)])
+        every = np.arange(nf)
+        return edges.block(every, every)
+
     def test_every_row_free_is_exact(self):
         rng = np.random.default_rng(75)
         mutual = 0
         for nb, want in self._graphs(rng):
             n = nb.n_rows
-            np.testing.assert_array_equal(weightstep._laplacian(nb, np.arange(n)), want)
+            np.testing.assert_array_equal(self._from_edges(rng, nb, np.arange(n)), want)
             A = np.zeros((n, n), dtype=bool)
             A[np.arange(n)[:, None], nb.candidates] = nb.probs > 0.0
             mutual += int(np.sum(A & A.T))
@@ -1020,7 +1087,7 @@ class TestLaplacian:
         for nb, want in self._graphs(rng):
             n = nb.n_rows
             free = np.flatnonzero(rng.uniform(size=n) < 0.7)
-            got = weightstep._laplacian(nb, free)
+            got = self._from_edges(rng, nb, free)
             np.testing.assert_allclose(got, want[np.ix_(free, free)], rtol=1e-15, atol=0.0)
             np.testing.assert_array_equal(got, add_at_laplacian(nb, free))
 
@@ -1030,10 +1097,30 @@ class TestLaplacian:
         rng = np.random.default_rng(77)
         for nb, want in self._graphs(rng):
             for free in (np.array([0]), np.array([], dtype=int)):
-                got = weightstep._laplacian(nb, free)
+                got = self._from_edges(rng, nb, free)
                 assert got.dtype == np.float64
                 np.testing.assert_array_equal(got, add_at_laplacian(nb, free))
                 np.testing.assert_allclose(got, want[np.ix_(free, free)], rtol=1e-15, atol=0.0)
+
+    def test_residual_is_exact_on_constants(self):
+        # P f summed as edge differences: P 1 is exactly the weight of the
+        # edges to pinned rows, which the dense P's diagonal holds only up
+        # to the rounding of its row sum, and P f matches the dense product
+        # within 1e-13 of  |P| |f|
+        rng = np.random.default_rng(78)
+        for nb, want in self._graphs(rng):
+            n = nb.n_rows
+            for free in (np.arange(n), np.flatnonzero(rng.uniform(size=n) < 0.7)):
+                edges = weightstep._EdgeList(nb, free)
+                P = add_at_laplacian(nb, free)
+                nf = free.shape[0]
+                to_pinned = -np.delete(want[free], free, axis=1).sum(axis=1)
+                np.testing.assert_allclose(edges.pinned, to_pinned, rtol=1e-15, atol=0.0)
+                np.testing.assert_array_equal(edges.residual(np.ones(nf)), edges.pinned)
+                level = float(rng.choice([1.0, 200.0]))
+                f = level + rng.uniform(size=nf)
+                err = np.abs(edges.residual(f) - P @ f)
+                assert np.all(err <= 1e-13 * (np.abs(P) @ np.abs(f)))
 
 
 class TestCholeskyInverse:
@@ -1129,7 +1216,7 @@ class TestGradient:
         rng = np.random.default_rng(46)
         for _ in range(20):
             S, labels, nb, W0, lam = random_instance(rng, n_max=12, m_max=3)
-            P = weightstep._laplacian(nb, np.arange(S.n_videos))
+            P = add_at_laplacian(nb, np.arange(S.n_videos))
             W = np.maximum(W0 + rng.normal(0, 0.05, W0.shape), 0.0)
 
             def smooth_of_w(Wx):

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conceptrank.graph import candidate_neighbors, gamma_for_k
+from conceptrank.graph import _CANDIDATE_BLOCK, candidate_neighbors, gamma_for_k
 
 from helpers import brute_force_simplex, neighbor_row, project_row, support_size
 
@@ -197,6 +199,19 @@ class TestCandidateNeighbors:
             order = sorted(others, key=lambda j: (d2[i, j], j))
             assert cands[i].tolist() == order[:12]
 
+    def test_memory_linear_in_n(self):
+        # the distances are computed a block of rows at a time, so the traced
+        # peak stays below four blocks of them (12.3 MB here), where the
+        # n x n matrix of them alone would take 72 MB
+        S = np.random.default_rng(12).uniform(0, 1, (3000, 20))
+        tracemalloc.start()  # traces only what is allocated from here on
+        try:
+            candidate_neighbors(S, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * _CANDIDATE_BLOCK * S.shape[0] * 8
+
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             candidate_neighbors(np.zeros((3, 2)), 3)
@@ -204,7 +219,10 @@ class TestCandidateNeighbors:
     def test_matches_stable_argsort(self):
         # the first k columns of a stable argsort of the same distances, on
         # random rows, integer rows (most distances tied) and repeated rows
-        # (zero distances tied), with more rows than one block
+        # (zero distances tied), with more rows than one block.  The
+        # distances are computed a block of rows at a time, as the program
+        # does: a product over one block can differ from the full product at
+        # rounding level, which reorders repeated rows' ties
         rng = np.random.default_rng(11)
         inputs = [
             rng.uniform(0, 1, (300, 5)),
@@ -215,7 +233,13 @@ class TestCandidateNeighbors:
         for S in inputs:
             n = S.shape[0]
             sq = np.sum(S * S, axis=1)
-            d2 = sq[:, None] + sq[None, :] - 2.0 * (S @ S.T)
+            d2 = np.concatenate(
+                [
+                    sq[lo : lo + _CANDIDATE_BLOCK, None] + sq[None, :]
+                    - 2.0 * (S[lo : lo + _CANDIDATE_BLOCK] @ S.T)
+                    for lo in range(0, n, _CANDIDATE_BLOCK)
+                ]
+            )
             np.fill_diagonal(d2, np.inf)
             want = np.argsort(d2, axis=1, kind="stable")
             for k in sorted({1, 2, 5, 12, n // 2, n - 1} & set(range(1, n))):

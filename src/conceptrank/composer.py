@@ -13,12 +13,14 @@ weight step, so the objective trace never increases.
 
 The objective sees the weights only through the scores, and the weight
 constraints only through each score's box 0 <= f_i <= cap * max_k s_ik.
-So the fit carries the n scores, not the n x m weights, and derives one
-weight matrix that gives the final scores once, after the loop
-(``final_weights``).  The weight step is a certified convex QP in the
-scores; it lives in ``weightstep``, with every matrix it factors, and a
-step that stops above its tolerance is reported in ``FitResult.warnings``.
-This module holds the model: the scores, the objective and the fit.
+So the fit carries the n scores, not the n x m weights, and returns the
+scores that its last weight step certified; it builds no weight matrix.
+One feasible weight matrix that gives them (``final_weights``) is derived
+only when ``FitResult.weights`` is read.  The weight step is a certified
+convex QP in the scores; it lives in ``weightstep``, with every matrix it
+factors, and a step that stops above its tolerance is reported in
+``FitResult.warnings``.  This module holds the model: the scores, the
+objective and the fit.
 """
 
 from __future__ import annotations
@@ -128,13 +130,10 @@ class CompositionConfig:
 class FitResult:
     """Outcome of ``fit``.
 
-    ``weights`` is one of the many weight matrices that give ``scores``:
-    the relevance prior scaled down, or moved toward the cap vertex of
-    each row's top concept (see ``final_weights``).  ``scores`` is
-    recomputed from it.
+    ``scores`` are the scores that the last weight step returned and
+    certified; rankings are read off them.
     """
 
-    weights: np.ndarray
     neighbors: NeighborMatrix
     objective_trace: list[float]
     scores: np.ndarray
@@ -142,11 +141,23 @@ class FitResult:
     converged: bool
     iterations: int
     warnings: list[str] = field(default_factory=list)
+    # the prior row, the score matrix and the cap that ``weights`` is
+    # derived from
+    _weight_basis: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def uncertified_steps(self) -> int:
         """Weight steps above their tolerance; ``fit`` warns of nothing else."""
         return len(self.warnings)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """One of the many weight matrices that give ``scores``, derived
+        anew on each read: the relevance prior scaled down, or moved toward
+        the cap vertex of each row's top concept (``final_weights``).  Its
+        row scores match ``scores`` to rounding, not bit for bit."""
+        w0, values, cap = self._weight_basis
+        return final_weights(w0, values, self.scores, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +287,9 @@ def fit(
 
     Every weight row starts at the renormalized relevance prior, so the
     iteration-0 scores reproduce the fixed-weight baseline ranking.  The
-    loop carries the scores only; the weights that give its last scores
-    are derived once, after it (``final_weights``).  The objective is
+    loop carries the scores only, and the result's ``scores`` are the last
+    weight step's, as it returned them; no weight matrix is built (see
+    ``FitResult.weights``).  The objective is
     recorded after every block and is non-increasing; the loop stops when
     the relative decrease over one outer iteration falls below
     ``config.tol``.  The fit counts as converged only if it stopped so and
@@ -293,7 +305,8 @@ def fit(
         w_init_row = w_init_row.values
     cap = config.weight_cap
     w0 = _initial_row(w_init_row, m, cap)
-    initial_scores = row_scores(np.tile(w0, (n, 1)), vals)
+    # the bits of row_scores(np.tile(w0, (n, 1)), vals), without the tile
+    initial_scores = np.einsum("ij,j->i", vals, w0)
     hi = score_box_top(vals, cap)
 
     k_cand = min(config.k_candidates, n - 1)
@@ -334,17 +347,16 @@ def fit(
             break
         prev_outer = trace[-1]
 
-    W = final_weights(w0, vals, f, cap)
     return FitResult(
-        weights=W,
         neighbors=neighbors,
         objective_trace=trace,
-        scores=row_scores(W, vals),
+        scores=f,
         initial_scores=initial_scores,
         # a stall of an uncertified step is no sign of an optimum
         converged=converged and not uncertified,
         iterations=iterations,
         warnings=warnings,
+        _weight_basis=(w0, vals, cap),
     )
 
 

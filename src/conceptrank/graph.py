@@ -115,7 +115,11 @@ def candidate_neighbors(S: np.ndarray, k_cand: int) -> np.ndarray:
     n = S.shape[0]
     if not 1 <= k_cand <= n - 1:
         raise ValueError(f"need 1 <= k_candidates <= {n - 1}, got {k_cand}")
-    sq = np.sum(S * S, axis=1)
+    # squared norms a block at a time too, so no n x m product is built
+    sq = np.empty(n)
+    for lo in range(0, n, _CANDIDATE_BLOCK):
+        block = S[lo : lo + _CANDIDATE_BLOCK]
+        sq[lo : lo + _CANDIDATE_BLOCK] = np.sum(block * block, axis=1)
     out = np.empty((n, k_cand), dtype=np.intp)
     for lo in range(0, n, _CANDIDATE_BLOCK):
         out[lo : lo + _CANDIDATE_BLOCK] = _block_candidates(S, sq, lo, k_cand)

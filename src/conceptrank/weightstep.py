@@ -102,7 +102,9 @@ def _cholesky_inverse(A: np.ndarray) -> np.ndarray:
     With A split in 2x2 blocks and L21 = A21 Li11',
       Li = [[Li11, 0], [-Li22 L21 Li11, Li22]],  Li22 = inv-chol(A22 - L21 L21'),
     so nearly all of the flops are matrix products, which run several times
-    faster than ``np.linalg.cholesky`` at the weight step's sizes.
+    faster than ``np.linalg.cholesky`` at the weight step's sizes.  L21 is
+    written into A21's storage, so one half-size product at a time is held
+    beside A.
     """
     n = A.shape[0]
     if n <= _CHOLESKY_LEAF:
@@ -112,10 +114,10 @@ def _cholesky_inverse(A: np.ndarray) -> np.ndarray:
     h = n // 2
     A11, A21, A22 = A[:h, :h], A[h:, :h], A[h:, h:]
     _cholesky_inverse(A11)
-    L21 = A21 @ A11.T
-    A22 -= L21 @ L21.T
+    A21[...] = A21 @ A11.T  # L21
+    A22 -= A21 @ A21.T
     _cholesky_inverse(A22)
-    np.matmul(A22, L21 @ A11, out=A21)
+    np.matmul(A22, A21 @ A11, out=A21)
     A21 *= -1.0
     A[:h, h:] = 0.0
     return A

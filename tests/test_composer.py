@@ -581,10 +581,11 @@ class TestReferenceSolver:
         # one capped step at the CLI's 20/100 labels and k (10 candidates,
         # 5 neighbors) on n = 2000 videos.  The one array the step holds of
         # the eliminated rows' count squared is P_HH, overwritten by its
-        # factor, whose half-size products take n_elim^2 / 2 more at their
-        # peak; everything else fits in c n k floats with c = 16.  A dense P
-        # of the free scores adds n^2 floats (74.5 MB traced here, against
-        # 42.8 MB without it, and a bound of 45.0 MB)
+        # factor, which holds one half-size product at a time beside it,
+        # n_elim^2 / 4 more; everything else fits in c n k floats with
+        # c = 16.  The bound allows n_elim^2 / 2, two such products at once.
+        # A dense P of the free scores adds n^2 floats, 32.0 MB, to a peak
+        # of 35.9 MB traced here without it, against a bound of 45.0 MB
         rng = np.random.default_rng(91)
         n, k = 2000, 10
         vals = rng.uniform(0.0, 1.0, (n, 3))
@@ -1164,6 +1165,23 @@ class TestCholeskyInverse:
         assert calls.index(-h) < calls.index(n - h)
         assert -(n - h) not in calls and -n not in calls
 
+    def test_memory_one_half_size_product(self):
+        # L21 is written into A21's storage, so one (n/2)^2 product at a
+        # time is held beside A: 0.27 n^2 floats traced here.  An L21 held
+        # as an array of its own, beside a product made from it, peaks at
+        # 0.52 n^2
+        n = 1000
+        B = np.random.default_rng(82).normal(size=(n, n))
+        A = B @ B.T / n + np.eye(n)
+        del B
+        tracemalloc.start()  # traces only what is allocated from here on
+        try:
+            weightstep._cholesky_inverse(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.35 * n * n * 8
+
     def test_bit_identical_to_out_of_place_reference(self):
         # overwriting A runs the same operations in the same order as
         # writing the factor into a fresh array
@@ -1291,6 +1309,22 @@ class TestFit:
             v for v, _ in ranked_list(ids, S.values @ w_prior)
         ]
 
+    @pytest.mark.parametrize("cap", [1.0, 2.0, None])
+    def test_initial_scores_are_the_tiled_prior_rows(self, cap):
+        # the iteration-0 scores carry the bits of the prior row tiled into
+        # a weight matrix, on narrow and wide shapes and a prior with zeros
+        rng = np.random.default_rng(57)
+        for n, m in [(12, 1), (40, 7), (97, 37), (230, 200)]:
+            S = _matrix(rng.uniform(0.0, 1.0, (n, m)), l=n // 2)
+            labels = PseudoLabels(positives=(0, 1), negatives=(2, 3, 4))
+            prior = rng.uniform(0.0, 1.0, m) * (rng.uniform(size=m) > 0.3)
+            cfg = CompositionConfig(weight_cap=cap, max_outer_iters=1, k_candidates=5)
+            res = fit(S, labels, prior, cfg)
+            w0 = _initial_row(prior, m, cap)
+            np.testing.assert_array_equal(
+                res.initial_scores, row_scores(np.tile(w0, (n, 1)), S.values)
+            )
+
     def test_trace_monotone(self):
         rng = np.random.default_rng(49)
         for _ in range(5):
@@ -1301,27 +1335,46 @@ class TestFit:
             assert np.all(np.diff(trace) <= 1e-10)
 
     @pytest.mark.parametrize("cap", [1.0, 2.0, None])
-    def test_scores_recomputed_from_weights(self, cap):
+    def test_scores_from_last_weight_step(self, cap, monkeypatch):
+        # the fit returns the scores its last weight step certified, with
+        # the bits that step returned: no weight matrix re-rounds them
+        steps = []
+        inner = composer._weight_step
+
+        def spy(*args):
+            out = inner(*args)
+            steps.append(out[0].copy())
+            return out
+
+        monkeypatch.setattr(composer, "_weight_step", spy)
         rng = np.random.default_rng(50)
-        S, labels = self._normalized_instance(rng)
-        cfg = CompositionConfig(weight_cap=cap, max_outer_iters=3, k_candidates=5)
-        res = fit(S, labels, np.ones(S.n_concepts), cfg)
-        np.testing.assert_array_equal(res.scores, row_scores(res.weights, S.values))
+        for _ in range(3):
+            S, labels = self._normalized_instance(rng, n_max=60, m_max=8)
+            cfg = CompositionConfig(weight_cap=cap, max_outer_iters=3, k_candidates=5)
+            steps.clear()
+            res = fit(S, labels, rng.uniform(0.1, 1.0, S.n_concepts), cfg)
+            assert len(steps) == res.iterations
+            np.testing.assert_array_equal(res.scores, steps[-1])
 
     @pytest.mark.parametrize("cap", [1.0, 2.0, None])
     def test_cap_disabled(self, cap):
-        # the derived weights are feasible, with or without the cap
+        # the weights derived on read are feasible, with or without the
+        # cap, and give the scores to rounding
         rng = np.random.default_rng(51)
         S, labels = self._normalized_instance(rng, n_max=12)
         cfg = CompositionConfig(weight_cap=cap, max_outer_iters=3, k_candidates=5)
         res = fit(S, labels, np.ones(S.n_concepts), cfg)
-        assert np.all(res.weights >= 0.0)
+        W = res.weights
+        assert W.shape == S.values.shape and np.all(W >= 0.0)
         if cap is not None:
-            assert np.all(res.weights.sum(axis=1) <= cap * (1.0 + 1e-12))
+            assert np.all(W.sum(axis=1) <= cap * (1.0 + 1e-12))
+        err = np.abs(row_scores(W, S.values) - res.scores)
+        assert np.all(err <= 1e-12 * np.maximum(1.0, res.scores))
 
     @pytest.mark.parametrize("iters", [1, 6])
     def test_weights_derived_once(self, iters, monkeypatch):
-        # the fit carries scores; the weights come from one map at the end
+        # the fit carries scores and derives no weights; each read of
+        # ``weights`` derives them once, from the scores the fit returned
         calls = []
 
         def counted(*args):
@@ -1334,7 +1387,34 @@ class TestFit:
         cfg = CompositionConfig(max_outer_iters=iters, tol=1e-300, k_candidates=5)
         res = fit(S, labels, np.ones(S.n_concepts), cfg)
         assert res.iterations == iters
-        assert len(calls) == 1
+        assert calls == []
+        W = res.weights
+        assert len(calls) == 1 and calls[0][2] is res.scores
+        np.testing.assert_array_equal(res.weights, W)
+        assert len(calls) == 2
+
+    def test_fit_builds_no_weight_matrix(self):
+        # many more concepts than videos, so one n x m array (16.4 MB) would
+        # outweigh all the fit holds: 4.2 MB traced here.  A tiled prior
+        # row and a weight matrix to rank by take the peak to 29.0 MB, and
+        # the candidate search's squared norms taken over all of S at once
+        # to 16.5 MB
+        rng = np.random.default_rng(58)
+        n, m = 512, 4000
+        S = _matrix(rng.uniform(0.0, 1.0, (n, m)), l=200)
+        perm = rng.permutation(200)
+        labels = PseudoLabels(
+            positives=tuple(int(i) for i in perm[:20]),
+            negatives=tuple(int(i) for i in perm[20:120]),
+        )
+        cfg = CompositionConfig(max_outer_iters=2, k_candidates=10, k_neighbors=5)
+        tracemalloc.start()  # traces only what is allocated from here on
+        try:
+            fit(S, labels, np.ones(m), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * n * m * 8
 
     def test_uncertified_last_step_is_not_converged(self, monkeypatch):
         # one interior-point iteration certifies no step, and the fit stalls

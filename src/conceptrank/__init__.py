@@ -20,12 +20,13 @@ API, in pipeline order:
   its top K, ``weak_labels`` the weak videos' concept relevances and
   ``partition_pseudo`` the ``PseudoLabels``.
 - Fit: ``ScoreMatrix``, ``normalize_scores``, ``fuse_supervised``,
-  ``CompositionConfig``, ``fit`` and its ``FitResult``; the two steps it
-  alternates, ``update_scores`` and the graph step over
-  ``candidate_neighbors`` and ``gamma_for_k`` into a ``NeighborMatrix``;
-  and the ``objective`` it descends.  The model and ``fit`` live in
+  ``CompositionConfig``, ``fit`` and its ``FitResult``; the graph step it
+  alternates with the weight step, over ``candidate_neighbors`` and
+  ``gamma_for_k`` into a ``NeighborMatrix``; and the ``objective`` it
+  descends.  The model, the objective and ``fit`` live in
   ``conceptrank.composer``; the weight step, its QP and every matrix it
-  factors live in ``conceptrank.weightstep``, which ``composer`` imports.
+  factors live in ``conceptrank.weightstep``, which ``composer`` imports
+  and which only ``fit`` calls.
 - Evaluation: ``ranked_list``, ``average_precision``, ``borda_baseline``,
   ``EvalReport``.
 - Runs: ``RunConfig`` and the three ``run_*`` functions; synthetic
@@ -41,7 +42,6 @@ from .composer import (
     fuse_supervised,
     normalize_scores,
     objective,
-    update_scores,
 )
 from .embeddings import EmbeddingTable, PhraseVector, cosine, load_embeddings, phrase_vector
 from .errors import CoverageError, FormatError, ValidationError
@@ -110,6 +110,5 @@ __all__ = [
     "run_select_concepts",
     "select_concepts",
     "tokenize",
-    "update_scores",
     "weak_labels",
 ]

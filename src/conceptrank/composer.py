@@ -14,13 +14,15 @@ weight step, so the objective trace never increases.
 The objective sees the weights only through the scores, and the weight
 constraints only through each score's box 0 <= f_i <= cap * max_k s_ik.
 So the fit carries the n scores, not the n x m weights, and returns the
-scores that its last weight step certified; it builds no weight matrix.
-One feasible weight matrix that gives them (``final_weights``) is derived
-only when ``FitResult.weights`` is read.  The weight step is a certified
-convex QP in the scores; it lives in ``weightstep``, with every matrix it
-factors, and a step that stops above its tolerance is reported in
-``FitResult.warnings``.  This module holds the model: the scores, the
-objective and the fit.
+scores that its last kept weight step certified; it builds no weight
+matrix.  One feasible weight matrix that gives them (``final_weights``) is
+derived only when ``FitResult.weights`` is read.  The weight step is a
+certified convex QP in the scores; it lives in ``weightstep``, with every
+matrix it factors, and returns its scores with its certified gap.  This
+module holds the model and the verdict on each step: the scores, the
+objective and the fit, which keeps a step's scores only if its own
+objective does not rise, and reports a step that stopped above its
+tolerance in ``FitResult.warnings``.
 """
 
 from __future__ import annotations
@@ -33,10 +35,7 @@ from .graph import NeighborMatrix, candidate_neighbors, gamma_for_k, update_neig
 from .query import PseudoLabels, RelevanceVector
 # ``fit`` looks up ``_weight_step`` and the two constants here at call time,
 # so they can be replaced on this module
-from .weightstep import (
-    WEIGHT_STEP_MAX_ITERS, WEIGHT_STEP_TOL, _gap_message, _weight_step, push_loss_from_scores,
-    smoothness_value, update_scores,
-)
+from .weightstep import WEIGHT_STEP_MAX_ITERS, WEIGHT_STEP_TOL, _weight_step
 
 __all__ = [
     "ScoreMatrix",
@@ -48,7 +47,6 @@ __all__ = [
     "push_loss_from_scores",
     "smoothness_value",
     "objective",
-    "update_scores",
     "final_weights",
     "fit",
     "fuse_supervised",
@@ -130,8 +128,8 @@ class CompositionConfig:
 class FitResult:
     """Outcome of ``fit``.
 
-    ``scores`` are the scores that the last weight step returned and
-    certified; rankings are read off them.
+    ``scores`` are the scores of the last weight step that ``fit`` kept,
+    with the bits that step returned; rankings are read off them.
     """
 
     neighbors: NeighborMatrix
@@ -197,6 +195,22 @@ def score_box_top(values: np.ndarray, cap: float | None) -> np.ndarray:
         # a row without a positive score can only reach f_i = 0
         return np.where(top > 0.0, np.inf, 0.0)
     return cap * top
+
+
+def push_loss_from_scores(f: np.ndarray, labels: PseudoLabels) -> float:
+    """Max over negatives of the mean positive hinge, from scores directly.
+
+    Every hinge grows with the negative's score, so the max is the mean
+    hinge against the top negative.
+    """
+    top = f[np.asarray(labels.negatives)].max()
+    return float(np.mean(np.maximum(1.0 - f[np.asarray(labels.positives)] + top, 0.0)))
+
+
+def smoothness_value(f: np.ndarray, neighbors: NeighborMatrix) -> float:
+    """sum_i sum_{j in candidates(i)} a_ij (f_i - f_j)^2."""
+    diff = f[:, None] - f[neighbors.candidates]
+    return float(np.sum(neighbors.probs * diff * diff))
 
 
 def objective(
@@ -277,6 +291,10 @@ def _initial_row(w_init_row: np.ndarray, m: int, cap: float | None) -> np.ndarra
     return r * (scale / total)
 
 
+def _gap_message(gap: float, bound: float) -> str:
+    return f"weight step stopped at certified gap {gap:.3g}, above its tolerance {bound:.3g}"
+
+
 def fit(
     S: ScoreMatrix,
     labels: PseudoLabels,
@@ -288,13 +306,17 @@ def fit(
     Every weight row starts at the renormalized relevance prior, so the
     iteration-0 scores reproduce the fixed-weight baseline ranking.  The
     loop carries the scores only, and the result's ``scores`` are the last
-    weight step's, as it returned them; no weight matrix is built (see
-    ``FitResult.weights``).  The objective is
-    recorded after every block and is non-increasing; the loop stops when
-    the relative decrease over one outer iteration falls below
-    ``config.tol``.  The fit counts as converged only if it stopped so and
-    its last weight step met its certified tolerance; every step that did
-    not is stated in ``warnings`` (and counted by ``uncertified_steps``).
+    kept weight step's, as it returned them; no weight matrix is built
+    (see ``FitResult.weights``).  The objective is recorded after every
+    block and is non-increasing.  A weight step's scores are kept only if
+    the objective at them is at most the one before the step; otherwise
+    the input scores stay, and the entry before is recorded again, so
+    every weight step's entry is at most the one before it, bit for bit.
+    The loop stops when the relative decrease over one outer iteration
+    falls below ``config.tol``.  The fit counts as converged only if it
+    stopped so and its last weight step met its certified tolerance; every
+    step that did not is stated in ``warnings`` (and counted by
+    ``uncertified_steps``).
     """
     _check_labels(labels, S.l)
     vals = S.values
@@ -333,14 +355,20 @@ def fit(
         neighbors = NeighborMatrix(candidates=candidates, probs=probs, gamma=gammas)
         trace.append(objective(f, neighbors, labels, gammas, config.lambda_push))
 
-        f, gap, bound = _weight_step(
+        g, gap, bound = _weight_step(
             f, neighbors, labels, config.lambda_push, hi, WEIGHT_STEP_MAX_ITERS, WEIGHT_STEP_TOL
         )
         # a NaN gap certifies nothing
         uncertified = not gap <= bound
         if uncertified:
             warnings.append(_gap_message(gap, bound))
-        trace.append(objective(f, neighbors, labels, gammas, config.lambda_push))
+        # a certified step can still end above an input that was already
+        # within its gap of the optimum; the input is kept then, so the
+        # trace never rises
+        value = objective(g, neighbors, labels, gammas, config.lambda_push)
+        if value <= trace[-1]:
+            f = g
+        trace.append(min(value, trace[-1]))
 
         if prev_outer - trace[-1] < config.tol * max(1.0, abs(prev_outer)):
             converged = True

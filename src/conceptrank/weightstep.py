@@ -7,27 +7,28 @@ the negatives only through the top negative's score, so the step is a
 quadratic program in the scores, that level and one hinge slack per
 positive whose hinge can clip (``_ScoreQP``).  ``_interior_point`` solves
 it and returns a duality gap certified over every score at the lifted
-point; ``update_scores`` warns of a step whose gap is above its tolerance,
-and ``fit`` counts it.  Where the optimum is not unique, the solved one is
-moved in closed form to an optimum whose gaps do not grow with where the
-solver closed an open box (``_compress_gaps``), then toward the input
-scores (``_nearest_shift``).
+point; ``_weight_step``, the one entry, returns that gap with its
+tolerance, and ``fit`` judges and counts it.  Where the optimum is not
+unique, the solved one is moved in closed form to an optimum whose gaps do
+not grow with where the solver closed an open box (``_compress_gaps``),
+then toward the input scores (``_nearest_shift``).  This module holds the
+QP only: the objective the step descends lives in ``composer``.
 
 Unlabelled scores meet only the graph term, so the QP is solved over the
 labelled scores and the few unlabelled ones whose box binds; every other
 score is eliminated as the harmonic extension of the kept ones (a Kron
 reduction, Dorfler & Bullo, IEEE TCS 2013), with its box dropped.  Which
-boxes bind is found by seed and verify.  A step starts from the rows whose
-input score sits at its top, the last step's active tops (``_weight_step``).
-Each round solves the relaxed QP with a Mehrotra interior point
-(``_mehrotra``), on one slack vector s and one multiplier vector z with
-an entry per inequality, bound or row, and lifts the result; a row whose
-lift reaches its top joins the kept rows, and another round follows.  By
-the maximum principle of the harmonic extension (Zhu, Ghahramani &
-Lafferty, ICML 2003) a lift never passes the highest kept score, so the
-relaxation only drops upper bounds, and an optimum of it that is feasible
-is the optimum of the full QP; the gap is then certified against the full
-QP.  Most steps take one or two rounds.
+boxes bind is found by seed and verify.  The one split of P already keeps
+the rows whose input score sits at its top, the last step's active tops,
+so the first round moves no rows.  Each round solves the relaxed QP with a
+Mehrotra interior point (``_mehrotra``), on one slack vector s and one
+multiplier vector z with an entry per inequality, bound or row, and lifts
+the result; a row whose lift reaches its top joins the kept rows, and
+another round follows.  By the maximum principle of the harmonic extension
+(Zhu, Ghahramani & Lafferty, ICML 2003) a lift never passes the highest
+kept score, so the relaxation only drops upper bounds, and an optimum of
+it that is feasible is the optimum of the full QP; the gap is then
+certified against the full QP.  Most steps take one or two rounds.
 
 Every matrix of the step belongs to one object, ``_KronLaplacian``, built
 once per step.  The step sees one graph, the edges with a_ij > 0 (the
@@ -56,8 +57,6 @@ factor spans every free score, and there is no eigendecomposition.
 
 from __future__ import annotations
 
-from warnings import warn
-
 import numpy as np
 
 from .graph import NeighborMatrix
@@ -69,22 +68,6 @@ WEIGHT_STEP_TOL = 1e-9
 _AT_TOP = WEIGHT_STEP_TOL**0.5
 # interior-point iterations that a weight step of ``fit`` may take
 WEIGHT_STEP_MAX_ITERS = 500
-
-
-def push_loss_from_scores(f: np.ndarray, labels: PseudoLabels) -> float:
-    """Max over negatives of the mean positive hinge, from scores directly.
-
-    Every hinge grows with the negative's score, so the max is the mean
-    hinge against the top negative.
-    """
-    top = f[np.asarray(labels.negatives)].max()
-    return float(np.mean(np.maximum(1.0 - f[np.asarray(labels.positives)] + top, 0.0)))
-
-
-def smoothness_value(f: np.ndarray, neighbors: NeighborMatrix) -> float:
-    """sum_i sum_{j in candidates(i)} a_ij (f_i - f_j)^2."""
-    diff = f[:, None] - f[neighbors.candidates]
-    return float(np.sum(neighbors.probs * diff * diff))
 
 
 # rows at most in a leaf of ``_cholesky_inverse``, which LAPACK factors and
@@ -288,24 +271,28 @@ class _KronLaplacian:
     onto the kept ones: every matrix and factor the step uses.
 
     Built from the neighbor graph, the free rows ``free``, the mask
-    ``labelled`` of the videos the push loss sees and the free rows' box
-    tops ``top``.  P = 4 L[free, free] is the curvature of the smoothness
-    term.  It is kept as the free rows' edge list ``edges`` (``_EdgeList``),
-    never as an nf x nf array: the split builds the blocks it factors from
-    that list, and ``residual`` sums P f over it.  ``group`` labels the
-    components of the graph over every video (``_components``).  A free
-    score's component is flat when it holds no pinned video: ``flat`` lists
-    those free rows, ``member`` numbers their components and ``size``
-    counts them.  Their indicators span the null space of P.
+    ``labelled`` of the videos the push loss sees, the free rows' box tops
+    ``top`` and their input scores ``f``.  P = 4 L[free, free] is the
+    curvature of the smoothness term.  It is kept as the free rows' edge
+    list ``edges`` (``_EdgeList``), never as an nf x nf array: the split
+    builds the blocks it factors from that list, and ``residual`` sums P f
+    over it.  ``group`` labels the components of the graph over every
+    video (``_components``).  A free score's component is flat when it
+    holds no pinned video: ``flat`` lists those free rows, ``member``
+    numbers their components and ``size`` counts them.  Their indicators
+    span the null space of P.
 
     P is split once (``_harmonic_split``), keeping the rows that ``_kept``
-    masks: the labelled ones, and those of flat components without a label
-    (P does not fix their level, so they would make P_HH singular).  The
-    split keeps ``base``, eliminates ``elim`` with the harmonic weights
-    ``w`` and the inverse factor ``Li_H`` of P_HH, and leaves the Schur
-    complement ``S_base``.  ``reduce`` moves eliminated rows M back
-    among the kept ones without a second factor of P: the harmonic
-    extension with f_M held is  w f_B + K_M T (f_M - w_M f_B),  with
+    masks, the labelled ones and those of flat components without a label
+    (P does not fix their level, so they would make P_HH singular), and
+    the seed rows, whose input score lies within ``_AT_TOP`` of its top,
+    relative to it: the last step's active tops, most of which stay
+    active.  The split keeps ``base``, eliminates ``elim`` with the
+    harmonic weights ``w`` and the inverse factor ``Li_H`` of P_HH, and
+    leaves the Schur complement ``S_base``.  ``reduce`` moves eliminated
+    rows M that a later round finds at their tops back among the kept ones
+    without a second factor of P: the harmonic extension with f_M held is
+    w f_B + K_M T (f_M - w_M f_B),  with
     K = P_HH^-1 = Li_H' Li_H  and  T = (K_MM)^-1,  which is the Schur
     complement of P_HH onto M.  So the Schur complement on B + M is
     [[S_base + w_M' T w_M, -w_M' T], [-T w_M, T]],  and the eliminated
@@ -329,7 +316,8 @@ class _KronLaplacian:
     """
 
     def __init__(
-        self, neighbors: NeighborMatrix, free: np.ndarray, labelled: np.ndarray, top: np.ndarray
+        self, neighbors: NeighborMatrix, free: np.ndarray, labelled: np.ndarray, top: np.ndarray,
+        f: np.ndarray,
     ):
         self.free, self.labelled, self.top = free, labelled, top
         self.edges = _EdgeList(neighbors, free)
@@ -339,13 +327,14 @@ class _KronLaplacian:
         self.flat = np.flatnonzero(flat)
         self.member = np.unique(group[free][flat], return_inverse=True)[1]
         self.size = np.bincount(self.member)
-        required = self._kept()
-        self.base, self.elim, self.w, self.S_base, self.Li_H = _harmonic_split(self.edges, required)
-        self.reduce(required)
+        kept = self._kept() | (top - f <= _AT_TOP * top)
+        self.base, self.elim, self.w, self.S_base, self.Li_H = _harmonic_split(self.edges, kept)
+        self.reduce(kept)
 
     def _kept(self) -> np.ndarray:
-        """The free rows that the split of P must keep: the labelled ones,
-        and every row of a flat component that holds none of them."""
+        """The free rows that the split of P keeps whatever the input
+        scores: the labelled ones, and every row of a flat component that
+        holds none of them."""
         kept = self.labelled[self.free]
         held = np.bincount(self.member, weights=kept[self.flat], minlength=self.size.shape[0])
         kept[self.flat[held[self.member] == 0.0]] = True
@@ -520,16 +509,17 @@ class _ScoreQP:
 
     Videos whose score box is [0, 0] are pinned and left out (``free``
     holds the others), and a box without a top (no cap) is closed at n
-    (see ``update_scores``).  Positives whose score cannot exceed 1 never
+    (see ``_weight_step``).  Positives whose score cannot exceed 1 never
     clip their hinges against the nonnegative level t, so those hinges
     enter linearly: U is the set of those positives, C the others,
     a = |U|/p, and the objective is
     2 f'Lf - (lam/p) sum_U f + lam a t + (lam/p) sum_C xi + lam a.  With
     the default cap and scores in [0, 1], C is empty and x = (f, t).
 
-    The graph term lives in ``lap`` (``_KronLaplacian``): x holds only the
-    nf kept scores f_B, every other free score is their harmonic extension,
-    and S is the Schur complement of P on f_B.  So the QP over x is the QP
+    The graph term lives in ``lap`` (``_KronLaplacian``), split once from
+    the step's input scores f_in: x holds only the nf kept scores f_B,
+    every other free score is their harmonic extension, and S is the
+    Schur complement of P on f_B.  So the QP over x is the QP
     over every free score with the eliminated rows' boxes dropped, a
     relaxation: a lift stays inside the box ``lap.ceiling`` gives it, but
     can pass its own top.  ``reduce`` keeps more rows.  Where every lift
@@ -544,18 +534,18 @@ class _ScoreQP:
     """
 
     def __init__(
-        self, neighbors: NeighborMatrix, labels: PseudoLabels, lambda_push: float, hi: np.ndarray
+        self, f_in: np.ndarray, neighbors: NeighborMatrix, labels: PseudoLabels,
+        lambda_push: float, hi: np.ndarray,
     ):
         self.n = hi.shape[0]
         hi = np.where(np.isinf(hi), float(self.n), hi)
-        self.neighbors, self.labels = neighbors, labels
-        pos = self.pos = np.asarray(labels.positives)
+        pos = np.asarray(labels.positives)
         neg = self.neg = np.asarray(labels.negatives)
         self.lam = float(lambda_push)
         free = self.free = np.flatnonzero(hi > 0.0)
         self.top = hi[free]
         labelled = np.isin(np.arange(self.n), np.concatenate([pos, neg]))
-        self.lap = _KronLaplacian(neighbors, free, labelled, self.top)
+        self.lap = _KronLaplacian(neighbors, free, labelled, self.top, f_in[free])
         p = pos.shape[0]
         self.n_epi = neg.shape[0]
         clip = hi[pos] > 1.0
@@ -593,11 +583,6 @@ class _ScoreQP:
         self.box = np.concatenate([np.delete(np.arange(self.lin.shape[0]), nf), np.arange(nf)])
         self.sign = np.concatenate([np.full(nf + n_clip, -1.0), np.ones(nf)])
         self.h = np.concatenate([np.zeros(nf + n_clip), self.up, self.b])
-
-    def value(self, f: np.ndarray) -> float:
-        """Smoothness + push at the scores f, in the objective's arithmetic."""
-        push = push_loss_from_scores(f, self.labels)
-        return smoothness_value(f, self.neighbors) + self.lam * push
 
     def rows(self, x: np.ndarray) -> np.ndarray:
         """The row values A x (compared against ``b``)."""
@@ -875,33 +860,33 @@ def _mehrotra(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarray, flo
     return best_x, qp.gap(best_x, best_z[nb:])
 
 
-def update_scores(
-    f_in: np.ndarray, neighbors: NeighborMatrix, labels: PseudoLabels, lambda_push: float,
-    hi: np.ndarray, max_iters: int = WEIGHT_STEP_MAX_ITERS, tol: float = WEIGHT_STEP_TOL,
-) -> np.ndarray:
-    """Exact weight step, solved as a quadratic program in score space.
+def _weight_step(f_in, neighbors, labels, lambda_push, hi, max_iters, tol):
+    """The weight step from the input scores f_in, solved exactly as a
+    quadratic program in score space: returns (f, gap, bound), the solved
+    scores, a certified bound on the distance of the solved point to the
+    optimum, and the tolerance it was asked to meet.  The caller decides
+    what a gap above its bound, or a NaN gap, means, and whether to keep f.
 
     The subproblem objective depends on the weights only through the
     per-video scores f_i = w_i . s_i, and the weight constraint set maps
     to the box 0 <= f_i <= hi_i = cap * max_k s_ik (``score_box_top``).
     Writing the push loss as the mean hinge against the level t of the
-    top negative (with one hinge slack per positive whose hinge can clip,
-    see ``_ScoreQP``) makes the step a convex QP.  Only the push term sees
-    the pseudo-labelled scores; an unlabelled score whose box does not bind
-    is the harmonic extension of the others.  So the QP is solved in rounds
-    over the pseudo-labelled scores, the unlabelled ones that hold a level
-    of their own, and the unlabelled ones whose box binds, with the rest
-    eliminated and their boxes dropped (``_harmonic_split``).  The first
-    round also keeps the rows whose input score sits at its top, and each
-    round adds the rows whose lifted score reaches its top
-    (``_weight_step``, ``_interior_point``).  An interior-point method
+    top negative (with one hinge slack per positive whose hinge can clip)
+    makes the step a convex QP, built once (``_ScoreQP``).  Only the push
+    term sees the pseudo-labelled scores; an unlabelled score whose box
+    does not bind is the harmonic extension of the others.  So the QP is
+    solved in rounds over the pseudo-labelled scores, the unlabelled ones
+    that hold a level of their own, and the unlabelled ones whose box
+    binds, with the rest eliminated and their boxes dropped
+    (``_KronLaplacian``).  The first round keeps the rows whose input score
+    sits at its top, and each round adds the rows whose lifted score
+    reaches its top (``_interior_point``).  An interior-point method
     solves each round until the duality gap of its iterate is at most
-    ``tol * max(1, |objective|)``.  Once no lift reaches its top, the gap
-    of the last round's point, lifted back to every score, is a certified
-    bound on its distance to the optimum of the QP over every score.  A
-    step that spends ``max_iters`` iterations, or whose gap stops
-    shrinking, before it gets there raises a ``RuntimeWarning`` that
-    states the gap.
+    ``tol * max(1, |objective|)``, or it has spent ``max_iters``
+    iterations, or its gap stops shrinking.  Once no lift reaches its top,
+    the gap of the last round's point, lifted back to every score, is a
+    certified bound on its distance to the optimum of the QP over every
+    score.
 
     Without a cap the box has no top, and the step closes it at n.  The
     optimum is then not unique: the level of a component of positives
@@ -913,41 +898,11 @@ def update_scores(
     that change no term move toward the input scores (``_nearest_shift``):
     a component of the neighbor graph without pseudo labels keeps its
     input mean, and the labelled components move together.
-
-    Returns the optimized scores, or the input scores f_in if those have
-    the lower subproblem value, so the objective never increases.
     """
-    f, gap, bound = _weight_step(f_in, neighbors, labels, lambda_push, hi, max_iters, tol)
-    if not gap <= bound:  # a NaN gap certifies nothing
-        warn(_gap_message(gap, bound), RuntimeWarning, stacklevel=2)
-    return f
-
-
-def _weight_step(f_in, neighbors, labels, lambda_push, hi, max_iters, tol):
-    """``update_scores`` with its certificate: returns (f, gap, bound),
-    where gap bounds the distance of the solved scores to the optimum and
-    bound is the tolerance it was asked to meet.
-
-    One QP is built (``_ScoreQP``) and solved in rounds over the kept
-    scores (``_interior_point``).  The first round keeps the rows every
-    split keeps and the free rows whose input score lies within ``_AT_TOP``
-    of its top, relative to it: the last step's active tops, most of which
-    stay active.  The scores it eliminates follow as their harmonic
-    extension, and the closed-form moves below act on every score."""
-    qp = _ScoreQP(neighbors, labels, lambda_push, hi)
-    seed = qp.top - f_in[qp.free] <= _AT_TOP * qp.top
-    if np.any(seed & ~qp.lap.kept):
-        qp.reduce(qp.lap.kept | seed)
+    qp = _ScoreQP(f_in, neighbors, labels, lambda_push, hi)
     x, gap = _interior_point(qp, tol, max_iters)
     bound = tol * max(1.0, abs(qp.objective(x)))
-    f = _nearest_shift(qp.lap, _compress_gaps(qp.scores(x)), f_in, hi)
-    if qp.value(f) <= qp.value(f_in):
-        return f, gap, bound
-    return f_in, gap, bound
-
-
-def _gap_message(gap: float, bound: float) -> str:
-    return f"weight step stopped at certified gap {gap:.3g}, above its tolerance {bound:.3g}"
+    return _nearest_shift(qp.lap, _compress_gaps(qp.scores(x)), f_in, hi), gap, bound
 
 
 def _compress_gaps(f: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from conceptrank._kernels import simplex_project_rows
-from conceptrank.composer import ScoreMatrix
+from conceptrank.composer import ScoreMatrix, push_loss_from_scores, smoothness_value
 from conceptrank.embeddings import EmbeddingTable, cosine, phrase_vector
 from conceptrank.errors import CoverageError
 from conceptrank.graph import (
@@ -101,7 +101,13 @@ def neighbor_row(d, gamma):
     return update_neighbor_rows(d[None, :], np.array([gamma], dtype=np.float64))[0]
 
 
-def slsqp_weight_step_value(qp, hi):
+def weight_step_value(f, neighbors, labels, lam):
+    """The weight step's subproblem value at the scores f: the smoothness
+    and push terms of ``objective``, without the neighbor prior."""
+    return smoothness_value(f, neighbors) + lam * push_loss_from_scores(f, labels)
+
+
+def slsqp_weight_step_value(neighbors, labels, lam, hi):
     """Optimal weight-step value from scipy's SLSQP, as an independent check.
 
     Solves the pairwise hinge form over (f, t, xi), with one slack per
@@ -115,19 +121,19 @@ def slsqp_weight_step_value(qp, hi):
     from scipy.optimize import minimize
 
     n = hi.shape[0]
-    pos, neg = qp.pos, qp.neg
+    pos, neg = np.asarray(labels.positives), np.asarray(labels.negatives)
     p, q = pos.shape[0], neg.shape[0]
-    L = dense_laplacian(qp.neighbors)
+    L = dense_laplacian(neighbors)
     top = np.where(np.isfinite(hi), hi, float(n))
 
     def obj(z):
         f = z[:n]
-        return 2.0 * f @ L @ f + qp.lam * z[n]
+        return 2.0 * f @ L @ f + lam * z[n]
 
     def jac(z):
         g = np.zeros(z.shape[0])
         g[:n] = 4.0 * L @ z[:n]
-        g[n] = qp.lam
+        g[n] = lam
         return g
 
     def cons(z):
@@ -145,7 +151,7 @@ def slsqp_weight_step_value(qp, hi):
             constraints=[{"type": "ineq", "fun": cons}],
             method="SLSQP", options={"ftol": 1e-15, "maxiter": 3000},
         )
-        best = min(best, qp.value(np.clip(res.x[:n], 0.0, top)))
+        best = min(best, weight_step_value(np.clip(res.x[:n], 0.0, top), neighbors, labels, lam))
     return best
 
 

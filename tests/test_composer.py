@@ -18,7 +18,6 @@ from conceptrank.composer import (
     row_scores,
     score_box_top,
     smoothness_value,
-    update_scores,
 )
 from conceptrank.graph import (
     NeighborMatrix,
@@ -41,6 +40,7 @@ from helpers import (
     random_instance,
     random_scores_and_labels,
     slsqp_weight_step_value,
+    weight_step_value,
 )
 
 
@@ -48,6 +48,12 @@ def _step_inputs(S, W0, cap):
     """Input scores of a weight step from a weight matrix, and the box top."""
     hi = score_box_top(S.values, cap)
     return np.minimum(row_scores(W0, S.values), hi), hi
+
+
+def _qp(nb, labels, lam, hi):
+    """The weight step's QP from scores at the bottom of their boxes, so
+    that no row is kept for its input score."""
+    return _ScoreQP(np.zeros(hi.shape[0]), nb, labels, lam, hi)
 
 
 def _keep_every_row(monkeypatch):
@@ -201,7 +207,8 @@ class TestReferenceSolver:
         rng = np.random.default_rng(41)
         S, labels, nb, W0, _ = random_instance(rng, n_max=14, m_max=3)
         f0, hi = _step_inputs(S, W0, 1.0)
-        f = update_scores(f0, nb, labels, 1e-12, hi, max_iters=400, tol=1e-14)
+        f, gap, bound = composer._weight_step(f0, nb, labels, 1e-12, hi, 400, 1e-14)
+        assert gap <= bound
         assert smoothness_value(f, nb) <= 1e-6
 
     def test_tiny_grid_search_instance(self):
@@ -216,15 +223,15 @@ class TestReferenceSolver:
         )
         lam, cap = 20.0, 2.0
         f0, hi = _step_inputs(S, np.full((2, 1), 0.5), cap)
-        f = update_scores(f0, nb, labels, lam, hi, max_iters=400)
-        qp = _ScoreQP(nb, labels, lam, hi)
+        f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 400, 1e-9)
+        assert gap <= bound
         # grid-search oracle over both scores, each across its box
         best = min(
-            qp.value(np.array([fp, fn]))
+            weight_step_value(np.array([fp, fn]), nb, labels, lam)
             for fp in np.linspace(0.0, hi[0], 201)
             for fn in np.linspace(0.0, hi[1], 201)
         )
-        assert qp.value(f) <= best + 1e-6
+        assert weight_step_value(f, nb, labels, lam) <= best + 1e-6
         assert push_loss_from_scores(f, labels) <= 1e-9
 
     def test_monotone_contract(self):
@@ -232,10 +239,10 @@ class TestReferenceSolver:
         for _ in range(15):
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=4)
             f0, hi = _step_inputs(S, W0, 1.0)
-            qp = _ScoreQP(nb, labels, lam, hi)
-            before = qp.value(f0)
-            f = update_scores(f0, nb, labels, lam, hi, max_iters=120)
-            assert qp.value(f) <= before + 1e-12
+            before = weight_step_value(f0, nb, labels, lam)
+            f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 120, 1e-9)
+            assert gap <= bound
+            assert weight_step_value(f, nb, labels, lam) <= before + 1e-12
 
     @pytest.mark.parametrize("cap", [1.0, 2.0, None])
     def test_matches_independent_qp_solve(self, cap):
@@ -244,10 +251,10 @@ class TestReferenceSolver:
         for _ in range(8):
             S, labels, nb, W0, lam = random_instance(rng, n_max=14, m_max=3)
             f0, hi = _step_inputs(S, W0, cap)
-            qp = _ScoreQP(nb, labels, lam, hi)
-            f = update_scores(f0, nb, labels, lam, hi, tol=1e-10)
-            want = slsqp_weight_step_value(qp, hi)
-            assert qp.value(f) <= want + 1e-8
+            f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-10)
+            assert gap <= bound
+            want = slsqp_weight_step_value(nb, labels, lam, hi)
+            assert weight_step_value(f, nb, labels, lam) <= want + 1e-8
 
     @pytest.mark.parametrize("cap", [1.0, 2.0, None])
     def test_certified_gap(self, cap):
@@ -258,16 +265,16 @@ class TestReferenceSolver:
         for _ in range(10):
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=4)
             hi = score_box_top(S.values, cap)
-            qp = _ScoreQP(nb, labels, lam, hi)
+            qp = _qp(nb, labels, lam, hi)
             x, gap = _interior_point(qp, 1e-10, 100)
-            value = qp.value(qp.scores(x))
+            value = weight_step_value(qp.scores(x), nb, labels, lam)
             assert gap <= 1e-10 * max(1.0, value)
             # t is at least the top negative score, so the objective bounds the value
             assert value <= qp.objective(x) + 1e-12
             top = np.where(np.isinf(hi), 2.0 * S.n_videos, hi)
             for _ in range(50):
                 f = rng.uniform(0.0, 1.0, hi.shape[0]) * top
-                assert qp.value(f) >= value - gap - 1e-12
+                assert weight_step_value(f, nb, labels, lam) >= value - gap - 1e-12
 
     @pytest.mark.parametrize("cap", [1.0, 2.0, None])
     def test_gap_bounds_at_any_multipliers(self, cap):
@@ -278,7 +285,7 @@ class TestReferenceSolver:
         for _ in range(10):
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=4)
             hi = score_box_top(S.values, cap)
-            qp = _ScoreQP(nb, labels, lam, hi)
+            qp = _qp(nb, labels, lam, hi)
             x_opt, _ = _interior_point(qp, 1e-12, 200)
             x = qp.start()[0]
             for _ in range(5):
@@ -326,7 +333,7 @@ class TestReferenceSolver:
                 S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
                 hi = np.full(S.n_videos, top)
                 hi[rng.integers(S.n_videos)] = 0.0
-                qp = _ScoreQP(nb, labels, lam, hi)
+                qp = _qp(nb, labels, lam, hi)
                 self._check_newton(qp, rng, wide)
 
     def test_inequalities_match_dense_matrix(self):
@@ -340,7 +347,7 @@ class TestReferenceSolver:
                 S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
                 hi = np.full(S.n_videos, top)
                 hi[rng.integers(S.n_videos)] = 0.0
-                qp = _ScoreQP(nb, labels, lam, hi)
+                qp = _qp(nb, labels, lam, hi)
                 nx, nf = qp.lin.shape[0], qp.nf
                 G = np.stack([qp.ineq(e) for e in np.eye(nx)], axis=1)
                 A = np.stack([qp.rows(e) for e in np.eye(nx)], axis=1)
@@ -366,7 +373,7 @@ class TestReferenceSolver:
             S, labels, nb, W0, lam = random_instance(rng, n_min=100, n_max=160, m_max=3)
             hi = np.full(S.n_videos, top)
             hi[rng.integers(S.n_videos)] = 0.0
-            qp = _ScoreQP(nb, labels, lam, hi)
+            qp = _qp(nb, labels, lam, hi)
             assert qp.nf + 1 > 2 * weightstep._CHOLESKY_LEAF
             self._check_newton(qp, rng, wide)
 
@@ -395,7 +402,8 @@ class TestReferenceSolver:
             hi = np.ones(n)
             hi[rng.integers(n)] = 0.0
             free = np.flatnonzero(hi > 0.0)
-            lap = _KronLaplacian(nb, free, np.isin(np.arange(n), [0, 1, 2, 3]), hi[free])
+            labelled = np.isin(np.arange(n), [0, 1, 2, 3])
+            lap = _KronLaplacian(nb, free, labelled, hi[free], np.zeros(free.shape[0]))
             assert lap.size.shape[0] >= 1 and lap.flat.shape[0] < free.shape[0]
             eliminated += lap.drop.shape[0]
             P = add_at_laplacian(nb, free)
@@ -416,14 +424,14 @@ class TestReferenceSolver:
         with monkeypatch.context() as patch:
             # a grounded Schur complement that is not positive definite
             patch.setattr(_KronLaplacian, "_grounded", lambda lap: -np.eye(lap.nf))
-            qp = _ScoreQP(nb, labels, lam, hi)
+            qp = _qp(nb, labels, lam, hi)
         assert qp.lap.Li_S is None
         x, gap = _interior_point(qp, 1e-10, 100)
-        value = qp.value(qp.scores(x))
+        value = weight_step_value(qp.scores(x), nb, labels, lam)
         assert np.isfinite(gap)
         for _ in range(50):
             f = rng.uniform(0.0, 1.0, hi.shape[0]) * hi
-            assert qp.value(f) >= value - gap - 1e-12
+            assert weight_step_value(f, nb, labels, lam) >= value - gap - 1e-12
 
     @pytest.mark.parametrize("keep_all", [False, True], ids=["reduced", "every_row"])
     def test_factor_matches_dense_solve(self, keep_all, monkeypatch):
@@ -438,7 +446,7 @@ class TestReferenceSolver:
                 S, labels, nb, W0, lam = random_instance(
                     rng, n_min=100 if keep_all else 6, n_max=160 if keep_all else 30, m_max=3
                 )
-                lap = _ScoreQP(nb, labels, lam, np.full(S.n_videos, top)).lap
+                lap = _qp(nb, labels, lam, np.full(S.n_videos, top)).lap
                 nf = lap.nf
                 ends = rng.choice(nf, size=min(nf, 8), replace=False)
                 c = rng.uniform(0.1, 10.0, ends.shape[0])
@@ -459,17 +467,26 @@ class TestReferenceSolver:
         # one weight step builds P's edge list once, labels the graph's
         # components once, factors P once and solves one QP, with or without
         # a cap; the QP takes one relaxed solve per round, each over more
-        # kept rows than the last
+        # kept rows than the last, and builds one reduction, one grounded
+        # factor of S, per round.  Each step runs from the drawn scores and
+        # again with an unlabelled test row at its top, which the first
+        # split keeps, so the first round moves no rows
         rng = np.random.default_rng(74)
         calls = {"_EdgeList": 0, "_components": 0, "_harmonic_split": 0, "_interior_point": 0}
-        sizes = []
+        sizes, reductions = [], []
         mehrotra = weightstep._mehrotra
+        grounded = weightstep._KronLaplacian._grounded
 
         def solve(qp, tol, max_iters):
             sizes.append(qp.nf)
             return mehrotra(qp, tol, max_iters)
 
+        def factored(lap):
+            reductions.append(lap.nf)
+            return grounded(lap)
+
         monkeypatch.setattr(weightstep, "_mehrotra", solve)
+        monkeypatch.setattr(weightstep._KronLaplacian, "_grounded", factored)
 
         def counted(name):
             inner = getattr(weightstep, name)
@@ -485,14 +502,22 @@ class TestReferenceSolver:
         for _ in range(5):
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
             f0, hi = _step_inputs(S, W0, cap)
-            for name in calls:
-                calls[name] = 0
-            sizes.clear()
-            composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
-            assert calls == {
-                "_EdgeList": 1, "_components": 1, "_harmonic_split": 1, "_interior_point": 1
-            }
-            assert sizes and all(a < b for a, b in zip(sizes, sizes[1:]))
+            v = S.n_videos - 1  # a test video, never pseudo-labelled
+            assert hi[v] > 0.0
+            at_top = f0.copy()
+            at_top[v] = min(hi[v], float(S.n_videos))  # an open box is closed at n
+            for f_in in (f0, at_top):
+                for name in calls:
+                    calls[name] = 0
+                sizes.clear()
+                reductions.clear()
+                f, gap, bound = composer._weight_step(f_in, nb, labels, lam, hi, 500, 1e-9)
+                assert gap <= bound
+                assert calls == {
+                    "_EdgeList": 1, "_components": 1, "_harmonic_split": 1, "_interior_point": 1
+                }
+                assert sizes and all(a < b for a, b in zip(sizes, sizes[1:]))
+                assert reductions == sizes
 
     @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
     def test_weight_step_heap_ceiling(self, cap, monkeypatch):
@@ -521,25 +546,6 @@ class TestReferenceSolver:
                 finally:
                     tracemalloc.stop()
             assert peak / (8.0 * (nf + 1) ** 2) <= (4.5 if keep_all else 3.0)
-
-    def test_uncertified_step_warns(self):
-        rng = np.random.default_rng(65)
-        S, labels, nb, W0, lam = random_instance(rng, n_max=14, m_max=3)
-        f0, hi = _step_inputs(S, W0, 1.0)
-        with pytest.warns(RuntimeWarning, match="certified gap"):
-            update_scores(f0, nb, labels, lam, hi, max_iters=2)
-
-    def test_nan_gap_warns(self, monkeypatch):
-        # a NaN gap meets no tolerance, so it certifies nothing
-        inner = weightstep._interior_point
-        monkeypatch.setattr(
-            weightstep, "_interior_point", lambda qp, tol, it: (inner(qp, tol, it)[0], np.nan)
-        )
-        rng = np.random.default_rng(65)
-        S, labels, nb, W0, lam = random_instance(rng, n_max=14, m_max=3)
-        f0, hi = _step_inputs(S, W0, 1.0)
-        with pytest.warns(RuntimeWarning, match="certified gap nan"):
-            update_scores(f0, nb, labels, lam, hi)
 
     @staticmethod
     def _cli_graph(vals):
@@ -570,7 +576,7 @@ class TestReferenceSolver:
         assert np.all(weightstep._components(nb) == 0)
         tracemalloc.start()  # traces only what is allocated from here on
         try:
-            qp = _ScoreQP(nb, labels, 1.0, np.ones(n))
+            qp = _qp(nb, labels, 1.0, np.ones(n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -686,7 +692,7 @@ class TestReferenceSolver:
         )
         nb = self._cli_graph(vals)
         hi = score_box_top(vals, cap)
-        qp = _ScoreQP(nb, labels, 1.0, hi)
+        qp = _qp(nb, labels, 1.0, hi)
         assert qp.lin.shape[0] - (qp.nf + 1) == 20
         assert qp.b.shape[0] == 120
         x, gap = _interior_point(qp, 1e-9, 500)
@@ -732,7 +738,8 @@ class TestReferenceSolver:
         cases = [self._split_instance(rng) for _ in range(10)]
         for S, labels, nb, W0, lam in cases + [self._fit_graph_instance(rng)]:
             f0, hi = _step_inputs(S, W0, cap)
-            f = update_scores(f0, nb, labels, lam, hi, tol=1e-12)
+            f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-12)
+            assert gap <= bound
             want = min(float(f0[8:].mean()), float(hi[8:].min()))
             np.testing.assert_allclose(f[8:], want, atol=1e-9)
 
@@ -745,14 +752,17 @@ class TestReferenceSolver:
 
         def step(S, labels, nb, W0, lam):
             f0, hi = _step_inputs(S, W0, None)
-            return update_scores(f0, nb, labels, lam, hi, tol=1e-12)
+            f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-12)
+            assert gap <= bound
+            return f
 
         base = [step(*case) for case in cases]
 
         class WideBox(weightstep._ScoreQP):
-            def __init__(self, neighbors, labels, lambda_push, hi):
+            def __init__(self, f_in, neighbors, labels, lambda_push, hi):
                 super().__init__(
-                    neighbors, labels, lambda_push, np.where(np.isinf(hi), 3.0 * hi.shape[0], hi)
+                    f_in, neighbors, labels, lambda_push,
+                    np.where(np.isinf(hi), 3.0 * hi.shape[0], hi),
                 )
 
         monkeypatch.setattr(weightstep, "_ScoreQP", WideBox)
@@ -771,17 +781,19 @@ class TestReferenceSolver:
         f0, hi = _step_inputs(S, W0, None)
         assert hi[zero] == 0.0
         assert np.all(np.isinf(np.delete(hi, zero)))
-        f = update_scores(f0, nb, labels, lam, hi, tol=1e-10)
+        f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-10)
+        assert gap <= bound
         assert np.all(f >= 0.0) and f[zero] == 0.0
-        qp = _ScoreQP(nb, labels, lam, np.where(np.isinf(hi), float(S.n_videos), hi))
+        qp = _qp(nb, labels, lam, np.where(np.isinf(hi), float(S.n_videos), hi))
         x, _ = _interior_point(qp, 1e-10, 100)
-        assert qp.value(f) <= qp.objective(x) + 1e-9
+        assert weight_step_value(f, nb, labels, lam) <= qp.objective(x) + 1e-9
 
     def test_output_feasible(self):
         rng = np.random.default_rng(43)
         S, labels, nb, W0, lam = random_instance(rng)
         f0, hi = _step_inputs(S, W0, 1.0)
-        f = update_scores(f0, nb, labels, lam, hi, max_iters=120)
+        f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 120, 1e-9)
+        assert gap <= bound
         assert np.all(f >= 0.0)
         assert np.all(f <= hi)
 
@@ -809,9 +821,9 @@ class TestHarmonicSplit:
             _keep_every_row(patch)
             g, gap_all, bound_all = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
         assert gap <= bound and gap_all <= bound_all
-        qp = _ScoreQP(nb, labels, lam, hi)
-        assert abs(qp.value(f) - qp.value(g)) <= gap + gap_all + 1e-12
-        return f, qp.free[kept[-1]]
+        diff = weight_step_value(f, nb, labels, lam) - weight_step_value(g, nb, labels, lam)
+        assert abs(diff) <= gap + gap_all + 1e-12
+        return f, np.flatnonzero(hi > 0.0)[kept[-1]]
 
     @pytest.mark.parametrize("cap", [1.0, 2.0])
     def test_row_that_can_pass_its_top_is_kept(self, cap, monkeypatch):
@@ -900,14 +912,14 @@ class TestHarmonicSplit:
             hi[rng.integers(n)] = 0.0
             free = np.flatnonzero(hi > 0.0)
             labelled = np.isin(np.arange(n), labels.positives + labels.negatives)
-            lap = _KronLaplacian(nb, free, labelled, hi[free])
+            lap = _KronLaplacian(nb, free, labelled, hi[free], np.zeros(free.shape[0]))
             rows = np.zeros(free.shape[0], dtype=bool)
             rows[rng.choice(lap.elim, size=min(4, lap.elim.shape[0] // 2), replace=False)] = True
             lap.reduce(lap.kept | rows)
             moved += lap.moved.shape[0]
             with monkeypatch.context() as patch:
                 patch.setattr(_KronLaplacian, "_kept", lambda self: lap.kept.copy())
-                direct = _KronLaplacian(nb, free, labelled, hi[free])
+                direct = _KronLaplacian(nb, free, labelled, hi[free], np.zeros(free.shape[0]))
             np.testing.assert_array_equal(lap.keep, direct.keep)
             np.testing.assert_array_equal(lap.drop, direct.drop)
             np.testing.assert_allclose(lap.S, direct.S, rtol=1e-9, atol=1e-12)
@@ -1015,7 +1027,7 @@ class TestCompressGaps:
         wide = 0
         for S, labels, nb, W0, lam in cases:
             hi = score_box_top(S.values, None)
-            qp = _ScoreQP(nb, labels, lam, hi)
+            qp = _qp(nb, labels, lam, hi)
             x, _ = _interior_point(qp, 1e-10, 100)
             f = qp.scores(x)
             g = weightstep._compress_gaps(f)
@@ -1025,7 +1037,8 @@ class TestCompressGaps:
             assert np.all(np.diff(g[order]) >= 0.0)
             assert np.all((g >= 0.0) & (g <= hi))
             assert np.all(np.diff(g[order]) <= 1.0 + 1e-12)
-            assert qp.value(g) <= qp.value(f) + 1e-12 * max(1.0, qp.value(f))
+            value = weight_step_value(f, nb, labels, lam)
+            assert weight_step_value(g, nb, labels, lam) <= value + 1e-12 * max(1.0, value)
         assert wide >= 10
 
 
@@ -1332,7 +1345,36 @@ class TestFit:
             cfg = CompositionConfig(max_outer_iters=6, k_candidates=5)
             res = fit(S, labels, np.ones(S.n_concepts), cfg)
             trace = np.array(res.objective_trace)
-            assert np.all(np.diff(trace) <= 1e-10)
+            # a weight step's entry never rises, bit for bit; a neighbor
+            # step's entry only by rounding
+            assert np.all(trace[1::2] <= trace[0::2])
+            assert np.all(np.diff(trace)[1::2] <= 1e-10)
+
+    def test_step_that_raises_the_objective_is_not_kept(self, monkeypatch):
+        # a certified weight step whose scores are worse than its input: the
+        # input scores with the pseudo negative of the highest box raised to
+        # its top.  The fit keeps its input scores, and each weight step's
+        # trace entry repeats the entry before it
+        inputs = []
+
+        def worse(f_in, neighbors, labels, lambda_push, hi, max_iters, tol):
+            inputs.append(f_in)
+            f = f_in.copy()
+            neg = np.asarray(labels.negatives)
+            v = neg[np.argmax(hi[neg])]
+            f[v] = hi[v]
+            return f, 0.0, tol
+
+        monkeypatch.setattr(composer, "_weight_step", worse)
+        rng = np.random.default_rng(59)
+        S, labels = self._normalized_instance(rng)
+        res = fit(S, labels, np.ones(S.n_concepts), CompositionConfig(k_candidates=5))
+        assert res.iterations == len(inputs) >= 2 and res.uncertified_steps == 0
+        for f_in in inputs:
+            np.testing.assert_array_equal(f_in, res.initial_scores)
+        np.testing.assert_array_equal(res.scores, res.initial_scores)
+        trace = res.objective_trace
+        assert trace[1::2] == trace[0::2]
 
     @pytest.mark.parametrize("cap", [1.0, 2.0, None])
     def test_scores_from_last_weight_step(self, cap, monkeypatch):

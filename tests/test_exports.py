@@ -82,3 +82,25 @@ def test_weight_step_stays_behind_its_module():
         assert not (isinstance(node, ast.Name) and node.id == "_cholesky_inverse")
         assert not (isinstance(node, ast.alias) and node.name == "_cholesky_inverse")
         assert not (isinstance(node, ast.Attribute) and node.attr == "linalg"), ast.dump(node)
+
+
+def test_fit_is_the_weight_steps_only_caller():
+    # the weight step has one entry, ``_weight_step``, and only ``fit``
+    # calls it.  ``weightstep`` holds the QP alone: no term of the objective
+    # and no warning, so the verdict on a step is ``fit``'s
+    callers = set()
+    for info in pkgutil.iter_modules(conceptrank.__path__):
+        for top in _syntax_tree(info.name).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if isinstance(node, ast.Call) and name == "_weight_step":
+                    callers.add((info.name, top.name))
+    assert callers == {("composer", "fit")}
+    tree = _syntax_tree("weightstep")
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"objective", "smoothness_value", "push_loss_from_scores", "_gap_message"}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            assert "warnings" not in names, ast.dump(node)

@@ -18,7 +18,8 @@ scores that its last kept weight step certified; it builds no weight
 matrix.  One feasible weight matrix that gives them (``final_weights``) is
 derived only when ``FitResult.weights`` is read.  The weight step is a
 certified convex QP in the scores; it lives in ``weightstep``, with every
-matrix it factors, and returns its scores with its certified gap.  This
+matrix it factors, and returns its scores with its certified gap and the
+count of its rounds that the interior point solved.  This
 module holds the model and the verdict on each step: the scores, the
 objective and the fit, which keeps a step's scores only if its own
 objective does not rise, and reports a step that stopped above its
@@ -130,6 +131,10 @@ class FitResult:
 
     ``scores`` are the scores of the last weight step that ``fit`` kept,
     with the bits that step returned; rankings are read off them.
+    ``interior_point_rounds`` counts the rounds of all weight steps that
+    the interior point solved, where no exact active-set solve certified
+    the round: every round of a step with hinge slacks, and none of a
+    capped step whose optimum has the floor shape.
     """
 
     neighbors: NeighborMatrix
@@ -139,6 +144,7 @@ class FitResult:
     converged: bool
     iterations: int
     warnings: list[str] = field(default_factory=list)
+    interior_point_rounds: int = 0
     # the prior row, the score matrix and the cap that ``weights`` is
     # derived from
     _weight_basis: tuple | None = field(default=None, repr=False, compare=False)
@@ -316,7 +322,8 @@ def fit(
     falls below ``config.tol``.  The fit counts as converged only if it
     stopped so and its last weight step met its certified tolerance; every
     step that did not is stated in ``warnings`` (and counted by
-    ``uncertified_steps``).
+    ``uncertified_steps``).  ``interior_point_rounds`` sums the rounds of
+    every weight step that the interior point solved.
     """
     _check_labels(labels, S.l)
     vals = S.values
@@ -347,6 +354,7 @@ def fit(
 
     trace: list[float] = []
     warnings: list[str] = []
+    rounds = 0
     prev_outer = np.inf  # no decrease from it counts as converged
     converged = False
     for iterations in range(1, config.max_outer_iters + 1):
@@ -355,9 +363,10 @@ def fit(
         neighbors = NeighborMatrix(candidates=candidates, probs=probs, gamma=gammas)
         trace.append(objective(f, neighbors, labels, gammas, config.lambda_push))
 
-        g, gap, bound = _weight_step(
+        g, gap, bound, step_rounds = _weight_step(
             f, neighbors, labels, config.lambda_push, hi, WEIGHT_STEP_MAX_ITERS, WEIGHT_STEP_TOL
         )
+        rounds += step_rounds
         # a NaN gap certifies nothing
         uncertified = not gap <= bound
         if uncertified:
@@ -384,6 +393,7 @@ def fit(
         converged=converged and not uncertified,
         iterations=iterations,
         warnings=warnings,
+        interior_point_rounds=rounds,
         _weight_basis=(w0, vals, cap),
     )
 

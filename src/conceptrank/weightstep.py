@@ -8,11 +8,12 @@ quadratic program in the scores, that level and one hinge slack per
 positive whose hinge can clip (``_ScoreQP``).  ``_interior_point`` solves
 it and returns a duality gap certified over every score at the lifted
 point; ``_weight_step``, the one entry, returns that gap with its
-tolerance, and ``fit`` judges and counts it.  Where the optimum is not
-unique, the solved one is moved in closed form to an optimum whose gaps do
-not grow with where the solver closed an open box (``_compress_gaps``),
-then toward the input scores (``_nearest_shift``).  This module holds the
-QP only: the objective the step descends lives in ``composer``.
+tolerance and the count of rounds the interior point solved, and ``fit``
+judges and counts them.  Where the optimum is not unique, the solved one
+is moved in closed form to an optimum whose gaps do not grow with where
+the solver closed an open box (``_compress_gaps``), then toward the input
+scores (``_nearest_shift``).  This module holds the QP only: the objective
+the step descends lives in ``composer``.
 
 Unlabelled scores meet only the graph term, so the QP is solved over the
 labelled scores and the few unlabelled ones whose box binds; every other
@@ -20,15 +21,21 @@ score is eliminated as the harmonic extension of the kept ones (a Kron
 reduction, Dorfler & Bullo, IEEE TCS 2013), with its box dropped.  Which
 boxes bind is found by seed and verify.  The one split of P already keeps
 the rows whose input score sits at its top, the last step's active tops,
-so the first round moves no rows.  Each round solves the relaxed QP with a
-Mehrotra interior point (``_mehrotra``), on one slack vector s and one
-multiplier vector z with an entry per inequality, bound or row, and lifts
-the result; a row whose lift reaches its top joins the kept rows, and
-another round follows.  By the maximum principle of the harmonic extension
-(Zhu, Ghahramani & Lafferty, ICML 2003) a lift never passes the highest
-kept score, so the relaxation only drops upper bounds, and an optimum of
-it that is feasible is the optimum of the full QP; the gap is then
-certified against the full QP.  Most steps take one or two rounds.
+so the first round moves no rows.  Each round solves the relaxed QP and
+lifts the result; a row whose lift reaches its top joins the kept rows, and
+another round follows.  A capped step without hinge slacks has, at every
+optimum seen so far, each negative at its floor 0 and the level t at 0, so
+its round is solved exactly there (``_active_set``): a primal-dual active
+set over the other kept scores' boxes, one small linear solve in S per
+pass, with the negatives taken as one block, certified by the round's own
+duality gap.  A round that it does not certify, and every round of a step
+with hinge slacks, is solved by a Mehrotra interior point (``_mehrotra``),
+on one slack vector s and one multiplier vector z with an entry per
+inequality, bound or row.  By the maximum principle of the harmonic
+extension (Zhu, Ghahramani & Lafferty, ICML 2003) a lift never passes the
+highest kept score, so the relaxation only drops upper bounds, and an
+optimum of it that is feasible is the optimum of the full QP; the gap is
+then certified against the full QP.  Most steps take one or two rounds.
 
 Every matrix of the step belongs to one object, ``_KronLaplacian``, built
 once per step.  The step sees one graph, the edges with a_ij > 0 (the
@@ -285,13 +292,14 @@ class _KronLaplacian:
     P is split once (``_harmonic_split``), keeping the rows that ``_kept``
     masks, the labelled ones and those of flat components without a label
     (P does not fix their level, so they would make P_HH singular), and
-    the seed rows, whose input score lies within ``_AT_TOP`` of its top,
-    relative to it: the last step's active tops, most of which stay
-    active.  The split keeps ``base``, eliminates ``elim`` with the
-    harmonic weights ``w`` and the inverse factor ``Li_H`` of P_HH, and
-    leaves the Schur complement ``S_base``.  ``reduce`` moves eliminated
-    rows M that a later round finds at their tops back among the kept ones
-    without a second factor of P: the harmonic extension with f_M held is
+    the seed rows (masked by ``seed``), whose input score lies within
+    ``_AT_TOP`` of its top, relative to it: the last step's active tops,
+    most of which stay active.  The split keeps ``base``, eliminates
+    ``elim`` with the harmonic weights ``w`` and the inverse factor
+    ``Li_H`` of P_HH, and leaves the Schur complement ``S_base``.
+    ``reduce`` moves eliminated rows M that a later round finds at their
+    tops back among the kept ones without a second factor of P: the
+    harmonic extension with f_M held is
     w f_B + K_M T (f_M - w_M f_B),  with
     K = P_HH^-1 = Li_H' Li_H  and  T = (K_MM)^-1,  which is the Schur
     complement of P_HH onto M.  So the Schur complement on B + M is
@@ -327,7 +335,8 @@ class _KronLaplacian:
         self.flat = np.flatnonzero(flat)
         self.member = np.unique(group[free][flat], return_inverse=True)[1]
         self.size = np.bincount(self.member)
-        kept = self._kept() | (top - f <= _AT_TOP * top)
+        self.seed = top - f <= _AT_TOP * top
+        kept = self._kept() | self.seed
         self.base, self.elim, self.w, self.S_base, self.Li_H = _harmonic_split(self.edges, kept)
         self.reduce(kept)
 
@@ -526,7 +535,8 @@ class _ScoreQP:
     lies strictly inside its own box, the two QPs share their optimum.
     ``gap`` certifies the lifted point against the full QP, or the relaxed
     one with the tops ``lap.ceiling``, with P as it is: the bound holds at
-    any strictly feasible primal-dual point, wherever it came from.
+    any feasible primal-dual point, on the boundary too, wherever it came
+    from.
 
     Neither G nor the rows A are formed as a matrix.  Each slack sits in one
     hinge row, so ``newton`` eliminates the slacks and factors only an
@@ -703,11 +713,18 @@ class _ScoreQP:
             [np.maximum(r, 0.0) + offset, z_a[n_epi:], np.maximum(-r, 0.0) + offset, z_a]
         )
 
-    def gap(self, x: np.ndarray, z_a: np.ndarray, top: np.ndarray | None = None) -> float:
+    def gap(
+        self, x: np.ndarray, z_a: np.ndarray, top: np.ndarray | None = None, *,
+        strict: bool = False,
+    ) -> float:
         """Certified bound on objective(x) - optimum, or inf if x is not
-        strictly feasible; both over every free score, at the lifted scores,
-        with the free scores' boxes closed at ``top`` (by default their own
-        tops: the full QP; ``lap.ceiling`` gives the relaxed QP).
+        feasible; both over every free score, at the lifted scores, with the
+        free scores' boxes closed at ``top`` (by default their own tops: the
+        full QP; ``lap.ceiling`` gives the relaxed QP).  A point on the
+        boundary, with some slack exactly 0, is certified like any other
+        feasible point; a negative slack gives inf.  With ``strict`` a zero
+        slack gives inf as well: the interior point's step guard needs an
+        interior point to take its next step from.
 
         Fixes row multipliers that make t and the slacks dual feasible:
         hinge multipliers capped at the slack cost lam/p, whose remainder
@@ -730,7 +747,8 @@ class _ScoreQP:
         f, xi = self.lap.lift(x[:nf]), x[nf + 1 :]
         s_a = self.b - self.rows(x)
         s_up = (self.top if top is None else top) - f
-        if min(s_a.min(), f.min(initial=1.0), s_up.min(initial=1.0), xi.min(initial=1.0)) <= 0.0:
+        least = min(s_a.min(), f.min(initial=1.0), s_up.min(initial=1.0), xi.min(initial=1.0))
+        if least < 0.0 or strict and least == 0.0:
             return np.inf
         z = np.maximum(z_a, 0.0)
         z[n_epi:] = np.minimum(z[n_epi:], self.slack_cost)
@@ -751,24 +769,121 @@ class _ScoreQP:
         return f
 
 
-def _interior_point(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarray, float]:
+def _interior_point(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarray, float, int]:
     """The QP over every free score, solved in rounds over the kept ones.
 
     Each round solves the relaxed QP that ``qp`` holds: the eliminated
     scores follow as the harmonic extension of the kept ones, and their
-    boxes are dropped (``_mehrotra``).  A row whose lift then reaches its
-    top joins the kept rows (``_ScoreQP.reduce``), and the next round
-    solves again.  Once every lift lies strictly inside its box, the relaxed
-    optimum is feasible for the full QP, so it is the full optimum.  Returns
-    the last round's iterate and the gap of the full QP there.  The kept
-    rows only grow, so at worst every free row is kept.
+    boxes are dropped.  The round is solved exactly by ``_active_set``
+    where it certifies its answer, and otherwise by the interior point
+    ``_mehrotra``, on the same QP.  A row whose lift then reaches its top
+    joins the kept rows (``_ScoreQP.reduce``), and the next round solves
+    again.  Once every lift lies inside its box, the relaxed optimum is
+    feasible for the full QP, so it is the full optimum.  Returns the last
+    round's point, the gap of the full QP there, and the number of rounds
+    that ``_mehrotra`` solved.  The kept rows only grow, so at worst every
+    free row is kept.
     """
+    rounds = 0
     while True:
-        x, gap = _mehrotra(qp, tol, max_iters)
+        solved = _active_set(qp, tol)
+        if solved is None:
+            rounds += 1
+            solved = _mehrotra(qp, tol, max_iters)
+        x, gap = solved
         reached = qp.lap.reached(x[: qp.nf])
         if not np.any(reached):
-            return x, gap
+            return x, gap, rounds
         qp.reduce(qp.lap.kept | reached)
+
+
+# passes of ``_active_set`` after which a round whose sets still change
+# goes to the interior point
+_ACTIVE_SET_PASSES = 16
+# relative tolerance of ``_active_set``'s bound and sign tests: without it,
+# rows at exactly 0 with a zero gradient can make the sets cycle
+_ACTIVE_SET_TOL = 1e-12
+
+
+def _active_set(qp: _ScoreQP, tol: float) -> tuple[np.ndarray, float] | None:
+    """The relaxed QP solved exactly where its optimum has the floor shape:
+    every kept negative at its floor 0 and the level t at 0.  Returns the
+    point and the gap of the full QP there, as ``_mehrotra`` does, or None
+    when the QP has hinge slacks or the point is not certified.
+
+    With the negatives and t fixed, the other kept scores solve a box-
+    constrained QP in S, by primal-dual active set (Hintermuller, Ito &
+    Kunisch, SIAM J. Optim. 2002): the rows at their top, those at their
+    floor, and the inactive rest, which solve  S_II f_I = -lin_I - S_IT up_T.
+    The first pass puts the seed rows, whose input score sits at its top,
+    at their tops.  Each pass keeps a top row while its gradient g = S f +
+    lin is at most 0 and a floor row while it is at least 0, and moves an
+    inactive row that passes a bound onto it; the loop stops when the sets
+    repeat, or declines after ``_ACTIVE_SET_PASSES`` passes.  Taking the
+    negatives as one block removes the cycling that plain active-set
+    iterations show on their degenerate floors.  A flat component of the
+    graph whose kept rows are all inactive would leave S_II singular, since
+    S does not fix its level: its lowest-top row is put at its top.
+
+    The point is optimal only if the negatives' rows can carry t's cost
+    lam a:  z_j >= max(0, -g_j)  makes each negative's floor multiplier
+    g_j + z_j nonnegative, so it declines when those sum to more than lam a
+    by more than ``_ACTIVE_SET_TOL`` of it.  (Where no pinned video holds
+    the labelled rows' level, any optimum shifts down to this shape, and
+    they sum to lam a up to rounding.)  Otherwise each row multiplier is
+    that, plus an equal share of what is left of lam a, and the round is
+    taken only if the relaxed QP's gap (``_ScoreQP.gap`` with the tops
+    ``lap.ceiling``) at that point meets tol * max(1, |objective|).
+    """
+    if qp.clipped.shape[0] > 0:
+        return None
+    lap, nf, up = qp.lap, qp.nf, qp.up
+    lin = qp.lin[:nf]
+    fixed = np.zeros(nf, dtype=bool)
+    fixed[qp.hn] = True
+    top = lap.seed[lap.keep] & ~fixed
+    floor = np.zeros(nf, dtype=bool)
+    flat = np.isin(lap.keep, lap.flat)
+    group = lap.group[lap.free[lap.keep]]
+    eps_f = _ACTIVE_SET_TOL * up
+    eps_g = _ACTIVE_SET_TOL * max(1.0, qp.slack_cost)
+    for _ in range(_ACTIVE_SET_PASSES):
+        inactive = ~(fixed | top | floor)
+        held = np.bincount(group[~inactive], minlength=lap.group.shape[0]) > 0
+        lone = np.flatnonzero(inactive & flat & ~held[group])
+        if lone.shape[0] > 0:
+            # sorted by component, then top: each component's first row
+            lone = lone[np.lexsort((up[lone], group[lone]))]
+            first = np.ones(lone.shape[0], dtype=bool)
+            first[1:] = group[lone[1:]] != group[lone[:-1]]
+            top[lone[first]] = True
+            inactive[lone[first]] = False
+        f = np.where(top, up, 0.0)
+        rows = np.flatnonzero(inactive)
+        S_I = lap.S[rows]
+        try:
+            f[rows] = np.linalg.solve(S_I[:, rows], -(lin[rows] + S_I[:, top] @ up[top]))
+        except np.linalg.LinAlgError:
+            return None
+        g = lap.matvec(f) + lin
+        new_top = np.where(top, g <= eps_g, inactive & (f > up + eps_f))
+        new_floor = np.where(floor, g >= -eps_g, inactive & (f < -eps_f))
+        if np.array_equal(new_top, top) and np.array_equal(new_floor, floor):
+            break
+        top, floor = new_top, new_floor
+    else:
+        return None
+    x = np.zeros(qp.lin.shape[0])
+    x[:nf] = np.clip(f, 0.0, up)
+    need = np.maximum(-(lap.matvec(x[:nf]) + lin)[qp.hn], 0.0)
+    rest = qp.const - need.sum()
+    if rest < -_ACTIVE_SET_TOL * qp.const:
+        return None
+    z = np.full(qp.n_epi, max(rest, 0.0) / qp.n_epi)
+    z[qp.n_free] += need
+    if not qp.gap(x, z, lap.ceiling) <= tol * max(1.0, abs(qp.objective(x))):
+        return None
+    return x, qp.gap(x, z)
 
 
 def _mehrotra(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarray, float]:
@@ -842,11 +957,12 @@ def _mehrotra(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarray, flo
         except np.linalg.LinAlgError:
             break
         # near the boundary, rounding can put a full fraction-to-boundary
-        # step outside the feasible set: shorten it until it is inside
+        # step outside the feasible set, or onto its boundary: shorten it
+        # until it is strictly inside
         alpha *= 0.99
         for _ in range(8):
             x_new, z_new = x + alpha * dx, z + alpha * dz
-            gap = qp.gap(x_new, z_new[nb:], ceiling)
+            gap = qp.gap(x_new, z_new[nb:], ceiling, strict=True)
             if np.isfinite(gap):
                 break
             alpha *= 0.5
@@ -862,10 +978,11 @@ def _mehrotra(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarray, flo
 
 def _weight_step(f_in, neighbors, labels, lambda_push, hi, max_iters, tol):
     """The weight step from the input scores f_in, solved exactly as a
-    quadratic program in score space: returns (f, gap, bound), the solved
-    scores, a certified bound on the distance of the solved point to the
-    optimum, and the tolerance it was asked to meet.  The caller decides
-    what a gap above its bound, or a NaN gap, means, and whether to keep f.
+    quadratic program in score space: returns (f, gap, bound, rounds), the
+    solved scores, a certified bound on the distance of the solved point to
+    the optimum, the tolerance it was asked to meet, and the number of
+    rounds that the interior point solved.  The caller decides what a gap
+    above its bound, or a NaN gap, means, and whether to keep f.
 
     The subproblem objective depends on the weights only through the
     per-video scores f_i = w_i . s_i, and the weight constraint set maps
@@ -880,13 +997,17 @@ def _weight_step(f_in, neighbors, labels, lambda_push, hi, max_iters, tol):
     binds, with the rest eliminated and their boxes dropped
     (``_KronLaplacian``).  The first round keeps the rows whose input score
     sits at its top, and each round adds the rows whose lifted score
-    reaches its top (``_interior_point``).  An interior-point method
-    solves each round until the duality gap of its iterate is at most
-    ``tol * max(1, |objective|)``, or it has spent ``max_iters``
-    iterations, or its gap stops shrinking.  Once no lift reaches its top,
-    the gap of the last round's point, lifted back to every score, is a
-    certified bound on its distance to the optimum of the QP over every
-    score.
+    reaches its top (``_interior_point``).  A capped step whose positives
+    cannot clip their hinges solves each round exactly, with its negatives
+    and the level t at 0 and one linear solve per active-set pass
+    (``_active_set``), where the duality gap of that point meets
+    ``tol * max(1, |objective|)``.  Every other round, and every round of
+    a step with hinge slacks, goes to an interior-point method, which
+    solves until the gap of its iterate meets that tolerance, or it has
+    spent ``max_iters`` iterations, or its gap stops shrinking.  Once no
+    lift reaches its top, the gap of the last round's point, lifted back
+    to every score, is a certified bound on its distance to the optimum of
+    the QP over every score.
 
     Without a cap the box has no top, and the step closes it at n.  The
     optimum is then not unique: the level of a component of positives
@@ -900,9 +1021,9 @@ def _weight_step(f_in, neighbors, labels, lambda_push, hi, max_iters, tol):
     input mean, and the labelled components move together.
     """
     qp = _ScoreQP(f_in, neighbors, labels, lambda_push, hi)
-    x, gap = _interior_point(qp, tol, max_iters)
+    x, gap, rounds = _interior_point(qp, tol, max_iters)
     bound = tol * max(1.0, abs(qp.objective(x)))
-    return _nearest_shift(qp.lap, _compress_gaps(qp.scores(x)), f_in, hi), gap, bound
+    return _nearest_shift(qp.lap, _compress_gaps(qp.scores(x)), f_in, hi), gap, bound, rounds
 
 
 def _compress_gaps(f: np.ndarray) -> np.ndarray:

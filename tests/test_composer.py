@@ -61,6 +61,12 @@ def _keep_every_row(monkeypatch):
     monkeypatch.setattr(_KronLaplacian, "_kept", lambda lap: np.ones_like(lap.free, dtype=bool))
 
 
+def _interior_point_only(monkeypatch):
+    """Make the exact active-set solve decline every round, so that the
+    interior point solves each one, as it does on a step with hinge slacks."""
+    monkeypatch.setattr(weightstep, "_active_set", lambda qp, tol: None)
+
+
 def _matrix(values, l=None):
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
@@ -207,7 +213,7 @@ class TestReferenceSolver:
         rng = np.random.default_rng(41)
         S, labels, nb, W0, _ = random_instance(rng, n_max=14, m_max=3)
         f0, hi = _step_inputs(S, W0, 1.0)
-        f, gap, bound = composer._weight_step(f0, nb, labels, 1e-12, hi, 400, 1e-14)
+        f, gap, bound, _ = composer._weight_step(f0, nb, labels, 1e-12, hi, 400, 1e-14)
         assert gap <= bound
         assert smoothness_value(f, nb) <= 1e-6
 
@@ -223,7 +229,7 @@ class TestReferenceSolver:
         )
         lam, cap = 20.0, 2.0
         f0, hi = _step_inputs(S, np.full((2, 1), 0.5), cap)
-        f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 400, 1e-9)
+        f, gap, bound, _ = composer._weight_step(f0, nb, labels, lam, hi, 400, 1e-9)
         assert gap <= bound
         # grid-search oracle over both scores, each across its box
         best = min(
@@ -240,7 +246,7 @@ class TestReferenceSolver:
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=4)
             f0, hi = _step_inputs(S, W0, 1.0)
             before = weight_step_value(f0, nb, labels, lam)
-            f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 120, 1e-9)
+            f, gap, bound, _ = composer._weight_step(f0, nb, labels, lam, hi, 120, 1e-9)
             assert gap <= bound
             assert weight_step_value(f, nb, labels, lam) <= before + 1e-12
 
@@ -251,7 +257,7 @@ class TestReferenceSolver:
         for _ in range(8):
             S, labels, nb, W0, lam = random_instance(rng, n_max=14, m_max=3)
             f0, hi = _step_inputs(S, W0, cap)
-            f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-10)
+            f, gap, bound, _ = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-10)
             assert gap <= bound
             want = slsqp_weight_step_value(nb, labels, lam, hi)
             assert weight_step_value(f, nb, labels, lam) <= want + 1e-8
@@ -266,7 +272,7 @@ class TestReferenceSolver:
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=4)
             hi = score_box_top(S.values, cap)
             qp = _qp(nb, labels, lam, hi)
-            x, gap = _interior_point(qp, 1e-10, 100)
+            x, gap, _ = _interior_point(qp, 1e-10, 100)
             value = weight_step_value(qp.scores(x), nb, labels, lam)
             assert gap <= 1e-10 * max(1.0, value)
             # t is at least the top negative score, so the objective bounds the value
@@ -286,7 +292,7 @@ class TestReferenceSolver:
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=4)
             hi = score_box_top(S.values, cap)
             qp = _qp(nb, labels, lam, hi)
-            x_opt, _ = _interior_point(qp, 1e-12, 200)
+            x_opt, _, _ = _interior_point(qp, 1e-12, 200)
             x = qp.start()[0]
             for _ in range(5):
                 z = rng.uniform(0.0, 10.0 * lam, qp.b.shape[0])
@@ -426,7 +432,7 @@ class TestReferenceSolver:
             patch.setattr(_KronLaplacian, "_grounded", lambda lap: -np.eye(lap.nf))
             qp = _qp(nb, labels, lam, hi)
         assert qp.lap.Li_S is None
-        x, gap = _interior_point(qp, 1e-10, 100)
+        x, gap, _ = _interior_point(qp, 1e-10, 100)
         value = weight_step_value(qp.scores(x), nb, labels, lam)
         assert np.isfinite(gap)
         for _ in range(50):
@@ -468,24 +474,26 @@ class TestReferenceSolver:
         # components once, factors P once and solves one QP, with or without
         # a cap; the QP takes one relaxed solve per round, each over more
         # kept rows than the last, and builds one reduction, one grounded
-        # factor of S, per round.  Each step runs from the drawn scores and
-        # again with an unlabelled test row at its top, which the first
-        # split keeps, so the first round moves no rows
+        # factor of S, per round.  Each round starts with one call of the
+        # exact active-set solve, which declines a step with hinge slacks.
+        # Each step runs from the drawn scores and again with an unlabelled
+        # test row at its top, which the first split keeps, so the first
+        # round moves no rows
         rng = np.random.default_rng(74)
         calls = {"_EdgeList": 0, "_components": 0, "_harmonic_split": 0, "_interior_point": 0}
         sizes, reductions = [], []
-        mehrotra = weightstep._mehrotra
+        active_set = weightstep._active_set
         grounded = weightstep._KronLaplacian._grounded
 
-        def solve(qp, tol, max_iters):
+        def solve(qp, tol):
             sizes.append(qp.nf)
-            return mehrotra(qp, tol, max_iters)
+            return active_set(qp, tol)
 
         def factored(lap):
             reductions.append(lap.nf)
             return grounded(lap)
 
-        monkeypatch.setattr(weightstep, "_mehrotra", solve)
+        monkeypatch.setattr(weightstep, "_active_set", solve)
         monkeypatch.setattr(weightstep._KronLaplacian, "_grounded", factored)
 
         def counted(name):
@@ -511,7 +519,7 @@ class TestReferenceSolver:
                     calls[name] = 0
                 sizes.clear()
                 reductions.clear()
-                f, gap, bound = composer._weight_step(f_in, nb, labels, lam, hi, 500, 1e-9)
+                f, gap, bound, _ = composer._weight_step(f_in, nb, labels, lam, hi, 500, 1e-9)
                 assert gap <= bound
                 assert calls == {
                     "_EdgeList": 1, "_components": 1, "_harmonic_split": 1, "_interior_point": 1
@@ -612,7 +620,7 @@ class TestReferenceSolver:
         monkeypatch.setattr(weightstep, "_harmonic_split", spy)
         tracemalloc.start()  # traces only what is allocated from here on
         try:
-            f, gap, bound = composer._weight_step(*step, 500, 1e-9)
+            f, gap, bound, _ = composer._weight_step(*step, 500, 1e-9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -638,8 +646,10 @@ class TestReferenceSolver:
     def test_newton_systems_skip_eliminated_scores(self, monkeypatch):
         # at the CLI's 20/100 labels on 320 capped videos, the unlabelled
         # scores that stay inside their boxes are eliminated, so no Newton
-        # system spans every free score and t
+        # system spans every free score and t.  The exact active-set solve,
+        # which certifies this capped step with no Newton system, declines
         step, nf = self._cli_step()
+        _interior_point_only(monkeypatch)
         sides = []
         newton = weightstep._ScoreQP.newton
 
@@ -648,7 +658,7 @@ class TestReferenceSolver:
             return newton(qp, d_rows, d_diag)
 
         monkeypatch.setattr(weightstep._ScoreQP, "newton", spy)
-        f, gap, bound = composer._weight_step(*step, 500, 1e-9)
+        f, gap, bound, _ = composer._weight_step(*step, 500, 1e-9)
         assert nf >= 300 and gap <= bound
         assert sides and max(sides) < nf + 1
 
@@ -665,7 +675,7 @@ class TestReferenceSolver:
             return factor(A)
 
         monkeypatch.setattr(weightstep, "_cholesky_inverse", spy)
-        f, gap, bound = composer._weight_step(*step, 500, 1e-9)
+        f, gap, bound, _ = composer._weight_step(*step, 500, 1e-9)
         assert nf >= 300 and gap <= bound
         assert sides and max(sides) < nf
 
@@ -695,7 +705,7 @@ class TestReferenceSolver:
         qp = _qp(nb, labels, 1.0, hi)
         assert qp.lin.shape[0] - (qp.nf + 1) == 20
         assert qp.b.shape[0] == 120
-        x, gap = _interior_point(qp, 1e-9, 500)
+        x, gap, _ = _interior_point(qp, 1e-9, 500)
         assert gap <= 1e-9 * max(1.0, qp.objective(x))
 
     @staticmethod
@@ -738,7 +748,7 @@ class TestReferenceSolver:
         cases = [self._split_instance(rng) for _ in range(10)]
         for S, labels, nb, W0, lam in cases + [self._fit_graph_instance(rng)]:
             f0, hi = _step_inputs(S, W0, cap)
-            f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-12)
+            f, gap, bound, _ = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-12)
             assert gap <= bound
             want = min(float(f0[8:].mean()), float(hi[8:].min()))
             np.testing.assert_allclose(f[8:], want, atol=1e-9)
@@ -752,7 +762,7 @@ class TestReferenceSolver:
 
         def step(S, labels, nb, W0, lam):
             f0, hi = _step_inputs(S, W0, None)
-            f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-12)
+            f, gap, bound, _ = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-12)
             assert gap <= bound
             return f
 
@@ -781,18 +791,18 @@ class TestReferenceSolver:
         f0, hi = _step_inputs(S, W0, None)
         assert hi[zero] == 0.0
         assert np.all(np.isinf(np.delete(hi, zero)))
-        f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-10)
+        f, gap, bound, _ = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-10)
         assert gap <= bound
         assert np.all(f >= 0.0) and f[zero] == 0.0
         qp = _qp(nb, labels, lam, np.where(np.isinf(hi), float(S.n_videos), hi))
-        x, _ = _interior_point(qp, 1e-10, 100)
+        x, _, _ = _interior_point(qp, 1e-10, 100)
         assert weight_step_value(f, nb, labels, lam) <= qp.objective(x) + 1e-9
 
     def test_output_feasible(self):
         rng = np.random.default_rng(43)
         S, labels, nb, W0, lam = random_instance(rng)
         f0, hi = _step_inputs(S, W0, 1.0)
-        f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 120, 1e-9)
+        f, gap, bound, _ = composer._weight_step(f0, nb, labels, lam, hi, 120, 1e-9)
         assert gap <= bound
         assert np.all(f >= 0.0)
         assert np.all(f <= hi)
@@ -816,10 +826,10 @@ class TestHarmonicSplit:
 
         with monkeypatch.context() as patch:
             patch.setattr(weightstep._KronLaplacian, "reduce", spy)
-            f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
+            f, gap, bound, _ = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
         with monkeypatch.context() as patch:
             _keep_every_row(patch)
-            g, gap_all, bound_all = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
+            g, gap_all, bound_all, _ = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
         assert gap <= bound and gap_all <= bound_all
         diff = weight_step_value(f, nb, labels, lam) - weight_step_value(g, nb, labels, lam)
         assert abs(diff) <= gap + gap_all + 1e-12
@@ -828,8 +838,12 @@ class TestHarmonicSplit:
     @pytest.mark.parametrize("cap", [1.0, 2.0])
     def test_row_that_can_pass_its_top_is_kept(self, cap, monkeypatch):
         # an unlabelled video with a low box among high ones: the harmonic
-        # extension of its neighbours passes its top, so eliminating it
-        # would leave its box
+        # extension of its neighbours at the interior point's solution
+        # passes its top, so eliminating it would leave its box.  The
+        # optimum is not unique: on one draw with cap 1, the exact active-set
+        # solve returns the optimum with every negative at 0, whose lift
+        # stays inside the box, so it declines here
+        _interior_point_only(monkeypatch)
         rng = np.random.default_rng(86)
         for _ in range(10):
             S, labels, nb, W0, lam = random_instance(rng, n_min=16, n_max=24, m_max=3)
@@ -946,17 +960,20 @@ class TestHarmonicSplit:
         # keeps it (on 8 of the 10 instances with cap 1 and all 10 with cap
         # 2), and a step from that output, where it sits at its top, keeps
         # it from the first round; elsewhere it stays eliminated inside its
-        # box.  Every step is certified
+        # box.  Every step is certified.  The rounds are the interior
+        # point's: the exact active-set solve, called once per round, is
+        # made to decline, since with cap 1 it can return the optimum with
+        # every negative at 0, which ``_nearest_shift`` moves until this
+        # row sits exactly at its top
         rng = np.random.default_rng(86)
         joined = 0
         rounds = []
-        mehrotra = weightstep._mehrotra
 
-        def spy(qp, tol, max_iters):
+        def spy(qp, tol):
             rounds.append(qp.free[qp.lap.keep])
-            return mehrotra(qp, tol, max_iters)
+            return None
 
-        monkeypatch.setattr(weightstep, "_mehrotra", spy)
+        monkeypatch.setattr(weightstep, "_active_set", spy)
         for _ in range(10):
             S, labels, nb, W0, lam = random_instance(rng, n_min=16, n_max=24, m_max=3)
             low = S.n_videos - 1
@@ -964,13 +981,13 @@ class TestHarmonicSplit:
             f0, hi = _step_inputs(S, W0, cap)
             f0[low] = 0.5 * hi[low]
             rounds.clear()
-            f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
+            f, gap, bound, _ = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
             assert gap <= bound and low not in rounds[0]
             if low in rounds[-1]:
                 assert low in rounds[1]
                 joined += 1
                 rounds.clear()
-                f, gap, bound = composer._weight_step(f, nb, labels, lam, hi, 500, 1e-9)
+                f, gap, bound, _ = composer._weight_step(f, nb, labels, lam, hi, 500, 1e-9)
                 assert gap <= bound and low in rounds[0]
             else:
                 assert f[low] < hi[low]
@@ -1002,6 +1019,113 @@ class TestHarmonicSplit:
         assert binding > 0
 
 
+class TestActiveSet:
+    """The exact solve of a capped round (``weightstep._active_set``) and
+    the certificate at the boundary points it returns."""
+
+    @staticmethod
+    def _boundary_point(qp, rng):
+        """A feasible point of the relaxed QP with kept scores at 0, at their
+        tops and inside, the level t at the top negative score, so that its
+        row is tight, and clipped hinge slacks at 0 where they may be.  The
+        kept rows with the highest top stay inside, so that no lift reaches
+        the tops ``lap.ceiling`` gives the eliminated rows, even by rounding."""
+        nf = qp.nf
+        x = np.zeros(qp.lin.shape[0])
+        f = rng.uniform(0.0, 1.0, nf) * qp.up
+        side = rng.integers(0, 3, nf)
+        side[qp.up == qp.up.max()] = 2
+        f[side == 0] = 0.0
+        f[side == 1] = qp.up[side == 1]
+        x[:nf] = f
+        x[qp.t] = max(float(f[qp.hn].max(initial=0.0)), 0.0)
+        xi = x[nf + 1 :]
+        xi[:] = np.maximum(qp.rows(x)[qp.n_epi :] - qp.b[qp.n_epi :], 0.0)
+        # a slack that closes its hinge row can round to just below 0 there
+        while np.any(short := (qp.b - qp.rows(x))[qp.n_epi :] < 0.0):
+            xi[short] = np.nextafter(xi[short], np.inf)
+        return x
+
+    @staticmethod
+    def _dense_gap(qp, P, x, z_a, top):
+        """``_ScoreQP.gap`` from dense matrices: the lift as a harmonic
+        solve in P, and the curvature term from P's spectrum."""
+        nf, n_epi = qp.nf, qp.n_epi
+        B, H = qp.lap.keep, qp.lap.drop
+        f = np.empty(qp.free.shape[0])
+        f[B] = x[:nf]
+        f[H] = np.linalg.solve(P[np.ix_(H, H)], -P[np.ix_(H, B)] @ x[:nf])
+        xi = x[nf + 1 :]
+        z = np.maximum(z_a, 0.0)
+        z[n_epi:] = np.minimum(z[n_epi:], qp.slack_cost)
+        z[:n_epi] *= (qp.const + z[n_epi:].sum()) / z[:n_epi].sum()
+        r = P @ f
+        r[B] += (qp.lin + qp.rows_t(z))[:nf]
+        s_up = top - f
+
+        def box_term(g):
+            return float(f @ np.maximum(g, 0.0) + s_up @ np.maximum(-g, 0.0))
+
+        flat, curved = eigen_curvature_split(P, r)
+        fall = min(box_term(r), curved + box_term(flat))
+        s_a = qp.b - qp.rows(x)
+        return float(s_a @ z + xi @ (qp.slack_cost - z[n_epi:])) + fall
+
+    @pytest.mark.parametrize("top", [0.8, 1.5])
+    def test_gap_at_boundary_points(self, top):
+        # a point with slacks exactly 0, on bounds, tight rows and clipped
+        # hinges (box 1.5), is certified like any other feasible point: the
+        # gap matches its dense reference and bounds the distance to the
+        # relaxed optimum.  A negative slack, or a zero one where the step
+        # guard asks for an interior point, gives inf
+        rng = np.random.default_rng(92)
+        for _ in range(10):
+            S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
+            hi = top * rng.uniform(0.5, 1.0, S.n_videos)
+            hi[rng.integers(S.n_videos)] = 0.0
+            qp = _qp(nb, labels, lam, hi)
+            P = add_at_laplacian(nb, qp.free)
+            x_opt, _ = weightstep._mehrotra(qp, 1e-12, 200)
+            optimum = qp.objective(x_opt)
+            ceiling = qp.lap.ceiling
+            for _ in range(5):
+                x = self._boundary_point(qp, rng)
+                z = rng.uniform(0.0, 2.0 * lam, qp.b.shape[0])
+                gap = qp.gap(x, z, ceiling)
+                assert np.isfinite(gap)
+                want = self._dense_gap(qp, P, x, z, ceiling)
+                assert gap == pytest.approx(want, rel=1e-8, abs=1e-12)
+                assert gap >= qp.objective(x) - optimum - 1e-9
+                assert qp.gap(x, z, ceiling, strict=True) == np.inf
+                v = int(rng.integers(qp.nf))
+                for outside in (-1e-9, qp.up[v] + 1e-9):
+                    bad = x.copy()
+                    bad[v] = outside
+                    assert qp.gap(bad, z, ceiling) == np.inf
+
+    def test_certified_below_interior_point(self, monkeypatch):
+        # the capped draws of ``test_matches_independent_qp_solve`` and
+        # ``test_certified_gap``: the exact solve certifies every round, so
+        # the interior point solves none, and its objective is at most the
+        # interior point's on the same QP
+        draws = [(60, 8, dict(n_max=14, m_max=3)), (61, 10, dict(n_max=16, m_max=4))]
+        for seed, count, sizes in draws:
+            rng = np.random.default_rng(seed)
+            for _ in range(count):
+                S, labels, nb, W0, lam = random_instance(rng, **sizes)
+                hi = score_box_top(S.values, 1.0)
+                qp = _qp(nb, labels, lam, hi)
+                x, gap, rounds = _interior_point(qp, 1e-10, 100)
+                value = qp.objective(x)
+                assert rounds == 0 and gap <= 1e-10 * max(1.0, abs(value))
+                with monkeypatch.context() as patch:
+                    _interior_point_only(patch)
+                    qp_ip = _qp(nb, labels, lam, hi)
+                    x_ip, gap_ip, rounds_ip = _interior_point(qp_ip, 1e-10, 100)
+                assert rounds_ip >= 1 and gap_ip <= 1e-10 * max(1.0, abs(value))
+                assert value <= qp_ip.objective(x_ip)
+
+
 class TestCompressGaps:
     def test_no_wide_gap_is_bit_for_bit(self):
         # scores in [0, 1], as every step capped at 1 gives, and sorted gaps
@@ -1028,7 +1152,7 @@ class TestCompressGaps:
         for S, labels, nb, W0, lam in cases:
             hi = score_box_top(S.values, None)
             qp = _qp(nb, labels, lam, hi)
-            x, _ = _interior_point(qp, 1e-10, 100)
+            x, _, _ = _interior_point(qp, 1e-10, 100)
             f = qp.scores(x)
             g = weightstep._compress_gaps(f)
             wide += int(np.any(np.diff(np.sort(f)) > 1.0))
@@ -1363,7 +1487,7 @@ class TestFit:
             neg = np.asarray(labels.negatives)
             v = neg[np.argmax(hi[neg])]
             f[v] = hi[v]
-            return f, 0.0, tol
+            return f, 0.0, tol, 0
 
         monkeypatch.setattr(composer, "_weight_step", worse)
         rng = np.random.default_rng(59)
@@ -1460,11 +1584,13 @@ class TestFit:
 
     def test_uncertified_last_step_is_not_converged(self, monkeypatch):
         # one interior-point iteration certifies no step, and the fit stalls
-        # well before its iteration cap
+        # well before its iteration cap; the exact active-set solve, which
+        # certifies these capped steps, declines
         rng = np.random.default_rng(53)
         S, labels = self._normalized_instance(rng)
         cfg = CompositionConfig(k_candidates=5)
         with monkeypatch.context() as patch:
+            _interior_point_only(patch)
             patch.setattr(composer, "WEIGHT_STEP_MAX_ITERS", 1)
             res = fit(S, labels, np.ones(S.n_concepts), cfg)
         assert res.iterations < cfg.max_outer_iters
@@ -1481,9 +1607,9 @@ class TestFit:
         inner = weightstep._interior_point
 
         def nan_second_gap(qp, tol, max_iters):
-            x, gap = inner(qp, tol, max_iters)
+            x, gap, rounds = inner(qp, tol, max_iters)
             gaps.append(gap)
-            return x, np.nan if len(gaps) == 2 else gap
+            return x, np.nan if len(gaps) == 2 else gap, rounds
 
         monkeypatch.setattr(weightstep, "_interior_point", nan_second_gap)
         rng = np.random.default_rng(56)

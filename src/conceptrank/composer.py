@@ -132,9 +132,8 @@ class FitResult:
     ``scores`` are the scores of the last weight step that ``fit`` kept,
     with the bits that step returned; rankings are read off them.
     ``interior_point_rounds`` counts the rounds of all weight steps that
-    the interior point solved, where no exact active-set solve certified
-    the round: every round of a step with hinge slacks, and none of a
-    capped step whose optimum has the floor shape.
+    the interior point solved, where the exact active-set solve certified
+    no point; on every input probed, with or without a cap, it is 0.
     """
 
     neighbors: NeighborMatrix

@@ -9,11 +9,12 @@ positive whose hinge can clip (``_ScoreQP``).  ``_interior_point`` solves
 it and returns a duality gap certified over every score at the lifted
 point; ``_weight_step``, the one entry, returns that gap with its
 tolerance and the count of rounds the interior point solved, and ``fit``
-judges and counts them.  Where the optimum is not unique, the solved one
-is moved in closed form to an optimum whose gaps do not grow with where
-the solver closed an open box (``_compress_gaps``), then toward the input
-scores (``_nearest_shift``).  This module holds the QP only: the objective
-the step descends lives in ``composer``.
+judges and counts them.  Where the optimum is not unique, the solve holds
+each level that no term fixes at the input scores, and the solved optimum
+is then moved in closed form to one without gaps above 1 between sorted
+scores (``_compress_gaps``), then toward the input scores
+(``_nearest_shift``).  This module holds the QP only: the objective the
+step descends lives in ``composer``.
 
 Unlabelled scores meet only the graph term, so the QP is solved over the
 labelled scores and the few unlabelled ones whose box binds; every other
@@ -23,19 +24,21 @@ boxes bind is found by seed and verify.  The one split of P already keeps
 the rows whose input score sits at its top, the last step's active tops,
 so the first round moves no rows.  Each round solves the relaxed QP and
 lifts the result; a row whose lift reaches its top joins the kept rows, and
-another round follows.  A capped step without hinge slacks has, at every
-optimum seen so far, each negative at its floor 0 and the level t at 0, so
-its round is solved exactly there (``_active_set``): a primal-dual active
-set over the other kept scores' boxes, one small linear solve in S per
-pass, with the negatives taken as one block, certified by the round's own
-duality gap.  A round that it does not certify, and every round of a step
-with hinge slacks, is solved by a Mehrotra interior point (``_mehrotra``),
-on one slack vector s and one multiplier vector z with an entry per
-inequality, bound or row.  By the maximum principle of the harmonic
-extension (Zhu, Ghahramani & Lafferty, ICML 2003) a lift never passes the
-highest kept score, so the relaxation only drops upper bounds, and an
-optimum of it that is feasible is the optimum of the full QP; the gap is
-then certified against the full QP.  Most steps take one or two rounds.
+another round follows.  Each round is solved exactly (``_active_set``): a
+primal-dual active set over the kept scores' boxes, the negatives' rows
+and the clipped positives' kinks, one small linear solve in S per pass,
+with the negatives taken as one block, certified by the round's own
+duality gap.  A capped step starts with the level t of the top negative
+at its floor 0, where every capped optimum seen so far has it; a step with
+hinge slacks starts with t free.  A round that the active set does not
+certify, which no input probed has shown, is solved by a Mehrotra interior
+point (``_mehrotra``), on one slack vector s and one multiplier vector z
+with an entry per inequality, bound or row.  By the maximum principle of
+the harmonic extension (Zhu, Ghahramani & Lafferty, ICML 2003) a lift
+never passes the highest kept score, so the relaxation only drops upper
+bounds, and an optimum of it that is feasible is the optimum of the full
+QP; the gap is then certified against the full QP.  Most steps take one
+or two rounds.
 
 Every matrix of the step belongs to one object, ``_KronLaplacian``, built
 once per step.  The step sees one graph, the edges with a_ij > 0 (the
@@ -117,6 +120,12 @@ def _cholesky_inverse(A: np.ndarray) -> np.ndarray:
 # ``_harmonic_split``: their lift would be 0, or rounding noise around it,
 # on the bottom of their box
 _LIFT_FLOOR = 1e-12
+
+
+# relative margin by which the eliminated rows' ceiling clears the highest
+# kept top: a lift is a convex combination of the kept scores, so it passes
+# that top only by its rounding, a few units in the last place per kept row
+_CEILING_MARGIN = 1e-9
 
 
 # free rows whose off-diagonal entries ``_EdgeList`` lays out densely at
@@ -316,7 +325,9 @@ class _KronLaplacian:
     row of each flat component (``ground``), or None when it cannot be
     factored.  ``ceiling`` holds the tops of the relaxed QP over f_B: each
     eliminated row's top raised to at least the highest kept one, which no
-    lift reaches (the maximum principle), so no eliminated box binds.
+    lift passes (the maximum principle), so no eliminated box binds; it
+    clears that top by ``_CEILING_MARGIN``, so that a lift rounded past it
+    is still feasible.
     ``reached`` masks the eliminated rows whose lift reaches their own top.
 
     The QP sees the graph only through ``matvec``, ``factor``, ``lift``,
@@ -380,7 +391,8 @@ class _KronLaplacian:
         col = self.col = np.full(self.labelled.shape[0], -1)
         col[self.free[keep]] = np.arange(nf)
         self.ceiling = self.top.copy()
-        self.ceiling[self.drop] = np.maximum(self.top[self.drop], self.top[keep].max(initial=0.0))
+        highest = self.top[keep].max(initial=0.0) * (1.0 + _CEILING_MARGIN)
+        self.ceiling[self.drop] = np.maximum(self.top[self.drop], highest)
         # each flat component has a kept row: its labelled rows or all of it
         at = col[self.free[self.flat]]
         first = np.unique(self.member[at >= 0], return_index=True)[1]
@@ -518,9 +530,11 @@ class _ScoreQP:
 
     Videos whose score box is [0, 0] are pinned and left out (``free``
     holds the others), and a box without a top (no cap) is closed at n
-    (see ``_weight_step``).  Positives whose score cannot exceed 1 never
-    clip their hinges against the nonnegative level t, so those hinges
-    enter linearly: U is the set of those positives, C the others,
+    (see ``_weight_step``).  ``f_in`` keeps the free rows' input scores and
+    ``t_in`` the input's top negative score, where ``_active_set`` holds
+    the levels that no term fixes.  Positives whose score cannot exceed 1
+    never clip their hinges against the nonnegative level t, so those
+    hinges enter linearly: U is the set of those positives, C the others,
     a = |U|/p, and the objective is
     2 f'Lf - (lam/p) sum_U f + lam a t + (lam/p) sum_C xi + lam a.  With
     the default cap and scores in [0, 1], C is empty and x = (f, t).
@@ -555,7 +569,10 @@ class _ScoreQP:
         free = self.free = np.flatnonzero(hi > 0.0)
         self.top = hi[free]
         labelled = np.isin(np.arange(self.n), np.concatenate([pos, neg]))
-        self.lap = _KronLaplacian(neighbors, free, labelled, self.top, f_in[free])
+        self.f_in = f_in[free]
+        # the input's top negative score: where t is held when no term fixes it
+        self.t_in = float(np.max(f_in[neg], initial=0.0))
+        self.lap = _KronLaplacian(neighbors, free, labelled, self.top, self.f_in)
         p = pos.shape[0]
         self.n_epi = neg.shape[0]
         clip = hi[pos] > 1.0
@@ -774,9 +791,10 @@ def _interior_point(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarra
 
     Each round solves the relaxed QP that ``qp`` holds: the eliminated
     scores follow as the harmonic extension of the kept ones, and their
-    boxes are dropped.  The round is solved exactly by ``_active_set``
-    where it certifies its answer, and otherwise by the interior point
-    ``_mehrotra``, on the same QP.  A row whose lift then reaches its top
+    boxes are dropped.  The round is solved exactly by ``_active_set``,
+    with or without hinge slacks, where it certifies its answer, and
+    otherwise by the interior point ``_mehrotra``, on the same QP, which
+    no round probed has needed.  A row whose lift then reaches its top
     joins the kept rows (``_ScoreQP.reduce``), and the next round solves
     again.  Once every lift lies inside its box, the relaxed optimum is
     feasible for the full QP, so it is the full optimum.  Returns the last
@@ -806,84 +824,296 @@ _ACTIVE_SET_TOL = 1e-12
 
 
 def _active_set(qp: _ScoreQP, tol: float) -> tuple[np.ndarray, float] | None:
-    """The relaxed QP solved exactly where its optimum has the floor shape:
-    every kept negative at its floor 0 and the level t at 0.  Returns the
-    point and the gap of the full QP there, as ``_mehrotra`` does, or None
-    when the QP has hinge slacks or the point is not certified.
+    """The relaxed QP solved exactly by a primal-dual active set
+    (Hintermuller, Ito & Kunisch, SIAM J. Optim. 2002).  Returns the point
+    and the gap of the full QP there, as ``_mehrotra`` does, or None when
+    the point is not certified.
 
-    With the negatives and t fixed, the other kept scores solve a box-
-    constrained QP in S, by primal-dual active set (Hintermuller, Ito &
-    Kunisch, SIAM J. Optim. 2002): the rows at their top, those at their
-    floor, and the inactive rest, which solve  S_II f_I = -lin_I - S_IT up_T.
-    The first pass puts the seed rows, whose input score sits at its top,
-    at their tops.  Each pass keeps a top row while its gradient g = S f +
-    lin is at most 0 and a floor row while it is at least 0, and moves an
-    inactive row that passes a bound onto it; the loop stops when the sets
-    repeat, or declines after ``_ACTIVE_SET_PASSES`` passes.  Taking the
+    Each pass guesses a state for every row.  A kept score is at its floor
+    0, at its top, or inactive.  A negative is tied to the level t
+    (f_n = t) or free below it.  A clipped positive is below its kink (its
+    hinge enters linearly: -lam/p on f_p and +lam/p on t), at it
+    (f_p = t + 1), or above it (its hinge is 0).  With the tied rows folded
+    into t, the inactive scores and t solve one linear system in S.  The
+    first pass ties every negative, as one block, and starts each clipped
+    positive on the side of its kink that its input score is, and the seed
+    rows, whose input score sits at its top, at their tops.  Each pass then
+    keeps a top row while its gradient g = S f + lin is at most 0 and a
+    floor row while it is at least 0, and moves an inactive row that passes
+    a bound onto it; it unties a negative whose multiplier -g_n is
+    negative and ties a free one above t; it moves a positive at its kink
+    whose multiplier g_p leaves [0, lam/p] to the side it points to, and
+    a positive that crosses its kink onto it.  The loop stops when the
+    states repeat, or declines after ``_ACTIVE_SET_PASSES`` passes.
+
+    Without hinge slacks t starts at its floor 0, with every negative tied,
+    as at every capped optimum seen so far; with them t starts free, and it
+    moves to its floor, with every negative tied, when it falls below 0.  A
+    tied row that passes its top leaves t for its top.  Taking the
     negatives as one block removes the cycling that plain active-set
-    iterations show on their degenerate floors.  A flat component of the
-    graph whose kept rows are all inactive would leave S_II singular, since
-    S does not fix its level: its lowest-top row is put at its top.
+    iterations show on their degenerate floors.
 
-    The point is optimal only if the negatives' rows can carry t's cost
-    lam a:  z_j >= max(0, -g_j)  makes each negative's floor multiplier
-    g_j + z_j nonnegative, so it declines when those sum to more than lam a
-    by more than ``_ACTIVE_SET_TOL`` of it.  (Where no pinned video holds
-    the labelled rows' level, any optimum shifts down to this shape, and
-    they sum to lam a up to rounding.)  Otherwise each row multiplier is
-    that, plus an equal share of what is left of lam a, and the round is
-    taken only if the relaxed QP's gap (``_ScoreQP.gap`` with the tops
-    ``lap.ceiling``) at that point meets tol * max(1, |objective|).
+    The system is singular along the directions that change no term: the
+    level of a flat component of the graph whose kept rows are all
+    inactive, and, with t free, t together with every flat component that
+    holds a tied row, where no fixed row holds them.  Each such direction
+    is held where its scores keep the mean of the step's input scores (t
+    alone, with nothing tied, at the input's top negative score), moved
+    only as far as keeps every row inside its box and on its side of t
+    and of its kink.  A direction along which the linear terms do not
+    cancel has no optimum in the guessed states: a component with a
+    positive whose hinge enters linearly rises, and t with a hinge that
+    enters linearly falls, until its first row meets a bound, t or its
+    kink (t: 0, or a free negative or a kink outside its components), and
+    that row changes state.
+
+    The negatives' multipliers are their -g_j where tied.  At t's floor
+    they are max(0, -g_j) plus an equal share of what is left of t's cost,
+    lam a plus the hinge multipliers, and the round declines when those
+    need more than that cost by more than ``_ACTIVE_SET_TOL`` of it.  The
+    hinges' multipliers are lam/p below the kink and g_p at it, and the
+    round is taken only if the relaxed QP's gap (``_ScoreQP.gap`` with the
+    tops ``lap.ceiling``) at that point meets tol * max(1, |objective|).
     """
-    if qp.clipped.shape[0] > 0:
-        return None
-    lap, nf, up = qp.lap, qp.nf, qp.up
+    lap, nf, up, cost = qp.lap, qp.nf, qp.up, qp.slack_cost
     lin = qp.lin[:nf]
-    fixed = np.zeros(nf, dtype=bool)
-    fixed[qp.hn] = True
-    top = lap.seed[lap.keep] & ~fixed
-    floor = np.zeros(nf, dtype=bool)
-    flat = np.isin(lap.keep, lap.flat)
+    neg = np.zeros(nf, dtype=bool)
+    neg[qp.hn] = True
+    pos = np.zeros(nf, dtype=bool)
+    pos[qp.hp] = True
+    flat = np.zeros(lap.free.shape[0], dtype=bool)
+    flat[lap.flat] = True
+    flat = flat[lap.keep]
     group = lap.group[lap.free[lap.keep]]
+    n_group = lap.group.shape[0]
+    f_in = qp.f_in[lap.keep]
+    slacks = t_free = bool(pos.any())
+    t = qp.t_in
+    tied = neg.copy()
+    below = pos & (f_in < t + 1.0)
+    top = lap.seed[lap.keep] & ~tied
+    floor = np.zeros(nf, dtype=bool)
     eps_f = _ACTIVE_SET_TOL * up
-    eps_g = _ACTIVE_SET_TOL * max(1.0, qp.slack_cost)
+    eps_g = _ACTIVE_SET_TOL * max(1.0, cost)
+    eps_t = _ACTIVE_SET_TOL * max(1.0, float(up.max(initial=1.0)))
     for _ in range(_ACTIVE_SET_PASSES):
-        inactive = ~(fixed | top | floor)
-        held = np.bincount(group[~inactive], minlength=lap.group.shape[0]) > 0
-        lone = np.flatnonzero(inactive & flat & ~held[group])
-        if lone.shape[0] > 0:
-            # sorted by component, then top: each component's first row
-            lone = lone[np.lexsort((up[lone], group[lone]))]
-            first = np.ones(lone.shape[0], dtype=bool)
-            first[1:] = group[lone[1:]] != group[lone[:-1]]
-            top[lone[first]] = True
-            inactive[lone[first]] = False
+        inactive = ~(tied | top | floor)
+        lin_b = np.where(below, -cost, lin)
+        lin_t = qp.const + cost * np.count_nonzero(below)
+        kink = tied & pos
         f = np.where(top, up, 0.0)
-        rows = np.flatnonzero(inactive)
+        f[kink] = 1.0
+        held = top | kink
+        # the flat components that no fixed row holds, and those tied to t
+        fixed = top | floor if t_free else ~inactive
+        level = flat & (np.bincount(group[fixed], minlength=n_group) == 0)[group]
+        at_t = np.zeros(n_group, dtype=bool)
+        lone = inactive & level
+        if t_free:
+            at_t[group[tied]] = True
+            lone &= ~at_t[group]
+        t_level = t_free and bool(level[tied].all())
+        # one row of each lone component, and t on its level, held at 0
+        solved = inactive
+        if lone.any():
+            solved = inactive.copy()
+            solved[_first_of_each(np.flatnonzero(lone), group)] = False
+        rows = np.flatnonzero(solved)
         S_I = lap.S[rows]
+        b = -(lin_b[rows] + S_I[:, held] @ f[held])
         try:
-            f[rows] = np.linalg.solve(S_I[:, rows], -(lin[rows] + S_I[:, top] @ up[top]))
+            if t_free and not t_level:
+                T = np.flatnonzero(tied)
+                S_T = lap.S[T]
+                a = S_I[:, T].sum(axis=1)
+                K = np.empty((rows.shape[0] + 1, rows.shape[0] + 1))
+                K[:-1, :-1] = S_I[:, rows]
+                K[:-1, -1] = K[-1, :-1] = a
+                K[-1, -1] = S_T[:, T].sum()
+                rhs_t = -(lin_t + (lin_b[T] + S_T[:, held] @ f[held]).sum())
+                y = np.linalg.solve(K, np.append(b, rhs_t))
+                f[rows], t = y[:-1], float(y[-1])
+            else:
+                f[rows] = np.linalg.solve(S_I[:, rows], b)
+                t = 0.0
         except np.linalg.LinAlgError:
             return None
-        g = lap.matvec(f) + lin
+        if t_free:
+            f[tied] += t
+        # the levels that change no term are held at the input scores, as
+        # near as the rows' bounds, t and the kinks allow; along a level
+        # whose linear terms do not cancel, a row changes state instead
+        rising = lone
+        if lone.any():
+            rise = np.bincount(group[lone], weights=lin_b[lone], minlength=n_group) < -0.5 * cost
+            rising = lone & rise[group]
+        above = pos & ~(tied | below)
+        if t_level:
+            rows_t = (inactive & at_t[group]) | tied
+            outside = ~lone & ~at_t[group] & ~tied
+            if lin_t + lin_b[rows_t].sum() > 0.5 * cost:
+                # t falls: to 0, a row of its components to its floor, or
+                # to a free negative or below a kink outside them
+                cand = [
+                    (np.flatnonzero(inactive & at_t[group]), f, "floor"),
+                    (np.flatnonzero(outside & neg), t - f, "tie"),
+                    (np.flatnonzero(outside & below), t + 1.0 - f, "tie"),
+                ]
+                event = _first_event(cand, t)
+                if event is None:
+                    t_free = False
+                    tied |= neg
+                    top &= ~neg
+                    floor &= ~neg
+                else:
+                    top, floor, tied, below = _enter(event, top, floor, tied, below)
+                continue
+            lo = max(
+                -t, float((-f[rows_t]).max(initial=-np.inf)),
+                float((f - t)[outside & neg].max(initial=-np.inf)),
+                float((f - t - 1.0)[outside & below].max(initial=-np.inf)),
+            )
+            hi = min(
+                float((up - f)[rows_t].min(initial=np.inf)),
+                float((f - t - 1.0)[outside & above].min(initial=np.inf)),
+            )
+            want = float(np.mean((f_in - f)[rows_t])) if rows_t.any() else qp.t_in - t
+            move = min(max(want, lo), hi)
+            f[rows_t] += move
+            t += move
+        if rising.any():
+            # each component that rises: its first row to reach its top, t
+            # (a free negative) or its kink (a positive below it)
+            for k in np.flatnonzero(rise):
+                inside = lone & (group == k)
+                cand = [
+                    (np.flatnonzero(inside), up - f, "top"),
+                    (np.flatnonzero(inside & neg), t - f, "tie"),
+                    (np.flatnonzero(inside & below), t + 1.0 - f, "tie"),
+                ]
+                event = _first_event(cand, np.inf)
+                if event is None:
+                    return None
+                top, floor, tied, below = _enter(event, top, floor, tied, below)
+            continue
+        if lone.any():
+            lo = np.full(n_group, -np.inf)
+            hi = np.full(n_group, np.inf)
+            np.maximum.at(lo, group[lone], -f[lone])
+            np.maximum.at(lo, group[lone & above], (t + 1.0 - f)[lone & above])
+            np.minimum.at(hi, group[lone], (up - f)[lone])
+            np.minimum.at(hi, group[lone & neg], (t - f)[lone & neg])
+            np.minimum.at(hi, group[lone & below], (t + 1.0 - f)[lone & below])
+            want = np.bincount(group[lone], weights=(f_in - f)[lone], minlength=n_group)
+            want /= np.maximum(np.bincount(group[lone], minlength=n_group), 1)
+            move = np.minimum(np.maximum(want, lo), hi)
+            f[lone] += move[group[lone]]
+        g = lap.matvec(f) + lin_b
         new_top = np.where(top, g <= eps_g, inactive & (f > up + eps_f))
         new_floor = np.where(floor, g >= -eps_g, inactive & (f < -eps_f))
-        if np.array_equal(new_top, top) and np.array_equal(new_floor, floor):
-            break
+        same = np.array_equal(new_top, top) and np.array_equal(new_floor, floor)
+        # without hinge slacks t stays at its floor with every negative tied
+        # there, and no tied row can pass its top
+        if slacks:
+            new_tied = tied.copy()
+            new_below = below.copy()
+            if t_free:
+                new_tied[tied & neg & (g > eps_g)] = False
+                new_tied[~tied & neg & (f > t + eps_f)] = True
+            new_tied[kink & ((g < -eps_g) | (g > cost + eps_g))] = False
+            new_below[kink & (g > cost + eps_g)] = True
+            cross = (below & ~tied & (f > t + 1.0 + eps_f)) | (above & (f < t + 1.0 - eps_f))
+            new_tied[cross] = True
+            new_below[cross] = False
+            # a tied row past its top leaves t for it: a negative below t, a
+            # positive below its kink
+            over = tied & (f > up + eps_f)
+            new_tied[over] = False
+            new_top[over] = True
+            new_below[over & pos] = True
+            # t below its floor: it stays there, with every negative tied
+            drop = t_free and t < -eps_t
+            if drop:
+                t_free = False
+                new_tied |= neg
+            new_top &= ~new_tied
+            new_floor &= ~new_tied
+            same = not drop and (
+                np.array_equal(new_top, top) and np.array_equal(new_floor, floor)
+                and np.array_equal(new_tied, tied) and np.array_equal(new_below, below)
+            )
+            tied, below = new_tied, new_below
         top, floor = new_top, new_floor
+        if same:
+            break
     else:
         return None
     x = np.zeros(qp.lin.shape[0])
     x[:nf] = np.clip(f, 0.0, up)
-    need = np.maximum(-(lap.matvec(x[:nf]) + lin)[qp.hn], 0.0)
-    rest = qp.const - need.sum()
-    if rest < -_ACTIVE_SET_TOL * qp.const:
-        return None
-    z = np.full(qp.n_epi, max(rest, 0.0) / qp.n_epi)
-    z[qp.n_free] += need
+    g = lap.matvec(x[:nf]) + lin_b
+    nu = np.where(below[qp.hp], cost, 0.0)
+    at_kink = tied[qp.hp]
+    nu[at_kink] = np.clip(g[qp.hp][at_kink], 0.0, cost)
+    target = qp.const + float(nu.sum())
+    if t_free:
+        x[qp.t] = max(t, 0.0, float(x[qp.hn].max(initial=0.0)))
+        z = np.zeros(qp.n_epi)
+        z[qp.n_free] = np.where(tied[qp.hn], np.maximum(-g[qp.hn], 0.0), 0.0)
+    else:
+        need = np.maximum(-g[qp.hn], 0.0)
+        rest = target - need.sum()
+        if rest < -_ACTIVE_SET_TOL * max(target, cost):
+            return None
+        z = np.full(qp.n_epi, max(rest, 0.0) / qp.n_epi)
+        z[qp.n_free] += need
+    if not z.sum() > 0.0:
+        # nothing for the rows to carry: ``gap`` scales these to t's cost
+        z[:] = 1.0
+    xi = x[nf + 1 :]
+    xi[:] = np.maximum(1.0 + x[qp.t] - x[qp.hp], 0.0)
+    # a slack that closes its hinge row can round to just outside it
+    for _ in range(4 if slacks else 0):
+        short = (qp.b - qp.rows(x))[qp.n_epi :] < 0.0
+        if not short.any():
+            break
+        xi[short] = np.nextafter(xi[short] + (qp.rows(x) - qp.b)[qp.n_epi :][short], np.inf)
+    z = np.concatenate([z, nu])
     if not qp.gap(x, z, lap.ceiling) <= tol * max(1.0, abs(qp.objective(x))):
         return None
     return x, qp.gap(x, z)
+
+
+def _first_of_each(rows: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """The first of ``rows`` in each of their groups."""
+    rows = rows[np.argsort(group[rows], kind="stable")]
+    first = np.ones(rows.shape[0], dtype=bool)
+    first[1:] = group[rows[1:]] != group[rows[:-1]]
+    return rows[first]
+
+
+def _first_event(cand: list, limit: float):
+    """(row, kind) of the smallest distance among the candidates, each
+    (rows, distance of every kept row, kind), or None if none is below
+    ``limit``."""
+    best, event = limit, None
+    for rows, dist, kind in cand:
+        if rows.shape[0] > 0:
+            i = rows[np.argmin(dist[rows])]
+            if dist[i] < best:
+                best, event = dist[i], (i, kind)
+    return event
+
+
+def _enter(event, top, floor, tied, below):
+    """The states with the event's row moved to its top or floor, or tied
+    to t: a negative at t, a positive at its kink."""
+    i, kind = event
+    top, floor, tied, below = top.copy(), floor.copy(), tied.copy(), below.copy()
+    top[i] = kind == "top"
+    floor[i] = kind == "floor"
+    tied[i] = kind == "tie"
+    below[i] &= kind != "tie"
+    return top, floor, tied, below
 
 
 def _mehrotra(qp: _ScoreQP, tol: float, max_iters: int) -> tuple[np.ndarray, float]:
@@ -997,28 +1227,29 @@ def _weight_step(f_in, neighbors, labels, lambda_push, hi, max_iters, tol):
     binds, with the rest eliminated and their boxes dropped
     (``_KronLaplacian``).  The first round keeps the rows whose input score
     sits at its top, and each round adds the rows whose lifted score
-    reaches its top (``_interior_point``).  A capped step whose positives
-    cannot clip their hinges solves each round exactly, with its negatives
-    and the level t at 0 and one linear solve per active-set pass
-    (``_active_set``), where the duality gap of that point meets
-    ``tol * max(1, |objective|)``.  Every other round, and every round of
-    a step with hinge slacks, goes to an interior-point method, which
-    solves until the gap of its iterate meets that tolerance, or it has
-    spent ``max_iters`` iterations, or its gap stops shrinking.  Once no
-    lift reaches its top, the gap of the last round's point, lifted back
-    to every score, is a certified bound on its distance to the optimum of
+    reaches its top (``_interior_point``).  Each round is solved exactly,
+    with one linear solve per active-set pass (``_active_set``), where the
+    duality gap of that point meets ``tol * max(1, |objective|)``.  A round
+    it does not certify goes to an interior-point method, which solves
+    until the gap of its iterate meets that tolerance, or it has spent
+    ``max_iters`` iterations, or its gap stops shrinking.  Once no lift
+    reaches its top, the gap of the last round's point, lifted back to
+    every score, is a certified bound on its distance to the optimum of
     the QP over every score.
 
     Without a cap the box has no top, and the step closes it at n.  The
-    optimum is then not unique: the level of a component of positives
-    whose hinges are all clipped, for one, changes no term, and the
-    interior point settles near the analytic center of the optimal set,
-    which drifts with n.  So every gap of more than 1 between sorted
-    optimal scores is narrowed to 1 (``_compress_gaps``), which keeps an
-    optimum and leaves every step capped at 1 as it is.  Last, the shifts
-    that change no term move toward the input scores (``_nearest_shift``):
-    a component of the neighbor graph without pseudo labels keeps its
-    input mean, and the labelled components move together.
+    optimum is then not unique: the overall level, the level of a
+    component of positives whose hinges are all clipped, and t where no
+    hinge binds change no term.  The active set holds each such direction
+    at the input scores, so no top binds and the step does not depend on
+    where the box was closed; an interior point would settle near the
+    analytic center of the optimal set, which drifts with n.  Every gap of
+    more than 1 between sorted optimal scores is then narrowed to 1
+    (``_compress_gaps``), which keeps an optimum and leaves every step
+    capped at 1 as it is.  Last, the shifts that change no term move
+    toward the input scores (``_nearest_shift``): a component of the
+    neighbor graph without pseudo labels keeps its input mean, and the
+    labelled components move together.
     """
     qp = _ScoreQP(f_in, neighbors, labels, lambda_push, hi)
     x, gap, rounds = _interior_point(qp, tol, max_iters)

@@ -474,11 +474,10 @@ class TestReferenceSolver:
         # components once, factors P once and solves one QP, with or without
         # a cap; the QP takes one relaxed solve per round, each over more
         # kept rows than the last, and builds one reduction, one grounded
-        # factor of S, per round.  Each round starts with one call of the
-        # exact active-set solve, which declines a step with hinge slacks.
-        # Each step runs from the drawn scores and again with an unlabelled
-        # test row at its top, which the first split keeps, so the first
-        # round moves no rows
+        # factor of S, per round.  Each round makes one call of the exact
+        # active-set solve.  Each step runs from the drawn scores and again
+        # with an unlabelled test row at its top, which the first split
+        # keeps, so the first round moves no rows
         rng = np.random.default_rng(74)
         calls = {"_EdgeList": 0, "_components": 0, "_harmonic_split": 0, "_interior_point": 0}
         sizes, reductions = [], []
@@ -680,10 +679,12 @@ class TestReferenceSolver:
         assert sides and max(sides) < nf
 
     @pytest.mark.parametrize("cap", [None, 2.0])
-    def test_clip_regime_at_cli_label_counts(self, cap):
+    def test_clip_regime_at_cli_label_counts(self, cap, monkeypatch):
         # 20 positives and 100 negatives: the clip regime carries one hinge
         # slack per positive against the top negative, which the Newton
-        # system eliminates, and one row per negative and per slack
+        # system eliminates, and one row per negative and per slack.  The
+        # exact active-set solve certifies the step with no Newton system;
+        # made to decline, the interior point certifies it too
         rng = np.random.default_rng(66)
         n, l = 160, 130
         vals = rng.uniform(0.0, 1.0, (n, 4))
@@ -705,8 +706,12 @@ class TestReferenceSolver:
         qp = _qp(nb, labels, 1.0, hi)
         assert qp.lin.shape[0] - (qp.nf + 1) == 20
         assert qp.b.shape[0] == 120
-        x, gap, _ = _interior_point(qp, 1e-9, 500)
-        assert gap <= 1e-9 * max(1.0, qp.objective(x))
+        x, gap, rounds = _interior_point(qp, 1e-9, 500)
+        assert rounds == 0 and gap <= 1e-9 * max(1.0, qp.objective(x))
+        _interior_point_only(monkeypatch)
+        qp = _qp(nb, labels, 1.0, hi)
+        x, gap, rounds = _interior_point(qp, 1e-9, 500)
+        assert rounds >= 1 and gap <= 1e-9 * max(1.0, qp.objective(x))
 
     @staticmethod
     def _split_instance(rng):
@@ -780,6 +785,33 @@ class TestReferenceSolver:
             np.testing.assert_allclose(step(*case), f, atol=1e-3)
             # the level stays within one unit per component of the data
             assert f.max() <= f[8:].max() + 3.0
+
+    def test_uncapped_step_same_at_either_box_closure(self, monkeypatch):
+        # the instances above, with the open box closed at n and at 3n: no
+        # top binds, and each level that no term fixes is held at the input
+        # scores, not where a solver stopped, so the exact active-set solve
+        # returns the same scores either way
+        rng = np.random.default_rng(67)
+        cases = [self._split_instance(rng) for _ in range(10)]
+
+        def step(S, labels, nb, W0, lam):
+            f0, hi = _step_inputs(S, W0, None)
+            f, gap, bound, rounds = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-12)
+            assert gap <= bound and rounds == 0
+            return f
+
+        base = [step(*case) for case in cases]
+
+        class WideBox(weightstep._ScoreQP):
+            def __init__(self, f_in, neighbors, labels, lambda_push, hi):
+                super().__init__(
+                    f_in, neighbors, labels, lambda_push,
+                    np.where(np.isinf(hi), 3.0 * hi.shape[0], hi),
+                )
+
+        monkeypatch.setattr(weightstep, "_ScoreQP", WideBox)
+        for case, f in zip(cases, base):
+            np.testing.assert_allclose(step(*case), f, rtol=0.0, atol=1e-12)
 
     def test_uncapped_zero_row_is_pinned(self):
         # one concept: normalization leaves the minimum video's row all zero,
@@ -892,10 +924,13 @@ class TestHarmonicSplit:
 
     def test_open_box_at_mid_box(self, tmp_path, monkeypatch):
         # the first weight step of the ``uncapped`` benchmark input (seed 96,
-        # instance 0): every box is open and closed at n, so the scores sit
-        # near n / 2, and only the pseudo-labelled rows are kept.  The gap of
-        # the reduced solve swings on its way down; a stall rule that ignored
-        # the iterate's complementarity stopped it at 0.197
+        # instance 0): every box is open and closed at n, so the interior
+        # point's scores sit near n / 2, and only the pseudo-labelled rows
+        # are kept.  The gap of the reduced solve swings on its way down; a
+        # stall rule that ignored the iterate's complementarity stopped it at
+        # 0.197.  The exact active-set solve, which holds the scores' level
+        # at the input, declines, so that the interior point solves the step
+        _interior_point_only(monkeypatch)
         gen = bench_generator()
         gen.generate("uncapped", 96, 0, str(tmp_path))
         steps = []
@@ -1020,21 +1055,18 @@ class TestHarmonicSplit:
 
 
 class TestActiveSet:
-    """The exact solve of a capped round (``weightstep._active_set``) and
-    the certificate at the boundary points it returns."""
+    """The exact solve of a round (``weightstep._active_set``) and the
+    certificate at the boundary points it returns."""
 
     @staticmethod
     def _boundary_point(qp, rng):
         """A feasible point of the relaxed QP with kept scores at 0, at their
         tops and inside, the level t at the top negative score, so that its
-        row is tight, and clipped hinge slacks at 0 where they may be.  The
-        kept rows with the highest top stay inside, so that no lift reaches
-        the tops ``lap.ceiling`` gives the eliminated rows, even by rounding."""
+        row is tight, and clipped hinge slacks at 0 where they may be."""
         nf = qp.nf
         x = np.zeros(qp.lin.shape[0])
         f = rng.uniform(0.0, 1.0, nf) * qp.up
         side = rng.integers(0, 3, nf)
-        side[qp.up == qp.up.max()] = 2
         f[side == 0] = 0.0
         f[side == 1] = qp.up[side == 1]
         x[:nf] = f
@@ -1103,6 +1135,56 @@ class TestActiveSet:
                     bad[v] = outside
                     assert qp.gap(bad, z, ceiling) == np.inf
 
+    def test_lift_rounded_past_the_highest_top(self):
+        # every box top 1.5 and every kept score at it: no lift passes 1.5
+        # (the maximum principle), but rounding puts some a few units in the
+        # last place above it.  The relaxed QP's ceiling must leave such a
+        # point feasible, or the exact solve declines a round it solved.
+        # Against the full QP, with the rows' own tops, a lift above its top
+        # still gives inf
+        rng = np.random.default_rng(92)
+        over = 0
+        for _ in range(10):
+            S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
+            qp = _qp(nb, labels, lam, np.full(S.n_videos, 1.5))
+            x = np.zeros(qp.lin.shape[0])
+            x[: qp.nf] = qp.up
+            x[qp.t] = 1.5
+            x[qp.nf + 1 :] = 1.0  # each hinge row tight
+            z = rng.uniform(0.0, 2.0 * lam, qp.b.shape[0])
+            assert np.all(qp.slack(x) >= 0.0)
+            lifted = qp.lap.lift(x[: qp.nf]) > 1.5
+            over += int(np.any(lifted))
+            assert np.isfinite(qp.gap(x, z, qp.lap.ceiling))
+            assert np.isfinite(qp.gap(x, z)) == (not np.any(lifted))
+        assert over >= 3
+
+    @pytest.mark.parametrize("cap", [1.5, 2.0, None])
+    def test_hinge_slacks_certified_below_interior_point(self, cap, monkeypatch):
+        # the draws of ``test_matches_independent_qp_solve`` and
+        # ``test_certified_gap`` with a cap above 1 or none, so that hinge
+        # slacks enter the QP: the exact solve certifies every round, and
+        # its objective is at most the interior point's on the same QP
+        draws = [(60, 8, dict(n_max=14, m_max=3)), (61, 10, dict(n_max=16, m_max=4))]
+        clipped = 0
+        for seed, count, sizes in draws:
+            rng = np.random.default_rng(seed)
+            for _ in range(count):
+                S, labels, nb, W0, lam = random_instance(rng, **sizes)
+                hi = score_box_top(S.values, cap)
+                qp = _qp(nb, labels, lam, hi)
+                clipped += qp.clipped.shape[0]
+                x, gap, rounds = _interior_point(qp, 1e-10, 100)
+                value = qp.objective(x)
+                assert rounds == 0 and gap <= 1e-10 * max(1.0, abs(value))
+                with monkeypatch.context() as patch:
+                    _interior_point_only(patch)
+                    qp_ip = _qp(nb, labels, lam, hi)
+                    x_ip, gap_ip, rounds_ip = _interior_point(qp_ip, 1e-10, 100)
+                assert rounds_ip >= 1 and gap_ip <= 1e-10 * max(1.0, abs(value))
+                assert value <= qp_ip.objective(x_ip)
+        assert clipped >= 10
+
     def test_certified_below_interior_point(self, monkeypatch):
         # the capped draws of ``test_matches_independent_qp_solve`` and
         # ``test_certified_gap``: the exact solve certifies every round, so
@@ -1139,12 +1221,14 @@ class TestCompressGaps:
             ):
                 np.testing.assert_array_equal(weightstep._compress_gaps(f), f)
 
-    def test_uncapped_optima_stay_optimal(self):
+    def test_uncapped_optima_stay_optimal(self, monkeypatch):
         # on uncapped step optima (the box closed at n): no score rises,
         # order and boxes hold, no sorted gap exceeds 1, and the step's
         # value does not rise.  Positives and negatives in separate
-        # components leave the positives' level free, so those optima hold
-        # wide gaps
+        # components leave the positives' level free, so the interior
+        # point's optima hold wide gaps; the exact active-set solve, which
+        # holds such levels at the input scores, declines
+        _interior_point_only(monkeypatch)
         rng = np.random.default_rng(85)
         cases = [random_instance(rng, n_max=20, m_max=3) for _ in range(10)]
         cases += [TestReferenceSolver._split_instance(rng) for _ in range(10)]

@@ -17,13 +17,12 @@ So the fit carries the n scores, not the n x m weights, and returns the
 scores that its last kept weight step certified; it builds no weight
 matrix.  One feasible weight matrix that gives them (``final_weights``) is
 derived only when ``FitResult.weights`` is read.  The weight step is a
-certified convex QP in the scores; it lives in ``weightstep``, with every
-matrix it factors, and returns its scores with its certified gap and the
-count of its rounds that the interior point solved.  This
-module holds the model and the verdict on each step: the scores, the
-objective and the fit, which keeps a step's scores only if its own
-objective does not rise, and reports a step that stopped above its
-tolerance in ``FitResult.warnings``.
+certified convex QP in the scores, solved exactly by an active set; it
+lives in ``weightstep``, with every matrix it factors, and returns its
+scores with its certified gap and tolerance.  This module holds the model
+and the verdict on each step: the scores, the objective and the fit,
+which keeps a step's scores only if its own objective does not rise, and
+reports a step that stopped above its tolerance in ``FitResult.warnings``.
 """
 
 from __future__ import annotations
@@ -34,9 +33,9 @@ import numpy as np
 
 from .graph import NeighborMatrix, candidate_neighbors, gamma_for_k, update_neighbor_rows
 from .query import PseudoLabels, RelevanceVector
-# ``fit`` looks up ``_weight_step`` and the two constants here at call time,
-# so they can be replaced on this module
-from .weightstep import WEIGHT_STEP_MAX_ITERS, WEIGHT_STEP_TOL, _weight_step
+# ``fit`` looks up ``_weight_step`` and its tolerance here at call time, so
+# they can be replaced on this module
+from .weightstep import WEIGHT_STEP_TOL, _weight_step
 
 __all__ = [
     "ScoreMatrix",
@@ -130,10 +129,10 @@ class FitResult:
     """Outcome of ``fit``.
 
     ``scores`` are the scores of the last weight step that ``fit`` kept,
-    with the bits that step returned; rankings are read off them.
-    ``interior_point_rounds`` counts the rounds of all weight steps that
-    the interior point solved, where the exact active-set solve certified
-    no point; on every input probed, with or without a cap, it is 0.
+    with the bits that step returned; rankings are read off them.  A
+    weight step whose round the exact active-set solve declined keeps its
+    input scores and counts as uncertified; on every input probed, with or
+    without a cap, none was.
     """
 
     neighbors: NeighborMatrix
@@ -143,7 +142,6 @@ class FitResult:
     converged: bool
     iterations: int
     warnings: list[str] = field(default_factory=list)
-    interior_point_rounds: int = 0
     # the prior row, the score matrix and the cap that ``weights`` is
     # derived from
     _weight_basis: tuple | None = field(default=None, repr=False, compare=False)
@@ -321,8 +319,8 @@ def fit(
     falls below ``config.tol``.  The fit counts as converged only if it
     stopped so and its last weight step met its certified tolerance; every
     step that did not is stated in ``warnings`` (and counted by
-    ``uncertified_steps``).  ``interior_point_rounds`` sums the rounds of
-    every weight step that the interior point solved.
+    ``uncertified_steps``).  A step whose round the active set declined
+    returns its input scores with gap inf, so it is one of them.
     """
     _check_labels(labels, S.l)
     vals = S.values
@@ -353,7 +351,6 @@ def fit(
 
     trace: list[float] = []
     warnings: list[str] = []
-    rounds = 0
     prev_outer = np.inf  # no decrease from it counts as converged
     converged = False
     for iterations in range(1, config.max_outer_iters + 1):
@@ -362,10 +359,7 @@ def fit(
         neighbors = NeighborMatrix(candidates=candidates, probs=probs, gamma=gammas)
         trace.append(objective(f, neighbors, labels, gammas, config.lambda_push))
 
-        g, gap, bound, step_rounds = _weight_step(
-            f, neighbors, labels, config.lambda_push, hi, WEIGHT_STEP_MAX_ITERS, WEIGHT_STEP_TOL
-        )
-        rounds += step_rounds
+        g, gap, bound = _weight_step(f, neighbors, labels, config.lambda_push, hi, WEIGHT_STEP_TOL)
         # a NaN gap certifies nothing
         uncertified = not gap <= bound
         if uncertified:
@@ -392,7 +386,6 @@ def fit(
         converged=converged and not uncertified,
         iterations=iterations,
         warnings=warnings,
-        interior_point_rounds=rounds,
         _weight_basis=(w0, vals, cap),
     )
 

@@ -82,9 +82,11 @@ def borda_baseline(S: ScoreMatrix) -> RankedList:
     values = S.values[S.l :]
     ids = S.test_ids()
     n = len(ids)
+    # each video's place in ascending video_id order, the tie-break key
+    id_rank = np.empty(n, dtype=np.intp)
+    id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+    awards = np.arange(n - 1, -1, -1, dtype=np.float64)  # n - rank, rank from 1
     points = np.zeros(n)
     for col in range(values.shape[1]):
-        order = sorted(range(n), key=lambda i: (-values[i, col], ids[i]))
-        for rank, i in enumerate(order, start=1):
-            points[i] += n - rank
+        points[np.lexsort((id_rank, -values[:, col]))] += awards
     return ranked_list(ids, points)

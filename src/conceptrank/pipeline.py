@@ -238,7 +238,6 @@ def run_rank(config: RunConfig) -> tuple[int, dict]:
             converged=result.converged,
             objective=result.objective_trace[-1],
             uncertified_steps=result.uncertified_steps,
-            interior_point_rounds=result.interior_point_rounds,
         )
         if truth is not None and eid in truth:
             positives = {v for v, lab in truth[eid].items() if lab == 1}

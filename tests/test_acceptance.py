@@ -155,7 +155,7 @@ def test_solver_cross_validation():
         S, labels, neighbors, W0, lam = random_instance(rng, n_max=30, m_max=5)
         hi = score_box_top(S.values, 1.0)
         f0 = np.minimum(row_scores(W0, S.values), hi)
-        f, gap, bound, _ = _weight_step(f0, neighbors, labels, lam, hi, 60, 1e-10)
+        f, gap, bound = _weight_step(f0, neighbors, labels, lam, hi, 1e-10)
         want = slsqp_weight_step_value(neighbors, labels, lam, hi)
         worst = max(worst, abs(weight_step_value(f, neighbors, labels, lam) - want))
         uncertified += gap > bound

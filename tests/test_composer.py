@@ -26,7 +26,7 @@ from conceptrank.graph import (
     update_neighbor_rows,
 )
 from conceptrank.query import PseudoLabels
-from conceptrank.weightstep import _interior_point, _KronLaplacian, _ScoreQP
+from conceptrank.weightstep import _KronLaplacian, _ScoreQP, _solve_rounds
 
 from helpers import (
     add_at_laplacian,
@@ -59,12 +59,6 @@ def _qp(nb, labels, lam, hi):
 def _keep_every_row(monkeypatch):
     """Make ``_ScoreQP`` keep every free score: the QP before elimination."""
     monkeypatch.setattr(_KronLaplacian, "_kept", lambda lap: np.ones_like(lap.free, dtype=bool))
-
-
-def _interior_point_only(monkeypatch):
-    """Make the exact active-set solve decline every round, so that the
-    interior point solves each one, as it does on a step with hinge slacks."""
-    monkeypatch.setattr(weightstep, "_active_set", lambda qp, tol: None)
 
 
 def _matrix(values, l=None):
@@ -213,7 +207,7 @@ class TestReferenceSolver:
         rng = np.random.default_rng(41)
         S, labels, nb, W0, _ = random_instance(rng, n_max=14, m_max=3)
         f0, hi = _step_inputs(S, W0, 1.0)
-        f, gap, bound, _ = composer._weight_step(f0, nb, labels, 1e-12, hi, 400, 1e-14)
+        f, gap, bound = composer._weight_step(f0, nb, labels, 1e-12, hi, 1e-14)
         assert gap <= bound
         assert smoothness_value(f, nb) <= 1e-6
 
@@ -229,7 +223,7 @@ class TestReferenceSolver:
         )
         lam, cap = 20.0, 2.0
         f0, hi = _step_inputs(S, np.full((2, 1), 0.5), cap)
-        f, gap, bound, _ = composer._weight_step(f0, nb, labels, lam, hi, 400, 1e-9)
+        f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 1e-9)
         assert gap <= bound
         # grid-search oracle over both scores, each across its box
         best = min(
@@ -246,7 +240,7 @@ class TestReferenceSolver:
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=4)
             f0, hi = _step_inputs(S, W0, 1.0)
             before = weight_step_value(f0, nb, labels, lam)
-            f, gap, bound, _ = composer._weight_step(f0, nb, labels, lam, hi, 120, 1e-9)
+            f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 1e-9)
             assert gap <= bound
             assert weight_step_value(f, nb, labels, lam) <= before + 1e-12
 
@@ -257,7 +251,7 @@ class TestReferenceSolver:
         for _ in range(8):
             S, labels, nb, W0, lam = random_instance(rng, n_max=14, m_max=3)
             f0, hi = _step_inputs(S, W0, cap)
-            f, gap, bound, _ = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-10)
+            f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 1e-10)
             assert gap <= bound
             want = slsqp_weight_step_value(nb, labels, lam, hi)
             assert weight_step_value(f, nb, labels, lam) <= want + 1e-8
@@ -272,7 +266,7 @@ class TestReferenceSolver:
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=4)
             hi = score_box_top(S.values, cap)
             qp = _qp(nb, labels, lam, hi)
-            x, gap, _ = _interior_point(qp, 1e-10, 100)
+            x, gap = _solve_rounds(qp, 1e-10)
             value = weight_step_value(qp.scores(x), nb, labels, lam)
             assert gap <= 1e-10 * max(1.0, value)
             # t is at least the top negative score, so the objective bounds the value
@@ -286,67 +280,27 @@ class TestReferenceSolver:
     def test_gap_bounds_at_any_multipliers(self, cap):
         # the certificate makes its own multipliers dual feasible, so it
         # bounds objective - optimum whatever row multipliers it is given,
-        # hinge multipliers far above the slack cost among them
+        # hinge multipliers far above the slack cost among them.  The point
+        # is strictly feasible: mid-box scores, the level t one above the
+        # top negative score, and each hinge slack one above its row's need
         rng = np.random.default_rng(62)
         for _ in range(10):
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=4)
             hi = score_box_top(S.values, cap)
             qp = _qp(nb, labels, lam, hi)
-            x_opt, _, _ = _interior_point(qp, 1e-12, 200)
-            x = qp.start()[0]
+            x_opt, _ = _solve_rounds(qp, 1e-12)
+            x = np.zeros(qp.lin.shape[0])
+            x[: qp.nf] = 0.5 * qp.up
+            x[qp.t] = float(np.max(qp.rows(x)[: qp.n_epi])) + 1.0
+            x[qp.nf + 1 :] = np.maximum(qp.rows(x)[qp.n_epi :] - qp.b[qp.n_epi :], 0.0) + 1.0
             for _ in range(5):
                 z = rng.uniform(0.0, 10.0 * lam, qp.b.shape[0])
                 assert qp.gap(x, z) >= qp.objective(x) - qp.objective(x_opt) - 1e-9
 
-    @staticmethod
-    def _check_newton(qp, rng, wide):
-        """The structured rows and the eliminated Newton solve against the
-        dense matrices they stand for."""
-        nx, nr = qp.lin.shape[0], qp.b.shape[0]
-        A = np.stack([qp.rows(e) for e in np.eye(nx)], axis=1)
-        z = rng.uniform(0.0, 1.0, nr)
-        np.testing.assert_allclose(qp.rows_t(z), A.T @ z, atol=1e-12)
-        d_rows = rng.uniform(0.1, 10.0, nr)
-        d_diag = rng.uniform(0.1, 10.0, nx)
-        d_diag[qp.t] = 0.0
-        H = A.T @ (d_rows[:, None] * A) + np.diag(d_diag)
-        H[: qp.nf, : qp.nf] += qp.lap.S
-        r = rng.normal(size=nx)
-        solve = qp.newton(d_rows, d_diag)
-        want = np.linalg.solve(H, r)
-        np.testing.assert_allclose(solve(r), want, rtol=1e-8, atol=1e-10)
-        # the refinement passes would hide a wrong elimination, so
-        # one unrefined pass must already be exact on these draws
-        err = np.linalg.norm(solve.eliminate(r) - want)
-        assert err <= 1e-9 * np.linalg.norm(want)
-        # late iterations weight bounds and rows from 1e-8 to 1e8;
-        # there the solve must stay backward stable
-        d_rows = 10.0 ** wide.uniform(-8.0, 8.0, nr)
-        d_diag = 10.0 ** wide.uniform(-8.0, 8.0, nx)
-        d_diag[qp.t] = 0.0
-        H = A.T @ (d_rows[:, None] * A) + np.diag(d_diag)
-        H[: qp.nf, : qp.nf] += qp.lap.S
-        x = qp.newton(d_rows, d_diag)(r)
-        scale = np.linalg.norm(H, 2) * np.linalg.norm(x) + np.linalg.norm(r)
-        assert np.linalg.norm(H @ x - r) <= 1e-15 * scale
-
-    def test_newton_matches_dense_system(self):
-        # (box 0.8: no slacks; 1.5 and open: hinge slacks; one pinned video)
-        rng = np.random.default_rng(68)
-        wide = np.random.default_rng(69)
-        for top in (0.8, 1.5, np.inf):
-            for _ in range(5):
-                S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
-                hi = np.full(S.n_videos, top)
-                hi[rng.integers(S.n_videos)] = 0.0
-                qp = _qp(nb, labels, lam, hi)
-                self._check_newton(qp, rng, wide)
-
     def test_inequalities_match_dense_matrix(self):
-        # every bound and row as one inequality  G x <= h:  x >= 0 on every
-        # entry but t, a top on each kept score, then the rows, with G built
-        # column by column from ``ineq``; the start is strictly feasible and
-        # stationary, with one multiplier per slack
+        # the rows  A x <= b:  f_n - t <= 0  for each negative (only -t for
+        # a pinned one), then  t - f_p - xi_p <= -1  for each clipped
+        # positive, against A built entry by entry; ``rows_t`` is its adjoint
         rng = np.random.default_rng(90)
         for top in (0.8, 1.5, np.inf):
             for _ in range(5):
@@ -355,33 +309,22 @@ class TestReferenceSolver:
                 hi[rng.integers(S.n_videos)] = 0.0
                 qp = _qp(nb, labels, lam, hi)
                 nx, nf = qp.lin.shape[0], qp.nf
-                G = np.stack([qp.ineq(e) for e in np.eye(nx)], axis=1)
+                col = np.full(S.n_videos, -1)
+                col[qp.free[qp.lap.keep]] = np.arange(nf)
+                want = np.zeros((qp.b.shape[0], nx))
+                for j, v in enumerate(labels.negatives):
+                    if col[v] >= 0:
+                        want[j, col[v]] = 1.0
+                    want[j, nf] = -1.0
+                for i, v in enumerate(qp.clipped):
+                    row = len(labels.negatives) + i
+                    want[row, [nf, col[v], nf + 1 + i]] = [1.0, -1.0, -1.0]
                 A = np.stack([qp.rows(e) for e in np.eye(nx)], axis=1)
-                lower = np.delete(-np.eye(nx), qp.t, axis=0)
-                np.testing.assert_array_equal(G, np.vstack([lower, np.eye(nx)[:nf], A]))
-                h = np.concatenate([np.zeros(nx - 1), qp.top[qp.lap.keep], qp.b])
-                v = rng.normal(size=G.shape[0])
-                np.testing.assert_allclose(qp.ineq_t(v), G.T @ v, atol=1e-12)
-                x, z = qp.start()
-                s = qp.slack(x)
-                np.testing.assert_allclose(s, h - G @ x, atol=1e-12)
-                assert s.shape == z.shape and s.min() > 0.0 and z.min() > 0.0
-                r = qp.grad(x) + qp.ineq_t(z)
-                assert np.abs(r).max() <= 1e-12 * max(1.0, np.abs(qp.grad(x)).max())
-
-    def test_newton_matches_dense_system_above_split(self, monkeypatch):
-        # the same checks with the (f, t) system large enough that
-        # ``_cholesky_inverse`` recurses: every free score is kept
-        _keep_every_row(monkeypatch)
-        rng = np.random.default_rng(77)
-        wide = np.random.default_rng(78)
-        for top in (0.8, 1.5, np.inf):
-            S, labels, nb, W0, lam = random_instance(rng, n_min=100, n_max=160, m_max=3)
-            hi = np.full(S.n_videos, top)
-            hi[rng.integers(S.n_videos)] = 0.0
-            qp = _qp(nb, labels, lam, hi)
-            assert qp.nf + 1 > 2 * weightstep._CHOLESKY_LEAF
-            self._check_newton(qp, rng, wide)
+                np.testing.assert_array_equal(A, want)
+                b = np.concatenate([np.zeros(len(labels.negatives)), -np.ones(qp.clipped.shape[0])])
+                np.testing.assert_array_equal(qp.b, b)
+                z = rng.normal(size=A.shape[0])
+                np.testing.assert_allclose(qp.rows_t(z), A.T @ z, atol=1e-12)
 
     def test_curvature_matches_spectrum(self):
         # the certificate's split of r into a flat part and the curvature
@@ -432,41 +375,12 @@ class TestReferenceSolver:
             patch.setattr(_KronLaplacian, "_grounded", lambda lap: -np.eye(lap.nf))
             qp = _qp(nb, labels, lam, hi)
         assert qp.lap.Li_S is None
-        x, gap, _ = _interior_point(qp, 1e-10, 100)
+        x, gap = _solve_rounds(qp, 1e-10)
         value = weight_step_value(qp.scores(x), nb, labels, lam)
         assert np.isfinite(gap)
         for _ in range(50):
             f = rng.uniform(0.0, 1.0, hi.shape[0]) * hi
             assert weight_step_value(f, nb, labels, lam) >= value - gap - 1e-12
-
-    @pytest.mark.parametrize("keep_all", [False, True], ids=["reduced", "every_row"])
-    def test_factor_matches_dense_solve(self, keep_all, monkeypatch):
-        # the bordered (f_B, t) matrix that the Kron-reduced Laplacian
-        # factors, built densely: S, a diagonal, and rows +-(f_v - t); with
-        # every row kept the matrix is large enough that the factor recurses
-        if keep_all:
-            _keep_every_row(monkeypatch)
-        rng = np.random.default_rng(89)
-        for top in (0.8, np.inf):
-            for _ in range(5):
-                S, labels, nb, W0, lam = random_instance(
-                    rng, n_min=100 if keep_all else 6, n_max=160 if keep_all else 30, m_max=3
-                )
-                lap = _qp(nb, labels, lam, np.full(S.n_videos, top)).lap
-                nf = lap.nf
-                ends = rng.choice(nf, size=min(nf, 8), replace=False)
-                c = rng.uniform(0.1, 10.0, ends.shape[0])
-                diag = rng.uniform(0.1, 10.0, nf + 1)
-                diag[nf] += c.sum()
-                K = np.diag(diag)
-                K[:nf, :nf] += lap.S
-                K[ends, ends] += c
-                K[ends, nf] -= c
-                K[nf, ends] -= c
-                r = rng.normal(size=nf + 1)
-                got = lap.factor(diag, ends, c)(r)
-                np.testing.assert_allclose(got, np.linalg.solve(K, r), rtol=1e-8, atol=1e-10)
-        assert nf + 1 > 2 * weightstep._CHOLESKY_LEAF or not keep_all
 
     @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
     def test_graph_matrices_built_once_per_step(self, cap, monkeypatch):
@@ -479,7 +393,7 @@ class TestReferenceSolver:
         # with an unlabelled test row at its top, which the first split
         # keeps, so the first round moves no rows
         rng = np.random.default_rng(74)
-        calls = {"_EdgeList": 0, "_components": 0, "_harmonic_split": 0, "_interior_point": 0}
+        calls = {"_EdgeList": 0, "_components": 0, "_harmonic_split": 0, "_solve_rounds": 0}
         sizes, reductions = [], []
         active_set = weightstep._active_set
         grounded = weightstep._KronLaplacian._grounded
@@ -518,10 +432,10 @@ class TestReferenceSolver:
                     calls[name] = 0
                 sizes.clear()
                 reductions.clear()
-                f, gap, bound, _ = composer._weight_step(f_in, nb, labels, lam, hi, 500, 1e-9)
+                f, gap, bound = composer._weight_step(f_in, nb, labels, lam, hi, 1e-9)
                 assert gap <= bound
                 assert calls == {
-                    "_EdgeList": 1, "_components": 1, "_harmonic_split": 1, "_interior_point": 1
+                    "_EdgeList": 1, "_components": 1, "_harmonic_split": 1, "_solve_rounds": 1
                 }
                 assert sizes and all(a < b for a, b in zip(sizes, sizes[1:]))
                 assert reductions == sizes
@@ -529,14 +443,13 @@ class TestReferenceSolver:
     @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
     def test_weight_step_heap_ceiling(self, cap, monkeypatch):
         # the eliminated block's factor, the harmonic weights, the Schur
-        # complement and its grounded factor, then one Newton matrix on the
-        # kept scores and its factor's half-size products: 1.40 (capped) and
-        # 1.27 (uncapped) dense (nf + 1)^2 arrays traced above the heap at
-        # entry on this draw, and 3.8 with every score kept.  A dense P
-        # beside them, as the step once held, gave 2.36 and 2.23; a factor
-        # of P over every free score for the certificate gave 3.5 and 3.3.
-        # A factor written beside its input, or the previous Newton factor
-        # kept alive, adds up to one more array each
+        # complement and its grounded factor, then the active set's linear
+        # systems on the kept scores: 1.38 (capped) and 1.17 (uncapped)
+        # dense (nf + 1)^2 arrays traced above the heap at entry on this
+        # draw, and 4.0 with every score kept.  A dense P beside them, as
+        # the step once held, gave 2.36 and 2.23; a factor of P over every
+        # free score for the certificate gave 3.5 and 3.3.  A factor written
+        # beside its input adds up to one more array
         rng = np.random.default_rng(81)
         S, labels, nb, W0, lam = random_instance(rng, n_min=320, n_max=320, m_max=3)
         f0, hi = _step_inputs(S, W0, cap)
@@ -548,7 +461,7 @@ class TestReferenceSolver:
                     _keep_every_row(patch)
                 tracemalloc.start()  # traces only what is allocated from here on
                 try:
-                    composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
+                    composer._weight_step(f0, nb, labels, lam, hi, 1e-9)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
@@ -619,7 +532,7 @@ class TestReferenceSolver:
         monkeypatch.setattr(weightstep, "_harmonic_split", spy)
         tracemalloc.start()  # traces only what is allocated from here on
         try:
-            f, gap, bound, _ = composer._weight_step(*step, 500, 1e-9)
+            f, gap, bound = composer._weight_step(*step, 1e-9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -642,25 +555,6 @@ class TestReferenceSolver:
         step = (vals.mean(axis=1), cls._cli_graph(vals), labels, 1.0, hi)
         return step, int(np.count_nonzero(hi > 0.0))
 
-    def test_newton_systems_skip_eliminated_scores(self, monkeypatch):
-        # at the CLI's 20/100 labels on 320 capped videos, the unlabelled
-        # scores that stay inside their boxes are eliminated, so no Newton
-        # system spans every free score and t.  The exact active-set solve,
-        # which certifies this capped step with no Newton system, declines
-        step, nf = self._cli_step()
-        _interior_point_only(monkeypatch)
-        sides = []
-        newton = weightstep._ScoreQP.newton
-
-        def spy(qp, d_rows, d_diag):
-            sides.append(qp.nf + 1)
-            return newton(qp, d_rows, d_diag)
-
-        monkeypatch.setattr(weightstep._ScoreQP, "newton", spy)
-        f, gap, bound, _ = composer._weight_step(*step, 500, 1e-9)
-        assert nf >= 300 and gap <= bound
-        assert sides and max(sides) < nf + 1
-
     def test_no_factor_spans_every_free_score(self, monkeypatch):
         # the certificate measures the eliminated scores with P_HH's factor
         # and the kept ones with the grounded Schur complement's, so no
@@ -674,17 +568,15 @@ class TestReferenceSolver:
             return factor(A)
 
         monkeypatch.setattr(weightstep, "_cholesky_inverse", spy)
-        f, gap, bound, _ = composer._weight_step(*step, 500, 1e-9)
+        f, gap, bound = composer._weight_step(*step, 1e-9)
         assert nf >= 300 and gap <= bound
         assert sides and max(sides) < nf
 
     @pytest.mark.parametrize("cap", [None, 2.0])
-    def test_clip_regime_at_cli_label_counts(self, cap, monkeypatch):
+    def test_clip_regime_at_cli_label_counts(self, cap):
         # 20 positives and 100 negatives: the clip regime carries one hinge
-        # slack per positive against the top negative, which the Newton
-        # system eliminates, and one row per negative and per slack.  The
-        # exact active-set solve certifies the step with no Newton system;
-        # made to decline, the interior point certifies it too
+        # slack per positive against the top negative, and one row per
+        # negative and per slack.  The exact active-set solve certifies it
         rng = np.random.default_rng(66)
         n, l = 160, 130
         vals = rng.uniform(0.0, 1.0, (n, 4))
@@ -706,12 +598,8 @@ class TestReferenceSolver:
         qp = _qp(nb, labels, 1.0, hi)
         assert qp.lin.shape[0] - (qp.nf + 1) == 20
         assert qp.b.shape[0] == 120
-        x, gap, rounds = _interior_point(qp, 1e-9, 500)
-        assert rounds == 0 and gap <= 1e-9 * max(1.0, qp.objective(x))
-        _interior_point_only(monkeypatch)
-        qp = _qp(nb, labels, 1.0, hi)
-        x, gap, rounds = _interior_point(qp, 1e-9, 500)
-        assert rounds >= 1 and gap <= 1e-9 * max(1.0, qp.objective(x))
+        x, gap = _solve_rounds(qp, 1e-9)
+        assert gap <= 1e-9 * max(1.0, qp.objective(x))
 
     @staticmethod
     def _split_instance(rng):
@@ -753,7 +641,7 @@ class TestReferenceSolver:
         cases = [self._split_instance(rng) for _ in range(10)]
         for S, labels, nb, W0, lam in cases + [self._fit_graph_instance(rng)]:
             f0, hi = _step_inputs(S, W0, cap)
-            f, gap, bound, _ = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-12)
+            f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 1e-12)
             assert gap <= bound
             want = min(float(f0[8:].mean()), float(hi[8:].min()))
             np.testing.assert_allclose(f[8:], want, atol=1e-9)
@@ -767,7 +655,7 @@ class TestReferenceSolver:
 
         def step(S, labels, nb, W0, lam):
             f0, hi = _step_inputs(S, W0, None)
-            f, gap, bound, _ = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-12)
+            f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 1e-12)
             assert gap <= bound
             return f
 
@@ -796,8 +684,8 @@ class TestReferenceSolver:
 
         def step(S, labels, nb, W0, lam):
             f0, hi = _step_inputs(S, W0, None)
-            f, gap, bound, rounds = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-12)
-            assert gap <= bound and rounds == 0
+            f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 1e-12)
+            assert gap <= bound
             return f
 
         base = [step(*case) for case in cases]
@@ -823,21 +711,34 @@ class TestReferenceSolver:
         f0, hi = _step_inputs(S, W0, None)
         assert hi[zero] == 0.0
         assert np.all(np.isinf(np.delete(hi, zero)))
-        f, gap, bound, _ = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-10)
+        f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 1e-10)
         assert gap <= bound
         assert np.all(f >= 0.0) and f[zero] == 0.0
         qp = _qp(nb, labels, lam, np.where(np.isinf(hi), float(S.n_videos), hi))
-        x, _, _ = _interior_point(qp, 1e-10, 100)
+        x, _ = _solve_rounds(qp, 1e-10)
         assert weight_step_value(f, nb, labels, lam) <= qp.objective(x) + 1e-9
 
     def test_output_feasible(self):
         rng = np.random.default_rng(43)
         S, labels, nb, W0, lam = random_instance(rng)
         f0, hi = _step_inputs(S, W0, 1.0)
-        f, gap, bound, _ = composer._weight_step(f0, nb, labels, lam, hi, 120, 1e-9)
+        f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 1e-9)
         assert gap <= bound
         assert np.all(f >= 0.0)
         assert np.all(f <= hi)
+
+    @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
+    def test_declined_round_keeps_input_scores(self, cap, monkeypatch):
+        # a round that the exact active-set solve declines ends the step: it
+        # returns its input scores, bit for bit, with gap inf above its
+        # tolerance
+        rng = np.random.default_rng(43)
+        S, labels, nb, W0, lam = random_instance(rng)
+        f0, hi = _step_inputs(S, W0, cap)
+        monkeypatch.setattr(weightstep, "_active_set", lambda qp, tol: None)
+        f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 1e-9)
+        np.testing.assert_array_equal(f, f0)
+        assert gap == np.inf and bound == 1e-9
 
 
 class TestHarmonicSplit:
@@ -858,29 +759,41 @@ class TestHarmonicSplit:
 
         with monkeypatch.context() as patch:
             patch.setattr(weightstep._KronLaplacian, "reduce", spy)
-            f, gap, bound, _ = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
+            f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 1e-9)
         with monkeypatch.context() as patch:
             _keep_every_row(patch)
-            g, gap_all, bound_all, _ = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
+            g, gap_all, bound_all = composer._weight_step(f0, nb, labels, lam, hi, 1e-9)
         assert gap <= bound and gap_all <= bound_all
         diff = weight_step_value(f, nb, labels, lam) - weight_step_value(g, nb, labels, lam)
         assert abs(diff) <= gap + gap_all + 1e-12
         return f, np.flatnonzero(hi > 0.0)[kept[-1]]
 
+    @staticmethod
+    def _low_row_instance(rng):
+        """A draw whose last video, a test video that is never
+        pseudo-labelled, has a low box among high ones and the pseudo
+        positives as its only neighbours, so its harmonic extension is the
+        mean of their scores, which the push term lifts above its top."""
+        S, labels, nb, W0, lam = random_instance(rng, n_min=16, n_max=24, m_max=3)
+        low = S.n_videos - 1
+        S.values[low] *= 0.02
+        cands, probs = nb.candidates.copy(), nb.probs.copy()
+        probs[cands == low] = 0.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        pos = list(labels.positives)[: cands.shape[1]]
+        cands[low, : len(pos)], probs[low] = pos, 0.0
+        probs[low, : len(pos)] = 1.0 / len(pos)
+        nb = NeighborMatrix(candidates=cands, probs=probs, gamma=nb.gamma)
+        return S, labels, nb, W0, lam, low
+
     @pytest.mark.parametrize("cap", [1.0, 2.0])
     def test_row_that_can_pass_its_top_is_kept(self, cap, monkeypatch):
         # an unlabelled video with a low box among high ones: the harmonic
-        # extension of its neighbours at the interior point's solution
-        # passes its top, so eliminating it would leave its box.  The
-        # optimum is not unique: on one draw with cap 1, the exact active-set
-        # solve returns the optimum with every negative at 0, whose lift
-        # stays inside the box, so it declines here
-        _interior_point_only(monkeypatch)
+        # extension of its neighbours at the solution passes its top, so
+        # eliminating it would leave its box
         rng = np.random.default_rng(86)
         for _ in range(10):
-            S, labels, nb, W0, lam = random_instance(rng, n_min=16, n_max=24, m_max=3)
-            low = S.n_videos - 1  # a test video, never pseudo-labelled
-            S.values[low] *= 0.02
+            S, labels, nb, W0, lam, low = self._low_row_instance(rng)
             f0, hi = _step_inputs(S, W0, cap)
             f, kept = self._compare(f0, nb, labels, lam, hi, monkeypatch)
             assert low in kept
@@ -924,13 +837,10 @@ class TestHarmonicSplit:
 
     def test_open_box_at_mid_box(self, tmp_path, monkeypatch):
         # the first weight step of the ``uncapped`` benchmark input (seed 96,
-        # instance 0): every box is open and closed at n, so the interior
-        # point's scores sit near n / 2, and only the pseudo-labelled rows
-        # are kept.  The gap of the reduced solve swings on its way down; a
-        # stall rule that ignored the iterate's complementarity stopped it at
-        # 0.197.  The exact active-set solve, which holds the scores' level
-        # at the input, declines, so that the interior point solves the step
-        _interior_point_only(monkeypatch)
+        # instance 0): every box is open and closed at n, far above the
+        # scores, whose level the exact active-set solve holds at the input,
+        # so only the pseudo-labelled rows are kept, and the reduced step
+        # matches the step that keeps every free row
         gen = bench_generator()
         gen.generate("uncapped", 96, 0, str(tmp_path))
         steps = []
@@ -992,37 +902,32 @@ class TestHarmonicSplit:
         # the low-box instances of ``test_row_that_can_pass_its_top_is_kept``
         # with the low row's input score below its top, so the first round
         # eliminates it.  Where its lift passes its top, the second round
-        # keeps it (on 8 of the 10 instances with cap 1 and all 10 with cap
-        # 2), and a step from that output, where it sits at its top, keeps
-        # it from the first round; elsewhere it stays eliminated inside its
-        # box.  Every step is certified.  The rounds are the interior
-        # point's: the exact active-set solve, called once per round, is
-        # made to decline, since with cap 1 it can return the optimum with
-        # every negative at 0, which ``_nearest_shift`` moves until this
-        # row sits exactly at its top
+        # keeps it (on all 10 instances with either cap), and a step from
+        # that output, where it sits at its top, keeps it from the first
+        # round; elsewhere it stays eliminated inside its box.  Every step is
+        # certified.  The exact active-set solve is called once per round
         rng = np.random.default_rng(86)
         joined = 0
         rounds = []
+        active_set = weightstep._active_set
 
         def spy(qp, tol):
             rounds.append(qp.free[qp.lap.keep])
-            return None
+            return active_set(qp, tol)
 
         monkeypatch.setattr(weightstep, "_active_set", spy)
         for _ in range(10):
-            S, labels, nb, W0, lam = random_instance(rng, n_min=16, n_max=24, m_max=3)
-            low = S.n_videos - 1
-            S.values[low] *= 0.02
+            S, labels, nb, W0, lam, low = self._low_row_instance(rng)
             f0, hi = _step_inputs(S, W0, cap)
             f0[low] = 0.5 * hi[low]
             rounds.clear()
-            f, gap, bound, _ = composer._weight_step(f0, nb, labels, lam, hi, 500, 1e-9)
+            f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 1e-9)
             assert gap <= bound and low not in rounds[0]
             if low in rounds[-1]:
                 assert low in rounds[1]
                 joined += 1
                 rounds.clear()
-                f, gap, bound, _ = composer._weight_step(f, nb, labels, lam, hi, 500, 1e-9)
+                f, gap, bound = composer._weight_step(f, nb, labels, lam, hi, 1e-9)
                 assert gap <= bound and low in rounds[0]
             else:
                 assert f[low] < hi[low]
@@ -1108,8 +1013,8 @@ class TestActiveSet:
         # a point with slacks exactly 0, on bounds, tight rows and clipped
         # hinges (box 1.5), is certified like any other feasible point: the
         # gap matches its dense reference and bounds the distance to the
-        # relaxed optimum.  A negative slack, or a zero one where the step
-        # guard asks for an interior point, gives inf
+        # relaxed optimum, which the exact solve of the round gives.  A
+        # negative slack gives inf
         rng = np.random.default_rng(92)
         for _ in range(10):
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
@@ -1117,7 +1022,7 @@ class TestActiveSet:
             hi[rng.integers(S.n_videos)] = 0.0
             qp = _qp(nb, labels, lam, hi)
             P = add_at_laplacian(nb, qp.free)
-            x_opt, _ = weightstep._mehrotra(qp, 1e-12, 200)
+            x_opt, _ = weightstep._active_set(qp, 1e-12)
             optimum = qp.objective(x_opt)
             ceiling = qp.lap.ceiling
             for _ in range(5):
@@ -1128,7 +1033,6 @@ class TestActiveSet:
                 want = self._dense_gap(qp, P, x, z, ceiling)
                 assert gap == pytest.approx(want, rel=1e-8, abs=1e-12)
                 assert gap >= qp.objective(x) - optimum - 1e-9
-                assert qp.gap(x, z, ceiling, strict=True) == np.inf
                 v = int(rng.integers(qp.nf))
                 for outside in (-1e-9, qp.up[v] + 1e-9):
                     bad = x.copy()
@@ -1152,7 +1056,7 @@ class TestActiveSet:
             x[qp.t] = 1.5
             x[qp.nf + 1 :] = 1.0  # each hinge row tight
             z = rng.uniform(0.0, 2.0 * lam, qp.b.shape[0])
-            assert np.all(qp.slack(x) >= 0.0)
+            assert np.all(qp.rows(x) <= qp.b)
             lifted = qp.lap.lift(x[: qp.nf]) > 1.5
             over += int(np.any(lifted))
             assert np.isfinite(qp.gap(x, z, qp.lap.ceiling))
@@ -1160,11 +1064,13 @@ class TestActiveSet:
         assert over >= 3
 
     @pytest.mark.parametrize("cap", [1.5, 2.0, None])
-    def test_hinge_slacks_certified_below_interior_point(self, cap, monkeypatch):
+    def test_hinge_slacks_certified_below_interior_point(self, cap):
         # the draws of ``test_matches_independent_qp_solve`` and
         # ``test_certified_gap`` with a cap above 1 or none, so that hinge
         # slacks enter the QP: the exact solve certifies every round, and
-        # its objective is at most the interior point's on the same QP
+        # the step's value at its scores is at most that of an independent
+        # SLSQP solve of the same step
+        pytest.importorskip("scipy")
         draws = [(60, 8, dict(n_max=14, m_max=3)), (61, 10, dict(n_max=16, m_max=4))]
         clipped = 0
         for seed, count, sizes in draws:
@@ -1174,22 +1080,20 @@ class TestActiveSet:
                 hi = score_box_top(S.values, cap)
                 qp = _qp(nb, labels, lam, hi)
                 clipped += qp.clipped.shape[0]
-                x, gap, rounds = _interior_point(qp, 1e-10, 100)
-                value = qp.objective(x)
-                assert rounds == 0 and gap <= 1e-10 * max(1.0, abs(value))
-                with monkeypatch.context() as patch:
-                    _interior_point_only(patch)
-                    qp_ip = _qp(nb, labels, lam, hi)
-                    x_ip, gap_ip, rounds_ip = _interior_point(qp_ip, 1e-10, 100)
-                assert rounds_ip >= 1 and gap_ip <= 1e-10 * max(1.0, abs(value))
-                assert value <= qp_ip.objective(x_ip)
+                x, gap = _solve_rounds(qp, 1e-10)
+                assert gap <= 1e-10 * max(1.0, abs(qp.objective(x)))
+                value = weight_step_value(qp.scores(x), nb, labels, lam)
+                # within gap of the optimum, which is at most SLSQP's value;
+                # the two values are summed differently, so up to rounding
+                assert value <= slsqp_weight_step_value(nb, labels, lam, hi) + gap + 1e-12
         assert clipped >= 10
 
-    def test_certified_below_interior_point(self, monkeypatch):
+    def test_certified_below_interior_point(self):
         # the capped draws of ``test_matches_independent_qp_solve`` and
-        # ``test_certified_gap``: the exact solve certifies every round, so
-        # the interior point solves none, and its objective is at most the
-        # interior point's on the same QP
+        # ``test_certified_gap``: the exact solve certifies every round, and
+        # the step's value at its scores is at most that of an independent
+        # SLSQP solve of the same step
+        pytest.importorskip("scipy")
         draws = [(60, 8, dict(n_max=14, m_max=3)), (61, 10, dict(n_max=16, m_max=4))]
         for seed, count, sizes in draws:
             rng = np.random.default_rng(seed)
@@ -1197,15 +1101,12 @@ class TestActiveSet:
                 S, labels, nb, W0, lam = random_instance(rng, **sizes)
                 hi = score_box_top(S.values, 1.0)
                 qp = _qp(nb, labels, lam, hi)
-                x, gap, rounds = _interior_point(qp, 1e-10, 100)
-                value = qp.objective(x)
-                assert rounds == 0 and gap <= 1e-10 * max(1.0, abs(value))
-                with monkeypatch.context() as patch:
-                    _interior_point_only(patch)
-                    qp_ip = _qp(nb, labels, lam, hi)
-                    x_ip, gap_ip, rounds_ip = _interior_point(qp_ip, 1e-10, 100)
-                assert rounds_ip >= 1 and gap_ip <= 1e-10 * max(1.0, abs(value))
-                assert value <= qp_ip.objective(x_ip)
+                x, gap = _solve_rounds(qp, 1e-10)
+                assert gap <= 1e-10 * max(1.0, abs(qp.objective(x)))
+                value = weight_step_value(qp.scores(x), nb, labels, lam)
+                # within gap of the optimum, which is at most SLSQP's value;
+                # the two values are summed differently, so up to rounding
+                assert value <= slsqp_weight_step_value(nb, labels, lam, hi) + gap + 1e-12
 
 
 class TestCompressGaps:
@@ -1221,33 +1122,32 @@ class TestCompressGaps:
             ):
                 np.testing.assert_array_equal(weightstep._compress_gaps(f), f)
 
-    def test_uncapped_optima_stay_optimal(self, monkeypatch):
-        # on uncapped step optima (the box closed at n): no score rises,
-        # order and boxes hold, no sorted gap exceeds 1, and the step's
-        # value does not rise.  Positives and negatives in separate
-        # components leave the positives' level free, so the interior
-        # point's optima hold wide gaps; the exact active-set solve, which
-        # holds such levels at the input scores, declines
-        _interior_point_only(monkeypatch)
+    def test_uncapped_optima_stay_optimal(self):
+        # uncapped step optima (the box closed at n) from the exact
+        # active-set solve, which holds each level that no term fixes at
+        # the input scores: no sorted gap exceeds 1.  The optimum with each
+        # score raised by twice its rank, so that every sorted gap exceeds 1,
+        # comes back with no score risen, order and boxes kept, no sorted gap
+        # above 1, and the step's value not risen
         rng = np.random.default_rng(85)
         cases = [random_instance(rng, n_max=20, m_max=3) for _ in range(10)]
         cases += [TestReferenceSolver._split_instance(rng) for _ in range(10)]
-        wide = 0
         for S, labels, nb, W0, lam in cases:
             hi = score_box_top(S.values, None)
             qp = _qp(nb, labels, lam, hi)
-            x, _, _ = _interior_point(qp, 1e-10, 100)
+            x, _ = _solve_rounds(qp, 1e-10)
             f = qp.scores(x)
-            g = weightstep._compress_gaps(f)
-            wide += int(np.any(np.diff(np.sort(f)) > 1.0))
+            assert np.all(np.diff(np.sort(f)) <= 1.0)
             order = np.argsort(f, kind="stable")
-            assert np.all(g <= f)
+            wide = f.copy()
+            wide[order] += 2.0 * np.arange(f.shape[0])
+            g = weightstep._compress_gaps(wide)
+            assert np.all(g <= wide)
             assert np.all(np.diff(g[order]) >= 0.0)
             assert np.all((g >= 0.0) & (g <= hi))
             assert np.all(np.diff(g[order]) <= 1.0 + 1e-12)
-            value = weight_step_value(f, nb, labels, lam)
+            value = weight_step_value(wide, nb, labels, lam)
             assert weight_step_value(g, nb, labels, lam) <= value + 1e-12 * max(1.0, value)
-        assert wide >= 10
 
 
 class TestLaplacian:
@@ -1565,13 +1465,13 @@ class TestFit:
         # trace entry repeats the entry before it
         inputs = []
 
-        def worse(f_in, neighbors, labels, lambda_push, hi, max_iters, tol):
+        def worse(f_in, neighbors, labels, lambda_push, hi, tol):
             inputs.append(f_in)
             f = f_in.copy()
             neg = np.asarray(labels.negatives)
             v = neg[np.argmax(hi[neg])]
             f[v] = hi[v]
-            return f, 0.0, tol, 0
+            return f, 0.0, tol
 
         monkeypatch.setattr(composer, "_weight_step", worse)
         rng = np.random.default_rng(59)
@@ -1667,15 +1567,14 @@ class TestFit:
         assert peak <= 0.5 * n * m * 8
 
     def test_uncertified_last_step_is_not_converged(self, monkeypatch):
-        # one interior-point iteration certifies no step, and the fit stalls
-        # well before its iteration cap; the exact active-set solve, which
-        # certifies these capped steps, declines
+        # the exact active-set solve, which certifies these capped steps,
+        # declines every round, so each step keeps its input scores with
+        # gap inf, and the fit stalls well before its iteration cap
         rng = np.random.default_rng(53)
         S, labels = self._normalized_instance(rng)
         cfg = CompositionConfig(k_candidates=5)
         with monkeypatch.context() as patch:
-            _interior_point_only(patch)
-            patch.setattr(composer, "WEIGHT_STEP_MAX_ITERS", 1)
+            patch.setattr(weightstep, "_active_set", lambda qp, tol: None)
             res = fit(S, labels, np.ones(S.n_concepts), cfg)
         assert res.iterations < cfg.max_outer_iters
         assert res.converged is False
@@ -1688,14 +1587,14 @@ class TestFit:
         # the second of two weight steps reports a NaN gap: the fit counts
         # it as uncertified and does not report convergence
         gaps = []
-        inner = weightstep._interior_point
+        inner = weightstep._solve_rounds
 
-        def nan_second_gap(qp, tol, max_iters):
-            x, gap, rounds = inner(qp, tol, max_iters)
+        def nan_second_gap(qp, tol):
+            x, gap = inner(qp, tol)
             gaps.append(gap)
-            return x, np.nan if len(gaps) == 2 else gap, rounds
+            return x, np.nan if len(gaps) == 2 else gap
 
-        monkeypatch.setattr(weightstep, "_interior_point", nan_second_gap)
+        monkeypatch.setattr(weightstep, "_solve_rounds", nan_second_gap)
         rng = np.random.default_rng(56)
         S, labels = self._normalized_instance(rng)
         # a tolerance that the second outer iteration's decrease meets

@@ -106,3 +106,25 @@ class TestBorda:
         one = borda_baseline(_matrix(col, l=2))
         two = borda_baseline(_matrix(np.hstack([col, col]), l=2))
         assert [v for v, _ in one] == [v for v, _ in two]
+
+    def test_matches_sorted_per_column(self):
+        # against the per-column Python sort it replaces, on draws with
+        # scores tied within a column and 0.0 against -0.0, which compare
+        # equal and so fall to the video_id tie-break; ids are shuffled so
+        # that their order differs from the rows'
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            n, m = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+            vals = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0], size=(n + 2, m))
+            vals[rng.uniform(size=vals.shape) < 0.3] = rng.uniform(0.0, 1.0)
+            ids = [f"v{i:02d}" for i in rng.permutation(n + 2)]
+            S = ScoreMatrix(
+                values=vals, video_ids=ids, l=2, u=n, concept_ids=[f"c{j}" for j in range(m)]
+            )
+            test, tids = vals[2:], S.test_ids()
+            points = np.zeros(n)
+            for col in range(m):
+                order = sorted(range(n), key=lambda i: (-test[i, col], tids[i]))
+                for rank, i in enumerate(order, start=1):
+                    points[i] += n - rank
+            assert borda_baseline(S) == ranked_list(tids, points)

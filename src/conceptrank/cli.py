@@ -204,8 +204,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
-        # FormatError and ValidationError are ValueErrors
+    except (ValueError, OSError) as exc:
+        # FormatError and ValidationError are ValueErrors; a path that
+        # cannot be read or written (missing, or under a file) is an OSError
         log_kv(stage=args.command, validation_error=f"{exc}")
         return 1
 

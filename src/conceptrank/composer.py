@@ -130,9 +130,10 @@ class FitResult:
 
     ``scores`` are the scores of the last weight step that ``fit`` kept,
     with the bits that step returned; rankings are read off them.  A
-    weight step whose round the exact active-set solve declined keeps its
-    input scores and counts as uncertified; on every input probed, with or
-    without a cap, none was.
+    weight step is uncertified when the duality gap of its last round's
+    point is above its tolerance, or NaN, or when the exact active-set
+    solve declined one of its rounds, which keeps its input scores with gap
+    inf; on every input probed, with or without a cap, none was.
     """
 
     neighbors: NeighborMatrix
@@ -319,8 +320,9 @@ def fit(
     falls below ``config.tol``.  The fit counts as converged only if it
     stopped so and its last weight step met its certified tolerance; every
     step that did not is stated in ``warnings`` (and counted by
-    ``uncertified_steps``).  A step whose round the active set declined
-    returns its input scores with gap inf, so it is one of them.
+    ``uncertified_steps``): a step whose last round's point has a gap
+    above its bound, and a step whose round the active set declined, which
+    returns its input scores with gap inf.
     """
     _check_labels(labels, S.l)
     vals = S.values

@@ -4,9 +4,10 @@ For fixed neighbor probabilities the objective sees the weights only
 through the scores f_i = w_i . s_i, and the weight constraints only through
 each score's box 0 <= f_i <= cap * max_k s_ik.  The push term depends on
 the negatives only through the top negative's score, so the step is a
-quadratic program in the scores, that level and one hinge slack per
-positive whose hinge can clip (``_ScoreQP``).  ``_solve_rounds`` solves it
-and returns a duality gap certified over every score at the lifted point;
+quadratic program in the scores and that level t (``_ScoreQP``), with the
+hinge of each positive whose hinge can clip in closed form.
+``_solve_rounds`` solves it and returns a duality gap certified over every
+score at the lifted point;
 ``_weight_step``, the one entry, returns that gap with its tolerance, and
 ``fit`` judges and counts it.  Where the optimum is not unique, the solve
 holds each level that no term fixes at the input scores, and the solved
@@ -21,22 +22,23 @@ score is eliminated as the harmonic extension of the kept ones (a Kron
 reduction, Dorfler & Bullo, IEEE TCS 2013), with its box dropped.  Which
 boxes bind is found by seed and verify.  The one split of P already keeps
 the rows whose input score sits at its top, the last step's active tops,
-so the first round moves no rows.  Each round solves the relaxed QP and
-lifts the result; a row whose lift reaches its top joins the kept rows, and
-another round follows.  Each round is solved exactly (``_active_set``): a
-primal-dual active set over the kept scores' boxes, the negatives' rows
-and the clipped positives' kinks, one small linear solve in S per pass,
-with the negatives taken as one block, certified by the round's own
-duality gap.  A capped step starts with the level t of the top negative
-at its floor 0, where every capped optimum seen so far has it; a step with
-hinge slacks starts with t free.  A round that the active set does not
-certify, which no input probed has shown, ends the step at its input
-scores with an infinite gap, which ``fit`` reports as an uncertified step.
-By the maximum principle of the harmonic extension (Zhu, Ghahramani &
-Lafferty, ICML 2003) a lift never passes the highest kept score, so the
-relaxation only drops upper bounds, and an optimum of it that is feasible
-is the optimum of the full QP; the gap is then certified against the full
-QP.  Most steps take one or two rounds.
+so the first round moves no rows.  Each round solves the relaxed QP, the
+QP with the eliminated rows' boxes dropped, and lifts the result; a row
+whose lift reaches its top joins the kept rows, and another round follows.
+Each round is solved exactly (``_active_set``): a primal-dual active set
+over the kept scores' boxes, the negatives' rows and the clipped
+positives' kinks, one small linear solve in S per pass, with the
+negatives taken as one block.  A capped step starts with t at its floor
+0, where every capped optimum seen so far has it; a step whose hinges can
+clip starts with t free.  A round that the active set declines, which no
+input probed has shown, ends the step at its input scores with an
+infinite gap, which ``fit`` reports as an uncertified step.  By the
+maximum principle of the harmonic extension (Zhu, Ghahramani & Lafferty,
+ICML 2003) a lift never passes the highest kept score, so the relaxation
+only drops upper bounds, and an optimum of it whose every lift lies
+inside its own box is the optimum of the full QP.  Once a round's lifts
+do, its point is certified once, by the duality gap of the full QP.  Most
+steps take one or two rounds.
 
 Every matrix of the step belongs to one object, ``_KronLaplacian``, built
 once per step.  The step sees one graph, the edges with a_ij > 0 (the
@@ -115,12 +117,6 @@ def _cholesky_inverse(A: np.ndarray) -> np.ndarray:
 # ``_harmonic_split``: their lift would be 0, or rounding noise around it,
 # on the bottom of their box
 _LIFT_FLOOR = 1e-12
-
-
-# relative margin by which the eliminated rows' ceiling clears the highest
-# kept top: a lift is a convex combination of the kept scores, so it passes
-# that top only by its rounding, a few units in the last place per kept row
-_CEILING_MARGIN = 1e-9
 
 
 # free rows whose off-diagonal entries ``_EdgeList`` lays out densely at
@@ -287,12 +283,12 @@ class _KronLaplacian:
     ``top`` and their input scores ``f``.  P = 4 L[free, free] is the
     curvature of the smoothness term.  It is kept as the free rows' edge
     list ``edges`` (``_EdgeList``), never as an nf x nf array: the split
-    builds the blocks it factors from that list, and ``residual`` sums P f
-    over it.  ``group`` labels the components of the graph over every
-    video (``_components``).  A free score's component is flat when it
-    holds no pinned video: ``flat`` lists those free rows, ``member``
-    numbers their components and ``size`` counts them.  Their indicators
-    span the null space of P.
+    builds the blocks it factors from that list, and the certificate sums
+    P f over it (``_EdgeList.residual``).  ``group`` labels the components
+    of the graph over every video (``_components``).  A free score's
+    component is flat when it holds no pinned video: ``flat`` lists those
+    free rows, ``member`` numbers their components and ``size`` counts
+    them.  Their indicators span the null space of P.
 
     P is split once (``_harmonic_split``), keeping the rows that ``_kept``
     masks, the labelled ones and those of flat components without a label
@@ -319,15 +315,11 @@ class _KronLaplacian:
     counts the kept scores and ``col`` gives each video's column among them
     (-1 for none).  ``Li_S`` is the inverse factor of S grounded on one kept
     row of each flat component (``ground``), or None when it cannot be
-    factored.  ``ceiling`` holds the tops of the relaxed QP over f_B: each
-    eliminated row's top raised to at least the highest kept one, which no
-    lift passes (the maximum principle), so no eliminated box binds; it
-    clears that top by ``_CEILING_MARGIN``, so that a lift rounded past it
-    is still feasible.
-    ``reached`` masks the eliminated rows whose lift reaches their own top.
+    factored.  ``reached`` masks the eliminated rows whose lift reaches
+    their own top: where it masks none, the lift lies inside every box.
 
-    The QP sees the graph only through S (``matvec``, and the rows that
-    ``_active_set`` solves with), ``lift``, ``residual`` and ``split``.
+    The QP sees the graph only through S, ``lift``, ``edges.residual`` and
+    ``split``.
     """
 
     def __init__(
@@ -386,9 +378,6 @@ class _KronLaplacian:
             S[np.ix_(at_m, at_m)] = Li_M.T @ Li_M
         col = self.col = np.full(self.labelled.shape[0], -1)
         col[self.free[keep]] = np.arange(nf)
-        self.ceiling = self.top.copy()
-        highest = self.top[keep].max(initial=0.0) * (1.0 + _CEILING_MARGIN)
-        self.ceiling[self.drop] = np.maximum(self.top[self.drop], highest)
         # each flat component has a kept row: its labelled rows or all of it
         at = col[self.free[self.flat]]
         first = np.unique(self.member[at >= 0], return_index=True)[1]
@@ -416,15 +405,6 @@ class _KronLaplacian:
         Sg[:, self.ground] = 0.0
         Sg[self.ground, self.ground] = 1.0
         return Sg
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """S v, for v over the kept scores."""
-        return self.S @ v
-
-    def residual(self, f: np.ndarray) -> np.ndarray:
-        """P f, the gradient of  f'Pf / 2,  for f over the free scores, summed
-        over the edges in difference form (``_EdgeList.residual``)."""
-        return self.edges.residual(f)
 
     def lift(self, f_b: np.ndarray) -> np.ndarray:
         """The free scores of the kept scores f_b: f_b and its harmonic
@@ -477,22 +457,19 @@ class _KronLaplacian:
 
 
 class _ScoreQP:
-    """The weight step for fixed neighbor probabilities, as a QP over
-    x = (f_B, t, xi).
+    """The weight step for fixed neighbor probabilities, as a QP over the
+    kept scores f and the level t of the top negative.
 
     Every hinge  (1 - f_{p_i} + f_{n_j})_+  grows with f_{n_j}, so the push
     loss  max_j mean_i (1 - f_{p_i} + f_{n_j})_+  is the mean hinge of each
     positive against the top negative alone (Li, Jin & Zhou, *Top Rank
     Optimization in Linear Time*, NIPS 2014).  The QP minimizes
-    1/2 f'Sf + lin'x + const  over the kept free scores f, the level t of
-    the top negative and one hinge slack xi_i per clipped positive, subject
-    to  f, xi >= 0,  f <= up  (the kept scores' tops) and the rows
 
-      f_{n_j} - t <= 0                                 (each negative j)
-      t - f_{p_i} - xi_i <= -1                         (i in C)
+      1/2 f'Sf + lin'f + lam a t + (lam/p) sum_C (1 + t - f_p)_+ + lam a
 
-    ``rows`` gives their left-hand sides A x, ``rows_t`` its adjoint and
-    ``b`` their right-hand sides.  The level t has no bound.
+    over the kept free scores f and the level t, subject to  0 <= f <= up
+    (the kept scores' tops) and  f_n <= t  for each negative n.  The level
+    t has no bound of its own.
 
     Videos whose score box is [0, 0] are pinned and left out (``free``
     holds the others), and a box without a top (no cap) is closed at n
@@ -500,23 +477,21 @@ class _ScoreQP:
     ``t_in`` the input's top negative score, where ``_active_set`` holds
     the levels that no term fixes.  Positives whose score cannot exceed 1
     never clip their hinges against the nonnegative level t, so those
-    hinges enter linearly: U is the set of those positives, C the others,
-    a = |U|/p, and the objective is
-    2 f'Lf - (lam/p) sum_U f + lam a t + (lam/p) sum_C xi + lam a.  With
-    the default cap and scores in [0, 1], C is empty and x = (f, t).
+    hinges enter linearly, as -lam/p in ``lin``: U is the set of those
+    positives, C the others (``clipped``, at the kept columns ``hp``) and
+    a = |U|/p.  With the default cap and scores in [0, 1], C is empty.  The
+    negatives' kept columns are ``hn``, for the negatives that ``n_free``
+    masks; a pinned negative's score is 0.
 
     The graph term lives in ``lap`` (``_KronLaplacian``), split once from
-    the step's input scores f_in: x holds only the nf kept scores f_B,
-    every other free score is their harmonic extension, and S is the
-    Schur complement of P on f_B.  So the QP over x is the QP
-    over every free score with the eliminated rows' boxes dropped, a
-    relaxation: a lift stays inside the box ``lap.ceiling`` gives it, but
-    can pass its own top.  ``reduce`` keeps more rows.  Where every lift
-    lies strictly inside its own box, the two QPs share their optimum.
-    ``gap`` certifies the lifted point against the full QP, or the relaxed
-    one with the tops ``lap.ceiling``, with P as it is: the bound holds at
-    any feasible primal-dual point, on the boundary too, wherever it came
-    from.  The rows A are not formed as a matrix.
+    the step's input scores f_in: f holds only the nf kept scores, every
+    other free score is their harmonic extension, and S is the Schur
+    complement of P on the kept scores.  So this QP is the QP over every
+    free score with the eliminated rows' boxes dropped, a relaxation, whose
+    optimum is the full one once every lift lies inside its own box;
+    ``reduce`` keeps more rows.  ``gap`` certifies a lifted point against
+    the full QP, with P as it is: the bound holds at any feasible
+    primal-dual point, on the boundary too, wherever it came from.
     """
 
     def __init__(
@@ -527,7 +502,7 @@ class _ScoreQP:
         hi = np.where(np.isinf(hi), float(self.n), hi)
         pos = np.asarray(labels.positives)
         neg = self.neg = np.asarray(labels.negatives)
-        self.lam = float(lambda_push)
+        lam = float(lambda_push)
         free = self.free = np.flatnonzero(hi > 0.0)
         self.top = hi[free]
         labelled = np.isin(np.arange(self.n), np.concatenate([pos, neg]))
@@ -536,12 +511,11 @@ class _ScoreQP:
         self.t_in = float(np.max(f_in[neg], initial=0.0))
         self.lap = _KronLaplacian(neighbors, free, labelled, self.top, self.f_in)
         p = pos.shape[0]
-        self.n_epi = neg.shape[0]
         clip = hi[pos] > 1.0
         self.unclipped, self.clipped = pos[~clip], pos[clip]
         a = self.unclipped.shape[0] / p
-        self.const = self.lam * a  # also the cost of t
-        self.slack_cost = self.lam / p
+        self.const = lam * a  # also the cost of t
+        self.slack_cost = lam / p
         self._index()
 
     def reduce(self, kept: np.ndarray) -> None:
@@ -551,98 +525,80 @@ class _ScoreQP:
         self._index()
 
     def _index(self) -> None:
-        """The cost, bounds and row indices over the kept scores of ``lap``."""
+        """The cost, bounds and label columns over the kept scores of ``lap``."""
         lap, neg = self.lap, self.neg
-        nf = self.nf = lap.nf
         col = lap.col
-        n_clip = self.clipped.shape[0]
-        self.t = nf
-        self.lin = np.zeros(nf + 1 + n_clip)
+        self.nf = lap.nf
+        self.lin = np.zeros(self.nf)
         linear = self.unclipped[col[self.unclipped] >= 0]
         self.lin[col[linear]] = -self.slack_cost
-        self.lin[self.t] = self.const
-        self.lin[nf + 1 :] = self.slack_cost
         self.up = self.top[lap.keep]
-        # rows: one per negative, then one hinge row per clipped positive
-        self.b = np.concatenate([np.zeros(self.n_epi), np.full(n_clip, -1.0)])
         self.hp = col[self.clipped]
         self.n_free = col[neg] >= 0
         self.hn = col[neg[self.n_free]]
 
-    def rows(self, x: np.ndarray) -> np.ndarray:
-        """The row values A x (compared against ``b``)."""
-        nf = self.nf
-        f, t = x[:nf], x[nf]
-        fn = np.zeros(self.n_epi)
-        fn[self.n_free] = f[self.hn]
-        return np.concatenate([fn - t, t - f[self.hp] - x[nf + 1 :]])
+    def objective(self, f: np.ndarray, t: float) -> float:
+        hinge = np.maximum(1.0 + t - f[self.hp], 0.0)
+        quad = 0.5 * float(f @ (self.lap.S @ f)) + float(self.lin @ f)
+        return quad + self.const * t + self.slack_cost * float(hinge.sum()) + self.const
 
-    def rows_t(self, z: np.ndarray) -> np.ndarray:
-        """The adjoint A' z of ``rows``."""
-        nf = self.nf
-        z_e, z_h = z[: self.n_epi], z[self.n_epi :]
-        g = np.zeros(self.lin.shape[0])
-        g[self.hn] = z_e[self.n_free]
-        g[self.hp] -= z_h
-        g[nf] = z_h.sum() - z_e.sum()
-        g[nf + 1 :] = -z_h
-        return g
+    def gap(self, f_b: np.ndarray, t: float, z: np.ndarray, nu: np.ndarray) -> float:
+        """Certified bound on objective(f_b, t) - optimum, or inf if the
+        point is not feasible; both over every free score, at the lifted
+        scores f, with the free scores' own boxes.  A point on the boundary,
+        with a score at a bound or a negative at t, is certified like any
+        other feasible point; a score outside its box, or above t, gives inf.
 
-    def objective(self, x: np.ndarray) -> float:
-        f = x[: self.nf]
-        return 0.5 * float(f @ self.lap.matvec(f)) + float(self.lin @ x) + self.const
-
-    def gap(self, x: np.ndarray, z_a: np.ndarray, top: np.ndarray | None = None) -> float:
-        """Certified bound on objective(x) - optimum, or inf if x is not
-        feasible; both over every free score, at the lifted scores, with the
-        free scores' boxes closed at ``top`` (by default their own tops: the
-        full QP; ``lap.ceiling`` gives the relaxed QP).  A point on the
-        boundary, with some slack exactly 0, is certified like any other
-        feasible point; a negative slack gives inf.
-
-        Fixes row multipliers that make t and the slacks dual feasible:
-        hinge multipliers capped at the slack cost lam/p, whose remainder
-        goes to the slack's lower bound, and the negatives' multipliers
-        rescaled to sum to lam a plus the hinge multipliers (stationarity
-        in t).  The Lagrangian is then a convex quadratic in the scores
-        alone, with gradient r at x, and the gap adds the row
-        complementarity to a bound on how far the Lagrangian falls below
-        its value at x over the score box.  That fall is at most the box
-        term  f'(r)_+ + (up - f)'(-r)_+  of the linear model, and at most
-        r_c'P^+r_c / 2  plus the box term of r_0, where r_0 is the
-        projection of r onto the null space of P (its mean on each flat
-        component) and r_c the rest; the smaller of the two is used.  The
-        second does not grow with the level of the scores along directions
-        that P does not see.  ``split`` computes it from the matrices the
-        step solves with, P_HH's factor and the Schur complement S, so no
-        factor spans every free score.
+        ``z`` holds the negatives' multipliers and ``nu`` the clipped
+        hinges'.  The gap fixes them to make t dual feasible: nu capped to
+        [0, lam/p], and z rescaled to sum to lam a plus nu's sum
+        (stationarity in t).  Each clipped hinge h = 1 + t - f_p enters
+        through its slack max(h, 0), which is feasible by construction, so
+        its complementarity is  nu max(-h, 0) + max(h, 0) (lam/p - nu).  The
+        Lagrangian is then a convex quadratic in the scores alone, with
+        gradient r at f, and the gap adds the complementarity to a bound on
+        how far the Lagrangian falls below its value at f over the score
+        box.  That fall is at most the box term  f'(r)_+ + (up - f)'(-r)_+
+        of the linear model, and at most  r_c'P^+r_c / 2  plus the box term
+        of r_0, where r_0 is the projection of r onto the null space of P
+        (its mean on each flat component) and r_c the rest; the smaller of
+        the two is used.  The second does not grow with the level of the
+        scores along directions that P does not see.  ``split`` computes it
+        from the matrices the step solves with, P_HH's factor and the Schur
+        complement S, so no factor spans every free score.
         """
-        nf, n_epi = self.nf, self.n_epi
-        f, xi = self.lap.lift(x[:nf]), x[nf + 1 :]
-        s_a = self.b - self.rows(x)
-        s_up = (self.top if top is None else top) - f
-        if min(s_a.min(), f.min(initial=1.0), s_up.min(initial=1.0), xi.min(initial=1.0)) < 0.0:
+        f = self.lap.lift(f_b)
+        f_n = np.zeros(self.neg.shape[0])
+        f_n[self.n_free] = f_b[self.hn]
+        s_n, s_up = t - f_n, self.top - f
+        if min(s_n.min(initial=1.0), f.min(initial=1.0), s_up.min(initial=1.0)) < 0.0:
             return np.inf
-        z = np.maximum(z_a, 0.0)
-        z[n_epi:] = np.minimum(z[n_epi:], self.slack_cost)
-        z[:n_epi] *= (self.const + z[n_epi:].sum()) / z[:n_epi].sum()
-        r = self.lap.residual(f)
-        r[self.lap.keep] += (self.lin + self.rows_t(z))[:nf]
+        cost = self.slack_cost
+        z = np.maximum(z, 0.0)
+        nu = np.minimum(np.maximum(nu, 0.0), cost)
+        z *= (self.const + nu.sum()) / z.sum()
+        grad = self.lin.copy()
+        grad[self.hn] += z[self.n_free]
+        grad[self.hp] -= nu
+        r = self.lap.edges.residual(f)
+        r[self.lap.keep] += grad
 
         def box_term(g):
             return float(f @ np.maximum(g, 0.0) + s_up @ np.maximum(-g, 0.0))
 
         flat, curved = self.lap.split(r)
         fall = min(box_term(r), curved + box_term(flat))
-        return float(s_a @ z + xi @ (self.slack_cost - z[n_epi:])) + fall
+        h = 1.0 + t - f_b[self.hp]
+        slack = float(np.maximum(-h, 0.0) @ nu + np.maximum(h, 0.0) @ (cost - nu))
+        return float(s_n @ z) + slack + fall
 
-    def scores(self, x: np.ndarray) -> np.ndarray:
+    def scores(self, f_b: np.ndarray) -> np.ndarray:
         f = np.zeros(self.n)
-        f[self.free] = np.clip(self.lap.lift(x[: self.nf]), 0.0, self.top)
+        f[self.free] = np.clip(self.lap.lift(f_b), 0.0, self.top)
         return f
 
 
-def _solve_rounds(qp: _ScoreQP, tol: float) -> tuple[np.ndarray, float] | None:
+def _solve_rounds(qp: _ScoreQP) -> tuple[np.ndarray, float, float] | None:
     """The QP over every free score, solved in rounds over the kept ones.
 
     Each round solves the relaxed QP that ``qp`` holds exactly
@@ -651,17 +607,19 @@ def _solve_rounds(qp: _ScoreQP, tol: float) -> tuple[np.ndarray, float] | None:
     lift then reaches its top joins the kept rows (``_ScoreQP.reduce``),
     and the next round solves again.  Once every lift lies inside its box,
     the relaxed optimum is feasible for the full QP, so it is the full
-    optimum.  Returns the last round's point and the gap of the full QP
-    there, or None as soon as a round is declined.  The kept rows only
-    grow, so at worst every free row is kept.
+    optimum, and its point is certified there, once, by the full QP's gap
+    (``_ScoreQP.gap``).  Returns that round's kept scores, t and gap, or
+    None as soon as a round is declined.  The kept rows only grow, so at
+    worst every free row is kept.
     """
     while True:
-        solved = _active_set(qp, tol)
+        solved = _active_set(qp)
         if solved is None:
             return None
-        reached = qp.lap.reached(solved[0][: qp.nf])
+        f, t, z, nu = solved
+        reached = qp.lap.reached(f)
         if not np.any(reached):
-            return solved
+            return f, t, qp.gap(f, t, z, nu)
         qp.reduce(qp.lap.kept | reached)
 
 
@@ -673,12 +631,13 @@ _ACTIVE_SET_PASSES = 16
 _ACTIVE_SET_TOL = 1e-12
 
 
-def _active_set(qp: _ScoreQP, tol: float) -> tuple[np.ndarray, float] | None:
+def _active_set(qp: _ScoreQP) -> tuple[np.ndarray, float, np.ndarray, np.ndarray] | None:
     """The relaxed QP solved exactly by a primal-dual active set
     (Hintermuller, Ito & Kunisch, SIAM J. Optim. 2002).  Returns the point
-    and the gap of the full QP there, or None when the round is declined:
-    its point is not certified, its sets still change after
-    ``_ACTIVE_SET_PASSES`` passes, or its linear system is singular.
+    (f, t) and the multipliers (z, nu) of the negatives and of the clipped
+    hinges, or None when the round is declined: its sets still change after
+    ``_ACTIVE_SET_PASSES`` passes, its linear system is singular, a level
+    that rises meets no bound, or t's multipliers need more than t's cost.
 
     Each pass guesses a state for every row.  A kept score is at its floor
     0, at its top, or inactive.  A negative is tied to the level t
@@ -697,8 +656,9 @@ def _active_set(qp: _ScoreQP, tol: float) -> tuple[np.ndarray, float] | None:
     a positive that crosses its kink onto it.  The loop stops when the
     states repeat, or declines after ``_ACTIVE_SET_PASSES`` passes.
 
-    Without hinge slacks t starts at its floor 0, with every negative tied,
-    as at every capped optimum seen so far; with them t starts free, and it
+    Without clipped hinges t starts at its floor 0, with every negative
+    tied, as at every capped optimum seen so far; with them t starts free,
+    and it
     moves to its floor, with every negative tied, when it falls below 0.  A
     tied row that passes its top leaves t for its top.  Taking the
     negatives as one block removes the cycling that plain active-set
@@ -722,12 +682,10 @@ def _active_set(qp: _ScoreQP, tol: float) -> tuple[np.ndarray, float] | None:
     they are max(0, -g_j) plus an equal share of what is left of t's cost,
     lam a plus the hinge multipliers, and the round declines when those
     need more than that cost by more than ``_ACTIVE_SET_TOL`` of it.  The
-    hinges' multipliers are lam/p below the kink and g_p at it, and the
-    round is taken only if the relaxed QP's gap (``_ScoreQP.gap`` with the
-    tops ``lap.ceiling``) at that point meets tol * max(1, |objective|).
+    hinges' multipliers are lam/p below the kink and g_p at it.  The point
+    is not certified here: ``_solve_rounds`` certifies the last round's.
     """
-    lap, nf, up, cost = qp.lap, qp.nf, qp.up, qp.slack_cost
-    lin = qp.lin[:nf]
+    lap, nf, up, lin, cost = qp.lap, qp.nf, qp.up, qp.lin, qp.slack_cost
     neg = np.zeros(nf, dtype=bool)
     neg[qp.hn] = True
     pos = np.zeros(nf, dtype=bool)
@@ -738,7 +696,7 @@ def _active_set(qp: _ScoreQP, tol: float) -> tuple[np.ndarray, float] | None:
     group = lap.group[lap.free[lap.keep]]
     n_group = lap.group.shape[0]
     f_in = qp.f_in[lap.keep]
-    slacks = t_free = bool(pos.any())
+    kinks = t_free = bool(pos.any())
     t = qp.t_in
     tied = neg.copy()
     below = pos & (f_in < t + 1.0)
@@ -800,9 +758,9 @@ def _active_set(qp: _ScoreQP, tol: float) -> tuple[np.ndarray, float] | None:
             rising = lone & rise[group]
         above = pos & ~(tied | below)
         if t_level:
-            rows_t = (inactive & at_t[group]) | tied
+            on_t = (inactive & at_t[group]) | tied
             outside = ~lone & ~at_t[group] & ~tied
-            if lin_t + lin_b[rows_t].sum() > 0.5 * cost:
+            if lin_t + lin_b[on_t].sum() > 0.5 * cost:
                 # t falls: to 0, a row of its components to its floor, or
                 # to a free negative or below a kink outside them
                 cand = [
@@ -820,17 +778,17 @@ def _active_set(qp: _ScoreQP, tol: float) -> tuple[np.ndarray, float] | None:
                     top, floor, tied, below = _enter(event, top, floor, tied, below)
                 continue
             lo = max(
-                -t, float((-f[rows_t]).max(initial=-np.inf)),
+                -t, float((-f[on_t]).max(initial=-np.inf)),
                 float((f - t)[outside & neg].max(initial=-np.inf)),
                 float((f - t - 1.0)[outside & below].max(initial=-np.inf)),
             )
             hi = min(
-                float((up - f)[rows_t].min(initial=np.inf)),
+                float((up - f)[on_t].min(initial=np.inf)),
                 float((f - t - 1.0)[outside & above].min(initial=np.inf)),
             )
-            want = float(np.mean((f_in - f)[rows_t])) if rows_t.any() else qp.t_in - t
+            want = float(np.mean((f_in - f)[on_t])) if on_t.any() else qp.t_in - t
             move = min(max(want, lo), hi)
-            f[rows_t] += move
+            f[on_t] += move
             t += move
         if rising.any():
             # each component that rises: its first row to reach its top, t
@@ -859,13 +817,13 @@ def _active_set(qp: _ScoreQP, tol: float) -> tuple[np.ndarray, float] | None:
             want /= np.maximum(np.bincount(group[lone], minlength=n_group), 1)
             move = np.minimum(np.maximum(want, lo), hi)
             f[lone] += move[group[lone]]
-        g = lap.matvec(f) + lin_b
+        g = lap.S @ f + lin_b
         new_top = np.where(top, g <= eps_g, inactive & (f > up + eps_f))
         new_floor = np.where(floor, g >= -eps_g, inactive & (f < -eps_f))
         same = np.array_equal(new_top, top) and np.array_equal(new_floor, floor)
-        # without hinge slacks t stays at its floor with every negative tied
-        # there, and no tied row can pass its top
-        if slacks:
+        # without clipped hinges t stays at its floor with every negative
+        # tied there, and no tied row can pass its top
+        if kinks:
             new_tied = tied.copy()
             new_below = below.copy()
             if t_free:
@@ -899,39 +857,28 @@ def _active_set(qp: _ScoreQP, tol: float) -> tuple[np.ndarray, float] | None:
             break
     else:
         return None
-    x = np.zeros(qp.lin.shape[0])
-    x[:nf] = np.clip(f, 0.0, up)
-    g = lap.matvec(x[:nf]) + lin_b
+    f = np.clip(f, 0.0, up)
+    g = lap.S @ f + lin_b
     nu = np.where(below[qp.hp], cost, 0.0)
     at_kink = tied[qp.hp]
     nu[at_kink] = np.clip(g[qp.hp][at_kink], 0.0, cost)
-    target = qp.const + float(nu.sum())
+    z = np.zeros(qp.neg.shape[0])
     if t_free:
-        x[qp.t] = max(t, 0.0, float(x[qp.hn].max(initial=0.0)))
-        z = np.zeros(qp.n_epi)
+        t = max(t, 0.0, float(f[qp.hn].max(initial=0.0)))
         z[qp.n_free] = np.where(tied[qp.hn], np.maximum(-g[qp.hn], 0.0), 0.0)
     else:
+        t = 0.0
+        target = qp.const + float(nu.sum())
         need = np.maximum(-g[qp.hn], 0.0)
         rest = target - need.sum()
         if rest < -_ACTIVE_SET_TOL * max(target, cost):
             return None
-        z = np.full(qp.n_epi, max(rest, 0.0) / qp.n_epi)
+        z[:] = max(rest, 0.0) / z.shape[0]
         z[qp.n_free] += need
     if not z.sum() > 0.0:
         # nothing for the rows to carry: ``gap`` scales these to t's cost
         z[:] = 1.0
-    xi = x[nf + 1 :]
-    xi[:] = np.maximum(1.0 + x[qp.t] - x[qp.hp], 0.0)
-    # a slack that closes its hinge row can round to just outside it
-    for _ in range(4 if slacks else 0):
-        short = (qp.b - qp.rows(x))[qp.n_epi :] < 0.0
-        if not short.any():
-            break
-        xi[short] = np.nextafter(xi[short] + (qp.rows(x) - qp.b)[qp.n_epi :][short], np.inf)
-    z = np.concatenate([z, nu])
-    if not qp.gap(x, z, lap.ceiling) <= tol * max(1.0, abs(qp.objective(x))):
-        return None
-    return x, qp.gap(x, z)
+    return f, t, z, nu
 
 
 def _first_of_each(rows: np.ndarray, group: np.ndarray) -> np.ndarray:
@@ -978,8 +925,8 @@ def _weight_step(f_in, neighbors, labels, lambda_push, hi, tol):
     per-video scores f_i = w_i . s_i, and the weight constraint set maps
     to the box 0 <= f_i <= hi_i = cap * max_k s_ik (``score_box_top``).
     Writing the push loss as the mean hinge against the level t of the
-    top negative (with one hinge slack per positive whose hinge can clip)
-    makes the step a convex QP, built once (``_ScoreQP``).  Only the push
+    top negative makes the step a convex QP in the scores and t, built
+    once (``_ScoreQP``).  Only the push
     term sees the pseudo-labelled scores; an unlabelled score whose box
     does not bind is the harmonic extension of the others.  So the QP is
     solved in rounds over the pseudo-labelled scores, the unlabelled ones
@@ -988,12 +935,13 @@ def _weight_step(f_in, neighbors, labels, lambda_push, hi, tol):
     (``_KronLaplacian``).  The first round keeps the rows whose input score
     sits at its top, and each round adds the rows whose lifted score
     reaches its top (``_solve_rounds``).  Each round is solved exactly,
-    with one linear solve per active-set pass (``_active_set``), where the
-    duality gap of that point meets ``tol * max(1, |objective|)``.  Once no
-    lift reaches its top, the gap of the last round's point, lifted back to
-    every score, is a certified bound on its distance to the optimum of
-    the QP over every score.  A round that the active set declines ends
-    the step at its input scores f_in, with gap inf and bound tol.
+    with one linear solve per active-set pass (``_active_set``).  Once no
+    lift reaches its top, the duality gap of the last round's point, lifted
+    back to every score, is a certified bound on its distance to the
+    optimum of the QP over every score; the step computes it once, and the
+    bound it is held to is  tol * max(1, |objective|)  there.  A round that
+    the active set declines ends the step at its input scores f_in, with
+    gap inf and bound tol.
 
     Without a cap the box has no top, and the step closes it at n.  The
     optimum is then not unique: the overall level, the level of a
@@ -1008,12 +956,12 @@ def _weight_step(f_in, neighbors, labels, lambda_push, hi, tol):
     labels keeps its input mean, and the labelled components move together.
     """
     qp = _ScoreQP(f_in, neighbors, labels, lambda_push, hi)
-    solved = _solve_rounds(qp, tol)
+    solved = _solve_rounds(qp)
     if solved is None:
         return f_in, np.inf, tol
-    x, gap = solved
-    bound = tol * max(1.0, abs(qp.objective(x)))
-    return _nearest_shift(qp.lap, _compress_gaps(qp.scores(x)), f_in, hi), gap, bound
+    f, t, gap = solved
+    bound = tol * max(1.0, abs(qp.objective(f, t)))
+    return _nearest_shift(qp.lap, _compress_gaps(qp.scores(f)), f_in, hi), gap, bound
 
 
 def _compress_gaps(f: np.ndarray) -> np.ndarray:

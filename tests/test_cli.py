@@ -259,6 +259,23 @@ def test_rank_missing_scores_file_exits_one(tmp_path, capsys):
     assert "scores.csv" in capsys.readouterr().err
 
 
+def _one_validation_error(err):
+    """The one validation_error of a command's stderr, every line of which
+    must be a JSON log record (so no traceback was printed)."""
+    records = [json.loads(line) for line in err.splitlines()]
+    (error,) = [r["validation_error"] for r in records if "validation_error" in r]
+    return error
+
+
+def test_rank_out_dir_under_a_file_exits_one(tmp_path, capsys):
+    data = _synth(tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    capsys.readouterr()
+    assert main(_rank_args(data, str(afile / "sub"))) == 1
+    assert "afile/sub" in _one_validation_error(capsys.readouterr().err)
+
+
 def test_rank_partial_failure_exit_three(tmp_path):
     data = _synth(tmp_path)
     events = os.path.join(data, "events.jsonl")
@@ -364,7 +381,7 @@ def test_rank_logs_uncertified_weight_steps(tmp_path, capsys, monkeypatch):
     # the exact active-set solve, which certifies these capped steps,
     # declines every round, so every weight step ends at its input scores
     # uncertified, and the record counts each one
-    monkeypatch.setattr(weightstep, "_active_set", lambda qp, tol: None)
+    monkeypatch.setattr(weightstep, "_active_set", lambda qp: None)
     data = _synth(tmp_path, sigma=0.2)
     args = dict(
         embeddings=os.path.join(data, "embeddings.txt"),
@@ -568,6 +585,19 @@ def test_eval_unknown_video_in_truth(tmp_path, capsys):
         fh.write("E001,vGHOST,1\n")
     assert main(["eval", "--rankings-dir", out, "--ground-truth", gt]) == 1
     assert "vGHOST" in capsys.readouterr().err
+
+
+def test_eval_out_under_a_file_exits_one(tmp_path, capsys):
+    data = _synth(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(_rank_args(data, out)) == 0
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    gt = os.path.join(data, "ground_truth.csv")
+    capsys.readouterr()
+    argv = ["eval", "--rankings-dir", out, "--ground-truth", gt, "--out", str(afile / "x.json")]
+    assert main(argv) == 1
+    assert "afile/x.json" in _one_validation_error(capsys.readouterr().err)
 
 
 def test_eval_rejects_event_id_outside_rankings_dir(tmp_path, capsys):

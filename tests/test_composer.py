@@ -266,11 +266,11 @@ class TestReferenceSolver:
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=4)
             hi = score_box_top(S.values, cap)
             qp = _qp(nb, labels, lam, hi)
-            x, gap = _solve_rounds(qp, 1e-10)
-            value = weight_step_value(qp.scores(x), nb, labels, lam)
+            f_b, t, gap = _solve_rounds(qp)
+            value = weight_step_value(qp.scores(f_b), nb, labels, lam)
             assert gap <= 1e-10 * max(1.0, value)
             # t is at least the top negative score, so the objective bounds the value
-            assert value <= qp.objective(x) + 1e-12
+            assert value <= qp.objective(f_b, t) + 1e-12
             top = np.where(np.isinf(hi), 2.0 * S.n_videos, hi)
             for _ in range(50):
                 f = rng.uniform(0.0, 1.0, hi.shape[0]) * top
@@ -279,52 +279,23 @@ class TestReferenceSolver:
     @pytest.mark.parametrize("cap", [1.0, 2.0, None])
     def test_gap_bounds_at_any_multipliers(self, cap):
         # the certificate makes its own multipliers dual feasible, so it
-        # bounds objective - optimum whatever row multipliers it is given,
-        # hinge multipliers far above the slack cost among them.  The point
-        # is strictly feasible: mid-box scores, the level t one above the
-        # top negative score, and each hinge slack one above its row's need
+        # bounds objective - optimum whatever multipliers it is given, hinge
+        # multipliers far above the slack cost among them.  The point is
+        # mid-box scores and the level t one above the top negative score,
+        # with each hinge's slack in closed form
         rng = np.random.default_rng(62)
         for _ in range(10):
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=4)
             hi = score_box_top(S.values, cap)
             qp = _qp(nb, labels, lam, hi)
-            x_opt, _ = _solve_rounds(qp, 1e-12)
-            x = np.zeros(qp.lin.shape[0])
-            x[: qp.nf] = 0.5 * qp.up
-            x[qp.t] = float(np.max(qp.rows(x)[: qp.n_epi])) + 1.0
-            x[qp.nf + 1 :] = np.maximum(qp.rows(x)[qp.n_epi :] - qp.b[qp.n_epi :], 0.0) + 1.0
+            optimum = qp.objective(*_solve_rounds(qp)[:2])
+            f_b = 0.5 * qp.up
+            t = float(f_b[qp.hn].max(initial=0.0)) + 1.0
+            n_neg = qp.neg.shape[0]
             for _ in range(5):
-                z = rng.uniform(0.0, 10.0 * lam, qp.b.shape[0])
-                assert qp.gap(x, z) >= qp.objective(x) - qp.objective(x_opt) - 1e-9
-
-    def test_inequalities_match_dense_matrix(self):
-        # the rows  A x <= b:  f_n - t <= 0  for each negative (only -t for
-        # a pinned one), then  t - f_p - xi_p <= -1  for each clipped
-        # positive, against A built entry by entry; ``rows_t`` is its adjoint
-        rng = np.random.default_rng(90)
-        for top in (0.8, 1.5, np.inf):
-            for _ in range(5):
-                S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
-                hi = np.full(S.n_videos, top)
-                hi[rng.integers(S.n_videos)] = 0.0
-                qp = _qp(nb, labels, lam, hi)
-                nx, nf = qp.lin.shape[0], qp.nf
-                col = np.full(S.n_videos, -1)
-                col[qp.free[qp.lap.keep]] = np.arange(nf)
-                want = np.zeros((qp.b.shape[0], nx))
-                for j, v in enumerate(labels.negatives):
-                    if col[v] >= 0:
-                        want[j, col[v]] = 1.0
-                    want[j, nf] = -1.0
-                for i, v in enumerate(qp.clipped):
-                    row = len(labels.negatives) + i
-                    want[row, [nf, col[v], nf + 1 + i]] = [1.0, -1.0, -1.0]
-                A = np.stack([qp.rows(e) for e in np.eye(nx)], axis=1)
-                np.testing.assert_array_equal(A, want)
-                b = np.concatenate([np.zeros(len(labels.negatives)), -np.ones(qp.clipped.shape[0])])
-                np.testing.assert_array_equal(qp.b, b)
-                z = rng.normal(size=A.shape[0])
-                np.testing.assert_allclose(qp.rows_t(z), A.T @ z, atol=1e-12)
+                z = rng.uniform(0.0, 10.0 * lam, n_neg + qp.hp.shape[0])
+                gap = qp.gap(f_b, t, z[:n_neg], z[n_neg:])
+                assert gap >= qp.objective(f_b, t) - optimum - 1e-9
 
     def test_curvature_matches_spectrum(self):
         # the certificate's split of r into a flat part and the curvature
@@ -375,8 +346,8 @@ class TestReferenceSolver:
             patch.setattr(_KronLaplacian, "_grounded", lambda lap: -np.eye(lap.nf))
             qp = _qp(nb, labels, lam, hi)
         assert qp.lap.Li_S is None
-        x, gap = _solve_rounds(qp, 1e-10)
-        value = weight_step_value(qp.scores(x), nb, labels, lam)
+        f_b, t, gap = _solve_rounds(qp)
+        value = weight_step_value(qp.scores(f_b), nb, labels, lam)
         assert np.isfinite(gap)
         for _ in range(50):
             f = rng.uniform(0.0, 1.0, hi.shape[0]) * hi
@@ -389,25 +360,32 @@ class TestReferenceSolver:
         # a cap; the QP takes one relaxed solve per round, each over more
         # kept rows than the last, and builds one reduction, one grounded
         # factor of S, per round.  Each round makes one call of the exact
-        # active-set solve.  Each step runs from the drawn scores and again
+        # active-set solve, and the step computes one duality gap, at the
+        # last round's point.  Each step runs from the drawn scores and again
         # with an unlabelled test row at its top, which the first split
         # keeps, so the first round moves no rows
         rng = np.random.default_rng(74)
         calls = {"_EdgeList": 0, "_components": 0, "_harmonic_split": 0, "_solve_rounds": 0}
-        sizes, reductions = [], []
+        sizes, reductions, certified = [], [], []
         active_set = weightstep._active_set
         grounded = weightstep._KronLaplacian._grounded
+        gap = weightstep._ScoreQP.gap
 
-        def solve(qp, tol):
+        def solve(qp):
             sizes.append(qp.nf)
-            return active_set(qp, tol)
+            return active_set(qp)
 
         def factored(lap):
             reductions.append(lap.nf)
             return grounded(lap)
 
+        def certify(qp, *args):
+            certified.append(qp.nf)
+            return gap(qp, *args)
+
         monkeypatch.setattr(weightstep, "_active_set", solve)
         monkeypatch.setattr(weightstep._KronLaplacian, "_grounded", factored)
+        monkeypatch.setattr(weightstep._ScoreQP, "gap", certify)
 
         def counted(name):
             inner = getattr(weightstep, name)
@@ -432,13 +410,15 @@ class TestReferenceSolver:
                     calls[name] = 0
                 sizes.clear()
                 reductions.clear()
-                f, gap, bound = composer._weight_step(f_in, nb, labels, lam, hi, 1e-9)
-                assert gap <= bound
+                certified.clear()
+                f, step_gap, bound = composer._weight_step(f_in, nb, labels, lam, hi, 1e-9)
+                assert step_gap <= bound
                 assert calls == {
                     "_EdgeList": 1, "_components": 1, "_harmonic_split": 1, "_solve_rounds": 1
                 }
                 assert sizes and all(a < b for a, b in zip(sizes, sizes[1:]))
                 assert reductions == sizes
+                assert certified == sizes[-1:]
 
     @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
     def test_weight_step_heap_ceiling(self, cap, monkeypatch):
@@ -596,10 +576,10 @@ class TestReferenceSolver:
         nb = self._cli_graph(vals)
         hi = score_box_top(vals, cap)
         qp = _qp(nb, labels, 1.0, hi)
-        assert qp.lin.shape[0] - (qp.nf + 1) == 20
-        assert qp.b.shape[0] == 120
-        x, gap = _solve_rounds(qp, 1e-9)
-        assert gap <= 1e-9 * max(1.0, qp.objective(x))
+        assert qp.clipped.shape[0] == qp.hp.shape[0] == 20
+        assert qp.neg.shape[0] == 100
+        f_b, t, gap = _solve_rounds(qp)
+        assert gap <= 1e-9 * max(1.0, qp.objective(f_b, t))
 
     @staticmethod
     def _split_instance(rng):
@@ -715,8 +695,8 @@ class TestReferenceSolver:
         assert gap <= bound
         assert np.all(f >= 0.0) and f[zero] == 0.0
         qp = _qp(nb, labels, lam, np.where(np.isinf(hi), float(S.n_videos), hi))
-        x, _ = _solve_rounds(qp, 1e-10)
-        assert weight_step_value(f, nb, labels, lam) <= qp.objective(x) + 1e-9
+        f_b, t, _ = _solve_rounds(qp)
+        assert weight_step_value(f, nb, labels, lam) <= qp.objective(f_b, t) + 1e-9
 
     def test_output_feasible(self):
         rng = np.random.default_rng(43)
@@ -735,10 +715,26 @@ class TestReferenceSolver:
         rng = np.random.default_rng(43)
         S, labels, nb, W0, lam = random_instance(rng)
         f0, hi = _step_inputs(S, W0, cap)
-        monkeypatch.setattr(weightstep, "_active_set", lambda qp, tol: None)
+        monkeypatch.setattr(weightstep, "_active_set", lambda qp: None)
         f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 1e-9)
         np.testing.assert_array_equal(f, f0)
         assert gap == np.inf and bound == 1e-9
+
+
+    @pytest.mark.parametrize("cap", [1.0, None], ids=["capped", "uncapped"])
+    def test_gap_above_tolerance_keeps_solved_scores(self, cap, monkeypatch):
+        # a last round whose point the certificate puts above its tolerance
+        # is not declined: the step returns that round's scores, bit for
+        # bit as when certified, with its finite gap, and the caller judges
+        rng = np.random.default_rng(43)
+        S, labels, nb, W0, lam = random_instance(rng)
+        f0, hi = _step_inputs(S, W0, cap)
+        want, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 1e-9)
+        assert gap <= bound
+        monkeypatch.setattr(_ScoreQP, "gap", lambda qp, *args: 1.0)
+        f, gap, bound = composer._weight_step(f0, nb, labels, lam, hi, 1e-9)
+        np.testing.assert_array_equal(f, want)
+        assert gap == 1.0 > bound
 
 
 class TestHarmonicSplit:
@@ -882,7 +878,6 @@ class TestHarmonicSplit:
             np.testing.assert_array_equal(lap.keep, direct.keep)
             np.testing.assert_array_equal(lap.drop, direct.drop)
             np.testing.assert_allclose(lap.S, direct.S, rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(lap.ceiling, direct.ceiling)
             B, H, P = lap.keep, lap.drop, add_at_laplacian(nb, free)
             for _ in range(5):
                 f_b = rng.uniform(0.0, 1.0, lap.nf) * lap.top[B]
@@ -911,9 +906,9 @@ class TestHarmonicSplit:
         rounds = []
         active_set = weightstep._active_set
 
-        def spy(qp, tol):
+        def spy(qp):
             rounds.append(qp.free[qp.lap.keep])
-            return active_set(qp, tol)
+            return active_set(qp)
 
         monkeypatch.setattr(weightstep, "_active_set", spy)
         for _ in range(10):
@@ -965,56 +960,59 @@ class TestActiveSet:
 
     @staticmethod
     def _boundary_point(qp, rng):
-        """A feasible point of the relaxed QP with kept scores at 0, at their
-        tops and inside, the level t at the top negative score, so that its
-        row is tight, and clipped hinge slacks at 0 where they may be."""
-        nf = qp.nf
-        x = np.zeros(qp.lin.shape[0])
-        f = rng.uniform(0.0, 1.0, nf) * qp.up
-        side = rng.integers(0, 3, nf)
-        f[side == 0] = 0.0
-        f[side == 1] = qp.up[side == 1]
-        x[:nf] = f
-        x[qp.t] = max(float(f[qp.hn].max(initial=0.0)), 0.0)
-        xi = x[nf + 1 :]
-        xi[:] = np.maximum(qp.rows(x)[qp.n_epi :] - qp.b[qp.n_epi :], 0.0)
-        # a slack that closes its hinge row can round to just below 0 there
-        while np.any(short := (qp.b - qp.rows(x))[qp.n_epi :] < 0.0):
-            xi[short] = np.nextafter(xi[short], np.inf)
-        return x
+        """(f_b, t): a feasible point of the QP with kept scores at 0, at
+        their tops and inside, whose lifts stay inside their own boxes (the
+        draws whose lifts do not are drawn again), and the level t at the
+        top negative score, so that its row is tight."""
+        while True:
+            f = rng.uniform(0.0, 1.0, qp.nf) * qp.up
+            side = rng.integers(0, 3, qp.nf)
+            f[side == 0] = 0.0
+            f[side == 1] = qp.up[side == 1]
+            if np.all(qp.lap.lift(f) <= qp.top):
+                return f, max(float(f[qp.hn].max(initial=0.0)), 0.0)
 
     @staticmethod
-    def _dense_gap(qp, P, x, z_a, top):
+    def _dense_gap(qp, P, f_b, t, z, nu):
         """``_ScoreQP.gap`` from dense matrices: the lift as a harmonic
-        solve in P, and the curvature term from P's spectrum."""
-        nf, n_epi = qp.nf, qp.n_epi
+        solve in P, each multiplier added to its own video's row one at a
+        time, the hinges in closed form from each positive's score, and the
+        curvature term from P's spectrum."""
         B, H = qp.lap.keep, qp.lap.drop
         f = np.empty(qp.free.shape[0])
-        f[B] = x[:nf]
-        f[H] = np.linalg.solve(P[np.ix_(H, H)], -P[np.ix_(H, B)] @ x[:nf])
-        xi = x[nf + 1 :]
-        z = np.maximum(z_a, 0.0)
-        z[n_epi:] = np.minimum(z[n_epi:], qp.slack_cost)
-        z[:n_epi] *= (qp.const + z[n_epi:].sum()) / z[:n_epi].sum()
+        f[B] = f_b
+        f[H] = np.linalg.solve(P[np.ix_(H, H)], -P[np.ix_(H, B)] @ f_b)
+        at = np.full(qp.n, -1)
+        at[qp.free] = np.arange(qp.free.shape[0])
+        z = np.maximum(z, 0.0)
+        nu = np.minimum(np.maximum(nu, 0.0), qp.slack_cost)
+        z *= (qp.const + nu.sum()) / z.sum()
         r = P @ f
-        r[B] += (qp.lin + qp.rows_t(z))[:nf]
-        s_up = top - f
+        r[B] += qp.lin
+        rows = 0.0
+        for j, v in enumerate(qp.neg):
+            if at[v] >= 0:
+                r[at[v]] += z[j]
+            rows += (t - (f[at[v]] if at[v] >= 0 else 0.0)) * z[j]
+        for i, v in enumerate(qp.clipped):
+            r[at[v]] -= nu[i]
+            h = 1.0 + t - f[at[v]]
+            rows += nu[i] * max(-h, 0.0) + max(h, 0.0) * (qp.slack_cost - nu[i])
+        s_up = qp.top - f
 
         def box_term(g):
             return float(f @ np.maximum(g, 0.0) + s_up @ np.maximum(-g, 0.0))
 
         flat, curved = eigen_curvature_split(P, r)
-        fall = min(box_term(r), curved + box_term(flat))
-        s_a = qp.b - qp.rows(x)
-        return float(s_a @ z + xi @ (qp.slack_cost - z[n_epi:])) + fall
+        return rows + min(box_term(r), curved + box_term(flat))
 
     @pytest.mark.parametrize("top", [0.8, 1.5])
     def test_gap_at_boundary_points(self, top):
-        # a point with slacks exactly 0, on bounds, tight rows and clipped
-        # hinges (box 1.5), is certified like any other feasible point: the
-        # gap matches its dense reference and bounds the distance to the
-        # relaxed optimum, which the exact solve of the round gives.  A
-        # negative slack gives inf
+        # a point on bounds, with a negative at t and hinges at, below and
+        # above their kinks (box 1.5), is certified like any other feasible
+        # point: the gap matches its dense reference and bounds the distance
+        # to the optimum, which the rounds of exact solves give.  A score
+        # outside its box gives inf
         rng = np.random.default_rng(92)
         for _ in range(10):
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
@@ -1022,49 +1020,48 @@ class TestActiveSet:
             hi[rng.integers(S.n_videos)] = 0.0
             qp = _qp(nb, labels, lam, hi)
             P = add_at_laplacian(nb, qp.free)
-            x_opt, _ = weightstep._active_set(qp, 1e-12)
-            optimum = qp.objective(x_opt)
-            ceiling = qp.lap.ceiling
+            f_opt, t_opt, _ = _solve_rounds(qp)
+            optimum = qp.objective(f_opt, t_opt)
+            n_neg = qp.neg.shape[0]
             for _ in range(5):
-                x = self._boundary_point(qp, rng)
-                z = rng.uniform(0.0, 2.0 * lam, qp.b.shape[0])
-                gap = qp.gap(x, z, ceiling)
+                f_b, t = self._boundary_point(qp, rng)
+                z = rng.uniform(0.0, 2.0 * lam, n_neg + qp.hp.shape[0])
+                z, nu = z[:n_neg], z[n_neg:]
+                gap = qp.gap(f_b, t, z, nu)
                 assert np.isfinite(gap)
-                want = self._dense_gap(qp, P, x, z, ceiling)
+                want = self._dense_gap(qp, P, f_b, t, z, nu)
                 assert gap == pytest.approx(want, rel=1e-8, abs=1e-12)
-                assert gap >= qp.objective(x) - optimum - 1e-9
+                assert gap >= qp.objective(f_b, t) - optimum - 1e-9
                 v = int(rng.integers(qp.nf))
                 for outside in (-1e-9, qp.up[v] + 1e-9):
-                    bad = x.copy()
+                    bad = f_b.copy()
                     bad[v] = outside
-                    assert qp.gap(bad, z, ceiling) == np.inf
+                    assert qp.gap(bad, t, z, nu) == np.inf
 
     def test_lift_rounded_past_the_highest_top(self):
         # every box top 1.5 and every kept score at it: no lift passes 1.5
         # (the maximum principle), but rounding puts some a few units in the
-        # last place above it.  The relaxed QP's ceiling must leave such a
-        # point feasible, or the exact solve declines a round it solved.
-        # Against the full QP, with the rows' own tops, a lift above its top
-        # still gives inf
+        # last place above it.  Such a row counts as reaching its top, so the
+        # next round keeps it, and the point is not feasible for the full
+        # QP: its gap reads inf.  The rounds on the same QP end with every
+        # lift inside its box and a certified gap
         rng = np.random.default_rng(92)
         over = 0
         for _ in range(10):
             S, labels, nb, W0, lam = random_instance(rng, n_max=16, m_max=3)
             qp = _qp(nb, labels, lam, np.full(S.n_videos, 1.5))
-            x = np.zeros(qp.lin.shape[0])
-            x[: qp.nf] = qp.up
-            x[qp.t] = 1.5
-            x[qp.nf + 1 :] = 1.0  # each hinge row tight
-            z = rng.uniform(0.0, 2.0 * lam, qp.b.shape[0])
-            assert np.all(qp.rows(x) <= qp.b)
-            lifted = qp.lap.lift(x[: qp.nf]) > 1.5
+            n_neg = qp.neg.shape[0]
+            z = rng.uniform(0.0, 2.0 * lam, n_neg + qp.hp.shape[0])
+            lifted = qp.lap.lift(qp.up) > 1.5
             over += int(np.any(lifted))
-            assert np.isfinite(qp.gap(x, z, qp.lap.ceiling))
-            assert np.isfinite(qp.gap(x, z)) == (not np.any(lifted))
+            assert np.all(qp.lap.reached(qp.up)[lifted])
+            assert np.isfinite(qp.gap(qp.up, 1.5, z[:n_neg], z[n_neg:])) == (not np.any(lifted))
+            f_b, t, gap = _solve_rounds(qp)
+            assert gap <= 1e-9 * max(1.0, abs(qp.objective(f_b, t)))
         assert over >= 3
 
     @pytest.mark.parametrize("cap", [1.5, 2.0, None])
-    def test_hinge_slacks_certified_below_interior_point(self, cap):
+    def test_hinge_slacks_certified_below_slsqp(self, cap):
         # the draws of ``test_matches_independent_qp_solve`` and
         # ``test_certified_gap`` with a cap above 1 or none, so that hinge
         # slacks enter the QP: the exact solve certifies every round, and
@@ -1080,15 +1077,15 @@ class TestActiveSet:
                 hi = score_box_top(S.values, cap)
                 qp = _qp(nb, labels, lam, hi)
                 clipped += qp.clipped.shape[0]
-                x, gap = _solve_rounds(qp, 1e-10)
-                assert gap <= 1e-10 * max(1.0, abs(qp.objective(x)))
-                value = weight_step_value(qp.scores(x), nb, labels, lam)
+                f_b, t, gap = _solve_rounds(qp)
+                assert gap <= 1e-10 * max(1.0, abs(qp.objective(f_b, t)))
+                value = weight_step_value(qp.scores(f_b), nb, labels, lam)
                 # within gap of the optimum, which is at most SLSQP's value;
                 # the two values are summed differently, so up to rounding
                 assert value <= slsqp_weight_step_value(nb, labels, lam, hi) + gap + 1e-12
         assert clipped >= 10
 
-    def test_certified_below_interior_point(self):
+    def test_certified_below_slsqp(self):
         # the capped draws of ``test_matches_independent_qp_solve`` and
         # ``test_certified_gap``: the exact solve certifies every round, and
         # the step's value at its scores is at most that of an independent
@@ -1101,9 +1098,9 @@ class TestActiveSet:
                 S, labels, nb, W0, lam = random_instance(rng, **sizes)
                 hi = score_box_top(S.values, 1.0)
                 qp = _qp(nb, labels, lam, hi)
-                x, gap = _solve_rounds(qp, 1e-10)
-                assert gap <= 1e-10 * max(1.0, abs(qp.objective(x)))
-                value = weight_step_value(qp.scores(x), nb, labels, lam)
+                f_b, t, gap = _solve_rounds(qp)
+                assert gap <= 1e-10 * max(1.0, abs(qp.objective(f_b, t)))
+                value = weight_step_value(qp.scores(f_b), nb, labels, lam)
                 # within gap of the optimum, which is at most SLSQP's value;
                 # the two values are summed differently, so up to rounding
                 assert value <= slsqp_weight_step_value(nb, labels, lam, hi) + gap + 1e-12
@@ -1135,8 +1132,8 @@ class TestCompressGaps:
         for S, labels, nb, W0, lam in cases:
             hi = score_box_top(S.values, None)
             qp = _qp(nb, labels, lam, hi)
-            x, _ = _solve_rounds(qp, 1e-10)
-            f = qp.scores(x)
+            f_b, _, _ = _solve_rounds(qp)
+            f = qp.scores(f_b)
             assert np.all(np.diff(np.sort(f)) <= 1.0)
             order = np.argsort(f, kind="stable")
             wide = f.copy()
@@ -1574,7 +1571,7 @@ class TestFit:
         S, labels = self._normalized_instance(rng)
         cfg = CompositionConfig(k_candidates=5)
         with monkeypatch.context() as patch:
-            patch.setattr(weightstep, "_active_set", lambda qp, tol: None)
+            patch.setattr(weightstep, "_active_set", lambda qp: None)
             res = fit(S, labels, np.ones(S.n_concepts), cfg)
         assert res.iterations < cfg.max_outer_iters
         assert res.converged is False
@@ -1589,10 +1586,10 @@ class TestFit:
         gaps = []
         inner = weightstep._solve_rounds
 
-        def nan_second_gap(qp, tol):
-            x, gap = inner(qp, tol)
+        def nan_second_gap(qp):
+            f_b, t, gap = inner(qp)
             gaps.append(gap)
-            return x, np.nan if len(gaps) == 2 else gap
+            return f_b, t, np.nan if len(gaps) == 2 else gap
 
         monkeypatch.setattr(weightstep, "_solve_rounds", nan_second_gap)
         rng = np.random.default_rng(56)

@@ -10,11 +10,16 @@ artifact is also printed to standard output.
 
 Exit codes: 0 success, 1 validation error, 2 runtime failure in all
 events, 3 partial failure.
+
+``run`` is the process entry point (the ``conceptrank`` console script
+and ``python -m conceptrank.cli``); ``main`` is the same command for a
+caller in a running interpreter.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -211,5 +216,15 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> int:
+    """``main`` on the process's own arguments, for a process that exits
+    next.  Every object is then frozen out of the garbage collector, so
+    interpreter exit does not walk the heap that the imports built; files
+    and streams are still flushed and closed as at any exit."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

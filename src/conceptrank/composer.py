@@ -349,7 +349,7 @@ def fit(
         # per-row gamma frozen at the initial distances so the objective is
         # fixed across iterations and the trace stays monotone
         k_nb = min(config.k_neighbors, k_cand - 1)
-        gammas = np.array([gamma_for_k(D[i], k_nb) for i in range(n)])
+        gammas = gamma_for_k(D, k_nb)
 
     trace: list[float] = []
     warnings: list[str] = []

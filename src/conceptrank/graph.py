@@ -59,7 +59,7 @@ def update_neighbor_rows(D: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return _kernels.simplex_project_rows(-shifted / (2.0 * gamma[:, None]))
 
 
-def gamma_for_k(d: np.ndarray, k: int) -> float:
+def gamma_for_k(d: np.ndarray, k: int) -> float | np.ndarray:
     """Row regularizer giving update_neighbor_rows a support of exactly k.
 
     Uses the boundary value (k d_(k+1) - sum_{j<=k} d_(j)) / 2 on the
@@ -71,11 +71,30 @@ def gamma_for_k(d: np.ndarray, k: int) -> float:
     normalized scores, so that once the distances move apart the row's
     probabilities follow them and not their rounding.  Other degenerate
     (non-positive) values are nudged to 1e-12.
+
+    ``d`` is one row of distances, which gives a float, or an (n, k_cand)
+    array, which gives the n gammas of its rows, each the same bits as the
+    row alone gives.
     """
-    d = np.sort(np.asarray(d, dtype=np.float64))
-    n = d.shape[0]
+    d = np.sort(np.asarray(d, dtype=np.float64), axis=-1)
+    n = d.shape[-1]
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < {n}, got {k}")
+    if d.ndim == 1:
+        return _sorted_gamma(d, k)
+    # a sum over the last axis adds each row as a 1-d sum does: its first
+    # entry, then the pairwise sum of the rest (a cumsum would not)
+    gamma = (k * d[:, k] - np.sum(d[:, :k], axis=1)) / 2.0
+    # a tie at the k-th distance (an all-equal row among them) widens k,
+    # and a non-positive gamma is nudged: the one-row rule takes those rows
+    for i in np.flatnonzero((d[:, k] == d[:, k - 1]) | (gamma <= 0.0)):
+        gamma[i] = _sorted_gamma(d[i], k)
+    return gamma
+
+
+def _sorted_gamma(d: np.ndarray, k: int) -> float:
+    """``gamma_for_k`` of one row of ascending distances."""
+    n = d.shape[0]
     if d[0] == d[-1]:
         return max(float(d[0]), 1.0)
     kk = k

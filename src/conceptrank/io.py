@@ -74,6 +74,17 @@ def _float(text: str) -> float:
         raise ValueError(f"bad float {text!r}") from None
 
 
+def _floats(fields: list[str]) -> np.ndarray:
+    """The fields as float64, parsed by ``float`` in one pass; a field that
+    does not parse raises ``_float``'s error for the first such field."""
+    try:
+        return np.array(list(map(float, fields)), dtype=np.float64)
+    except ValueError:
+        for text in fields:
+            _float(text)
+        raise
+
+
 def _tsv_rows(fh):
     for line in fh:
         line = line.rstrip("\n")
@@ -231,7 +242,7 @@ def read_scores(
     by_id = _read_rows(
         path,
         ["video_id"] + vocab.ids,
-        lambda row: np.array([_float(x) for x in row[1:]], dtype=np.float64),
+        lambda row: _floats(row[1:]),
         header_error=header_error,
     )
     missing = [r.video_id for r in videos if r.video_id not in by_id]
@@ -252,9 +263,12 @@ def read_scores(
 
 def scores_csv(vocab: ConceptVocabulary, video_ids: list[str], values: np.ndarray) -> str:
     """The text of a scores file; a weak-labels file has this format too."""
+    # a row at a time: the whole matrix as Python floats would sit in the
+    # interpreter's heap for the rest of the run
+    values = np.asarray(values, dtype=np.float64)
     return _csv_text(
         ["video_id"] + vocab.ids,
-        ([vid] + [_fmt(x) for x in row] for vid, row in zip(video_ids, values)),
+        ([vid, *map(repr, row.tolist())] for vid, row in zip(video_ids, values)),
     )
 
 

@@ -163,9 +163,12 @@ METRICS_KEYS = ("failures", "mAP", "borda", "iter0")
 
 
 def run_rank(config: RunConfig) -> tuple[int, dict]:
-    """Rank every event; returns (exit_code, metrics dict)."""
+    """Rank every event; returns (exit_code, metrics dict).
+
+    ``out_dir`` is created only once every input has been read and checked,
+    so a rank rejected for its inputs leaves no directory behind.
+    """
     config.validate()
-    os.makedirs(config.out_dir, exist_ok=True)
     table = _load_table(config.embeddings)
     vocab = io.read_vocabulary(config.vocabulary)
     videos = io.read_videos(config.videos)
@@ -212,6 +215,7 @@ def run_rank(config: RunConfig) -> tuple[int, dict]:
         [r.video_id for r, ok in zip(layer.weak_records, layer.covered) if ok],
         weak_labels(layer),
     )
+    os.makedirs(config.out_dir, exist_ok=True)
 
     failures: dict[str, str] = {}
     per_event_ap: dict[str, float] = {}

@@ -7,12 +7,16 @@ positives/negatives.  All operations are pure functions over immutable
 inputs.
 
 A run over many events embeds the event-independent phrases once, in a
-``QueryLayer`` (concept names C and weak descriptions D), and then needs
-only each event's query vector q (``query_vector``): m cosines for
-``concept_relevance`` and l for ``partition_pseudo``.  Those take
-``cosine`` row by row rather than one matrix product, whose last bit
-differs on about a third of the rows; the fit downstream turns
-differences that small into different rankings.  The weak labels
+``QueryLayer`` (concept names C and weak descriptions D), with the norm of
+every row, and then needs only each event's query vector q
+(``query_vector``) and its norm: m cosines for ``concept_relevance`` and
+l for ``partition_pseudo``.  Each cosine is ``cosine``'s own arithmetic
+from those cached norms: an exact 1.0 for a row equal to q, else one
+``np.dot`` per pair over the product of the norms, clamped into
+[-1, 1], so it keeps ``cosine``'s bits.  A matrix product in place of
+the per-pair dots differs in the last bit on about a third of the rows;
+the fit downstream turns differences that small into different
+rankings.  The weak labels
 ``max(0, D C^T)`` do not depend on the event and feed no computation, so
 ``weak_labels`` takes them as one matrix product per run.
 """
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, cosine, phrase_vector
+from .embeddings import EmbeddingTable, phrase_vector
 from .errors import CoverageError
 from .text import clean_text, tokenize
 
@@ -146,7 +150,9 @@ class QueryLayer:
     order and ``descriptions`` the cleaned-description vectors of
     ``weak_records`` (l x D), each computed by ``phrase_vector``.  A
     phrase with no in-vocabulary token is a zero row, flagged in
-    ``concept_oov`` or left out of ``covered``.
+    ``concept_oov`` or left out of ``covered``.  ``concept_norms`` and
+    ``description_norms`` hold ``np.linalg.norm`` of each row, the
+    norms ``cosine`` would recompute for every event.
     """
 
     vocab: ConceptVocabulary
@@ -155,6 +161,8 @@ class QueryLayer:
     concept_oov: np.ndarray
     descriptions: np.ndarray
     covered: np.ndarray
+    concept_norms: np.ndarray
+    description_norms: np.ndarray
 
     @classmethod
     def build(
@@ -176,6 +184,8 @@ class QueryLayer:
             concept_oov=~named,
             descriptions=descriptions,
             covered=covered,
+            concept_norms=_row_norms(concepts),
+            description_norms=_row_norms(descriptions),
         )
 
     def uncovered_ids(self) -> list[str]:
@@ -196,6 +206,25 @@ def _phrase_rows(phrases: list[list[str]], table: EmbeddingTable):
     return rows, ok
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row, as ``cosine`` takes it of one vector
+    (a norm over an axis sums in another order)."""
+    return np.array([np.linalg.norm(row) for row in rows])
+
+
+def _cosines(
+    qvec: np.ndarray, rows: np.ndarray, norms: np.ndarray, idx: np.ndarray
+) -> np.ndarray:
+    """``cosine(qvec, rows[i])`` for each index i in ``idx``, bit for bit,
+    given the norm of every row in ``norms``; each row taken is nonzero."""
+    dots = np.array([np.dot(qvec, rows[i]) for i in idx])
+    x = dots / (np.linalg.norm(qvec) * norms[idx])
+    # cosine's min(1.0, max(-1.0, x)), under which a NaN becomes -1.0
+    x = np.where(x > -1.0, np.where(x < 1.0, x, 1.0), -1.0)
+    x[np.all(rows[idx] == qvec, axis=1)] = 1.0
+    return x
+
+
 def query_vector(query: EventQuery, table: EmbeddingTable) -> np.ndarray:
     """Unit phrase vector of the event's name and description; raises
     CoverageError when no token of it is in the table."""
@@ -210,8 +239,10 @@ def concept_relevance(layer: QueryLayer, qvec: np.ndarray) -> RelevanceVector:
     names with no in-vocabulary token get 0 and are flagged.
     """
     values = np.zeros(len(layer.vocab))
-    for k in np.flatnonzero(~layer.concept_oov):
-        values[k] = max(0.0, cosine(qvec, layer.concepts[k]))
+    named = np.flatnonzero(~layer.concept_oov)
+    c = _cosines(qvec, layer.concepts, layer.concept_norms, named)
+    # max(0.0, c), under which a cosine of -0.0 becomes 0.0
+    values[named] = np.where(c > 0.0, c, 0.0)
     oov = frozenset(int(k) for k in np.flatnonzero(layer.concept_oov))
     return RelevanceVector(values=values, oov_concepts=oov)
 
@@ -243,7 +274,7 @@ def partition_pseudo(
         raise ValueError(
             f"n_pos + n_neg = {n_pos + n_neg} exceeds the {len(pool)} weak videos"
         )
-    sims = [cosine(qvec, layer.descriptions[i]) for i in pool]
+    sims = _cosines(qvec, layer.descriptions, layer.description_norms, pool).tolist()
     ranked = sorted(
         range(len(pool)),
         key=lambda i: (-sims[i], layer.weak_records[pool[i]].video_id),

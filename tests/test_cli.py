@@ -111,7 +111,7 @@ def test_rank_rejects_label_counts_above_weak_pool_once(tmp_path, capsys):
     assert not any("event" in r for r in records)
     (error,) = [r["validation_error"] for r in records if "validation_error" in r]
     assert "n_pos + n_neg = 120 exceeds the 40" in error
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_rank_end_to_end_and_metrics(tmp_path):
@@ -160,7 +160,7 @@ def test_rank_rejects_bad_supervised_file(tmp_path, capsys, edit, message):
     assert not any("event" in r for r in records)
     (error,) = [r["validation_error"] for r in records if "validation_error" in r]
     assert message in error
-    assert os.listdir(out) == []
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize(
@@ -188,7 +188,7 @@ def test_rank_checks_ground_truth_before_any_event(tmp_path, capsys, rows, messa
     assert not any("event" in r for r in records)
     (error,) = [r["validation_error"] for r in records if "validation_error" in r]
     assert message in error
-    assert os.listdir(out) == []
+    assert not os.path.exists(out)
 
 
 def test_rank_noiseless_planted_event_is_perfect(tmp_path):
@@ -274,6 +274,61 @@ def test_rank_out_dir_under_a_file_exits_one(tmp_path, capsys):
     capsys.readouterr()
     assert main(_rank_args(data, str(afile / "sub"))) == 1
     assert "afile/sub" in _one_validation_error(capsys.readouterr().err)
+
+
+def test_rank_rejected_scores_file_leaves_no_out_dir(tmp_path, capsys):
+    # the scores file is read after the table, the vocabulary, the videos
+    # and the events; a rank that fails on it creates no output directory
+    data = _synth(tmp_path)
+    path = os.path.join(data, "scores.csv")
+    lines = open(path, encoding="utf-8").read().splitlines(keepends=True)
+    open(path, "w", encoding="utf-8").writelines(["garbage\n"] + lines[1:])
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(_rank_args(data, str(out))) == 1
+    error = _one_validation_error(capsys.readouterr().err)
+    assert error == f"{path}: first header field must be video_id"
+    assert not out.exists()
+
+
+def _cli_process(argv):
+    """``python -m conceptrank.cli`` run on ``argv`` in a new interpreter with
+    this process's environment (its BLAS thread count among it)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(conceptrank.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "conceptrank.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_module_entry_point_matches_main(tmp_path, capsys):
+    # the process entry point returns main's exit codes (0, 1 and
+    # argparse's 2), logs what main logs, and writes the files it writes
+    data = _synth(tmp_path, sigma=0.2)
+    inproc, child = str(tmp_path / "inproc"), str(tmp_path / "child")
+    capsys.readouterr()
+    assert main(_rank_args(data, inproc)) == 0
+    err = capsys.readouterr().err
+    done = _cli_process(_rank_args(data, child))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == err.replace(inproc, child)
+    assert sorted(os.listdir(child)) == sorted(os.listdir(inproc))
+    for name in os.listdir(inproc):
+        with open(os.path.join(inproc, name), "rb") as fh:
+            want = fh.read()
+        with open(os.path.join(child, name), "rb") as fh:
+            assert fh.read() == want, name
+
+    os.remove(os.path.join(data, "scores.csv"))
+    assert main(_rank_args(data, inproc)) == 1
+    err = capsys.readouterr().err
+    done = _cli_process(_rank_args(data, child))
+    assert (done.returncode, done.stderr) == (1, err)
+
+    with pytest.raises(SystemExit) as info:
+        main(["rank", "--no-such-flag"])
+    assert info.value.code == 2
+    assert _cli_process(["rank", "--no-such-flag"]).returncode == 2
 
 
 def test_rank_partial_failure_exit_three(tmp_path):
@@ -693,8 +748,7 @@ def test_rank_rejects_event_id_outside_out_dir(tmp_path, capsys):
     assert main(_rank_args(data, out)) == 1
     (record,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert "events.jsonl:1: event_id '../escaped'" in record["validation_error"]
-    assert sorted(os.listdir(tmp_path)) == ["data", "out"]
-    assert os.listdir(out) == []
+    assert sorted(os.listdir(tmp_path)) == ["data"]
 
 
 @pytest.mark.parametrize("event_id", METRICS_KEYS)
@@ -706,7 +760,7 @@ def test_rank_rejects_event_id_that_is_a_metrics_key(tmp_path, capsys, event_id)
     assert main(_rank_args(data, out)) == 1
     (record,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert repr(event_id) in record["validation_error"]
-    assert os.listdir(out) == []
+    assert not os.path.exists(out)
 
 
 def test_metrics_keys_are_the_run_level_keys(tmp_path):

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -5,9 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conceptrank import composer
+from conceptrank.cli import main
 from conceptrank.graph import _CANDIDATE_BLOCK, candidate_neighbors, gamma_for_k
 
-from helpers import brute_force_simplex, neighbor_row, project_row, support_size
+from helpers import (
+    bench_generator,
+    brute_force_simplex,
+    neighbor_row,
+    project_row,
+    support_size,
+)
 
 
 class TestSimplexProject:
@@ -168,6 +177,67 @@ class TestGammaForK:
             a = neighbor_row(d, gamma_for_k(d, k))
             assert np.count_nonzero(a > 0.0) == k
             assert abs(a.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 3, 7, 8, 12, 29])
+    def test_rows_match_one_row_at_a_time(self, k):
+        # an (n, k_cand) array gives each row the bits of that row alone:
+        # the same prefix sums (pairwise from k = 9 on), and the one-row
+        # rule for a tie at the k-th distance and for a single distance
+        rng = np.random.default_rng(k)
+        D = np.vstack([
+            rng.uniform(0.0, 5.0, (40, 30)),
+            rng.integers(0, 4, (40, 30)) * 0.25,
+            np.full((3, 30), 0.09),
+            np.zeros((2, 30)),
+        ])
+        got = gamma_for_k(D, k)
+        want = np.array([gamma_for_k(d, k) for d in D])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        d = np.sort(D, axis=1)
+        assert np.sum(d[:, k] == d[:, k - 1]) > 5
+
+    @pytest.mark.parametrize("k", [3, 7, 12])
+    def test_nudged_rows_match_one_row_at_a_time(self, k):
+        # distances an ulp apart whose boundary value rounds to <= 0 with
+        # no tie at the k-th distance: the one-row rule nudges them
+        rng = np.random.default_rng(k)
+        rows = []
+        for _ in range(20000):
+            base = rng.uniform(0.05, 2.0)
+            d = base + rng.integers(0, 4, 30) * np.spacing(base)
+            s = np.sort(d)
+            if s[k] != s[k - 1] and k * s[k] - s[:k].sum() <= 0.0:
+                rows.append(d)
+                if len(rows) == 5:
+                    break
+        assert len(rows) == 5
+        D = np.vstack(rows + [rng.uniform(0.0, 5.0, 30)])
+        got = gamma_for_k(D, k)
+        want = np.array([gamma_for_k(d, k) for d in D])
+        assert got.tobytes() == want.tobytes()
+        assert np.all((got[:5] > 0.0) & (got[:5] <= 1e-12))
+
+    @pytest.mark.parametrize("workload", sorted(bench_generator().WORKLOADS))
+    def test_rows_match_on_bench_distances(self, workload, tmp_path, monkeypatch):
+        # fit takes every row's gamma in one call, from the distances of
+        # its initial scores; on a benchmark input each row gets its own
+        # gamma's bits
+        gen = bench_generator()
+        calls = []
+
+        def recorded(D, k):
+            calls.append((D.copy(), k, gamma_for_k(D, k)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(composer, "gamma_for_k", recorded)
+        data = str(tmp_path / "in")
+        os.makedirs(data)
+        gen.generate(workload, 90, 0, data)
+        assert main(gen.rank_argv(workload, data, str(tmp_path / "out"))) == 0
+        assert len(calls) == gen.WORKLOADS[workload].events
+        for D, k, got in calls:
+            want = np.array([gamma_for_k(d, k) for d in D])
+            assert D.ndim == 2 and got.tobytes() == want.tobytes()
 
 
 class TestCandidateNeighbors:

@@ -160,6 +160,34 @@ class TestScores:
         with pytest.raises(FormatError, match=match):
             io.read_scores(path, instance.vocabulary, instance.videos)
 
+    @pytest.mark.parametrize("bad", ["abc", "0.5.5", ""])
+    def test_bad_float_names_file_line_and_value(self, tmp_path, instance, bad):
+        path = str(tmp_path / "scores.csv")
+        io.write_scores(path, instance.vocabulary, instance.video_ids, instance.scores)
+        lines = open(path, encoding="utf-8").read().splitlines()
+        fields = lines[3].split(",")
+        # the first field that does not parse is the one named
+        fields[2], fields[4] = bad, "later"
+        lines[3] = ",".join(fields)
+        open(path, "w", encoding="utf-8").write("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as info:
+            io.read_scores(path, instance.vocabulary, instance.videos)
+        assert str(info.value) == f"{path}:4: bad float {bad!r}"
+
+    def test_csv_formats_each_value_by_repr(self, instance):
+        values = np.array([
+            [-0.0, 5e-324, 1e16, 0.1],
+            [1.0 / 3.0, -1e-310, 2.0**53 + 2.0, 123456789.125],
+        ])
+        ids = ["v0", "v1"]
+        text = io.scores_csv(instance.vocabulary, ids, values)
+        want = "video_id," + ",".join(instance.vocabulary.ids) + "\n" + "".join(
+            vid + "," + ",".join(repr(float(x)) for x in row) + "\n"
+            for vid, row in zip(ids, values)
+        )
+        assert text == want
+        assert text.splitlines()[1] == "v0,-0.0,5e-324,1e+16,0.1"
+
 
 class TestSupervisedAndTruth:
     def test_supervised_round_trip(self, tmp_path, instance):

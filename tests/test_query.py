@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conceptrank.embeddings import EmbeddingTable
+from conceptrank import query
+from conceptrank.embeddings import EmbeddingTable, cosine
 from conceptrank.errors import CoverageError
 from conceptrank.query import (
     Concept,
@@ -243,6 +244,50 @@ class TestQueryLayer:
                 assert len({got.values[i] for i, n in enumerate(names) if n == name}) == 1
             for k in (1, 3, len(vocab)):
                 assert select_concepts(got, k, vocab) == select_concepts(want, k, vocab)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cached_norm_cosines_are_cosines(self, seed):
+        # the layer's cached row norms and one query norm give each row
+        # cosine(q, row) bit for bit: 1.0 for a row equal to q, and the
+        # negative cosines that relevance clamps to 0
+        table, vocab, records, queries = self._instance(seed)
+        twin = Concept(concept_id="c99", name=queries[0].name)
+        vocab = ConceptVocabulary(concepts=vocab.concepts + [twin])
+        records = records + [
+            VideoRecord(video_id="v99", split="weak", description=queries[0].name)
+        ]
+        layer = QueryLayer.build(vocab, records, table)
+        named = np.flatnonzero(~layer.concept_oov)
+        pool = np.flatnonzero(layer.covered)
+        negative = 0
+        for q in queries:
+            qvec = query_vector(q, table)
+            want = [cosine(qvec, layer.concepts[k]) for k in named]
+            got = query._cosines(qvec, layer.concepts, layer.concept_norms, named)
+            assert got.tobytes() == np.array(want).tobytes()
+            values = concept_relevance(layer, qvec).values[named]
+            assert values.tobytes() == np.array([max(0.0, c) for c in want]).tobytes()
+            negative += sum(c < 0.0 for c in want)
+            want = [cosine(qvec, layer.descriptions[i]) for i in pool]
+            got = query._cosines(qvec, layer.descriptions, layer.description_norms, pool)
+            assert got.tobytes() == np.array(want).tobytes()
+        qvec = query_vector(queries[0], table)
+        assert concept_relevance(layer, qvec).values[-1] == 1.0
+        assert query._cosines(qvec, layer.descriptions, layer.description_norms, pool)[-1] == 1.0
+        assert negative > 0
+
+    def test_cosines_of_rows_at_any_scale(self):
+        # off the unit sphere, dot(q, q) / |q|^2 falls short of 1.0 on about
+        # a quarter of draws; a row equal to q still gets cosine's 1.0
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            q = rng.normal(size=6) * rng.uniform(0.1, 10.0)
+            rows = rng.normal(size=(8, 6)) * rng.uniform(0.1, 10.0, (8, 1))
+            rows[3], rows[5] = q, -q
+            idx = np.array([0, 3, 5, 7, 2])
+            got = query._cosines(q, rows, query._row_norms(rows), idx)
+            assert got.tobytes() == np.array([cosine(q, rows[i]) for i in idx]).tobytes()
+            assert got[1] == 1.0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_weak_labels_match_per_phrase(self, seed):
